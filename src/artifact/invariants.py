@@ -15,7 +15,7 @@ Computed quantities:
     phase, closed form and group-commutator cross-check.
   - twist_statistics: copy-cycling defect statistics on an N-fold stack.
   - parity_indices: the (-1)^nu index and, for even nu, the order-8 phase.
-  - predicted_free_fermion / cocycle_znn: exact reference values.
+  - predicted_free_fermion / cocycle_exponent: exact reference values.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import scipy.linalg
 from ._util import ComputationError, spectral_norm_estimate
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
-from .symgen import FluxGenerator, cyclic_charge, dress_charge, lift_charge, parity_charge
+from .symgen import FluxGenerator, cyclic_charge, dress_charge, lift_charge
 
 #: a commutator trace localized at the triple junction receives equal
 #: contributions from the three cone pairs; anchoring on one core region
@@ -118,10 +118,9 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
         return 0.0, 0.0
     anchor = _anchor_ids(P, partition, core_fraction)
     Pm, Q0, Q1 = P.matrix, g0.Qtilde, g1.Qtilde
-    M0 = Pm @ Q0
-    M1 = Pm @ Q1
-    t_fwd = np.einsum("ij,ji->", M0[anchor, :], Q1[:, anchor], optimize=True)
-    t_rev = np.einsum("ij,ji->", M1[anchor, :], Q0[:, anchor], optimize=True)
+    Pa = Pm[anchor, :]
+    t_fwd = np.einsum("ij,ji->", Pa @ Q0, Q1[:, anchor], optimize=True)
+    t_rev = np.einsum("ij,ji->", Pa @ Q1, Q0[:, anchor], optimize=True)
     val = 2j * np.pi * JUNCTION_MULTIPLICITY * (t_fwd - t_rev)
     sigma = float(val.real)
     residual = abs(float(val.imag))
@@ -237,6 +236,14 @@ def parity_indices(P: BasisProjection, partition: ConicalPartition,
                    nu_round_tol: float = DEFAULT_NU_ROUND_TOL):
     """((-1)^nu, order-8 phase) from the rounded invariant and parity fluxes.
 
+    The parity-flux response is nu / 2 identically. The parity generators
+    Qa = Pi_a - Pi_a P - P Pi_a (symgen.parity_charge) satisfy
+    P Q0 Q1 = P Pi_0 P Pi_1 P when P^2 = P, so hall_sigma of the pair,
+    anchored on the third core, is 6 pi i (T_012 - T_021): half the triple
+    traces of chern_number. The order-8 phase is therefore the closed-form
+    exchange phase at sigma = nu / 2 and flux angles pi, pi; the dense
+    generators serve only as the test oracle for this identity.
+
     The order-8 phase is only defined on the even-nu branch; odd nu returns
     None there. A projection whose invariant does not round within
     nu_round_tol is refused rather than silently rounded.
@@ -245,15 +252,9 @@ def parity_indices(P: BasisProjection, partition: ConicalPartition,
     nu_r = int(np.rint(nu))
     if abs(nu - nu_r) > nu_round_tol:
         raise ComputationError("unconverged")
-    z2 = -1 if nu_r % 2 else 1
     if nu_r % 2:
-        return z2, None
-    ids, geom = core_regions(P, partition, core_fraction)
-    g0 = parity_charge(P, ids[0], geom)
-    g1 = parity_charge(P, ids[1], geom)
-    sigma_par = hall_sigma(P, g0, g1, partition, core_fraction)
-    z8 = exchange_phase_closed(sigma_par, np.pi, np.pi)
-    return z2, z8
+        return -1, None
+    return 1, exchange_phase_closed(nu / 2, np.pi, np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +321,11 @@ def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
     return FreeFermionPrediction(nu, N, sigma, theta_exp, omega_exp, z2, z8_exp)
 
 
-@dataclass(frozen=True)
-class CocycleSpec:
-    N: int
-    omega_N: complex
-
-    def validate(self, tol: float = 1e-8):
-        if abs(abs(self.omega_N) - 1.0) > tol:
-            raise ComputationError("omega must have unit modulus")
-
-
 def cocycle_exponent(N: int, a1: int, a2: int, a3: int) -> int:
     """Integer exponent a1 * floor((a2 + a3)/N) of the group 3-cocycle,
     with arguments reduced mod N."""
     a1, a2, a3 = a1 % N, a2 % N, a3 % N
     return a1 * ((a2 + a3) // N)
-
-
-def cocycle_znn(spec: CocycleSpec, a1: int, a2: int, a3: int) -> complex:
-    """omega_N ** (a1 * floor((a2 + a3)/N)) on arguments reduced mod N."""
-    return complex(spec.omega_N ** cocycle_exponent(spec.N, a1, a2, a3))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._util import ComputationError, conj_J, hermiticity_residual
+from ._util import ComputationError, hermiticity_residual
 from .models import QuadraticHamiltonian
 
 _WICK_MAX = 12
@@ -34,7 +34,7 @@ class BasisProjection:
             raise ComputationError("projection is not Hermitian")
         if float(np.max(np.abs(P @ P - P))) > tol:
             raise ComputationError("projection is not idempotent")
-        if float(np.max(np.abs(P + conj_J(P) - np.eye(P.shape[0])))) > tol:
+        if float(np.max(np.abs(P + np.conj(P) - np.eye(P.shape[0])))) > tol:
             raise ComputationError("projection violates P + JPJ = I")
 
     @property
@@ -53,13 +53,8 @@ class CovarianceOperator:
         ev = np.linalg.eigvalsh(S)
         if ev[0] < -tol or ev[-1] > 1 + tol:
             raise ComputationError("covariance spectrum outside [0, 1]")
-        if float(np.max(np.abs(S + conj_J(S) - np.eye(S.shape[0])))) > tol:
+        if float(np.max(np.abs(S + np.conj(S) - np.eye(S.shape[0])))) > tol:
             raise ComputationError("covariance violates S + JSJ = I")
-
-
-def covariance_of(P: BasisProjection) -> CovarianceOperator:
-    """Two-point operator of the pure state built on P (they coincide)."""
-    return CovarianceOperator(P.matrix)
 
 
 def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisProjection:

@@ -200,6 +200,8 @@ def test_qwz_sweep_error_shrinks_with_radius(capsys):
     assert errs[-1] <= 1e-3
     nus = [float(r[1]) for r in rows]
     assert all(abs(nu - 2.0) <= 0.05 for nu in nus)
+    # the sigma column is the parity-flux response, nu / 2 identically
+    assert all(abs(float(r[2]) - float(r[1]) / 2) <= 1e-11 for r in rows)
 
 
 # ---------------------------------------------------------------------------

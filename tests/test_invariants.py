@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from artifact import (CocycleSpec, ComputationError, FreeFermionPrediction,
-                      IndexReport, build_disk_lattice, build_trivial,
-                      chern_number, chern_number_with_residual, cocycle_exponent,
-                      cocycle_znn, exchange_phase_bch, exchange_phase_closed,
-                      ground_projection, hall_sigma, make_good_partition,
-                      parity_indices, predicted_free_fermion, stack_copies,
-                      twist_statistics)
+from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
+                      build_disk_lattice, build_pip, build_trivial, chern_number,
+                      chern_number_with_residual, cocycle_exponent, core_regions,
+                      exchange_phase_bch, exchange_phase_closed, ground_projection,
+                      hall_sigma, make_good_partition, parity_charge, parity_indices,
+                      predicted_free_fermion, stack_copies, twist_statistics)
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 
@@ -84,11 +83,9 @@ def test_prediction_exact_orders(N):
 
 
 def test_cocycle_examples():
-    spec = CocycleSpec(3, complex(np.exp(2j * np.pi / 3)))
-    spec.validate()
-    assert abs(cocycle_znn(spec, 1, 2, 2) - np.exp(2j * np.pi / 3)) <= 1e-12
-    assert abs(cocycle_znn(spec, 2, 2, 2) - np.exp(4j * np.pi / 3)) <= 1e-12
-    assert cocycle_znn(spec, 2, 1, 1) == 1.0 + 0j
+    assert cocycle_exponent(3, 1, 2, 2) == 1
+    assert cocycle_exponent(3, 2, 2, 2) == 2
+    assert cocycle_exponent(3, 2, 1, 1) == 0
     assert cocycle_exponent(3, 4, 2, 2) == cocycle_exponent(3, 1, 2, 2)
 
 
@@ -104,11 +101,6 @@ def test_cocycle_condition_exhaustive_n3():
                              - cocycle_exponent(N, a1, a2, (a3 + a4) % N)
                              + cocycle_exponent(N, a1, a2, a3))
                     assert delta % N == 0
-
-
-def test_cocycle_unit_modulus_enforced():
-    with pytest.raises(ComputationError):
-        CocycleSpec(3, 1.5 + 0j).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +239,25 @@ def test_parity_indices_trivial(triv_r6):
     z2, z8 = parity_indices(P, part)
     assert z2 == 1
     assert abs(z8 - 1.0) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def pip_r8():
+    geom = build_disk_lattice("square", 8.0, majorana_count=2)
+    return ground_projection(build_pip(-1.0, 0.5, geom), 1e-4), make_good_partition(geom.apex)
+
+
+@pytest.mark.parametrize("case", ["triv_r6", "qwz_r6", "pip_r8"])
+def test_parity_flux_is_half_nu(case, request):
+    # parity_indices takes sigma = nu / 2; the dense parity generators are its oracle
+    P, part = request.getfixturevalue(case)
+    ids, geom = core_regions(P, part, 0.7)
+    sigma = hall_sigma(P, parity_charge(P, ids[0], geom), parity_charge(P, ids[1], geom), part)
+    nu = chern_number(P, part)
+    assert abs(sigma - nu / 2) <= 1e-10
+    if round(nu) % 2 == 0:
+        _, z8 = parity_indices(P, part)
+        assert abs(z8 - exchange_phase_closed(sigma, np.pi, np.pi)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
-                      build_qwz, build_trivial, site_projector, spectral_diagnostics,
-                      stack, stack_copies, tknn_chern)
+                      build_qwz, build_trivial, site_projector, stack_copies, tknn_chern)
+from artifact.models import _bloch
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +30,15 @@ def test_qwz_selfdual_structure(disk4):
     lambda g4, g2: build_trivial(g2),
 ])
 def test_spectra_come_in_plus_minus_pairs(disk4, disk2, build):
-    diag = spectral_diagnostics(build(disk4, disk2))
-    assert diag.eigenvalue_symmetry_residual <= 1e-9
+    ev = np.linalg.eigvalsh(build(disk4, disk2).matrix)  # ascending
+    assert float(np.max(np.abs(ev + ev[::-1]))) <= 1e-9
 
 
 def test_trivial_model_is_onsite(disk2):
     h = build_trivial(disk2)
-    diag = spectral_diagnostics(h)
-    assert diag.min_abs_eigenvalue == pytest.approx(1.0, abs=1e-12)
-    assert diag.max_abs_eigenvalue == pytest.approx(1.0, abs=1e-12)
+    ev = np.abs(np.linalg.eigvalsh(h.matrix))
+    assert ev.min() == pytest.approx(1.0, abs=1e-12)
+    assert ev.max() == pytest.approx(1.0, abs=1e-12)
     region = site_projector([0, 3, 7], disk2)
     comm = h.matrix @ region - region @ h.matrix
     assert float(np.max(np.abs(comm))) == 0.0
@@ -46,7 +46,8 @@ def test_trivial_model_is_onsite(disk2):
 
 @pytest.mark.parametrize("u", [0.0, 2.0, -2.0])
 def test_qwz_gap_closings_rejected(disk4, u):
-    with pytest.raises(ComputationError, match="gapless parameters"):
+    # the k-grid contains every Dirac point, so the certificate itself fails
+    with pytest.raises(ComputationError, match=r"gapless parameters: bulk gap \S+ < 1e-6"):
         build_qwz(u, disk4)
 
 
@@ -65,6 +66,29 @@ def test_majorana_count_requirements(disk4, disk2):
         build_qwz(1.0, disk2)
     with pytest.raises(ComputationError):
         build_pip(-1.0, 0.5, disk4)
+
+
+@pytest.mark.parametrize("family, params", [("qwz", {"u": 1.3}),
+                                             ("pip", {"mu": -1.0, "delta": 0.5})],
+                         ids=["qwz", "pip"])
+def test_bloch_grid_matches_pointwise(family, params):
+    kgrid = 7
+    ks = 2 * np.pi * np.arange(kgrid) / kgrid
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    grid = _bloch(family, params, kgrid)
+    assert grid.shape == (kgrid, kgrid, 2, 2)
+    for i, kx in enumerate(ks):
+        for j, ky in enumerate(ks):
+            if family == "qwz":
+                want = (np.sin(kx) * sx + np.sin(ky) * sy
+                        + (params["u"] + np.cos(kx) + np.cos(ky)) * sz)
+            else:
+                xi = -2.0 * (np.cos(kx) + np.cos(ky)) - params["mu"]
+                dk = params["delta"] * (np.sin(kx) - 1j * np.sin(ky))
+                want = np.array([[xi, dk], [np.conj(dk), -xi]])
+            assert np.array_equal(grid[i, j], want)
 
 
 def test_tknn_integers():
@@ -87,34 +111,6 @@ def test_tknn_small_grid_rejected():
 def test_tknn_gapless_rejected():
     with pytest.raises(ComputationError, match="gapless parameters"):
         tknn_chern("qwz", {"u": 2.0}, kgrid=60)
-
-
-def test_stack_requires_matching_sites(disk2):
-    other = build_disk_lattice("square", 5.0, majorana_count=2)
-    with pytest.raises(ComputationError):
-        stack(build_trivial(disk2), build_trivial(other))
-
-
-def test_stack_interleaves_per_site(disk4, disk2):
-    hq = build_qwz(1.0, disk4)
-    ht = build_trivial(disk2)
-    hs = stack(hq, ht)
-    assert hs.geometry.majorana_count == 6
-    assert hs.matrix.shape[0] == 6 * len(disk4.sites)
-    # per-site block: first 4 rows model one, last 2 rows model two
-    blk = hs.matrix[:6, :6]
-    assert np.allclose(blk[:4, :4], hq.matrix[:4, :4])
-    assert np.allclose(blk[4:, 4:], ht.matrix[:2, :2])
-    assert np.allclose(blk[:4, 4:], 0.0)
-
-
-def test_stack_associative_spectra(disk4, disk2):
-    a = build_qwz(1.0, disk4)
-    b = build_trivial(disk2)
-    c = build_pip(-1.0, 0.5, disk2)
-    ev1 = np.linalg.eigvalsh(stack(stack(a, b), c).matrix)
-    ev2 = np.linalg.eigvalsh(stack(a, stack(b, c)).matrix)
-    assert float(np.max(np.abs(ev1 - ev2))) <= 1e-12
 
 
 def test_stack_copies_is_kron(disk2):

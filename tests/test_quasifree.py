@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, build_disk_lattice, build_trivial,
-                      covariance_of, ground_projection, pfaffian_expectation,
+from artifact import (ComputationError, CovarianceOperator, build_disk_lattice,
+                      build_trivial, ground_projection, pfaffian_expectation,
                       random_covariance, wick_expectation)
 from artifact.quasifree import BasisProjection, _pfaffian
 
@@ -73,9 +73,8 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
 
 def test_covariance_of_projection_is_valid(trivial_projection):
     P, _ = trivial_projection
-    S = covariance_of(P)
-    S.validate()
-    assert S.matrix is P.matrix
+    # the two-point operator of the pure state built on P is P itself
+    CovarianceOperator(P.matrix).validate()
 
 
 # ---------------------------------------------------------------------------
