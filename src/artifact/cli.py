@@ -154,6 +154,7 @@ def compute_report(cfg: dict, task: str) -> IndexReport:
         "copies": copies,
         "gap_used": P.gap_used,
         "core_fraction": cf,
+        **P.health,  # edge_gap, zero_modes, projection_residual
     })
     if task == "twist":
         sigma, theta_N, omega_N = twist_statistics(P, copies, partition, cf)

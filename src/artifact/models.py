@@ -73,7 +73,11 @@ def _bloch(family_tag: str, parameters: dict, kgrid: int) -> np.ndarray:
     Brillouin zone, shape (kgrid, kgrid, 2, 2): the band matrix for qwz, the
     BdG matrix for pip."""
     ks = 2 * np.pi * np.arange(kgrid) / kgrid
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
+    return _bloch_at(family_tag, parameters, *np.meshgrid(ks, ks, indexing="ij"))
+
+
+def _bloch_at(family_tag: str, parameters: dict, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """k-space matrices at the momenta (kx, ky), shape kx.shape + (2, 2)."""
     if family_tag == "qwz":
         u = float(parameters["u"])
         m = u + np.cos(kx) + np.cos(ky)
@@ -83,7 +87,7 @@ def _bloch(family_tag: str, parameters: dict, kgrid: int) -> np.ndarray:
         mu, delta = float(parameters["mu"]), float(parameters["delta"])
         xi = -2.0 * (np.cos(kx) + np.cos(ky)) - mu
         dk = delta * (np.sin(kx) - 1j * np.sin(ky))
-        H = np.empty((kgrid, kgrid, 2, 2), dtype=complex)
+        H = np.empty(kx.shape + (2, 2), dtype=complex)
         H[..., 0, 0] = xi
         H[..., 0, 1] = dk
         H[..., 1, 0] = np.conj(dk)
@@ -92,16 +96,21 @@ def _bloch(family_tag: str, parameters: dict, kgrid: int) -> np.ndarray:
     raise ConfigError(f"no periodic oracle for family {family_tag!r}")
 
 
-def _bulk_gap(family_tag: str, parameters: dict, kgrid: int = 200) -> float:
-    ev = np.linalg.eigvalsh(_bloch(family_tag, parameters, kgrid))
-    return float(np.min(np.abs(ev)))
+#: the four momenta k in {0, pi}^2, where every gap closing of qwz and pip
+#: sits; an odd grid misses pi, so the certificate adds them explicitly
+_HIGH_SYMMETRY = np.meshgrid([0.0, np.pi], [0.0, np.pi], indexing="ij")
 
 
-def _check_gapped(family_tag: str, parameters: dict):
+def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = None):
+    """Refuse gapless parameters. `ev` are Bloch eigenvalues the caller has
+    already computed on its own grid (default: a kgrid-120 grid)."""
     if family_tag == "pip" and parameters["delta"] == 0.0 and abs(parameters["mu"]) <= 4.0:
         # nodal ring of the delta = 0 metal can slip between grid points
         raise ComputationError("gapless parameters: nodal ring at delta = 0")
-    gap = _bulk_gap(family_tag, parameters, kgrid=120)
+    if ev is None:
+        ev = np.linalg.eigvalsh(_bloch(family_tag, parameters, 120))
+    corners = np.linalg.eigvalsh(_bloch_at(family_tag, parameters, *_HIGH_SYMMETRY))
+    gap = min(float(np.min(np.abs(ev))), float(np.min(np.abs(corners))))
     if gap < 1e-6:
         raise ComputationError(f"gapless parameters: bulk gap {gap:.2g} < 1e-6")
 
@@ -218,10 +227,11 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     """
     if kgrid < 50:
         raise ConfigError("kgrid must be >= 50")
-    _check_gapped(family_tag, parameters)
     H = _bloch(family_tag, parameters, kgrid)
+    ev, V = np.linalg.eigh(H)
+    _check_gapped(family_tag, parameters, ev)
     nocc = H.shape[-1] // 2
-    V = np.linalg.eigh(H)[1][..., :nocc]
+    V = V[..., :nocc]
     ip = np.roll(np.arange(kgrid), -1)
     # plaquette link product around each square, counterclockwise
     def link(Va, Vb):

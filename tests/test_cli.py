@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,22 @@ def test_trivial_twist_run(tmp_path, capsys):
     assert abs(blob["indices"]["omega_N"]["re"] - 1.0) <= 1e-9
     assert blob["indices"]["nu"] is None
     assert blob["config"]["copies"] == 3
+
+
+def test_report_carries_projection_health(capsys):
+    assert main(["chern", "--radius", "6"]) == 0
+    diag = json.loads(capsys.readouterr().out)["indices"]["diagnostics"]
+    assert diag["zero_modes"] == 0
+    assert 1e-3 < diag["edge_gap"] < 1.0
+    assert 0.0 <= diag["projection_residual"] <= 1e-12
+
+
+def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):
+    from artifact import quasifree
+    monkeypatch.setattr(quasifree, "available_memory", lambda: 2 * 10**5)
+    assert main(["chern", "--config", trivial_cfg]) == 3
+    assert re.search(r"projection needs ~\S+ GB, 0\.0002 GB available",
+                     capsys.readouterr().err)
 
 
 def test_gapless_parameters_exit_three(tmp_path, capsys):

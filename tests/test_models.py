@@ -3,7 +3,7 @@ import pytest
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
                       build_qwz, build_trivial, site_projector, stack_copies, tknn_chern)
-from artifact.models import _bloch
+from artifact.models import _bloch, _check_gapped
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,19 @@ def test_tknn_small_grid_rejected():
 def test_tknn_gapless_rejected():
     with pytest.raises(ComputationError, match="gapless parameters"):
         tknn_chern("qwz", {"u": 2.0}, kgrid=60)
+
+
+@pytest.mark.parametrize("family, params", [("qwz", {"u": 2.0}), ("qwz", {"u": -2.0}),
+                                             ("pip", {"mu": -4.0, "delta": 0.5}),
+                                             ("pip", {"mu": 0.0, "delta": 0.5})])
+def test_odd_grid_still_sees_closings_at_pi(family, params):
+    # an odd kgrid has no k = pi; the certificate adds the points {0, pi}^2
+    ks = 2 * np.pi * np.arange(51) / 51
+    assert np.pi not in ks
+    with pytest.raises(ComputationError, match=r"gapless parameters: bulk gap \S+ < 1e-6"):
+        tknn_chern(family, params, kgrid=51)
+    with pytest.raises(ComputationError, match="bulk gap"):
+        _check_gapped(family, params, ev=np.ones(4))
 
 
 def test_stack_copies_is_kron(disk2):
