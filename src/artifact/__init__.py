@@ -8,8 +8,7 @@ reference values and randomized self-tests alongside.
 from ._util import ArtifactError, ComputationError, ConfigError
 from .geometry import (Cone, ConicalPartition, LatticeGeometry, SitePoint,
                        build_disk_lattice, cone_site_ids, make_good_partition,
-                       partition_masks, region_mask, site_projector,
-                       windowed_site_ids)
+                       region_mask, windowed_site_ids)
 from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
                      build_trivial, stack_copies, tknn_chern)
 from .quasifree import (BasisProjection, CovarianceOperator, ground_projection,
@@ -28,7 +27,7 @@ __all__ = [
     "ArtifactError", "ComputationError", "ConfigError",
     "Cone", "ConicalPartition", "LatticeGeometry", "SitePoint",
     "build_disk_lattice", "cone_site_ids", "make_good_partition",
-    "partition_masks", "region_mask", "site_projector", "windowed_site_ids",
+    "region_mask", "windowed_site_ids",
     "CONVENTION_TAG", "QuadraticHamiltonian",
     "build_pip", "build_qwz", "build_trivial", "stack_copies", "tknn_chern",
     "BasisProjection", "CovarianceOperator", "ground_projection",

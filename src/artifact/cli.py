@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -236,6 +238,25 @@ def _sweep_row(cfg: dict, radius: float):
         return (radius, f"ERROR: {exc}", "", "", wall_ms)
 
 
+def _map_in_workers(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)) over `jobs` worker processes, each with one
+    BLAS thread: the workers already share the cores, and BLAS threads on
+    top of them oversubscribe. OpenBLAS reads OPENBLAS_NUM_THREADS once, when
+    numpy loads it, so the workers are spawned fresh with the variable in
+    their environment; this process's own value is restored afterwards."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, *iterables))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
     validate_config(cfg, "sweep")
     if len(radii) < 2:
@@ -245,8 +266,7 @@ def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
     if any(r < 4 for r in radii):
         raise ConfigError("geometry.radius must be a number >= 4")
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, [cfg] * len(radii), radii))
+        rows = _map_in_workers(_sweep_row, jobs, [cfg] * len(radii), radii)
     else:
         rows = [_sweep_row(cfg, r) for r in radii]
     lines = ["radius,nu,sigma,err_nu,wall_ms"]

@@ -1,9 +1,9 @@
-"""Finite planar lattices, conical partitions, and region projectors.
+"""Finite planar lattices, conical partitions, and region masks.
 
 The one-particle space K has one basis vector per (site, majorana index m),
 with m running over an even number of Majorana modes per site. Everything
 downstream (models, generators, invariants) addresses K through the masks
-and projectors built here.
+built here.
 
 Region conventions: a partition consists of three open cones A0, A1, A2
 around a common apex, ordered counterclockwise, whose closures cover the
@@ -195,21 +195,6 @@ def region_mask(region, geometry: LatticeGeometry) -> np.ndarray:
             raise ComputationError("site id out of range")
         sel[ids] = True
     return np.repeat(sel, geometry.majorana_count)
-
-
-def site_projector(region, geometry: LatticeGeometry) -> np.ndarray:
-    """Diagonal 0/1 projector on K for a Cone or explicit site-id set."""
-    return np.diag(region_mask(region, geometry).astype(float))
-
-
-def partition_masks(partition: ConicalPartition, geometry: LatticeGeometry) -> list[np.ndarray]:
-    """The three K-masks of the A-cones. Every site lands in exactly one cone
-    (genericity is enforced per site); the masks sum to the identity."""
-    masks = [region_mask(c, geometry) for c in partition.cones_A]
-    total = masks[0].astype(int) + masks[1].astype(int) + masks[2].astype(int)
-    if not np.all(total == 1):
-        raise ComputationError("non-generic site")
-    return masks
 
 
 def windowed_site_ids(partition: ConicalPartition, geometry: LatticeGeometry,

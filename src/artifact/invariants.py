@@ -57,8 +57,10 @@ def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction:
 
 
 def _anchor_ids(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
+    """Indices of the third core in P's single-copy block."""
     ids, geom = core_regions(P, partition, core_fraction)
-    return np.where(region_mask(ids[2], geom))[0]
+    block_geom = geom.with_majorana_count(geom.majorana_count // P.copies)
+    return np.where(region_mask(ids[2], block_geom))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +114,22 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
 
     The commutator trace is anchored on the core of the third cone (the one
     carrying neither generator) and scaled by the junction multiplicity.
-    Identical generators short-circuit to exactly zero.
+    With P = kron(P1, I_N) and Qa = kron(Ba, qa) the trace factors into
+    Tr(q0 q1) times the same trace of the blocks. Identical generators
+    short-circuit to exactly zero.
     """
-    if g0 is g1 or np.array_equal(g0.Qtilde, g1.Qtilde):
+    if g0 is g1 or (np.array_equal(g0.block, g1.block)
+                     and np.array_equal(g0.charge, g1.charge)):
         return 0.0, 0.0
+    g0.check_factors(P)
+    g1.check_factors(P)
     anchor = _anchor_ids(P, partition, core_fraction)
-    Pm, Q0, Q1 = P.matrix, g0.Qtilde, g1.Qtilde
+    Pm, Q0, Q1 = P.block, g0.block, g1.block
     Pa = Pm[anchor, :]
     t_fwd = np.einsum("ij,ji->", Pa @ Q0, Q1[:, anchor], optimize=True)
     t_rev = np.einsum("ij,ji->", Pa @ Q1, Q0[:, anchor], optimize=True)
-    val = 2j * np.pi * JUNCTION_MULTIPLICITY * (t_fwd - t_rev)
+    copy_trace = np.trace(g0.charge @ g1.charge)
+    val = 2j * np.pi * JUNCTION_MULTIPLICITY * copy_trace * (t_fwd - t_rev)
     sigma = float(val.real)
     residual = abs(float(val.imag))
     if residual > ANOMALY_TOL:
@@ -175,28 +183,43 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     phase is exp of the junction-localized half-trace of P log C, with the
     anchor symmetrized to keep the exponent purely imaginary up to rounding.
     Matches exchange_phase_closed to cubic order in the flux angles.
-    """
-    from .symgen import flux_unitary
 
+    Both generators must carry the same charge c. In its eigenbasis,
+    Ua = exp(i alpha_a kron(Ba, c)) splits into the sectors
+    exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
+    the trace. One eigh per block serves every sector; the phase is
+    exp(sum_j phi_j), each sector under the branch-ambiguity rule. The
+    j = 0 sector is the identity and is skipped.
+    """
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
-    U0 = flux_unitary(g0, alpha0)
-    U1 = flux_unitary(g1, alpha1)
-    C = U0 @ U1 @ U0.conj().T @ U1.conj().T
-    E = C - np.eye(C.shape[0], dtype=complex)
-    if float(np.max(np.abs(E))) < 1e-13:
-        return complex(1.0)
-    norm_e = spectral_norm_estimate(E)
-    if norm_e >= 1.9:
-        # unitary C is normal, so the 2-norm of C - I equals the largest
-        # eigenvalue distance from 1; near 2 means spectrum near -1
-        raise ComputationError("branch ambiguity; reduce alpha")
-    L = _log_near_identity(C, norm_e)
-    anchor = _anchor_ids(P, partition, core_fraction)
-    Pm = P.matrix
-    t1 = np.einsum("ij,ji->", Pm[anchor, :], L[:, anchor], optimize=True)
-    t2 = np.einsum("ij,ji->", L[anchor, :], Pm[:, anchor], optimize=True)
-    phi = 0.5 * JUNCTION_MULTIPLICITY * 0.5 * (t1 + t2)
+    g0.check_factors(P)
+    g1.check_factors(P)
+    if not np.array_equal(g0.charge, g1.charge):
+        raise ComputationError("generators carry different charges")
+    lam0, V0 = np.linalg.eigh(g0.block)
+    lam1, V1 = np.linalg.eigh(g1.block)
+    js = np.linalg.eigvalsh(g0.charge)
+    Pm, eye = P.block, np.eye(V0.shape[0], dtype=complex)
+    anchor, phi = None, 0.0
+    for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
+        U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
+        U1 = (V1 * np.exp(1j * alpha1 * j * lam1)) @ V1.conj().T
+        C = U0 @ U1 @ U0.conj().T @ U1.conj().T
+        E = C - eye
+        if float(np.max(np.abs(E))) < 1e-13:
+            continue
+        norm_e = spectral_norm_estimate(E)
+        if norm_e >= 1.9:
+            # unitary C is normal, so the 2-norm of C - I equals the largest
+            # eigenvalue distance from 1; near 2 means spectrum near -1
+            raise ComputationError("branch ambiguity; reduce alpha")
+        L = _log_near_identity(C, norm_e)
+        if anchor is None:
+            anchor = _anchor_ids(P, partition, core_fraction)
+        t1 = np.einsum("ij,ji->", Pm[anchor, :], L[:, anchor], optimize=True)
+        t2 = np.einsum("ij,ji->", L[anchor, :], Pm[:, anchor], optimize=True)
+        phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * (t1 + t2)
     return complex(np.exp(phi))
 
 

@@ -32,13 +32,25 @@ _omega = np.array([[1, 1], [-1j, 1j]], dtype=complex)
 
 @dataclass
 class QuadraticHamiltonian:
-    matrix: np.ndarray
+    """H = kron(block, I_copies) on the geometry: `copies` identical copies of
+    the single-copy matrix `block`, copy index fastest (copies = 1: H is the
+    block itself). The stacked matrix is built only when `.matrix` is read."""
+    block: np.ndarray
     geometry: LatticeGeometry
     family_tag: str
     parameters: dict = field(default_factory=dict)
+    copies: int = 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.copies == 1:
+            return self.block
+        return np.kron(self.block, np.eye(self.copies))
 
     def validate(self, tol: float = 1e-12):
-        H = self.matrix
+        """Hermitian and J H J = -H; kron with I_N preserves both residuals,
+        so the block is checked."""
+        H = self.block
         if hermiticity_residual(H) > tol:
             raise ComputationError("Hamiltonian is not Hermitian")
         # J H J = -H  <=>  H purely imaginary entrywise
@@ -206,15 +218,15 @@ def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
 
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
-    so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors."""
+    so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
+    The result keeps the factors (H's block and the copy count)."""
     if copies < 1:
         raise ComputationError("copies must be >= 1")
     if copies == 1:
         return h
-    K = np.kron(h.matrix, np.eye(copies))
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
-    out = QuadraticHamiltonian(K, geom, f"stack{copies}x({h.family_tag})",
-                               dict(h.parameters, copies=copies))
+    out = QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
+                               dict(h.parameters, copies=copies), h.copies * copies)
     out.validate()
     return out
 

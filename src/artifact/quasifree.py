@@ -34,14 +34,22 @@ _WORKING_ARRAYS = 7
 
 @dataclass
 class BasisProjection:
-    """Projection P onto a ground sector. Built from a Hamiltonian it also
-    carries the health numbers of its own decomposition (edge_gap,
-    zero_modes, projection_residual)."""
-    matrix: np.ndarray
+    """Projection P = kron(block, I_copies) onto a ground sector (copies = 1:
+    P is the block itself; the stacked matrix is built only when `.matrix` is
+    read). Built from a Hamiltonian it also carries the health numbers of its
+    own decomposition (edge_gap, zero_modes, projection_residual)."""
+    block: np.ndarray
     source: str
     gap_used: float
     geometry: object = None  # LatticeGeometry when built from a lattice model
     health: dict = field(default_factory=dict)
+    copies: int = 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.copies == 1:
+            return self.block
+        return np.kron(self.block, np.eye(self.copies))
 
     @property
     def O(self) -> np.ndarray:
@@ -51,15 +59,16 @@ class BasisProjection:
 
     def validate(self, tol: float = 1e-12) -> float:
         """Check P + JPJ = I, then O^T = -O (P Hermitian) and O^2 = -I (P
-        idempotent) with one real matmul; return the largest residual."""
-        P = self.matrix
+        idempotent) with one real matmul; return the largest residual. kron
+        with I_N preserves each residual, so the block is checked."""
+        P = self.block
         dim = P.shape[0]
         R = 2.0 * P.real
         R.flat[::dim + 1] -= 1.0
         selfdual = float(np.max(np.abs(R, out=R)))
         if selfdual > tol:
             raise ComputationError(f"projection violates P + JPJ = I: {selfdual:.2g} > {tol:.2g}")
-        O = self.O
+        O = -2.0 * P.imag
         np.add(O, O.T, out=R)
         antisym = float(np.max(np.abs(R, out=R)))
         if antisym > tol:
@@ -73,7 +82,7 @@ class BasisProjection:
 
     @property
     def dim_K(self) -> int:
-        return self.matrix.shape[0]
+        return self.block.shape[0] * self.copies
 
 
 @dataclass
@@ -170,8 +179,12 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     P + JPJ = I survives (see _complex_structure). The result is refused as
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to 1e-12; the last
     certifies that P commutes with H.
+
+    A stack h = kron(H, I_N) has the projection kron(P, I_N): everything
+    above runs on the single-copy block H, and the result keeps the factors.
+    Its health describes the stacked space: each cluster mode occurs N times.
     """
-    H = h.matrix
+    H = h.block
     dim = H.shape[0]
     need, avail = _WORKING_ARRAYS * 8 * dim * dim, available_memory()
     if avail is not None and need > avail:
@@ -194,7 +207,8 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     AO -= AO.T  # numpy buffers the overlapping operand
     commutator = float(np.max(np.abs(AO, out=AO)))
     del AO
-    proj = BasisProjection(_projection_matrix(O), h.family_tag, float(gap_tol), h.geometry)
+    proj = BasisProjection(_projection_matrix(O), h.family_tag, float(gap_tol), h.geometry,
+                           copies=h.copies)
     del O
     try:
         residual = proj.validate()
@@ -202,7 +216,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
         raise ComputationError(f"gapless: {exc}") from None
     if commutator > 1e-12:
         raise ComputationError(f"gapless: [A, O] residual {commutator:.2g} > 1e-12")
-    proj.health = {"edge_gap": edge_gap, "zero_modes": m,
+    proj.health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
                    "projection_residual": max(residual, commutator)}
     return proj
 

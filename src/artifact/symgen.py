@@ -7,7 +7,7 @@ Kronecker product kron(diag(mask_X), q).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,16 +32,51 @@ class ChargeMatrix:
             raise ComputationError("charge matrix is not antisymmetric")
 
 
+#: the copy-space factor of a generic (single-copy, N = 1) generator
+_ONE = np.ones((1, 1))
+
+
 @dataclass
 class FluxGenerator:
-    Qtilde: np.ndarray
+    """Generator Qtilde = kron(block, charge) on the stacked space, copy index
+    fastest. A generic dense generator is the N = 1 case, charge [[1]], where
+    Qtilde is the block itself."""
+    block: np.ndarray
     kind: str  # "dressed-charge" | "parity"
     region: Optional[object] = None
+    charge: np.ndarray = field(default_factory=_ONE.copy)
+
+    @property
+    def Qtilde(self) -> np.ndarray:
+        if np.array_equal(self.charge, _ONE):
+            return self.block
+        return np.kron(self.block, self.charge)
+
+    def check_factors(self, P: BasisProjection):
+        """The generator acts on P's space: its block on P's block, its
+        charge on P's copies."""
+        if self.block.shape != P.block.shape or self.charge.shape != (P.copies, P.copies):
+            raise ComputationError("dimension mismatch")
 
     def validate(self, P: BasisProjection, tol: float = 1e-10):
-        comm = P.matrix @ self.Qtilde - self.Qtilde @ P.matrix
-        if float(np.max(np.abs(comm))) > tol:
+        # [kron(P, I), kron(B, c)] = kron([P, B], c), whose largest entry is
+        # max|[P, B]| max|c|
+        self.check_factors(P)
+        comm = P.block @ self.block - self.block @ P.block
+        if float(np.max(np.abs(comm))) * float(np.max(np.abs(self.charge))) > tol:
             raise ComputationError("generator does not commute with projection")
+
+
+@dataclass
+class LiftedCharge:
+    """A copy-space charge q on the sites of a region: kron(diag(mask), q),
+    kept as its factors; `.matrix` is the dense stacked operator."""
+    mask: np.ndarray  # 0/1 over the single-copy space
+    q: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.kron(np.diag(self.mask), self.q)
 
 
 def cyclic_charge(N: int) -> ChargeMatrix:
@@ -70,47 +105,71 @@ def cyclic_charge(N: int) -> ChargeMatrix:
     return cm
 
 
-def lift_charge(q: ChargeMatrix, geometry: LatticeGeometry, region) -> np.ndarray:
+def lift_charge(q: ChargeMatrix, geometry: LatticeGeometry, region) -> LiftedCharge:
     """Charge acting as q on the copy index of every Majorana mode of every
-    site in the region, zero elsewhere: kron(diag(mask), q).
+    site in the region, zero elsewhere: kron(diag(mask), q), as its factors.
 
-    `geometry` is the single-copy geometry; the result lives on the stacked
-    space of dimension dim_K * copies.
+    `geometry` is the single-copy geometry; the dense operator lives on the
+    stacked space of dimension dim_K * copies.
     """
-    mask = region_mask(region, geometry).astype(float)
-    return np.kron(np.diag(mask), q.q)
+    return LiftedCharge(region_mask(region, geometry).astype(float), q.q)
 
 
-def dress_charge(P: BasisProjection, Q: np.ndarray, region=None) -> FluxGenerator:
+def dress_charge(P: BasisProjection, Q, region=None) -> FluxGenerator:
     """Block-diagonal part of Q w.r.t. P: Qtilde = PQP + (1-P)Q(1-P).
 
-    Commutes with P by construction; the returned matrix is re-Hermitized to
-    absorb rounding noise.
+    Q is a dense matrix (an N = 1 generator) or a LiftedCharge. For
+    P = kron(P1, I_N) and Q = kron(Pi, q) the result is kron(D, q) with
+    D = Pi - P1 Pi - Pi P1 + 2 P1 Pi P1, so only the block is dressed; a
+    lifted charge that meets a dense projection is expanded to its N = 1
+    form. Commutes with P by construction; the block is re-Hermitized to
+    absorb rounding noise. For a real Q and P = (I - iO)/2 the block is
+    (Q - OQO)/2, real: when its imaginary part vanishes it is stored as a real
+    matrix, so its eigendecomposition runs in real arithmetic.
     """
-    if Q.shape != P.matrix.shape:
-        raise ComputationError("dimension mismatch")
-    Pm = P.matrix
-    D = Pm @ Q
-    Qt = Q - D - D.conj().T + 2.0 * (D @ Pm)
-    Qt = (Qt + Qt.conj().T) / 2
-    return FluxGenerator(Qt, "dressed-charge", region)
+    if isinstance(Q, LiftedCharge):
+        block, charge = ((np.diag(Q.mask), Q.q) if Q.q.shape[0] == P.copies
+                         else (Q.matrix, _ONE))
+    else:
+        block, charge = Q, _ONE
+    g = FluxGenerator(block, "dressed-charge", region, charge)
+    g.check_factors(P)
+    Pm = P.block
+    D = Pm @ block
+    # Herm(block - 2 D + 2 D P) = block - D - D^+ + 2 P block P, since D P is
+    # Hermitian; formed in place, so at most two complex arrays are live
+    Qt = D @ Pm
+    Qt -= D
+    del D
+    Qt *= 2.0
+    Qt += block
+    Qt += Qt.conj().T
+    Qt *= 0.5
+    g.block = Qt.real if not Qt.imag.any() else Qt
+    return g
 
 
 def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> FluxGenerator:
     """Symmetrized region parity (Pi T + T Pi)/2 with T = 1 - 2P, which
-    simplifies to Pi - Pi P - P Pi and commutes with P identically."""
-    if geometry.dim_K != P.matrix.shape[0]:
+    simplifies to Pi - Pi P - P Pi and commutes with P identically. On a
+    stack it acts alike on every copy: kron(block, I_N)."""
+    if geometry.dim_K != P.dim_K:
         raise ComputationError("dimension mismatch")
-    mask = region_mask(region, geometry).astype(float)
-    Pm = P.matrix
+    block_geometry = geometry.with_majorana_count(geometry.majorana_count // P.copies)
+    mask = region_mask(region, block_geometry).astype(float)
+    Pm = P.block
     Qt = np.diag(mask).astype(complex) - mask[:, None] * Pm - Pm * mask[None, :]
-    return FluxGenerator(Qt, "parity", region)
+    return FluxGenerator(Qt, "parity", region, np.eye(P.copies))
 
 
 def flux_unitary(g: FluxGenerator, alpha: float) -> np.ndarray:
-    """exp(i alpha Qtilde) through the Hermitian eigendecomposition of the
-    generator (exactly unitary up to rounding; no series)."""
+    """exp(i alpha Qtilde) through the Hermitian eigendecompositions of the
+    block and the charge: with B = V diag(lam) V^+ and c = W diag(j) W^+,
+    Qtilde = X diag(lam_a j_b) X^+ for X = kron(V, W) (exactly unitary up to
+    rounding; no series)."""
     if alpha == 0.0:
-        return np.eye(g.Qtilde.shape[0], dtype=complex)
-    lam, V = np.linalg.eigh(g.Qtilde)
-    return (V * np.exp(1j * alpha * lam)) @ V.conj().T
+        return np.eye(g.block.shape[0] * g.charge.shape[0], dtype=complex)
+    lam, V = np.linalg.eigh(g.block)
+    js, W = np.linalg.eigh(g.charge)
+    X = np.kron(V, W)
+    return (X * np.exp(1j * alpha * np.kron(lam, js))) @ X.conj().T

@@ -124,6 +124,26 @@ def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):
                      capsys.readouterr().err)
 
 
+def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
+    # qwz radius 4: block dim 204, stack dim 612; the budget lies between
+    # the block's estimate 7 * 8 * 204^2 B (2.3 MB) and the stack's (21 MB)
+    import numpy as np
+    from artifact import quasifree
+
+    def no_stacked_operator(*args):
+        raise AssertionError("the twist path built a Kronecker product")
+
+    monkeypatch.setattr(np, "kron", no_stacked_operator)
+    monkeypatch.setattr(quasifree, "available_memory", lambda: 5 * 10**6)
+    assert main(["twist", "--copies", "3", "--radius", "4"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert abs(blob["indices"]["sigma"] - 2.0) <= 0.3
+    monkeypatch.setattr(quasifree, "available_memory", lambda: 10**6)
+    assert main(["twist", "--copies", "3", "--radius", "4"]) == 3
+    block_need = 7 * 8 * 204**2 / 1e9
+    assert f"projection needs ~{block_need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
+
+
 def test_gapless_parameters_exit_three(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "gapless.json",
                      {"model": {"family": "qwz", "u": 2.0},
@@ -204,6 +224,15 @@ def test_sweep_parallel_matches_serial(trivial_cfg, capsys):
     parallel = capsys.readouterr().out
     strip = lambda text: [line.rsplit(",", 1)[0] for line in text.strip().split("\n")]
     assert strip(serial) == strip(parallel)
+
+
+def test_sweep_workers_run_one_blas_thread(monkeypatch):
+    import os
+    from artifact.cli import _map_in_workers
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    seen = _map_in_workers(os.getenv, 2, ["OPENBLAS_NUM_THREADS"] * 3)
+    assert seen == ["1", "1", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
 
 def test_qwz_sweep_error_shrinks_with_radius(capsys):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import (ComputationError, Cone, build_disk_lattice, cone_site_ids,
-                      make_good_partition, partition_masks, region_mask,
-                      site_projector, windowed_site_ids)
+                      make_good_partition, region_mask, windowed_site_ids)
 from artifact.geometry import DEFAULT_APEX_OFFSET, cone_membership
+from region_helpers import partition_masks, site_projector
 
 
 def brute_force_count(radius, offset):

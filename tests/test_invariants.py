@@ -115,8 +115,8 @@ def test_identical_generators_give_exact_zero(qwz_stack3_r6_generators):
 def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
     base = hall_sigma(P, g0, g1, part)
-    half = FluxGenerator(0.5 * g0.Qtilde, g0.kind, g0.region)
-    third = FluxGenerator((1 / 3) * g1.Qtilde, g1.kind, g1.region)
+    half = FluxGenerator(0.5 * g0.block, g0.kind, g0.region, g0.charge)
+    third = FluxGenerator((1 / 3) * g1.block, g1.kind, g1.region, g1.charge)
     scaled = hall_sigma(P, half, third, part)
     assert abs(scaled - base / 6) <= 1e-12 * max(1.0, abs(base))
 
@@ -195,6 +195,13 @@ def test_bch_branch_ambiguity_detected():
                         "synthetic", 0.0)
     with pytest.raises(ComputationError, match="branch ambiguity"):
         exchange_phase_bch(P, g0, g1, np.pi / 2, np.pi / 2, None)
+
+
+def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    doubled = FluxGenerator(g1.block, g1.kind, g1.region, 2 * g1.charge)
+    with pytest.raises(ComputationError, match="different charges"):
+        exchange_phase_bch(P, g0, doubled, 0.1, 0.1, part)
 
 
 def test_bch_matches_closed_form(qwz_stack3_r6_generators):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
-                      build_qwz, build_trivial, site_projector, stack_copies, tknn_chern)
+                      build_qwz, build_trivial, stack_copies, tknn_chern)
 from artifact.models import _bloch, _check_gapped
+from region_helpers import site_projector
 
 
 @pytest.fixture(scope="module")

@@ -49,7 +49,7 @@ def test_disk_projection_invariants(qwz_r6):
 
 def test_zero_hamiltonian_unresolvable(trivial_projection):
     _, h = trivial_projection
-    h0 = dataclasses.replace(h, matrix=np.zeros_like(h.matrix))
+    h0 = dataclasses.replace(h, block=np.zeros_like(h.matrix))
     with pytest.raises(ComputationError, match="unresolvable zero modes"):
         ground_projection(h0, 1e-8)
 
@@ -59,7 +59,7 @@ def test_exact_zero_pair_resolved(trivial_projection):
     K = h.matrix.copy()
     K[0:2, :] = 0.0
     K[:, 0:2] = 0.0
-    hz = dataclasses.replace(h, matrix=K)
+    hz = dataclasses.replace(h, block=K)
     P = ground_projection(hz, 1e-8)
     idem, herm, selfdual = _projection_residuals(P.matrix)
     assert max(idem, herm, selfdual) <= 1e-12
@@ -72,7 +72,7 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
     # a real symmetric on-site block has conjugation-symmetric eigenvectors,
     # which cannot be half-filled compatibly
     K[0:2, 0:2] = np.array([[0.3, 0.0], [0.0, -0.3]])
-    hz = dataclasses.replace(h, matrix=K)
+    hz = dataclasses.replace(h, block=K)
     with pytest.raises(ComputationError, match="gapless"):
         ground_projection(hz, 1e-8)
 
@@ -81,7 +81,7 @@ def _split_pair(h, eps):
     """h with the on-site block of site 0 replaced by a +-eps pair."""
     K = h.matrix.copy()
     K[0:2, 0:2] = np.array([[0.0, 1j * eps], [-1j * eps, 0.0]])
-    return dataclasses.replace(h, matrix=K)
+    return dataclasses.replace(h, block=K)
 
 
 def test_nonhermitian_hamiltonian_refused(trivial_projection):
@@ -89,7 +89,7 @@ def test_nonhermitian_hamiltonian_refused(trivial_projection):
     K = h.matrix.copy()
     K[0, 1] += 1e-6j
     with pytest.raises(ComputationError, match="not Hermitian"):
-        ground_projection(dataclasses.replace(h, matrix=K), 1e-8)
+        ground_projection(dataclasses.replace(h, block=K), 1e-8)
 
 
 def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, monkeypatch):
@@ -167,7 +167,7 @@ def test_cluster_inputs_match_dense_oracle(trivial_projection, kind):
         K[0:4, :] = 0.0
         K[:, 0:4] = 0.0
         Q = np.linalg.qr(np.random.default_rng(5).standard_normal(K.shape))[0]
-        h = dataclasses.replace(h, matrix=Q @ K @ Q.T)
+        h = dataclasses.replace(h, block=Q @ K @ Q.T)
     P = ground_projection(h, 1e-8)
     if kind == "split_pair":
         assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)

@@ -1,0 +1,93 @@
+"""Identities that license the factored stack path.
+
+An N-copy stack keeps its Kronecker factors: the projection is
+kron(P, I_N) from one single-copy decomposition, the dressed cyclic charges
+are kron(D, q), and their traces and exchange phases are evaluated per
+single-copy block. Each test compares that path with the dense generic one:
+the complex eigh of the materialized stack (tests/dense_oracle.py) and dense
+N = 1 generators built from kron(diag(mask), q).
+"""
+import numpy as np
+import pytest
+
+from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
+                      chern_number, core_regions, cyclic_charge, dress_charge,
+                      exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
+                      lift_charge, make_good_partition, stack_copies, twist_statistics)
+from artifact.models import QuadraticHamiltonian
+from artifact.quasifree import BasisProjection
+from dense_oracle import dense_ground_projection
+
+_BUILD = {
+    "qwz": (4, lambda geom: build_qwz(1.0, geom), 1e-4),
+    "pip": (2, lambda geom: build_pip(-1.0, 0.5, geom), 1e-4),
+    "trivial": (2, build_trivial, 1e-8),
+}
+
+#: (family, radius, copies); qwz at N = 5 uses radius 4 so that the dense
+#: oracle's stacked space stays near dim 1000
+CASES = {
+    "qwz_r6_n3": ("qwz", 6.0, 3), "qwz_r4_n5": ("qwz", 4.0, 5),
+    "pip_r6_n3": ("pip", 6.0, 3), "pip_r6_n5": ("pip", 6.0, 5),
+    "trivial_r6_n3": ("trivial", 6.0, 3), "trivial_r6_n5": ("trivial", 6.0, 5),
+}
+
+
+def _dressed_pair(P, part, N):
+    ids, sgeom = core_regions(P, part, 0.7)
+    base = sgeom.with_majorana_count(sgeom.majorana_count // N)
+    q = cyclic_charge(N)
+    return [dress_charge(P, lift_charge(q, base, ids[a]), ids[a]) for a in (0, 1)]
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def stack(request):
+    family, radius, N = CASES[request.param]
+    majoranas, build, gap_tol = _BUILD[family]
+    geom = build_disk_lattice("square", radius, majorana_count=majoranas)
+    h = build(geom)
+    hs = stack_copies(h, N)
+    P = ground_projection(hs, gap_tol)
+    dense = BasisProjection(dense_ground_projection(hs, gap_tol), "dense", gap_tol, hs.geometry)
+    return h, N, gap_tol, make_good_partition(geom.apex), P, dense
+
+
+def test_factored_projection_matches_dense_stack(stack):
+    _, N, _, _, P, dense = stack
+    assert P.copies == N and dense.copies == 1
+    assert float(np.max(np.abs(P.matrix - dense.matrix))) <= 1e-10
+
+
+def test_factored_traces_match_dense_generators(stack):
+    _, N, _, part, P, dense = stack
+    g0, g1 = _dressed_pair(P, part, N)
+    d0, d1 = _dressed_pair(dense, part, N)  # lifted charges expanded to N = 1
+    assert g0.charge.shape == (N, N) and d0.charge.shape == (1, 1)
+    assert float(np.max(np.abs(g0.Qtilde - d0.Qtilde))) <= 1e-10
+    assert abs(hall_sigma(P, g0, g1, part) - hall_sigma(dense, d0, d1, part)) <= 1e-10
+    bch = exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
+    assert abs(bch - exchange_phase_bch(dense, d0, d1, 0.1, 0.1, part)) <= 1e-10
+    U = flux_unitary(g0, 0.1)  # dense, from the block's and the charge's eigh
+    assert float(np.max(np.abs(U - flux_unitary(d0, 0.1)))) <= 1e-10
+
+
+def test_twist_sigma_is_nu_times_copy_factor(stack):
+    h, N, gap_tol, part, P, _ = stack
+    nu = chern_number(ground_projection(h, gap_tol), part)
+    sigma, _, _ = twist_statistics(P, N, part)
+    assert abs(sigma - nu * (N**3 - N) / 24) <= 1e-10
+
+
+def test_stack_health_counts_every_copy():
+    # two exact zero modes per copy: the stacked cluster is N times the block's
+    h = build_trivial(build_disk_lattice("square", 4.0, majorana_count=2))
+    K = h.block.copy()
+    K[0:2, :] = 0.0
+    K[:, 0:2] = 0.0
+    h = QuadraticHamiltonian(K, h.geometry, "trivial")
+    P1 = ground_projection(h, 1e-8)
+    P3 = ground_projection(stack_copies(h, 3), 1e-8)
+    assert P1.health["zero_modes"] == 2 and P3.health["zero_modes"] == 6
+    assert P3.health["edge_gap"] == P1.health["edge_gap"]
+    assert P3.health["projection_residual"] == P1.health["projection_residual"]
+    assert np.array_equal(P3.matrix, np.kron(P1.matrix, np.eye(3)))

@@ -43,7 +43,7 @@ def small_geometry():
 
 def test_lift_charge_empty_region_is_zero(small_geometry):
     q = cyclic_charge(3)
-    Q = lift_charge(q, small_geometry, [])
+    Q = lift_charge(q, small_geometry, []).matrix
     assert not Q.any()
     assert Q.shape == (small_geometry.dim_K * 3, small_geometry.dim_K * 3)
 
@@ -51,7 +51,7 @@ def test_lift_charge_empty_region_is_zero(small_geometry):
 def test_lift_charge_full_region_commutes_with_global_charge(small_geometry):
     q = cyclic_charge(3)
     all_sites = [s.id for s in small_geometry.sites]
-    Q = lift_charge(q, small_geometry, all_sites)
+    Q = lift_charge(q, small_geometry, all_sites).matrix
     glob = np.kron(np.eye(small_geometry.dim_K), q.q)
     assert float(np.max(np.abs(Q @ glob - glob @ Q))) == 0.0
     assert abs(np.trace(Q)) <= 1e-12
@@ -61,8 +61,8 @@ def test_lift_charge_is_linear_in_q(small_geometry):
     q3 = cyclic_charge(3)
     combo = ChargeMatrix(0.25 * q3.q, 3)
     region = [0, 1, 5]
-    lhs = lift_charge(combo, small_geometry, region)
-    rhs = 0.25 * lift_charge(q3, small_geometry, region)
+    lhs = lift_charge(combo, small_geometry, region).matrix
+    rhs = 0.25 * lift_charge(q3, small_geometry, region).matrix
     assert np.allclose(lhs, rhs, atol=1e-15)
 
 
