@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from ._util import ComputationError, spectral_norm_estimate
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
@@ -170,6 +169,8 @@ def _log_near_identity(C: np.ndarray, norm_e: float) -> np.ndarray:
     lam = np.linalg.eigvals(C)
     if float(np.min(np.abs(lam + 1.0))) < 0.1:
         raise ComputationError("branch ambiguity; reduce alpha")
+    import scipy.linalg
+
     return scipy.linalg.logm(C)
 
 

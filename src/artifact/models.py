@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, hermiticity_residual
+from ._util import ComputationError, ConfigError, check_memory, hermiticity_residual
 from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
@@ -25,9 +25,6 @@ CONVENTION_TAG = "nu(qwz,u=1)=+2; tknn(qwz,u=1)=+1; ccw-cones"
 _sx = np.array([[0, 1], [1, 0]], dtype=complex)
 _sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _sz = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
-_omega = np.array([[1, 1], [-1j, 1j]], dtype=complex)
 
 
 @dataclass
@@ -135,9 +132,10 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
     """Real-space Hamiltonian in the Majorana basis.
 
     Assembles h (hopping) and D (pairing) over the finite site set with open
-    boundaries, forms the per-bond Nambu blocks [[h, D], [-conj(D), -h^T]],
-    and rotates each 2x2 (c, c*) fiber by omega/sqrt(2). Returns a purely
-    imaginary Hermitian matrix of size dim_K.
+    boundaries. Rotating each (c, c*) fiber of the Nambu blocks
+    [[h, D], [-conj(D), -h^T]] by omega/sqrt(2) gives, for Hermitian h, the
+    real fibers of A written below (K = iA = omega N omega^dagger / 2).
+    Returns the purely imaginary Hermitian matrix iA of size dim_K.
     """
     n_orb = geometry.majorana_count // 2
     ns = len(geometry.sites)
@@ -163,18 +161,14 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
                 tl = slice(j * n_orb, (j + 1) * n_orb)
                 D[tl, sl] += blk
                 D[sl, tl] -= blk.T
-    # rotate every (c_a, c*_a) fiber: K[(a,s),(b,t)] = [omega N(a,b) omega†]_{st}/2
-    N = np.empty((M, M, 2, 2), dtype=complex)
-    N[:, :, 0, 0] = h
-    N[:, :, 0, 1] = D
-    N[:, :, 1, 0] = -np.conj(D)
-    N[:, :, 1, 1] = -h.T
-    K = 0.5 * np.einsum('sp,abpq,qt->asbt', _omega, N, _omega.conj().T,
-                        optimize=True).reshape(2 * M, 2 * M)
-    resid = float(np.max(np.abs(K.real)))
-    if resid > 1e-12:
-        raise ComputationError("Hamiltonian violates JHJ = -H")
-    return 1j * K.imag  # exact purely-imaginary storage
+    # A[(a,s),(b,t)]: s, t index the fiber (gamma_1, gamma_2) of modes a, b
+    A = np.empty((M, 2, M, 2))
+    A[:, 0, :, 0] = h.imag + D.imag
+    A[:, 0, :, 1] = h.real - D.real
+    A[:, 1, :, 0] = -(h.real + D.real)
+    A[:, 1, :, 1] = h.imag - D.imag
+    del h, D  # the peak is then A and its complex copy
+    return 1j * A.reshape(2 * M, 2 * M)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -186,6 +180,7 @@ def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
     """
     if geometry.majorana_count != 4:
         raise ComputationError("qwz needs majorana_count = 4")
+    check_memory(geometry.dim_K)
     params = {"u": float(u)}
     _check_gapped("qwz", params)
     K = _real_space_K(geometry, *_qwz_blocks(float(u)))
@@ -198,6 +193,7 @@ def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHa
     """Spinless p-wave paired model (one complex mode per site, majorana_count 2)."""
     if geometry.majorana_count != 2:
         raise ComputationError("pip needs majorana_count = 2")
+    check_memory(geometry.dim_K)
     params = {"mu": float(mu), "delta": float(delta)}
     _check_gapped("pip", params)
     K = _real_space_K(geometry, *_pip_blocks(float(mu), float(delta)))
@@ -208,6 +204,7 @@ def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHa
 
 def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
     """Decoupled on-site modes at unit energy; spectrum exactly {±1}."""
+    check_memory(geometry.dim_K)
     n_orb = geometry.majorana_count // 2
     block = np.kron(np.eye(n_orb), np.array([[0, 1j], [-1j, 0]]))
     K = np.kron(np.eye(len(geometry.sites)), block)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,8 +121,8 @@ def test_report_carries_projection_health(capsys):
 
 
 def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):
-    from artifact import quasifree
-    monkeypatch.setattr(quasifree, "available_memory", lambda: 2 * 10**5)
+    from artifact import _util
+    monkeypatch.setattr(_util, "available_memory", lambda: 2 * 10**5)
     assert main(["chern", "--config", trivial_cfg]) == 3
     assert re.search(r"projection needs ~\S+ GB, 0\.0002 GB available",
                      capsys.readouterr().err)
@@ -128,20 +132,52 @@ def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
     # qwz radius 4: block dim 204, stack dim 612; the budget lies between
     # the block's estimate 7 * 8 * 204^2 B (2.3 MB) and the stack's (21 MB)
     import numpy as np
-    from artifact import quasifree
+    from artifact import _util
 
     def no_stacked_operator(*args):
         raise AssertionError("the twist path built a Kronecker product")
 
     monkeypatch.setattr(np, "kron", no_stacked_operator)
-    monkeypatch.setattr(quasifree, "available_memory", lambda: 5 * 10**6)
+    monkeypatch.setattr(_util, "available_memory", lambda: 5 * 10**6)
     assert main(["twist", "--copies", "3", "--radius", "4"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert abs(blob["indices"]["sigma"] - 2.0) <= 0.3
-    monkeypatch.setattr(quasifree, "available_memory", lambda: 10**6)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
     assert main(["twist", "--copies", "3", "--radius", "4"]) == 3
     block_need = 7 * 8 * 204**2 / 1e9
     assert f"projection needs ~{block_need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
+
+
+def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
+    # qwz radius 4: dim 204, estimate 7 * 8 * 204^2 B (2.3 MB) above the budget
+    from artifact import _util, models
+
+    def no_build(*args):
+        raise AssertionError("the model build ran before the memory guard")
+
+    monkeypatch.setattr(models, "_real_space_K", no_build)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
+    assert main(["chern", "--radius", "4"]) == 3
+    need = 7 * 8 * 204**2 / 1e9
+    assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
+
+
+def test_chern_run_leaves_scipy_unloaded():
+    # scipy.linalg is imported only on the exact-zero and large-commutator
+    # branches, so a plain run pays no scipy start-up
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    code = ("import sys, artifact.cli\n"
+            "rc = artifact.cli.main(['chern', '--radius', '6'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
+    assert proc.stderr.strip() == "[]"
 
 
 def test_gapless_parameters_exit_three(tmp_path, capsys):

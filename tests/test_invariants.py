@@ -10,6 +10,7 @@ from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
                       exchange_phase_bch, exchange_phase_closed, ground_projection,
                       hall_sigma, make_good_partition, parity_charge, parity_indices,
                       predicted_free_fermion, stack_copies, twist_statistics)
+from artifact.invariants import _log_near_identity
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 
@@ -195,6 +196,20 @@ def test_bch_branch_ambiguity_detected():
                         "synthetic", 0.0)
     with pytest.raises(ComputationError, match="branch ambiguity"):
         exchange_phase_bch(P, g0, g1, np.pi / 2, np.pi / 2, None)
+
+
+def test_log_far_from_identity_uses_the_general_logarithm():
+    # ||C - I|| >= 0.5 leaves the Mercator series; the spectrum of C = exp(iX)
+    # stays within angle 1 of 1, far from the branch cut at -1
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    X = (G + G.conj().T) / 2
+    X /= np.linalg.norm(X, 2)
+    w, V = np.linalg.eigh(X)
+    C = (V * np.exp(1j * w)) @ V.conj().T
+    norm_e = float(np.linalg.norm(C - np.eye(12), 2))
+    assert norm_e >= 0.5
+    assert float(np.max(np.abs(_log_near_identity(C, norm_e) - 1j * X))) <= 1e-10
 
 
 def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):

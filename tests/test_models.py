@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
                       build_qwz, build_trivial, stack_copies, tknn_chern)
-from artifact.models import _bloch, _check_gapped
+from artifact.models import _bloch, _check_gapped, _pip_blocks, _qwz_blocks, _real_space_K
+from dense_oracle import dense_real_space_K
 from region_helpers import site_projector
 
 
@@ -138,3 +141,28 @@ def test_stack_copies_is_kron(disk2):
 def test_stack_copies_validates_count(disk2):
     with pytest.raises(ComputationError):
         stack_copies(build_trivial(disk2), 0)
+
+
+@pytest.mark.parametrize("radius", [4, 6, 8])
+@pytest.mark.parametrize("family, blocks", [("qwz", _qwz_blocks(1.0)),
+                                            ("qwz", _qwz_blocks(-1.5)),
+                                            ("pip", _pip_blocks(-1.0, 0.5))])
+def test_real_assembly_matches_dense_oracle(family, blocks, radius):
+    geom = build_disk_lattice("square", float(radius),
+                              majorana_count=4 if family == "qwz" else 2)
+    K = _real_space_K(geom, *blocks)
+    assert K.shape == (geom.dim_K, geom.dim_K)
+    assert np.array_equal(K, dense_real_space_K(geom, *blocks))
+
+
+def test_build_peak_stays_below_projection_estimate():
+    # the memory guard runs before the build on the projection's estimate of
+    # 7 real dim x dim arrays, so the build itself must need less
+    geom = build_disk_lattice("square", 8.0, majorana_count=4)
+    tracemalloc.start()
+    try:
+        build_qwz(1.0, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * geom.dim_K**2

@@ -9,7 +9,7 @@ from artifact import (ComputationError, CovarianceOperator, build_disk_lattice,
                       build_pip, build_qwz, build_trivial, chern_number,
                       ground_projection, make_good_partition, pfaffian_expectation,
                       random_covariance, stack_copies, wick_expectation)
-from artifact import quasifree
+from artifact import _util, quasifree
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import BasisProjection, _pfaffian
 from dense_oracle import dense_ground_projection
@@ -115,11 +115,11 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
 
 def test_oversize_job_refused_up_front(trivial_projection, monkeypatch):
     _, h = trivial_projection
-    monkeypatch.setattr(quasifree, "available_memory", lambda: 10**5)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**5)
     with pytest.raises(ComputationError,
                        match=r"projection needs ~\S+ GB, 0\.0001 GB available"):
         ground_projection(h, 1e-8)
-    monkeypatch.setattr(quasifree, "available_memory", lambda: None)
+    monkeypatch.setattr(_util, "available_memory", lambda: None)
     ground_projection(h, 1e-8)
 
 
