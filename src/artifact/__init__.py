@@ -11,8 +11,8 @@ from .geometry import (Cone, ConicalPartition, LatticeGeometry, SitePoint,
                        region_mask, windowed_site_ids)
 from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
                      build_trivial, stack_copies, tknn_chern)
-from .quasifree import (BasisProjection, CovarianceOperator, ground_projection,
-                        pfaffian_expectation, random_covariance, wick_expectation)
+from .quasifree import (BasisProjection, ground_projection, pfaffian_expectation,
+                        random_covariance, wick_expectation)
 from .symgen import (ChargeMatrix, FluxGenerator, cyclic_charge, dress_charge,
                      flux_unitary, lift_charge, parity_charge)
 from .invariants import (FreeFermionPrediction, IndexReport, chern_number,
@@ -30,7 +30,7 @@ __all__ = [
     "region_mask", "windowed_site_ids",
     "CONVENTION_TAG", "QuadraticHamiltonian",
     "build_pip", "build_qwz", "build_trivial", "stack_copies", "tknn_chern",
-    "BasisProjection", "CovarianceOperator", "ground_projection",
+    "BasisProjection", "ground_projection",
     "pfaffian_expectation", "random_covariance", "wick_expectation",
     "ChargeMatrix", "FluxGenerator", "cyclic_charge", "dress_charge",
     "flux_unitary", "lift_charge", "parity_charge",

@@ -43,20 +43,22 @@ def available_memory() -> int | None:
     return min(avail) if avail else None
 
 
-#: dim x dim float64 arrays ground_projection holds at its peak, besides H:
+#: dim x dim float64 arrays ground_projection holds at its peak, A included:
 #: A, A^T A, LAPACK's copy of it, its eigh workspace (two) and the
-#: eigenvectors; the peak RSS measured at dim 1816 and 3216 is 6.2 to 6.4.
-#: The model build stays below it (pinned by a tracemalloc test)
+#: eigenvectors; the peak RSS above A measured at dim 1816 and 3216 is 5.1 to
+#: 5.2, so 6.2 with A. The model build stays below it (3.0 by tracemalloc,
+#: pinned by a test)
 _WORKING_ARRAYS = 7
 
 
-def check_memory(dim: int):
-    """Refuse a job whose ground projection at dimension dim would not fit in
-    available_memory(); checked before the model build and again in
-    ground_projection."""
-    need, avail = _WORKING_ARRAYS * 8 * dim * dim, available_memory()
+def check_memory(dim: int, arrays: int = _WORKING_ARRAYS, stage: str = "projection"):
+    """Refuse a job whose stage at dimension dim, holding `arrays` float64
+    dim x dim arrays at its peak, would not fit in available_memory(). The
+    ground projection's estimate is checked before the model build and again
+    in ground_projection."""
+    need, avail = arrays * 8 * dim * dim, available_memory()
     if avail is not None and need > avail:
-        raise ComputationError(f"projection needs ~{need / 1e9:.2g} GB, "
+        raise ComputationError(f"{stage} needs ~{need / 1e9:.2g} GB, "
                                f"{avail / 1e9:.2g} GB available")
 
 

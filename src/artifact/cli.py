@@ -32,7 +32,7 @@ from .invariants import (IndexReport, chern_number_with_residual, parity_indices
                          twist_statistics)
 from .models import CONVENTION_TAG, build_pip, build_qwz, build_trivial, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
-                        wick_expectation, BasisProjection)
+                        wick_expectation)
 from .symgen import cyclic_charge, dress_charge, flux_unitary
 
 _FAMILY_MAJORANA = {"qwz": 4, "pip": 2, "trivial": 2}
@@ -50,9 +50,7 @@ DEFAULT_CONFIG = {
         "gap_tol": None,  # per-family default: 1e-8 for trivial, 1e-4 for disks
         "core_fraction": 0.7,
         "nu_round_tol": 0.1,
-        "phase_tol": 0.05,
         "kgrid": 200,
-        "alpha": 0.1,
     },
     "copies": 3,
     "seed": 42,
@@ -82,6 +80,12 @@ def load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(user) - set(DEFAULT_CONFIG)
+    for section, defaults in DEFAULT_CONFIG.items():
+        if not isinstance(defaults, dict) or section not in user:
+            continue
+        if not isinstance(user[section], dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        unknown |= {f"{section}.{key}" for key in set(user[section]) - set(defaults)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return _deep_merge(DEFAULT_CONFIG, user)
@@ -340,7 +344,7 @@ def selftest_algebraic(seed: int, trials: int) -> int:
               "flux_group_law": 0, "charge_spectrum": 0}
     for trial in range(trials):
         dim = int(rng.choice([8, 10, 12, 14, 16]))
-        P = BasisProjection(random_covariance(dim, rng).matrix, "random", 0.0)
+        P = random_covariance(dim, rng)
         Pm = P.matrix
         T = np.eye(dim) - 2 * Pm
         mask = (rng.random(dim) < 0.5).astype(float)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ComputationError, spectral_norm_estimate
+from ._util import ComputationError, check_memory, spectral_norm_estimate
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
 from .symgen import FluxGenerator, cyclic_charge, dress_charge, lift_charge
@@ -43,6 +43,11 @@ ANOMALY_TOL = 1e-6
 
 DEFAULT_NU_ROUND_TOL = 0.1
 
+#: block-size float64 arrays exchange_phase_bch holds at its peak (complex
+#: unitaries count twice). tracemalloc at block dim 448 and 804: 22.8 to 23.1
+#: on the Mercator-series path, 34.4 to 36.3 when a sector needs scipy's logm
+_BCH_WORKING_ARRAYS = 40
+
 
 # ---------------------------------------------------------------------------
 # region bookkeeping
@@ -55,43 +60,45 @@ def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction:
     return windowed_site_ids(partition, geom, core_fraction), geom
 
 
-def _anchor_ids(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
-    """Indices of the third core in P's single-copy block."""
+def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
+    """Indices of the three cores in P's single-copy space."""
     ids, geom = core_regions(P, partition, core_fraction)
     block_geom = geom.with_majorana_count(geom.majorana_count // P.copies)
-    return np.where(region_mask(ids[2], block_geom))[0]
+    return [np.where(region_mask(r, block_geom))[0] for r in ids]
 
 
 # ---------------------------------------------------------------------------
 # real-space Chern number
 
 
-def _triple_trace(P: np.ndarray, i0, i1, i2) -> complex:
-    """Tr(Pi_0 P Pi_1 P Pi_2 P) using rectangular blocks of P only."""
-    A = P[np.ix_(i0, i1)]
-    B = P[np.ix_(i1, i2)]
-    C = P[np.ix_(i2, i0)]
-    return complex(np.einsum("ab,bc,ca->", A, B, C, optimize=True))
+def _triple_trace(O: np.ndarray, i0, i1, i2) -> float:
+    """Tr(O_01 O_12 O_20) using rectangular blocks of O only."""
+    A = O[np.ix_(i0, i1)]
+    B = O[np.ix_(i1, i2)]
+    C = O[np.ix_(i2, i0)]
+    return float(np.einsum("ab,bc,ca->", A, B, C, optimize=True))
 
 
 def chern_number_with_residual(P: BasisProjection, partition: ConicalPartition,
                                core_fraction: float = DEFAULT_CORE_FRACTION):
-    """Junction-localized two-region invariant and its imaginary residual.
+    """Junction-localized two-region invariant and its antisymmetry residual.
 
     Expanding the commutator form 4 pi i Tr P[P Pi_0 P, P Pi_1 P] over the
     three cone cores and applying the junction multiplicity gives
-    12 pi i (T_012 - T_021) with T_abc = Tr(Pi_a P Pi_b P Pi_c P). The two
-    triple traces are conjugates for Hermitian P, so the imaginary part of
-    the result measures how badly the projection is broken.
+    12 pi i (T_012 - T_021) with T_abc = Tr(Pi_a P Pi_b P Pi_c P). Between
+    distinct cores P_ab = -i O_ab / 2, so T_abc = (i/8) t_abc with the real
+    t_abc = Tr(O_ab O_bc O_ca), and nu = (3 pi/2)(t_021 - t_012), evaluated
+    on the real O in real arithmetic. For antisymmetric O the two traces are
+    exact negatives, so the residual (3 pi/2)|t_012 + t_021| measures how
+    badly the projection is broken. A stack kron(P, I_N) contributes N times
+    the single-copy traces.
     """
-    ids, geom = core_regions(P, partition, core_fraction)
-    masks = [np.where(region_mask(r, geom))[0] for r in ids]
-    Pm = P.matrix
-    t012 = _triple_trace(Pm, masks[0], masks[1], masks[2])
-    t021 = _triple_trace(Pm, masks[0], masks[2], masks[1])
-    val = 4j * np.pi * JUNCTION_MULTIPLICITY * (t012 - t021)
-    nu = float(val.real)
-    residual = abs(float(val.imag))
+    i0, i1, i2 = _core_indices(P, partition, core_fraction)
+    t012 = _triple_trace(P.O, i0, i1, i2)
+    t021 = _triple_trace(P.O, i0, i2, i1)
+    scale = 0.5 * np.pi * JUNCTION_MULTIPLICITY * P.copies
+    nu = scale * (t021 - t012)
+    residual = scale * abs(t012 + t021)
     if residual > ANOMALY_TOL:
         raise ComputationError("non-Hermitian anomaly")
     return nu, residual
@@ -104,6 +111,12 @@ def chern_number(P: BasisProjection, partition: ConicalPartition,
 
 # ---------------------------------------------------------------------------
 # Hall response of flux generators
+
+
+def _anchored_trace(Oa: np.ndarray, anchor, Xa: np.ndarray) -> complex:
+    """Tr_a(P X) = Tr(X_aa)/2 - (i/2) Tr(O_a: X_:a) for P = (I - iO)/2, from
+    the anchor rows Oa = O_a: and the anchor columns Xa = X_:a."""
+    return 0.5 * np.trace(Xa[anchor, :]) - 0.5j * np.einsum("ij,ji->", Oa, Xa, optimize=True)
 
 
 def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
@@ -122,11 +135,10 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
         return 0.0, 0.0
     g0.check_factors(P)
     g1.check_factors(P)
-    anchor = _anchor_ids(P, partition, core_fraction)
-    Pm, Q0, Q1 = P.block, g0.block, g1.block
-    Pa = Pm[anchor, :]
-    t_fwd = np.einsum("ij,ji->", Pa @ Q0, Q1[:, anchor], optimize=True)
-    t_rev = np.einsum("ij,ji->", Pa @ Q1, Q0[:, anchor], optimize=True)
+    anchor = _core_indices(P, partition, core_fraction)[2]
+    Oa, Q0, Q1 = P.O[anchor, :], g0.block, g1.block
+    t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
+    t_rev = _anchored_trace(Oa, anchor, Q1 @ Q0[:, anchor])
     copy_trace = np.trace(g0.charge @ g1.charge)
     val = 2j * np.pi * JUNCTION_MULTIPLICITY * copy_trace * (t_fwd - t_rev)
     sigma = float(val.real)
@@ -190,7 +202,8 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
     the trace. One eigh per block serves every sector; the phase is
     exp(sum_j phi_j), each sector under the branch-ambiguity rule. The
-    j = 0 sector is the identity and is skipped.
+    j = 0 sector is the identity and is skipped. A job whose block-size
+    working set would not fit in the available memory is refused up front.
     """
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
@@ -198,10 +211,11 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     g1.check_factors(P)
     if not np.array_equal(g0.charge, g1.charge):
         raise ComputationError("generators carry different charges")
+    check_memory(g0.block.shape[0], _BCH_WORKING_ARRAYS, "flux commutator")
     lam0, V0 = np.linalg.eigh(g0.block)
     lam1, V1 = np.linalg.eigh(g1.block)
     js = np.linalg.eigvalsh(g0.charge)
-    Pm, eye = P.block, np.eye(V0.shape[0], dtype=complex)
+    eye = np.eye(V0.shape[0], dtype=complex)
     anchor, phi = None, 0.0
     for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
         U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
@@ -217,10 +231,14 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
             raise ComputationError("branch ambiguity; reduce alpha")
         L = _log_near_identity(C, norm_e)
         if anchor is None:
-            anchor = _anchor_ids(P, partition, core_fraction)
-        t1 = np.einsum("ij,ji->", Pm[anchor, :], L[:, anchor], optimize=True)
-        t2 = np.einsum("ij,ji->", L[anchor, :], Pm[:, anchor], optimize=True)
-        phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * (t1 + t2)
+            anchor = _core_indices(P, partition, core_fraction)[2]
+            Oa, Oc = P.O[anchor, :], P.O[:, anchor]
+        # Tr_a(P L) + Tr_a(L P) with P = (I - iO)/2
+        La = L[:, anchor]
+        t = (np.trace(La[anchor, :])
+             - 0.5j * (np.einsum("ij,ji->", Oa, La, optimize=True)
+                       + np.einsum("ij,ji->", L[anchor, :], Oc, optimize=True)))
+        phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
     return complex(np.exp(phi))
 
 

@@ -2,9 +2,10 @@
 
 Builders assemble a number-conserving + pairing Hamiltonian on the disk,
 rotate it to the Majorana basis gamma_{a,1} = c_a + c*_a,
-gamma_{a,2} = -i(c_a - c*_a), and store H = iA with A real antisymmetric
-(equivalently J H J = -H with J = entrywise conjugation). The matrix acts on
-K with index order (site, majorana index), site-major.
+gamma_{a,2} = -i(c_a - c*_a), and store the real antisymmetric A of
+H = iA (equivalently J H J = -H with J = entrywise conjugation). The matrix
+acts on K with index order (site, majorana index), site-major. The complex
+H is built only when `.matrix` is read (by oracles and tests).
 
 Sign conventions (calibrated once, recorded in every report):
 ground projection = lambda < 0 sector of the stored matrix; with it the
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, check_memory, hermiticity_residual
+from ._util import ComputationError, ConfigError, check_memory
 from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
@@ -29,30 +30,43 @@ _sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass
 class QuadraticHamiltonian:
-    """H = kron(block, I_copies) on the geometry: `copies` identical copies of
-    the single-copy matrix `block`, copy index fastest (copies = 1: H is the
-    block itself). The stacked matrix is built only when `.matrix` is read."""
+    """H = kron(iA, I_copies) on the geometry: `copies` identical copies of
+    the single-copy Hamiltonian iA, copy index fastest. `block` stores the
+    real antisymmetric A; the complex stacked H is built only when `.matrix`
+    is read.
+
+    The constructor is where a matrix becomes A. It takes A itself or a
+    complex iA; an iA with a real part breaks J H J = -H (no
+    conjugation-compatible filling of the ground state exists) and is
+    refused as gapless, and an A with a symmetric part as not Hermitian.
+    """
     block: np.ndarray
     geometry: LatticeGeometry
     family_tag: str
     parameters: dict = field(default_factory=dict)
     copies: int = 1
 
+    def __post_init__(self):
+        A = self.block
+        if np.iscomplexobj(A):
+            real_part = float(np.max(np.abs(A.real)))
+            if real_part > 1e-12:
+                raise ComputationError(f"gapless: real part {real_part:.2g} > 1e-12")
+            A = np.ascontiguousarray(A.imag)
+        A = np.asarray(A, dtype=float)
+        S = A + A.T
+        symmetric_part = float(np.max(np.abs(S)))
+        if symmetric_part > 1e-12:
+            raise ComputationError(f"Hamiltonian is not Hermitian: "
+                                   f"|A + A^T| {symmetric_part:.2g} > 1e-12")
+        if symmetric_part > 0.0:
+            A = np.subtract(A, A.T, out=S)
+            A *= 0.5  # exactly antisymmetric
+        self.block = A
+
     @property
     def matrix(self) -> np.ndarray:
-        if self.copies == 1:
-            return self.block
-        return np.kron(self.block, np.eye(self.copies))
-
-    def validate(self, tol: float = 1e-12):
-        """Hermitian and J H J = -H; kron with I_N preserves both residuals,
-        so the block is checked."""
-        H = self.block
-        if hermiticity_residual(H) > tol:
-            raise ComputationError("Hamiltonian is not Hermitian")
-        # J H J = -H  <=>  H purely imaginary entrywise
-        if float(np.max(np.abs(H.real))) > tol:
-            raise ComputationError("Hamiltonian violates JHJ = -H")
+        return 1j * np.kron(self.block, np.eye(self.copies))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +148,8 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
     Assembles h (hopping) and D (pairing) over the finite site set with open
     boundaries. Rotating each (c, c*) fiber of the Nambu blocks
     [[h, D], [-conj(D), -h^T]] by omega/sqrt(2) gives, for Hermitian h, the
-    real fibers of A written below (K = iA = omega N omega^dagger / 2).
-    Returns the purely imaginary Hermitian matrix iA of size dim_K.
+    real fibers of A written below (iA = omega N omega^dagger / 2).
+    Returns the real antisymmetric matrix A of size dim_K.
     """
     n_orb = geometry.majorana_count // 2
     ns = len(geometry.sites)
@@ -167,8 +181,7 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
     A[:, 0, :, 1] = h.real - D.real
     A[:, 1, :, 0] = -(h.real + D.real)
     A[:, 1, :, 1] = h.imag - D.imag
-    del h, D  # the peak is then A and its complex copy
-    return 1j * A.reshape(2 * M, 2 * M)
+    return A.reshape(2 * M, 2 * M)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -183,10 +196,8 @@ def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
     check_memory(geometry.dim_K)
     params = {"u": float(u)}
     _check_gapped("qwz", params)
-    K = _real_space_K(geometry, *_qwz_blocks(float(u)))
-    h = QuadraticHamiltonian(K, geometry, "qwz", params)
-    h.validate()
-    return h
+    A = _real_space_K(geometry, *_qwz_blocks(float(u)))
+    return QuadraticHamiltonian(A, geometry, "qwz", params)
 
 
 def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -196,21 +207,16 @@ def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHa
     check_memory(geometry.dim_K)
     params = {"mu": float(mu), "delta": float(delta)}
     _check_gapped("pip", params)
-    K = _real_space_K(geometry, *_pip_blocks(float(mu), float(delta)))
-    h = QuadraticHamiltonian(K, geometry, "pip", params)
-    h.validate()
-    return h
+    A = _real_space_K(geometry, *_pip_blocks(float(mu), float(delta)))
+    return QuadraticHamiltonian(A, geometry, "pip", params)
 
 
 def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
     """Decoupled on-site modes at unit energy; spectrum exactly {±1}."""
     check_memory(geometry.dim_K)
     n_orb = geometry.majorana_count // 2
-    block = np.kron(np.eye(n_orb), np.array([[0, 1j], [-1j, 0]]))
-    K = np.kron(np.eye(len(geometry.sites)), block)
-    h = QuadraticHamiltonian(K, geometry, "trivial", {})
-    h.validate()
-    return h
+    A = np.kron(np.eye(len(geometry.sites) * n_orb), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return QuadraticHamiltonian(A, geometry, "trivial", {})
 
 
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
@@ -222,10 +228,8 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     if copies == 1:
         return h
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
-    out = QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
-                               dict(h.parameters, copies=copies), h.copies * copies)
-    out.validate()
-    return out
+    return QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
+                                dict(h.parameters, copies=copies), h.copies * copies)
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:

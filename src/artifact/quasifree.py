@@ -1,13 +1,14 @@
 """Ground-state projections and quasi-free (Gaussian) expectation values.
 
-The ground sector of a validated quadratic Hamiltonian H = iA (A real
-antisymmetric) is the span of its negative-energy eigenvectors.
-`ground_projection` builds that spectral projector as P = (I - iO)/2 from
-the real complex structure O = -i sign(H), computed in real arithmetic, with
-a half-filling rule for near-zero clusters (open disks of chiral models carry
-edge modes). Moments of Majorana generators in the state are evaluated two
-ways: a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian
-fast path (`pfaffian_expectation`).
+The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
+is the span of its negative-energy eigenvectors. `ground_projection` computes
+the real complex structure O = -i sign(H) of that sector in real arithmetic,
+with a half-filling rule for near-zero clusters (open disks of chiral models
+carry edge modes), and stores O: the spectral projector P = (I - iO)/2 is
+built only when `.matrix` is read (by the moment evaluators, oracles and
+tests). Moments of Majorana generators in the state are evaluated two ways:
+a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
+path (`pfaffian_expectation`).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, check_memory, hermiticity_residual
+from ._util import ComputationError, check_memory
 from .models import QuadraticHamiltonian
 
 _WICK_MAX = 12
@@ -28,11 +29,13 @@ _WINDOW_FRACTION = 0.1
 
 @dataclass
 class BasisProjection:
-    """Projection P = kron(block, I_copies) onto a ground sector (copies = 1:
-    P is the block itself; the stacked matrix is built only when `.matrix` is
-    read). Built from a Hamiltonian it also carries the health numbers of its
-    own decomposition (edge_gap, zero_modes, projection_residual)."""
-    block: np.ndarray
+    """Projection P = kron((I - iO)/2, I_copies) onto a ground sector, kept
+    as the real antisymmetric single-copy O; the complex stacked P is built
+    only when `.matrix` is read. Built from a Hamiltonian it also carries the
+    health numbers of its own decomposition (edge_gap, zero_modes,
+    projection_residual); a random one (random_covariance) is the two-point
+    operator of a random pure Gaussian state."""
+    O: np.ndarray
     source: str
     gap_used: float
     geometry: object = None  # LatticeGeometry when built from a lattice model
@@ -41,57 +44,30 @@ class BasisProjection:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.copies == 1:
-            return self.block
-        return np.kron(self.block, np.eye(self.copies))
-
-    @property
-    def O(self) -> np.ndarray:
-        """Real complex structure O = -2 Im P: P = (I - iO)/2 exactly when
-        P + JPJ = I, i.e. Re P = I/2."""
-        return -2.0 * self.matrix.imag
+        P = self.O * -0.5j
+        P.flat[::P.shape[0] + 1] += 0.5
+        return np.kron(P, np.eye(self.copies))
 
     def validate(self, tol: float = 1e-12) -> float:
-        """Check P + JPJ = I, then O^T = -O (P Hermitian) and O^2 = -I (P
-        idempotent) with one real matmul; return the largest residual. kron
-        with I_N preserves each residual, so the block is checked."""
-        P = self.block
-        dim = P.shape[0]
-        R = 2.0 * P.real
-        R.flat[::dim + 1] -= 1.0
-        selfdual = float(np.max(np.abs(R, out=R)))
-        if selfdual > tol:
-            raise ComputationError(f"projection violates P + JPJ = I: {selfdual:.2g} > {tol:.2g}")
-        O = -2.0 * P.imag
-        np.add(O, O.T, out=R)
+        """Check O^T = -O (P Hermitian) and O^2 = -I (P idempotent) with one
+        real matmul; return the larger residual. P + JPJ = I holds by
+        construction, and kron with I_N preserves each residual, so the
+        single-copy O is checked."""
+        O = self.O
+        R = O + O.T
         antisym = float(np.max(np.abs(R, out=R)))
         if antisym > tol:
             raise ComputationError(f"projection is not Hermitian: {antisym:.2g} > {tol:.2g}")
         np.matmul(O, O, out=R)
-        R.flat[::dim + 1] += 1.0
+        R.flat[::O.shape[0] + 1] += 1.0
         square = float(np.max(np.abs(R, out=R)))
         if square > tol:
             raise ComputationError(f"projection is not idempotent: {square:.2g} > {tol:.2g}")
-        return max(selfdual, antisym, square)
+        return max(antisym, square)
 
     @property
     def dim_K(self) -> int:
-        return self.block.shape[0] * self.copies
-
-
-@dataclass
-class CovarianceOperator:
-    matrix: np.ndarray
-
-    def validate(self, tol: float = 1e-12):
-        S = self.matrix
-        if hermiticity_residual(S) > tol:
-            raise ComputationError("covariance is not Hermitian")
-        ev = np.linalg.eigvalsh(S)
-        if ev[0] < -tol or ev[-1] > 1 + tol:
-            raise ComputationError("covariance spectrum outside [0, 1]")
-        if float(np.max(np.abs(S + np.conj(S) - np.eye(S.shape[0])))) > tol:
-            raise ComputationError("covariance violates S + JSJ = I")
+        return self.O.shape[0] * self.copies
 
 
 def _canonical_basis(N: np.ndarray) -> np.ndarray:
@@ -161,15 +137,9 @@ def _complex_structure(A: np.ndarray, gap_tol: float):
     return O, edge_gap, m
 
 
-def _projection_matrix(O: np.ndarray) -> np.ndarray:
-    """P = (I - iO)/2: exactly Hermitian with P + JPJ = I for antisymmetric O."""
-    P = O * -0.5j
-    P.flat[::O.shape[0] + 1] += 0.5
-    return P
-
-
 def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisProjection:
-    """Spectral projector onto the negative-energy subspace of h = iA.
+    """Spectral projector onto the negative-energy subspace of h = iA, as
+    its real complex structure O.
 
     Eigenvalues with |lambda| <= gap_tol form the near-zero cluster. An empty
     cluster gives the plain lambda < 0 projector; a nonzero one is filled
@@ -178,32 +148,18 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to 1e-12; the last
     certifies that P commutes with H.
 
-    A stack h = kron(H, I_N) has the projection kron(P, I_N): everything
-    above runs on the single-copy block H, and the result keeps the factors.
+    A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
+    above runs on the single-copy block A, and the result keeps the factors.
     Its health describes the stacked space: each cluster mode occurs N times.
     """
-    H = h.block
-    check_memory(H.shape[0])
-    real_part = float(np.max(np.abs(H.real)))
-    if real_part > 1e-12:
-        # a real part breaks JHJ = -H: no conjugation-compatible filling exists
-        raise ComputationError(f"gapless: real part {real_part:.2g} > 1e-12")
-    A = H.imag
-    symmetric_part = float(np.max(np.abs(A + A.T)))
-    if symmetric_part > 1e-12:
-        raise ComputationError(f"Hamiltonian is not Hermitian: "
-                               f"|A + A^T| {symmetric_part:.2g} > 1e-12")
-    A = A - A.T
-    A *= 0.5  # exactly antisymmetric, so OA = (AO)^T below
+    A = h.block  # exactly antisymmetric, so OA = (AO)^T below
+    check_memory(A.shape[0])
     O, edge_gap, m = _complex_structure(A, gap_tol)
     AO = A @ O
-    del A
     AO -= AO.T  # numpy buffers the overlapping operand
     commutator = float(np.max(np.abs(AO, out=AO)))
     del AO
-    proj = BasisProjection(_projection_matrix(O), h.family_tag, float(gap_tol), h.geometry,
-                           copies=h.copies)
-    del O
+    proj = BasisProjection(O, h.family_tag, float(gap_tol), h.geometry, copies=h.copies)
     try:
         residual = proj.validate()
     except ComputationError as exc:
@@ -221,7 +177,7 @@ def _pair_matrix(S: np.ndarray, vectors) -> np.ndarray:
     return F.T @ S @ F
 
 
-def wick_expectation(S: CovarianceOperator, vectors) -> complex:
+def wick_expectation(S: BasisProjection, vectors) -> complex:
     """Moment of a product of Majorana generators by the permutation sum.
 
     Odd lists vanish identically. Even lists of length 2n are summed over
@@ -267,7 +223,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def pfaffian_expectation(S: CovarianceOperator, vectors) -> complex:
+def pfaffian_expectation(S: BasisProjection, vectors) -> complex:
     """Same moment via the Pfaffian of M_{jk} = <J f_j, S f_k> (j < k),
     antisymmetrized, evaluated by Gaussian elimination with pivoting."""
     vectors = list(vectors)
@@ -304,7 +260,7 @@ def _pfaffian(M: np.ndarray) -> complex:
     return complex(pf * A[n - 2, n - 1])
 
 
-def random_covariance(dim: int, rng: np.random.Generator) -> CovarianceOperator:
+def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
     """Pure random covariance (ground state of a random gapped quadratic H)."""
     if dim % 2 == 1:
         raise ComputationError("dim_K must be even")
@@ -313,4 +269,4 @@ def random_covariance(dim: int, rng: np.random.Generator) -> CovarianceOperator:
         A = A - A.T
         O, edge_gap, _ = _complex_structure(A, 0.0)
         if edge_gap > 1e-6:
-            return CovarianceOperator(_projection_matrix(O))
+            return BasisProjection(O, "random", 0.0)

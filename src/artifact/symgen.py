@@ -3,7 +3,9 @@ lattice, projection-dressed flux generators, and parity generators.
 
 Stacked-space index order is (site, majorana index, copy) with the copy index
 fastest, so a copy-space charge q lifted to the sites of a region X is the
-Kronecker product kron(diag(mask_X), q).
+Kronecker product kron(diag(mask_X), q). Every generator here is read off the
+projection's real single-copy O, never off the complex P = (I - iO)/2; a
+real charge dresses to a real block.
 """
 from __future__ import annotations
 
@@ -53,17 +55,17 @@ class FluxGenerator:
         return np.kron(self.block, self.charge)
 
     def check_factors(self, P: BasisProjection):
-        """The generator acts on P's space: its block on P's block, its
-        charge on P's copies."""
-        if self.block.shape != P.block.shape or self.charge.shape != (P.copies, P.copies):
+        """The generator acts on P's space: its block on P's single-copy
+        space, its charge on P's copies."""
+        if self.block.shape != P.O.shape or self.charge.shape != (P.copies, P.copies):
             raise ComputationError("dimension mismatch")
 
     def validate(self, P: BasisProjection, tol: float = 1e-10):
         # [kron(P, I), kron(B, c)] = kron([P, B], c), whose largest entry is
-        # max|[P, B]| max|c|
+        # max|[P, B]| max|c|, and [P, B] = -(i/2)[O, B]
         self.check_factors(P)
-        comm = P.block @ self.block - self.block @ P.block
-        if float(np.max(np.abs(comm))) * float(np.max(np.abs(self.charge))) > tol:
+        comm = P.O @ self.block - self.block @ P.O
+        if 0.5 * float(np.max(np.abs(comm))) * float(np.max(np.abs(self.charge))) > tol:
             raise ComputationError("generator does not commute with projection")
 
 
@@ -119,13 +121,12 @@ def dress_charge(P: BasisProjection, Q, region=None) -> FluxGenerator:
     """Block-diagonal part of Q w.r.t. P: Qtilde = PQP + (1-P)Q(1-P).
 
     Q is a dense matrix (an N = 1 generator) or a LiftedCharge. For
-    P = kron(P1, I_N) and Q = kron(Pi, q) the result is kron(D, q) with
-    D = Pi - P1 Pi - Pi P1 + 2 P1 Pi P1, so only the block is dressed; a
-    lifted charge that meets a dense projection is expanded to its N = 1
-    form. Commutes with P by construction; the block is re-Hermitized to
-    absorb rounding noise. For a real Q and P = (I - iO)/2 the block is
-    (Q - OQO)/2, real: when its imaginary part vanishes it is stored as a real
-    matrix, so its eigendecomposition runs in real arithmetic.
+    P = kron(P1, I_N) and Q = kron(Pi, q) the result is kron(D, q) with D the
+    dressed Pi, so only the block is dressed; a lifted charge that meets a
+    dense projection is expanded to its N = 1 form. With P1 = (I - iO)/2 the
+    dressed block is (Q - OQO)/2: real for a real Q, so its
+    eigendecomposition runs in real arithmetic. Commutes with P by
+    construction; the block is re-Hermitized to absorb rounding noise.
     """
     if isinstance(Q, LiftedCharge):
         block, charge = ((np.diag(Q.mask), Q.q) if Q.q.shape[0] == P.copies
@@ -134,32 +135,24 @@ def dress_charge(P: BasisProjection, Q, region=None) -> FluxGenerator:
         block, charge = Q, _ONE
     g = FluxGenerator(block, "dressed-charge", region, charge)
     g.check_factors(P)
-    Pm = P.block
-    D = Pm @ block
-    # Herm(block - 2 D + 2 D P) = block - D - D^+ + 2 P block P, since D P is
-    # Hermitian; formed in place, so at most two complex arrays are live
-    Qt = D @ Pm
-    Qt -= D
-    del D
-    Qt *= 2.0
-    Qt += block
-    Qt += Qt.conj().T
-    Qt *= 0.5
-    g.block = Qt.real if not Qt.imag.any() else Qt
+    Qt = P.O @ block @ P.O
+    np.subtract(block, Qt, out=Qt)
+    Qt += Qt.conj().T  # (Q - OQO)/2, Hermitized
+    Qt *= 0.25
+    g.block = Qt
     return g
 
 
 def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> FluxGenerator:
     """Symmetrized region parity (Pi T + T Pi)/2 with T = 1 - 2P, which
-    simplifies to Pi - Pi P - P Pi and commutes with P identically. On a
-    stack it acts alike on every copy: kron(block, I_N)."""
+    simplifies to Pi - Pi P - P Pi = (i/2)(Pi O + O Pi) and commutes with P
+    identically. On a stack it acts alike on every copy: kron(block, I_N)."""
     if geometry.dim_K != P.dim_K:
         raise ComputationError("dimension mismatch")
     block_geometry = geometry.with_majorana_count(geometry.majorana_count // P.copies)
     mask = region_mask(region, block_geometry).astype(float)
-    Pm = P.block
-    Qt = np.diag(mask).astype(complex) - mask[:, None] * Pm - Pm * mask[None, :]
-    return FluxGenerator(Qt, "parity", region, np.eye(P.copies))
+    Qt = mask[:, None] * P.O + P.O * mask[None, :]
+    return FluxGenerator(0.5j * Qt, "parity", region, np.eye(P.copies))
 
 
 def flux_unitary(g: FluxGenerator, alpha: float) -> np.ndarray:

@@ -7,11 +7,12 @@ oracle for `artifact.models._real_space_K`, which writes A fiber by fiber.
 `dense_ground_projection` makes one complex eigh of H, keeps the
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
-`artifact.quasifree.ground_projection`."""
+`artifact.quasifree.ground_projection`. `dense_basis_projection` stores such
+a complex P in the real form O = -2 Im P that the evaluators read."""
 import numpy as np
 import scipy.linalg
 
-from artifact import ComputationError
+from artifact import BasisProjection, ComputationError
 from artifact.quasifree import _canonical_basis
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
@@ -94,3 +95,12 @@ def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
             cols.append(W[:, neg])
     V = np.hstack(cols)
     return V @ V.conj().T
+
+
+def dense_basis_projection(P: np.ndarray, gap_tol: float, geometry) -> BasisProjection:
+    """The dense projection P as a BasisProjection, after checking that it
+    has the real form P = (I - iO)/2, i.e. P + JPJ = I."""
+    selfdual = float(np.max(np.abs(P + np.conj(P) - np.eye(P.shape[0]))))
+    if selfdual > 1e-12:
+        raise ComputationError(f"projection violates P + JPJ = I: {selfdual:.2g}")
+    return BasisProjection(-2.0 * P.imag, "dense", gap_tol, geometry)

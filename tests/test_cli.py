@@ -34,6 +34,20 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("model", "famliy"), ("geometry", "apex"),
+                                          ("numerics", "core_frac")])
+def test_unknown_nested_key_rejected(tmp_path, capsys, section, key):
+    cfg = _write_cfg(tmp_path, "typo.json", {section: {key: 0.5}})
+    assert main(["chern", "--config", cfg]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_non_object_section_rejected(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "flat.json", {"numerics": 5})
+    assert main(["chern", "--config", cfg]) == 2
+    assert "'numerics' must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["chern", "--config", "/no/such/file.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -1,16 +1,19 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
-                      build_disk_lattice, build_pip, build_trivial, chern_number,
+                      build_disk_lattice, build_pip, build_qwz, build_trivial, chern_number,
                       chern_number_with_residual, cocycle_exponent, core_regions,
                       exchange_phase_bch, exchange_phase_closed, ground_projection,
                       hall_sigma, make_good_partition, parity_charge, parity_indices,
                       predicted_free_fermion, stack_copies, twist_statistics)
-from artifact.invariants import _log_near_identity
+from artifact import _util
+from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
+from artifact.invariants import _BCH_WORKING_ARRAYS, _log_near_identity
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 
@@ -125,16 +128,15 @@ def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
 def test_conjugated_projection_flips_invariant(qwz_r6):
     P, part = qwz_r6
     nu = chern_number(P, part)
-    Pc = BasisProjection(P.matrix.conj(), P.source, P.gap_used, P.geometry)
+    Pc = BasisProjection(-P.O, P.source, P.gap_used, P.geometry)  # conj(P)
     assert abs(chern_number(Pc, part) + nu) <= 1e-12
 
 
 def test_nonhermitian_input_is_refused(qwz_r6):
     P, part = qwz_r6
     rng = np.random.default_rng(3)
-    noise = (rng.standard_normal(P.matrix.shape)
-             + 1j * rng.standard_normal(P.matrix.shape))
-    Pbad = BasisProjection(P.matrix + 1e-3 * noise, "corrupt",
+    noise = rng.standard_normal(P.O.shape)
+    Pbad = BasisProjection(P.O + 1e-3 * noise, "corrupt",
                            P.gap_used, P.geometry)
     with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
         chern_number_with_residual(Pbad, part)
@@ -146,9 +148,24 @@ def test_hermitian_residual_is_tiny(qwz_r6):
     assert res <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["qwz", "pip"])
+def test_nu_is_invariant_under_c4(family):
+    # rotating the apex offset and the boundary angles by pi/2 maps the disk
+    # and its cores onto themselves with the sites in another order
+    majoranas, build = {"qwz": (4, lambda g: build_qwz(1.0, g)),
+                        "pip": (2, lambda g: build_pip(-1.0, 0.5, g))}[family]
+    x, y = DEFAULT_APEX_OFFSET
+    nus = []
+    for offset, turn in (((x, y), 0.0), ((-y, x), np.pi / 2)):
+        geom = build_disk_lattice("square", 8.0, offset, majorana_count=majoranas)
+        part = make_good_partition(geom.apex, tuple(a + turn for a in DEFAULT_BOUNDARY_ANGLES))
+        nus.append(chern_number(ground_projection(build(geom), 1e-4), part))
+    assert abs(nus[0] - nus[1]) <= 1e-12
+
+
 def test_missing_geometry_is_refused(qwz_r6):
     _, part = qwz_r6
-    P = BasisProjection(np.eye(4) / 2 + 0j, "synthetic", 0.0)
+    P = BasisProjection(np.zeros((4, 4)), "synthetic", 0.0)  # P = I/2
     with pytest.raises(ComputationError, match="projection carries no geometry"):
         chern_number(P, part)
 
@@ -177,12 +194,16 @@ def test_bch_zero_flux_short_circuit(qwz_stack3_r6_generators):
     assert exchange_phase_bch(P, g0, g1, 0.3, 0.0, part) == 1.0 + 0j
 
 
+def _synthetic_projection():
+    # the two short-circuits below never read P beyond its dimension
+    return BasisProjection(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]), "synthetic", 0.0)
+
+
 def test_bch_commuting_generators_give_one():
     d = np.diag(np.array([1.0, 2.0, -1.0, 0.5]))
     g0 = FluxGenerator(d.astype(complex), "dressed-charge")
     g1 = FluxGenerator((2 * d).astype(complex), "dressed-charge")
-    P = BasisProjection(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
-                        "synthetic", 0.0)
+    P = _synthetic_projection()
     assert exchange_phase_bch(P, g0, g1, 0.4, 0.7, None) == 1.0 + 0j
 
 
@@ -192,8 +213,7 @@ def test_bch_branch_ambiguity_detected():
     pad = np.zeros((2, 2), dtype=complex)
     g0 = FluxGenerator(np.block([[sx, pad], [pad, pad]]), "dressed-charge")
     g1 = FluxGenerator(np.block([[sz, pad], [pad, pad]]), "dressed-charge")
-    P = BasisProjection(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
-                        "synthetic", 0.0)
+    P = _synthetic_projection()
     with pytest.raises(ComputationError, match="branch ambiguity"):
         exchange_phase_bch(P, g0, g1, np.pi / 2, np.pi / 2, None)
 
@@ -217,6 +237,35 @@ def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators)
     doubled = FluxGenerator(g1.block, g1.kind, g1.region, 2 * g1.charge)
     with pytest.raises(ComputationError, match="different charges"):
         exchange_phase_bch(P, g0, doubled, 0.1, 0.1, part)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 2.5])  # Mercator series; scipy logm (|C - I| = 0.63)
+def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alpha):
+    # the guard refuses up front on the estimate of _BCH_WORKING_ARRAYS
+    # block-size float64 arrays, so the run itself must need less
+    import scipy.linalg  # noqa: F401  (its import allocates no working set)
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    tracemalloc.start()
+    try:
+        exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BCH_WORKING_ARRAYS * 8 * g0.block.shape[0] ** 2
+
+
+def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
+    # block dim 448: the estimate 40 * 8 * 448^2 B (64 MB) is above the budget
+    P, part, g0, g1 = qwz_stack3_r6_generators
+
+    def no_eigh(*args):
+        raise AssertionError("the flux commutator ran before the memory guard")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**7)
+    with pytest.raises(ComputationError,
+                       match=r"flux commutator needs ~0\.064 GB, 0\.01 GB available"):
+        exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
 
 
 def test_bch_matches_closed_form(qwz_stack3_r6_generators):

@@ -150,9 +150,9 @@ def test_stack_copies_validates_count(disk2):
 def test_real_assembly_matches_dense_oracle(family, blocks, radius):
     geom = build_disk_lattice("square", float(radius),
                               majorana_count=4 if family == "qwz" else 2)
-    K = _real_space_K(geom, *blocks)
-    assert K.shape == (geom.dim_K, geom.dim_K)
-    assert np.array_equal(K, dense_real_space_K(geom, *blocks))
+    A = _real_space_K(geom, *blocks)
+    assert A.shape == (geom.dim_K, geom.dim_K)
+    assert np.array_equal(1j * A, dense_real_space_K(geom, *blocks))
 
 
 def test_build_peak_stays_below_projection_estimate():

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, CovarianceOperator, build_disk_lattice,
+from artifact import (ComputationError, build_disk_lattice,
                       build_pip, build_qwz, build_trivial, chern_number,
                       ground_projection, make_good_partition, pfaffian_expectation,
                       random_covariance, stack_copies, wick_expectation)
 from artifact import _util, quasifree
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import BasisProjection, _pfaffian
-from dense_oracle import dense_ground_projection
+from dense_oracle import dense_basis_projection, dense_ground_projection
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,17 @@ def test_disk_projection_invariants(qwz_r6):
     assert max(idem, herm, selfdual) <= 1e-12
 
 
+def test_ground_state_is_stored_real(qwz_r6):
+    # A and O are what is stored; iA and (I - iO)/2 are built on read
+    P, _ = qwz_r6
+    h = build_qwz(1.0, P.geometry)
+    for stored in (h.block, P.O, stack_copies(h, 3).block,
+                   QuadraticHamiltonian(h.matrix, h.geometry, "qwz").block):
+        assert stored.dtype == np.float64
+    assert np.array_equal(h.matrix, 1j * h.block)
+    assert np.array_equal(P.matrix, (np.eye(P.dim_K) - 1j * P.O) / 2)
+
+
 def test_zero_hamiltonian_unresolvable(trivial_projection):
     _, h = trivial_projection
     h0 = dataclasses.replace(h, block=np.zeros_like(h.matrix))
@@ -72,9 +83,8 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
     # a real symmetric on-site block has conjugation-symmetric eigenvectors,
     # which cannot be half-filled compatibly
     K[0:2, 0:2] = np.array([[0.3, 0.0], [0.0, -0.3]])
-    hz = dataclasses.replace(h, block=K)
     with pytest.raises(ComputationError, match="gapless"):
-        ground_projection(hz, 1e-8)
+        ground_projection(dataclasses.replace(h, block=K), 1e-8)
 
 
 def _split_pair(h, eps):
@@ -105,7 +115,7 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         O = R @ O @ R.T
         O = (O - O.T) / 2
-        BasisProjection(quasifree._projection_matrix(O), "rotated", gap_tol).validate()
+        BasisProjection(O, "rotated", gap_tol).validate()
         return O, edge_gap, m
 
     monkeypatch.setattr(quasifree, "_complex_structure", rotated)
@@ -151,7 +161,7 @@ def test_real_path_matches_dense_oracle(case):
     Pd = dense_ground_projection(h, gap_tol)
     assert float(np.max(np.abs(P.matrix - Pd))) <= 1e-10
     part = make_good_partition(h.geometry.apex)
-    dense = BasisProjection(Pd, "dense", gap_tol, h.geometry)
+    dense = dense_basis_projection(Pd, gap_tol, h.geometry)
     assert abs(chern_number(P, part) - chern_number(dense, part)) <= 1e-10
 
 
@@ -208,7 +218,7 @@ def test_real_path_matches_oracle_on_random_spectra(seed):
 def test_covariance_of_projection_is_valid(trivial_projection):
     P, _ = trivial_projection
     # the two-point operator of the pure state built on P is P itself
-    CovarianceOperator(P.matrix).validate()
+    P.validate()
 
 
 # ---------------------------------------------------------------------------

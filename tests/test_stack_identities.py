@@ -15,8 +15,7 @@ from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
                       lift_charge, make_good_partition, stack_copies, twist_statistics)
 from artifact.models import QuadraticHamiltonian
-from artifact.quasifree import BasisProjection
-from dense_oracle import dense_ground_projection
+from dense_oracle import dense_basis_projection, dense_ground_projection
 
 _BUILD = {
     "qwz": (4, lambda geom: build_qwz(1.0, geom), 1e-4),
@@ -48,7 +47,7 @@ def stack(request):
     h = build(geom)
     hs = stack_copies(h, N)
     P = ground_projection(hs, gap_tol)
-    dense = BasisProjection(dense_ground_projection(hs, gap_tol), "dense", gap_tol, hs.geometry)
+    dense = dense_basis_projection(dense_ground_projection(hs, gap_tol), gap_tol, hs.geometry)
     return h, N, gap_tol, make_good_partition(geom.apex), P, dense
 
 

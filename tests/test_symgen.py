@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from artifact import (ComputationError, build_disk_lattice, cyclic_charge,
                       dress_charge, flux_unitary, lift_charge, parity_charge,
                       random_covariance, windowed_site_ids)
-from artifact.quasifree import BasisProjection
 from artifact.symgen import ChargeMatrix
 
 
 def _random_projection(dim, seed):
-    rng = np.random.default_rng(seed)
-    return BasisProjection(random_covariance(dim, rng).matrix, "random", 0.0)
+    return random_covariance(dim, np.random.default_rng(seed))
 
 
 def test_single_copy_charge_is_zero():
@@ -71,7 +69,7 @@ def test_lift_charge_is_linear_in_q(small_geometry):
 def test_dress_commutes_with_projection(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.choice([8, 12, 16]))
-    P = BasisProjection(random_covariance(dim, rng).matrix, "random", 0.0)
+    P = random_covariance(dim, rng)
     Q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q = (Q + Q.conj().T) / 2
     g = dress_charge(P, Q)
