@@ -13,8 +13,8 @@ from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
                      build_trivial, stack_copies, tknn_chern)
 from .quasifree import (BasisProjection, ground_projection, pfaffian_expectation,
                         random_covariance, wick_expectation)
-from .symgen import (ChargeMatrix, FluxGenerator, cyclic_charge, dress_charge,
-                     flux_unitary, lift_charge, parity_charge)
+from .symgen import (FluxGenerator, cyclic_charge, dress_charge, flux_unitary,
+                     lift_charge, parity_charge)
 from .invariants import (FreeFermionPrediction, IndexReport, chern_number,
                          chern_number_with_residual, cocycle_exponent, core_regions,
                          exchange_phase_bch, exchange_phase_closed, hall_sigma,
@@ -32,7 +32,7 @@ __all__ = [
     "build_pip", "build_qwz", "build_trivial", "stack_copies", "tknn_chern",
     "BasisProjection", "ground_projection",
     "pfaffian_expectation", "random_covariance", "wick_expectation",
-    "ChargeMatrix", "FluxGenerator", "cyclic_charge", "dress_charge",
+    "FluxGenerator", "cyclic_charge", "dress_charge",
     "flux_unitary", "lift_charge", "parity_charge",
     "FreeFermionPrediction", "IndexReport",
     "chern_number", "chern_number_with_residual", "cocycle_exponent",

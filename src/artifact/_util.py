@@ -16,10 +16,6 @@ class ComputationError(ArtifactError):
     """A numerical contract was violated (CLI exit code 3)."""
 
 
-def hermiticity_residual(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T)))
-
-
 def available_memory() -> int | None:
     """Bytes this process can still allocate: the kernel's MemAvailable, capped
     by the cgroup v2 limit when one is set; None when neither is readable."""

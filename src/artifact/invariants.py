@@ -44,8 +44,9 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: unitaries count twice). tracemalloc at block dim 448 and 804: 22.8 to 23.1
-#: on the Mercator-series path, 34.4 to 36.3 when a sector needs scipy's logm
+#: unitaries count twice). tracemalloc at block dim 448 and 804: 22.2 to 22.6
+#: on the Mercator-series path, 26.2 when a sector needs the Cayley-transform
+#: eigh
 _BCH_WORKING_ARRAYS = 40
 
 
@@ -164,10 +165,17 @@ def exchange_phase_closed(sigma: float, alpha0: float, alpha1: float) -> complex
 
 
 def _log_near_identity(C: np.ndarray, norm_e: float) -> np.ndarray:
-    """Principal logarithm of a unitary with spectrum away from -1."""
-    E = C - np.eye(C.shape[0], dtype=complex)
+    """Principal logarithm of a unitary with spectrum away from -1.
+
+    Near the identity, the Mercator series. Otherwise, the Cayley transform
+    K = i(I - C)(I + C)^-1: it is Hermitian, with C's eigenvectors and the
+    eigenvalues kappa = tan(theta/2) for C's e^(i theta), so one eigh gives
+    log C = W diag(2i arctan kappa) W^+. Since |1 + e^(i theta)| =
+    2/sqrt(1 + kappa^2), kappa^2 > 399 is a spectrum within 0.1 of -1.
+    """
     if norm_e < 0.5:
         # Mercator series; spectral radius < 1 guarantees convergence
+        E = C - np.eye(C.shape[0], dtype=complex)
         L = np.zeros_like(E)
         term = E.copy()
         sign = 1.0
@@ -178,12 +186,14 @@ def _log_near_identity(C: np.ndarray, norm_e: float) -> np.ndarray:
             term = term @ E
             sign = -sign
         return L
-    lam = np.linalg.eigvals(C)
-    if float(np.min(np.abs(lam + 1.0))) < 0.1:
+    eye = np.eye(C.shape[0], dtype=complex)
+    K = np.linalg.solve(eye + C, eye - C)
+    K *= 0.5j
+    K += K.conj().T  # Hermitized
+    kappa, W = np.linalg.eigh(K)
+    if float(np.max(kappa**2)) > 399.0:
         raise ComputationError("branch ambiguity; reduce alpha")
-    import scipy.linalg
-
-    return scipy.linalg.logm(C)
+    return (W * (2j * np.arctan(kappa))) @ W.conj().T
 
 
 def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
@@ -232,12 +242,10 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         L = _log_near_identity(C, norm_e)
         if anchor is None:
             anchor = _core_indices(P, partition, core_fraction)[2]
-            Oa, Oc = P.O[anchor, :], P.O[:, anchor]
-        # Tr_a(P L) + Tr_a(L P) with P = (I - iO)/2
-        La = L[:, anchor]
-        t = (np.trace(La[anchor, :])
-             - 0.5j * (np.einsum("ij,ji->", Oa, La, optimize=True)
-                       + np.einsum("ij,ji->", L[anchor, :], Oc, optimize=True)))
+            Oa = P.O[anchor, :]
+        # Tr_a(P L) + Tr_a(L P), and Tr_a(L P) = conj(Tr_a(P L^+)) for Hermitian P
+        t = (_anchored_trace(Oa, anchor, L[:, anchor])
+             + np.conj(_anchored_trace(Oa, anchor, L[anchor, :].conj().T)))
         phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
     return complex(np.exp(phi))
 
@@ -252,17 +260,15 @@ def twist_statistics(P_stacked: BasisProjection, N: int, partition: ConicalParti
 
     The cyclic copy-space charge is lifted onto the cores of the first two
     cones, dressed by the stacked projection, and fed to hall_sigma; then
-    theta_N = exp(i pi sigma / N^2) and omega_N = theta_N^(2N).
+    theta_N = exp(i pi sigma / N^2) and omega_N = theta_N^(2N). A projection
+    that is not kept as an N-copy stack (copies != N) is refused.
     """
     q = cyclic_charge(N)
     ids, geom = core_regions(P_stacked, partition, core_fraction)
-    if geom.majorana_count % N != 0:
+    if P_stacked.copies != N:
         raise ComputationError("dimension mismatch")
     base_geom = geom.with_majorana_count(geom.majorana_count // N)
-    g = []
-    for a in (0, 1):
-        Q = lift_charge(q, base_geom, ids[a])
-        g.append(dress_charge(P_stacked, Q, ids[a]))
+    g = [dress_charge(P_stacked, lift_charge(q, base_geom, ids[a])) for a in (0, 1)]
     sigma = hall_sigma(P_stacked, g[0], g[1], partition, core_fraction)
     theta_N = complex(np.exp(1j * np.pi * sigma / N**2))
     omega_N = complex(np.exp(2j * np.pi * sigma / N))
@@ -379,7 +385,6 @@ class IndexReport:
     nu: Optional[float] = None
     nu_rounded: Optional[int] = None
     sigma: Optional[float] = None
-    theta: Optional[complex] = None
     theta_N: Optional[complex] = None
     omega_N: Optional[complex] = None
     z2: Optional[int] = None
@@ -387,7 +392,7 @@ class IndexReport:
     diagnostics: dict = field(default_factory=dict)
 
     def validate(self, tol: float = 1e-8):
-        for name in ("theta", "theta_N", "omega_N", "z8_phase"):
+        for name in ("theta_N", "omega_N", "z8_phase"):
             v = getattr(self, name)
             if v is not None and abs(abs(v) - 1.0) > tol:
                 raise ComputationError(f"{name} is not a unit phase")
@@ -405,8 +410,6 @@ class IndexReport:
             "nu": self.nu,
             "nu_rounded": self.nu_rounded,
             "sigma": self.sigma,
-            "theta_re": None if self.theta is None else self.theta.real,
-            "theta_im": None if self.theta is None else self.theta.imag,
             "theta_N": phase(self.theta_N),
             "omega_N": phase(self.omega_N),
             "z2": self.z2,

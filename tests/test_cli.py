@@ -176,21 +176,46 @@ def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
     assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
 
 
-def test_chern_run_leaves_scipy_unloaded():
-    # scipy.linalg is imported only on the exact-zero and large-commutator
-    # branches, so a plain run pays no scipy start-up
+def _run_listing_scipy(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that then prints the scipy modules it
+    loaded to stderr and exits with the code's `rc`."""
     import artifact
 
     src = str(Path(artifact.__file__).resolve().parents[1])
-    code = ("import sys, artifact.cli\n"
-            "rc = artifact.cli.main(['chern', '--radius', '6'])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
-            "sys.exit(rc)\n")
+    code += ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+             "sys.exit(rc)\n")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_chern_run_leaves_scipy_unloaded():
+    # scipy.linalg is imported only on the exact-zero branch of the
+    # projection, so a plain run pays no scipy start-up
+    proc = _run_listing_scipy("import sys, artifact.cli\n"
+                              "rc = artifact.cli.main(['chern', '--radius', '6'])\n")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
+    assert proc.stderr.strip() == "[]"
+
+
+def test_far_flux_commutator_leaves_scipy_unloaded():
+    # alpha 2.5 on the qwz radius-6 three-copy stack gives |C - I| = 0.63,
+    # past the Mercator series: the general logarithm needs no scipy either
+    proc = _run_listing_scipy(
+        "import sys\n"
+        "import artifact as a\n"
+        "geom = a.build_disk_lattice('square', 6.0, majorana_count=4)\n"
+        "part = a.make_good_partition(geom.apex)\n"
+        "P = a.ground_projection(a.stack_copies(a.build_qwz(1.0, geom), 3), 1e-4)\n"
+        "ids, sgeom = a.core_regions(P, part, 0.7)\n"
+        "base = sgeom.with_majorana_count(sgeom.majorana_count // 3)\n"
+        "g0, g1 = (a.dress_charge(P, a.lift_charge(a.cyclic_charge(3), base, ids[k]))\n"
+        "          for k in (0, 1))\n"
+        "print(a.exchange_phase_bch(P, g0, g1, 2.5, 2.5, part))\n"
+        "rc = 0\n")
+    assert proc.returncode == 0, proc.stderr
+    assert abs(abs(complex(proc.stdout)) - 1.0) <= 1e-10
     assert proc.stderr.strip() == "[]"
 
 

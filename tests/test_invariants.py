@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
                       build_disk_lattice, build_pip, build_qwz, build_trivial, chern_number,
@@ -119,8 +121,8 @@ def test_identical_generators_give_exact_zero(qwz_stack3_r6_generators):
 def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
     base = hall_sigma(P, g0, g1, part)
-    half = FluxGenerator(0.5 * g0.block, g0.kind, g0.region, g0.charge)
-    third = FluxGenerator((1 / 3) * g1.block, g1.kind, g1.region, g1.charge)
+    half = FluxGenerator(0.5 * g0.block, g0.charge, g0.region)
+    third = FluxGenerator((1 / 3) * g1.block, g1.charge, g1.region)
     scaled = hall_sigma(P, half, third, part)
     assert abs(scaled - base / 6) <= 1e-12 * max(1.0, abs(base))
 
@@ -201,8 +203,8 @@ def _synthetic_projection():
 
 def test_bch_commuting_generators_give_one():
     d = np.diag(np.array([1.0, 2.0, -1.0, 0.5]))
-    g0 = FluxGenerator(d.astype(complex), "dressed-charge")
-    g1 = FluxGenerator((2 * d).astype(complex), "dressed-charge")
+    g0 = FluxGenerator(d.astype(complex))
+    g1 = FluxGenerator((2 * d).astype(complex))
     P = _synthetic_projection()
     assert exchange_phase_bch(P, g0, g1, 0.4, 0.7, None) == 1.0 + 0j
 
@@ -211,8 +213,8 @@ def test_bch_branch_ambiguity_detected():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     pad = np.zeros((2, 2), dtype=complex)
-    g0 = FluxGenerator(np.block([[sx, pad], [pad, pad]]), "dressed-charge")
-    g1 = FluxGenerator(np.block([[sz, pad], [pad, pad]]), "dressed-charge")
+    g0 = FluxGenerator(np.block([[sx, pad], [pad, pad]]))
+    g1 = FluxGenerator(np.block([[sz, pad], [pad, pad]]))
     P = _synthetic_projection()
     with pytest.raises(ComputationError, match="branch ambiguity"):
         exchange_phase_bch(P, g0, g1, np.pi / 2, np.pi / 2, None)
@@ -234,16 +236,15 @@ def test_log_far_from_identity_uses_the_general_logarithm():
 
 def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
-    doubled = FluxGenerator(g1.block, g1.kind, g1.region, 2 * g1.charge)
+    doubled = FluxGenerator(g1.block, 2 * g1.charge, g1.region)
     with pytest.raises(ComputationError, match="different charges"):
         exchange_phase_bch(P, g0, doubled, 0.1, 0.1, part)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 2.5])  # Mercator series; scipy logm (|C - I| = 0.63)
+@pytest.mark.parametrize("alpha", [0.1, 2.5])  # Mercator series; Cayley eigh (|C - I| = 0.63)
 def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alpha):
     # the guard refuses up front on the estimate of _BCH_WORKING_ARRAYS
     # block-size float64 arrays, so the run itself must need less
-    import scipy.linalg  # noqa: F401  (its import allocates no working set)
     P, part, g0, g1 = qwz_stack3_r6_generators
     tracemalloc.start()
     try:
@@ -331,26 +332,47 @@ def test_parity_flux_is_half_nu(case, request):
         assert abs(z8 - exchange_phase_closed(sigma, np.pi, np.pi)) <= 1e-10
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 5]))
+@settings(max_examples=12, deadline=None)
+def test_flux_identities_on_random_gapped_models(seed, N):
+    # a random antisymmetric A is gapped but not topological: its nu is no
+    # integer, so these identities hold as algebra, not by rounding
+    from artifact.models import QuadraticHamiltonian
+    geom = build_disk_lattice("square", 4.0, majorana_count=2)
+    part = make_good_partition(geom.apex)
+    G = np.random.default_rng(seed).standard_normal((geom.dim_K, geom.dim_K))
+    h = QuadraticHamiltonian((G - G.T) / 2, geom, "random", {"seed": seed})
+    P = ground_projection(h, gap_tol=1e-10)
+    nu = chern_number(P, part)
+    ids, _ = core_regions(P, part, 0.7)
+    sigma_parity = hall_sigma(P, parity_charge(P, ids[0], geom),
+                              parity_charge(P, ids[1], geom), part)
+    assert abs(2 * sigma_parity - nu) <= 1e-10
+    sigma_N, _, _ = twist_statistics(ground_projection(stack_copies(h, N), 1e-10), N, part)
+    assert abs(sigma_N - nu * (N**3 - N) / 24) <= 1e-10
+    Pc = BasisProjection(-P.O, P.source, P.gap_used, P.geometry)  # conj(P)
+    assert abs(chern_number(Pc, part) + nu) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # report container
 
 
 def test_report_roundtrip_and_keys():
     rep = IndexReport(nu=1.998, nu_rounded=2, sigma=0.999,
-                      theta=exchange_phase_closed(0.999, np.pi, np.pi),
                       z2=1, z8_phase=complex(np.exp(1j * np.pi / 4)),
                       diagnostics={"radius": 8.0})
     rep.validate()
     blob = json.loads(rep.to_json())
-    assert set(blob) == {"nu", "nu_rounded", "sigma", "theta_re", "theta_im",
-                         "theta_N", "omega_N", "z2", "z8", "diagnostics"}
+    assert set(blob) == {"nu", "nu_rounded", "sigma", "theta_N", "omega_N", "z2", "z8",
+                         "diagnostics"}
     assert blob["z8"]["arg"] == pytest.approx(np.pi / 4)
     assert blob["theta_N"] is None
     assert blob["diagnostics"]["radius"] == 8.0
 
 
 def test_report_rejects_nonunit_phase():
-    rep = IndexReport(theta=1.2 + 0j)
+    rep = IndexReport(theta_N=1.2 + 0j)
     with pytest.raises(ComputationError, match="unit phase"):
         rep.validate()
 

@@ -15,6 +15,7 @@ from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
                       lift_charge, make_good_partition, stack_copies, twist_statistics)
 from artifact.models import QuadraticHamiltonian
+from artifact.symgen import FluxGenerator
 from dense_oracle import dense_basis_projection, dense_ground_projection
 
 _BUILD = {
@@ -36,7 +37,10 @@ def _dressed_pair(P, part, N):
     ids, sgeom = core_regions(P, part, 0.7)
     base = sgeom.with_majorana_count(sgeom.majorana_count // N)
     q = cyclic_charge(N)
-    return [dress_charge(P, lift_charge(q, base, ids[a]), ids[a]) for a in (0, 1)]
+    lifted = [lift_charge(q, base, ids[a]) for a in (0, 1)]
+    if P.copies == 1:  # the dense oracle: expand to the N = 1 generator
+        lifted = [FluxGenerator(g.Qtilde) for g in lifted]
+    return [dress_charge(P, g, ids[a]) for a, g in enumerate(lifted)]
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
