@@ -28,8 +28,7 @@ import numpy as np
 from ._util import ArtifactError, ComputationError, ConfigError
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import (IndexReport, chern_number_with_residual, parity_indices,
-                         twist_statistics)
+from .invariants import IndexReport, chern_number_with_residual, parity_from_nu, twist_from_nu
 from .models import CONVENTION_TAG, build_pip, build_qwz, build_trivial, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
@@ -155,30 +154,25 @@ def compute_report(cfg: dict, task: str) -> IndexReport:
     partition = build_partition(cfg, h.geometry)
     P = ground_projection(h, _gap_tol(cfg))
     cf = float(cfg["numerics"]["core_fraction"])
+    nu, nu_res = chern_number_with_residual(P, partition, cf)
     report = IndexReport(diagnostics={
         "radius": float(cfg["geometry"]["radius"]),
         "copies": copies,
         "gap_used": P.gap_used,
         "core_fraction": cf,
+        "nu_residual": nu_res,
         **P.health,  # edge_gap, zero_modes, projection_residual
     })
+    nu_round_tol = float(cfg["numerics"]["nu_round_tol"])
     if task == "twist":
-        sigma, theta_N, omega_N = twist_statistics(P, copies, partition, cf)
-        report.sigma = sigma
-        report.theta_N = theta_N
-        report.omega_N = omega_N
-        report.validate()
-        return report
-    nu, nu_res = chern_number_with_residual(P, partition, cf)
-    report.nu = nu
-    report.diagnostics["nu_residual"] = nu_res
-    nu_r = int(np.rint(nu))
-    if abs(nu - nu_r) <= float(cfg["numerics"]["nu_round_tol"]):
-        report.nu_rounded = nu_r
+        report.sigma, report.theta_N, report.omega_N = twist_from_nu(nu, copies)
+    else:
+        report.nu = nu
+        nu_r = int(np.rint(nu))
+        if abs(nu - nu_r) <= nu_round_tol:
+            report.nu_rounded = nu_r
     if task == "parity":
-        z2, z8 = parity_indices(P, partition, cf, float(cfg["numerics"]["nu_round_tol"]))
-        report.z2 = z2
-        report.z8_phase = z8
+        report.z2, report.z8_phase = parity_from_nu(nu, nu_round_tol)
     report.validate()
     return report
 

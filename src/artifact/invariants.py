@@ -10,11 +10,14 @@ calibration runs fixing this scheme and its factor.
 
 Computed quantities:
   - chern_number: real-space two-region invariant of a basis projection.
-  - hall_sigma: response coefficient of a pair of dressed flux generators.
+  - twist_statistics / parity_indices: copy-cycling defect statistics on an
+    N-fold stack; (-1)^nu and, for even nu, the order-8 phase. Both are
+    functions of nu alone (twist_from_nu, parity_from_nu), so a report
+    evaluates the triple traces once.
+  - hall_sigma: response of a pair of dressed flux generators; the oracle
+    for the twist and parity responses.
   - exchange_phase_closed / exchange_phase_bch: flux-insertion exchange
     phase, closed form and group-commutator cross-check.
-  - twist_statistics: copy-cycling defect statistics on an N-fold stack.
-  - parity_indices: the (-1)^nu index and, for even nu, the order-8 phase.
   - predicted_free_fermion / cocycle_exponent: exact reference values.
 """
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from ._util import ComputationError, check_memory, spectral_norm_estimate
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
-from .symgen import FluxGenerator, cyclic_charge, dress_charge, lift_charge
+from .symgen import FluxGenerator
 
 #: a commutator trace localized at the triple junction receives equal
 #: contributions from the three cone pairs; anchoring on one core region
@@ -44,8 +47,8 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: unitaries count twice). tracemalloc at block dim 448 and 804: 22.2 to 22.6
-#: on the Mercator-series path, 26.2 when a sector needs the Cayley-transform
+#: unitaries count twice). tracemalloc at block dim 448 and 804: 16.3 to 16.6
+#: on the Mercator-series path, 20.2 when a sector needs the Cayley-transform
 #: eigh
 _BCH_WORKING_ARRAYS = 40
 
@@ -164,20 +167,20 @@ def exchange_phase_closed(sigma: float, alpha0: float, alpha1: float) -> complex
     return complex(np.exp(1j * alpha0 * alpha1 * sigma / (4 * np.pi)))
 
 
-def _log_near_identity(C: np.ndarray, norm_e: float) -> np.ndarray:
-    """Principal logarithm of a unitary with spectrum away from -1.
+def _log_near_identity(E: np.ndarray, norm_e: float) -> np.ndarray:
+    """Principal logarithm of a unitary C = I + E with spectrum away from -1.
 
-    Near the identity, the Mercator series. Otherwise, the Cayley transform
-    K = i(I - C)(I + C)^-1: it is Hermitian, with C's eigenvectors and the
-    eigenvalues kappa = tan(theta/2) for C's e^(i theta), so one eigh gives
-    log C = W diag(2i arctan kappa) W^+. Since |1 + e^(i theta)| =
-    2/sqrt(1 + kappa^2), kappa^2 > 399 is a spectrum within 0.1 of -1.
+    Near the identity, the Mercator series in E. Otherwise, the Cayley
+    transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E: it is Hermitian,
+    with C's eigenvectors and the eigenvalues kappa = tan(theta/2) for C's
+    e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
+    Since |1 + e^(i theta)| = 2/sqrt(1 + kappa^2), kappa^2 > 399 is a
+    spectrum within 0.1 of -1.
     """
     if norm_e < 0.5:
         # Mercator series; spectral radius < 1 guarantees convergence
-        E = C - np.eye(C.shape[0], dtype=complex)
         L = np.zeros_like(E)
-        term = E.copy()
+        term = E
         sign = 1.0
         for k in range(1, 61):
             L += (sign / k) * term
@@ -186,9 +189,11 @@ def _log_near_identity(C: np.ndarray, norm_e: float) -> np.ndarray:
             term = term @ E
             sign = -sign
         return L
-    eye = np.eye(C.shape[0], dtype=complex)
-    K = np.linalg.solve(eye + C, eye - C)
-    K *= 0.5j
+    M = E.copy()
+    M[np.diag_indices_from(M)] += 2.0  # I + C
+    K = np.linalg.solve(M, E)
+    del M
+    K *= -0.5j
     K += K.conj().T  # Hermitized
     kappa, W = np.linalg.eigh(K)
     if float(np.max(kappa**2)) > 399.0:
@@ -225,13 +230,12 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     lam0, V0 = np.linalg.eigh(g0.block)
     lam1, V1 = np.linalg.eigh(g1.block)
     js = np.linalg.eigvalsh(g0.charge)
-    eye = np.eye(V0.shape[0], dtype=complex)
     anchor, phi = None, 0.0
     for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
         U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
         U1 = (V1 * np.exp(1j * alpha1 * j * lam1)) @ V1.conj().T
-        C = U0 @ U1 @ U0.conj().T @ U1.conj().T
-        E = C - eye
+        E = U0 @ U1 @ U0.conj().T @ U1.conj().T
+        E[np.diag_indices_from(E)] -= 1.0  # E = C - I; C itself is never kept
         if float(np.max(np.abs(E))) < 1e-13:
             continue
         norm_e = spectral_norm_estimate(E)
@@ -239,7 +243,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
             # unitary C is normal, so the 2-norm of C - I equals the largest
             # eigenvalue distance from 1; near 2 means spectrum near -1
             raise ComputationError("branch ambiguity; reduce alpha")
-        L = _log_near_identity(C, norm_e)
+        L = _log_near_identity(E, norm_e)
         if anchor is None:
             anchor = _core_indices(P, partition, core_fraction)[2]
             Oa = P.O[anchor, :]
@@ -254,55 +258,57 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
 # stacked-copy twist statistics
 
 
-def twist_statistics(P_stacked: BasisProjection, N: int, partition: ConicalPartition,
-                     core_fraction: float = DEFAULT_CORE_FRACTION):
-    """sigma and the defect phases (theta_N, omega_N) of an N-fold stack.
-
-    The cyclic copy-space charge is lifted onto the cores of the first two
-    cones, dressed by the stacked projection, and fed to hall_sigma; then
-    theta_N = exp(i pi sigma / N^2) and omega_N = theta_N^(2N). A projection
-    that is not kept as an N-copy stack (copies != N) is refused.
-    """
-    q = cyclic_charge(N)
-    ids, geom = core_regions(P_stacked, partition, core_fraction)
-    if P_stacked.copies != N:
-        raise ComputationError("dimension mismatch")
-    base_geom = geom.with_majorana_count(geom.majorana_count // N)
-    g = [dress_charge(P_stacked, lift_charge(q, base_geom, ids[a])) for a in (0, 1)]
-    sigma = hall_sigma(P_stacked, g[0], g[1], partition, core_fraction)
+def twist_from_nu(nu: float, N: int):
+    """sigma and the defect phases (theta_N, omega_N) of an N-fold stack with
+    invariant nu (N times the single copy's). The dressed lifted cyclic
+    charges respond as Tr(q^2) = (N^3 - N)/12 times the parity generators,
+    nu / 2 per copy, so sigma = nu (N^2 - 1)/24; theta_N = exp(i pi sigma /
+    N^2) and omega_N = theta_N^(2N)."""
+    sigma = nu * (N**2 - 1) / 24
     theta_N = complex(np.exp(1j * np.pi * sigma / N**2))
     omega_N = complex(np.exp(2j * np.pi * sigma / N))
     return sigma, theta_N, omega_N
+
+
+def twist_statistics(P_stacked: BasisProjection, N: int, partition: ConicalPartition,
+                     core_fraction: float = DEFAULT_CORE_FRACTION):
+    """twist_from_nu of an N-copy stack's chern_number. hall_sigma of the
+    dressed lifted cyclic charges (symgen) is the test oracle for it. A
+    projection not kept as an N-copy stack (copies != N) is refused."""
+    if P_stacked.copies != N:
+        raise ComputationError("dimension mismatch")
+    return twist_from_nu(chern_number(P_stacked, partition, core_fraction), N)
 
 
 # ---------------------------------------------------------------------------
 # parity-flux indices
 
 
-def parity_indices(P: BasisProjection, partition: ConicalPartition,
-                   core_fraction: float = DEFAULT_CORE_FRACTION,
-                   nu_round_tol: float = DEFAULT_NU_ROUND_TOL):
-    """((-1)^nu, order-8 phase) from the rounded invariant and parity fluxes.
-
-    The parity-flux response is nu / 2 identically. The parity generators
-    Qa = Pi_a - Pi_a P - P Pi_a (symgen.parity_charge) satisfy
-    P Q0 Q1 = P Pi_0 P Pi_1 P when P^2 = P, so hall_sigma of the pair,
-    anchored on the third core, is 6 pi i (T_012 - T_021): half the triple
-    traces of chern_number. The order-8 phase is therefore the closed-form
-    exchange phase at sigma = nu / 2 and flux angles pi, pi; the dense
-    generators serve only as the test oracle for this identity.
-
-    The order-8 phase is only defined on the even-nu branch; odd nu returns
-    None there. A projection whose invariant does not round within
-    nu_round_tol is refused rather than silently rounded.
-    """
-    nu = chern_number(P, partition, core_fraction)
+def parity_from_nu(nu: float, nu_round_tol: float):
+    """((-1)^nu, order-8 phase) of the invariant nu. The phase is only defined
+    on the even-nu branch; odd nu returns None there. An invariant that does
+    not round within nu_round_tol is refused rather than silently rounded."""
     nu_r = int(np.rint(nu))
     if abs(nu - nu_r) > nu_round_tol:
         raise ComputationError("unconverged")
     if nu_r % 2:
         return -1, None
     return 1, exchange_phase_closed(nu / 2, np.pi, np.pi)
+
+
+def parity_indices(P: BasisProjection, partition: ConicalPartition,
+                   core_fraction: float = DEFAULT_CORE_FRACTION,
+                   nu_round_tol: float = DEFAULT_NU_ROUND_TOL):
+    """parity_from_nu of chern_number: the parity-flux response is nu / 2.
+
+    The parity generators Qa = Pi_a - Pi_a P - P Pi_a (symgen.parity_charge)
+    satisfy P Q0 Q1 = P Pi_0 P Pi_1 P when P^2 = P, so hall_sigma of the
+    pair, anchored on the third core, is 6 pi i (T_012 - T_021): half the
+    triple traces of chern_number. The order-8 phase is the closed-form
+    exchange phase at sigma = nu / 2 and flux angles pi, pi; the dense
+    generators serve only as the test oracle for this identity.
+    """
+    return parity_from_nu(chern_number(P, partition, core_fraction), nu_round_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,31 @@ def test_trivial_twist_run(tmp_path, capsys):
     assert blob["config"]["copies"] == 3
 
 
+@pytest.mark.parametrize("argv", [["chern", "--radius", "6"], ["parity", "--radius", "6"],
+                                  ["twist", "--copies", "3", "--radius", "4"]])
+def test_report_evaluates_the_triple_traces_once(argv, capsys, monkeypatch):
+    # every index of a report derives from one nu, i.e. one t_012 and one
+    # t_021; the twist needs no lifted, dressed or traced flux generators
+    from artifact import invariants, symgen
+    calls = []
+    triple_trace = invariants._triple_trace
+
+    def counted(*args):
+        calls.append(args)
+        return triple_trace(*args)
+
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("a report reached the flux-generator oracle")
+
+    monkeypatch.setattr(invariants, "_triple_trace", counted)
+    monkeypatch.setattr(symgen, "dress_charge", oracle_only)
+    monkeypatch.setattr(symgen, "lift_charge", oracle_only)
+    monkeypatch.setattr(invariants, "hall_sigma_with_residual", oracle_only)
+    assert main(argv) == 0
+    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["indices"]["diagnostics"]["nu_residual"] <= 1e-12
+
+
 def test_report_carries_projection_health(capsys):
     assert main(["chern", "--radius", "6"]) == 0
     diag = json.loads(capsys.readouterr().out)["indices"]["diagnostics"]

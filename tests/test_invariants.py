@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
                       build_disk_lattice, build_pip, build_qwz, build_trivial, chern_number,
                       chern_number_with_residual, cocycle_exponent, core_regions,
-                      exchange_phase_bch, exchange_phase_closed, ground_projection,
-                      hall_sigma, make_good_partition, parity_charge, parity_indices,
+                      cyclic_charge, dress_charge, exchange_phase_bch,
+                      exchange_phase_closed, ground_projection, hall_sigma, lift_charge,
+                      make_good_partition, parity_charge, parity_indices,
                       predicted_free_fermion, stack_copies, twist_statistics)
 from artifact import _util
 from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
@@ -231,7 +232,7 @@ def test_log_far_from_identity_uses_the_general_logarithm():
     C = (V * np.exp(1j * w)) @ V.conj().T
     norm_e = float(np.linalg.norm(C - np.eye(12), 2))
     assert norm_e >= 0.5
-    assert float(np.max(np.abs(_log_near_identity(C, norm_e) - 1j * X))) <= 1e-10
+    assert float(np.max(np.abs(_log_near_identity(C - np.eye(12), norm_e) - 1j * X))) <= 1e-10
 
 
 def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):
@@ -348,10 +349,44 @@ def test_flux_identities_on_random_gapped_models(seed, N):
     sigma_parity = hall_sigma(P, parity_charge(P, ids[0], geom),
                               parity_charge(P, ids[1], geom), part)
     assert abs(2 * sigma_parity - nu) <= 1e-10
-    sigma_N, _, _ = twist_statistics(ground_projection(stack_copies(h, N), 1e-10), N, part)
+    P_N = ground_projection(stack_copies(h, N), 1e-10)
+    sigma_N, _, _ = twist_statistics(P_N, N, part)
     assert abs(sigma_N - nu * (N**3 - N) / 24) <= 1e-10
+    # twist_statistics is that identity; the dressed cyclic charges are its oracle
+    g0, g1 = (dress_charge(P_N, lift_charge(cyclic_charge(N), geom, ids[a])) for a in (0, 1))
+    assert abs(sigma_N - hall_sigma(P_N, g0, g1, part)) <= 1e-10
     Pc = BasisProjection(-P.O, P.source, P.gap_used, P.geometry)  # conj(P)
     assert abs(chern_number(Pc, part) + nu) <= 1e-10
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 4]))
+@settings(max_examples=12, deadline=None)
+def test_nu_under_rotation_and_mirror_on_random_gapped_models(seed, majoranas):
+    # moving the sites, the apex and the boundary angles together by a
+    # quarter turn keeps nu; the mirror x -> -x reverses orientation and
+    # flips it. A random A makes nu no integer, so both hold as algebra
+    from artifact.models import QuadraticHamiltonian
+    (x, y), angles = DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
+    geom = build_disk_lattice("square", 4.0, (x, y), majorana_count=majoranas)
+    G = np.random.default_rng(seed).standard_normal((geom.dim_K, geom.dim_K))
+    ids = {(s.x, s.y): s.id for s in geom.sites}
+
+    def nu(apex, boundary_angles, preimage):
+        # the same A on the moved disk: its site (x, y) is the original site
+        # preimage(x, y), with that site's Majorana modes in order
+        g = build_disk_lattice("square", 4.0, apex, majorana_count=majoranas)
+        sites = np.array([ids[preimage(s.x, s.y)] for s in g.sites])
+        fiber = (sites[:, None] * majoranas + np.arange(majoranas)).ravel()
+        A = (G - G.T)[np.ix_(fiber, fiber)] / 2
+        P = ground_projection(QuadraticHamiltonian(A, g, "random", {"seed": seed}), 1e-10)
+        return chern_number(P, make_good_partition(g.apex, boundary_angles))
+
+    nu0 = nu((x, y), angles, lambda u, v: (u, v))
+    turned = nu((-y, x), tuple(a + np.pi / 2 for a in angles), lambda u, v: (v, -u))
+    mirrored = nu((-x, y), tuple(sorted((np.pi - a) % (2 * np.pi) for a in angles)),
+                  lambda u, v: (-u, v))
+    assert abs(turned - nu0) <= 1e-10
+    assert abs(mirrored + nu0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,13 @@ def test_factored_traces_match_dense_generators(stack):
 
 
 def test_twist_sigma_is_nu_times_copy_factor(stack):
-    h, N, gap_tol, part, P, _ = stack
+    h, N, gap_tol, part, P, dense = stack
     nu = chern_number(ground_projection(h, gap_tol), part)
     sigma, _, _ = twist_statistics(P, N, part)
     assert abs(sigma - nu * (N**3 - N) / 24) <= 1e-10
+    # twist_statistics is that identity; the dressed cyclic charges are its oracle
+    for proj in (P, dense):
+        assert abs(sigma - hall_sigma(proj, *_dressed_pair(proj, part, N), part)) <= 1e-10
 
 
 def test_stack_health_counts_every_copy():
