@@ -1,7 +1,5 @@
-"""Shared error types and small numeric helpers."""
+"""Shared error types and the memory guard."""
 from __future__ import annotations
-
-import numpy as np
 
 
 class ArtifactError(Exception):
@@ -56,25 +54,3 @@ def check_memory(dim: int, arrays: int = _WORKING_ARRAYS, stage: str = "projecti
     if avail is not None and need > avail:
         raise ComputationError(f"{stage} needs ~{need / 1e9:.2g} GB, "
                                f"{avail / 1e9:.2g} GB available")
-
-
-def spectral_norm_estimate(M: np.ndarray, iters: int = 25, seed: int = 0) -> float:
-    """Power-iteration estimate of the 2-norm, used to certify series convergence.
-
-    Deterministic (fixed-seed start vector); returns a 1% overestimate so the
-    caller errs on the safe side.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = M.conj().T @ (w / nw)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-    return 1.01 * float(np.linalg.norm(M @ v))

@@ -17,11 +17,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -241,6 +239,9 @@ def _map_in_workers(fn, jobs: int, *iterables) -> list:
     top of them oversubscribe. OpenBLAS reads OPENBLAS_NUM_THREADS once, when
     numpy loads it, so the workers are spawned fresh with the variable in
     their environment; this process's own value is restored afterwards."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -282,95 +283,81 @@ def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
 # self-tests
 
 
-def _fail_counterexample(prop: str, detail: dict) -> int:
-    sys.stderr.write(json.dumps({"property": prop, "counterexample": detail},
-                                sort_keys=True, default=str) + "\n")
-    return 1
-
-
-def selftest_wick(seed: int, trials: int) -> int:
+def run_selftest(checks, seed: int, trials: int) -> int:
+    """Run `trials` trials of a property suite. `checks(rng)` draws one
+    trial's inputs from rng and yields (property, ok, detail) per property;
+    the first failure is written to stderr as JSON, with its seed and trial
+    added to the detail, and exits 1. Otherwise each property's pass count
+    is printed."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    counts = {"pfaffian_vs_sum": 0, "odd_moments": 0, "pair_formula": 0,
-              "car_anticommutator": 0}
+    passed = set()
     for trial in range(trials):
-        dim = int(rng.choice([4, 6, 8, 10, 12]))
-        S = random_covariance(dim, rng)
-        n_vec = int(rng.choice([2, 4, 6, 8]))
-        vs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-              for _ in range(n_vec)]
-        w = wick_expectation(S, vs)
-        p = pfaffian_expectation(S, vs)
-        if abs(w - p) > 1e-10:
-            return _fail_counterexample("pfaffian_vs_sum",
-                                        {"seed": seed, "trial": trial, "dim": dim,
-                                         "n_vectors": n_vec, "wick": w, "pfaffian": p})
-        counts["pfaffian_vs_sum"] += 1
-        odd = wick_expectation(S, vs[:n_vec - 1])  # n_vec - 1 is odd
-        if odd != 0:
-            return _fail_counterexample("odd_moments",
-                                        {"seed": seed, "trial": trial, "dim": dim,
-                                         "value": odd})
-        counts["odd_moments"] += 1
-        f, g = vs[0], vs[1]
-        if abs(wick_expectation(S, [f, g]) - f @ S.matrix @ g) > 1e-12:
-            return _fail_counterexample("pair_formula",
-                                        {"seed": seed, "trial": trial, "dim": dim})
-        counts["pair_formula"] += 1
-        car = wick_expectation(S, [f, g]) + wick_expectation(S, [g, f]) - f @ g
-        if abs(car) > 1e-12 * max(1.0, float(np.abs(f @ g))):
-            return _fail_counterexample("car_anticommutator",
-                                        {"seed": seed, "trial": trial, "dim": dim,
-                                         "residual": abs(car)})
-        counts["car_anticommutator"] += 1
-    for prop, n in sorted(counts.items()):
-        print(f"{prop}: {n}/{trials} passed")
+        for prop, ok, detail in checks(rng):
+            if not ok:
+                sys.stderr.write(json.dumps(
+                    {"property": prop,
+                     "counterexample": {"seed": seed, "trial": trial, **detail}},
+                    sort_keys=True, default=str) + "\n")
+                return 1
+            passed.add(prop)
+    for prop in sorted(passed):
+        print(f"{prop}: {trials}/{trials} passed")
     return 0
 
 
-def selftest_algebraic(seed: int, trials: int) -> int:
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = {"parity_commutes": 0, "dress_commutes": 0, "dress_fixed_point": 0,
-              "flux_group_law": 0, "charge_spectrum": 0}
-    for trial in range(trials):
-        dim = int(rng.choice([8, 10, 12, 14, 16]))
-        P = random_covariance(dim, rng)
-        Pm = P.matrix
-        T = np.eye(dim) - 2 * Pm
-        mask = (rng.random(dim) < 0.5).astype(float)
-        Pi = np.diag(mask)
-        Qt = (Pi @ T + T @ Pi) / 2
-        if float(np.max(np.abs(Pm @ Qt - Qt @ Pm))) > 1e-12:
-            return _fail_counterexample("parity_commutes", {"seed": seed, "trial": trial})
-        counts["parity_commutes"] += 1
-        Q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        Q = (Q + Q.conj().T) / 2
-        g = dress_charge(P, FluxGenerator(Q))
-        if float(np.max(np.abs(Pm @ g.Qtilde - g.Qtilde @ Pm))) > 1e-12:
-            return _fail_counterexample("dress_commutes", {"seed": seed, "trial": trial})
-        counts["dress_commutes"] += 1
-        Qc = Pm @ Q @ Pm + (np.eye(dim) - Pm) @ Q @ (np.eye(dim) - Pm)
-        Qc = (Qc + Qc.conj().T) / 2
-        if float(np.max(np.abs(dress_charge(P, FluxGenerator(Qc)).Qtilde - Qc))) > 1e-12:
-            return _fail_counterexample("dress_fixed_point", {"seed": seed, "trial": trial})
-        counts["dress_fixed_point"] += 1
-        a, b = rng.uniform(-1, 1, size=2)
-        Uab = flux_unitary(g, a) @ flux_unitary(g, b)
-        if float(np.max(np.abs(Uab - flux_unitary(g, a + b)))) > 1e-10:
-            return _fail_counterexample("flux_group_law", {"seed": seed, "trial": trial})
-        counts["flux_group_law"] += 1
-        N = int(rng.choice([1, 3, 5, 7]))
-        ev = np.sort(np.linalg.eigvalsh(cyclic_charge(N)))
-        want = np.arange(-(N - 1) // 2, (N - 1) // 2 + 1)
-        if not np.allclose(ev, want, atol=1e-10):
-            return _fail_counterexample("charge_spectrum", {"seed": seed, "trial": trial, "N": N})
-        counts["charge_spectrum"] += 1
-    for prop, n in sorted(counts.items()):
-        print(f"{prop}: {n}/{trials} passed")
-    return 0
+def _wick_checks(rng):
+    """Wick's theorem against the Pfaffian on a random covariance."""
+    dim = int(rng.choice([4, 6, 8, 10, 12]))
+    S = random_covariance(dim, rng)
+    n_vec = int(rng.choice([2, 4, 6, 8]))
+    vs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+          for _ in range(n_vec)]
+    w = wick_expectation(S, vs)
+    p = pfaffian_expectation(S, vs)
+    yield ("pfaffian_vs_sum", abs(w - p) <= 1e-10,
+           {"dim": dim, "n_vectors": n_vec, "wick": w, "pfaffian": p})
+    odd = wick_expectation(S, vs[:n_vec - 1])  # n_vec - 1 is odd
+    yield "odd_moments", odd == 0, {"dim": dim, "value": odd}
+    f, g = vs[0], vs[1]
+    yield ("pair_formula", abs(wick_expectation(S, [f, g]) - f @ S.matrix @ g) <= 1e-12,
+           {"dim": dim})
+    car = wick_expectation(S, [f, g]) + wick_expectation(S, [g, f]) - f @ g
+    yield ("car_anticommutator", abs(car) <= 1e-12 * max(1.0, float(np.abs(f @ g))),
+           {"dim": dim, "residual": abs(car)})
+
+
+def _algebraic_checks(rng):
+    """Dressing, flux and charge identities on a random covariance."""
+    dim = int(rng.choice([8, 10, 12, 14, 16]))
+    P = random_covariance(dim, rng)
+    Pm = P.matrix
+    T = np.eye(dim) - 2 * Pm
+    mask = (rng.random(dim) < 0.5).astype(float)
+    Pi = np.diag(mask)
+    Qt = (Pi @ T + T @ Pi) / 2
+    yield "parity_commutes", float(np.max(np.abs(Pm @ Qt - Qt @ Pm))) <= 1e-12, {}
+    Q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Q = (Q + Q.conj().T) / 2
+    g = dress_charge(P, FluxGenerator(Q))
+    yield ("dress_commutes",
+           float(np.max(np.abs(Pm @ g.Qtilde - g.Qtilde @ Pm))) <= 1e-12, {})
+    Qc = Pm @ Q @ Pm + (np.eye(dim) - Pm) @ Q @ (np.eye(dim) - Pm)
+    Qc = (Qc + Qc.conj().T) / 2
+    yield ("dress_fixed_point",
+           float(np.max(np.abs(dress_charge(P, FluxGenerator(Qc)).Qtilde - Qc))) <= 1e-12, {})
+    a, b = rng.uniform(-1, 1, size=2)
+    Uab = flux_unitary(g, a) @ flux_unitary(g, b)
+    yield ("flux_group_law",
+           float(np.max(np.abs(Uab - flux_unitary(g, a + b)))) <= 1e-10, {})
+    N = int(rng.choice([1, 3, 5, 7]))
+    ev = np.sort(np.linalg.eigvalsh(cyclic_charge(N)))
+    want = np.arange(-(N - 1) // 2, (N - 1) // 2 + 1)
+    yield "charge_spectrum", np.allclose(ev, want, atol=1e-10), {"N": N}
+
+
+_SELFTESTS = {"wick": _wick_checks, "algebraic": _algebraic_checks}
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +410,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             seed = args.seed if args.seed is not None else 42
-            if args.kind == "wick":
-                return selftest_wick(seed, args.trials)
-            return selftest_algebraic(seed, args.trials)
+            return run_selftest(_SELFTESTS[args.kind], seed, args.trials)
         cfg = _resolve(args)
         if args.command in ("chern", "parity", "twist"):
             return run(cfg, args.command, args.out)

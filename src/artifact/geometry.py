@@ -65,13 +65,6 @@ class LatticeGeometry:
     def with_majorana_count(self, mc: int) -> "LatticeGeometry":
         return LatticeGeometry(self.sites, mc, self.apex, self.radius)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sites": [{"id": s.id, "x": s.x, "y": s.y} for s in self.sites],
-            "majorana_count": self.majorana_count,
-            "apex": [self.apex[0], self.apex[1]],
-        }
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -161,26 +154,23 @@ def _dist_to_halfline(dx: float, dy: float, theta: float) -> float:
     return float(abs(-dx * s + dy * c))
 
 
-def cone_membership(cone: Cone, point: tuple[float, float],
-                    eps_generic: float = EPS_GENERIC) -> bool:
+def cone_membership(cone: Cone, point: tuple[float, float]) -> bool:
     """True iff the point's direction from the cone apex lies in the open sector.
 
-    Raises "non-generic site" if the point is within eps_generic of either
+    Raises "non-generic site" if the point is within EPS_GENERIC of either
     boundary half-line (membership would depend on rounding).
     """
     dx, dy = point[0] - cone.apex[0], point[1] - cone.apex[1]
     if dx == 0.0 and dy == 0.0:
         raise ComputationError("non-generic site")
     for theta in (cone.angle_lo, cone.angle_hi):
-        if _dist_to_halfline(dx, dy, theta) < eps_generic:
+        if _dist_to_halfline(dx, dy, theta) < EPS_GENERIC:
             raise ComputationError("non-generic site")
     return _angle_in(float(np.arctan2(dy, dx)), cone.angle_lo, cone.angle_hi)
 
 
-def cone_site_ids(cone: Cone, geometry: LatticeGeometry,
-                  eps_generic: float = EPS_GENERIC) -> list[int]:
-    return [s.id for s in geometry.sites
-            if cone_membership(cone, (s.x, s.y), eps_generic)]
+def cone_site_ids(cone: Cone, geometry: LatticeGeometry) -> list[int]:
+    return [s.id for s in geometry.sites if cone_membership(cone, (s.x, s.y))]
 
 
 def region_mask(region, geometry: LatticeGeometry) -> np.ndarray:

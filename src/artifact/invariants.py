@@ -22,14 +22,13 @@ Computed quantities:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from ._util import ComputationError, check_memory, spectral_norm_estimate
+from ._util import ComputationError, check_memory
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
 from .symgen import FluxGenerator
@@ -47,9 +46,8 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: unitaries count twice). tracemalloc at block dim 448 and 804: 16.3 to 16.6
-#: on the Mercator-series path, 20.2 when a sector needs the Cayley-transform
-#: eigh
+#: unitaries count twice). tracemalloc at block dim 448 and 804: 16.2 on both
+#: the Mercator-series and the Cayley-transform paths
 _BCH_WORKING_ARRAYS = 40
 
 
@@ -167,18 +165,20 @@ def exchange_phase_closed(sigma: float, alpha0: float, alpha1: float) -> complex
     return complex(np.exp(1j * alpha0 * alpha1 * sigma / (4 * np.pi)))
 
 
-def _log_near_identity(E: np.ndarray, norm_e: float) -> np.ndarray:
-    """Principal logarithm of a unitary C = I + E with spectrum away from -1.
+def _log_near_identity(E: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a unitary C = I + E, refused near the branch
+    cut at -1.
 
-    Near the identity, the Mercator series in E. Otherwise, the Cayley
-    transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E: it is Hermitian,
-    with C's eigenvectors and the eigenvalues kappa = tan(theta/2) for C's
-    e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
-    Since |1 + e^(i theta)| = 2/sqrt(1 + kappa^2), kappa^2 > 399 is a
-    spectrum within 0.1 of -1.
+    While |E|_F < 0.5, a bound on |E|_2, the Mercator series in E converges.
+    Otherwise the Cayley transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E:
+    it is Hermitian, with C's eigenvectors and the eigenvalues
+    kappa = tan(theta/2) for C's e^(i theta), so one eigh gives
+    log C = W diag(2i arctan kappa) W^+. C is normal, so
+    |C - I|_2 = max |e^(i theta) - 1| = max 2|kappa|/sqrt(1 + kappa^2) exactly.
+    A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within 0.68 of -1),
+    is a branch ambiguity.
     """
-    if norm_e < 0.5:
-        # Mercator series; spectral radius < 1 guarantees convergence
+    if float(np.linalg.norm(E)) < 0.5:
         L = np.zeros_like(E)
         term = E
         sign = 1.0
@@ -191,12 +191,15 @@ def _log_near_identity(E: np.ndarray, norm_e: float) -> np.ndarray:
         return L
     M = E.copy()
     M[np.diag_indices_from(M)] += 2.0  # I + C
-    K = np.linalg.solve(M, E)
+    try:
+        K = np.linalg.solve(M, E)
+    except np.linalg.LinAlgError:
+        raise ComputationError("branch ambiguity; reduce alpha") from None
     del M
     K *= -0.5j
     K += K.conj().T  # Hermitized
     kappa, W = np.linalg.eigh(K)
-    if float(np.max(kappa**2)) > 399.0:
+    if float(np.max(2.0 * np.abs(kappa) / np.hypot(1.0, kappa))) >= 1.88:
         raise ComputationError("branch ambiguity; reduce alpha")
     return (W * (2j * np.arctan(kappa))) @ W.conj().T
 
@@ -235,15 +238,11 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
         U1 = (V1 * np.exp(1j * alpha1 * j * lam1)) @ V1.conj().T
         E = U0 @ U1 @ U0.conj().T @ U1.conj().T
+        del U0, U1
         E[np.diag_indices_from(E)] -= 1.0  # E = C - I; C itself is never kept
         if float(np.max(np.abs(E))) < 1e-13:
             continue
-        norm_e = spectral_norm_estimate(E)
-        if norm_e >= 1.9:
-            # unitary C is normal, so the 2-norm of C - I equals the largest
-            # eigenvalue distance from 1; near 2 means spectrum near -1
-            raise ComputationError("branch ambiguity; reduce alpha")
-        L = _log_near_identity(E, norm_e)
+        L = _log_near_identity(E)
         if anchor is None:
             anchor = _core_indices(P, partition, core_fraction)[2]
             Oa = P.O[anchor, :]
@@ -422,6 +421,3 @@ class IndexReport:
             "z8": phase(self.z8_phase),
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -233,8 +233,9 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
-    """Momentum-space Chern number of the negative-energy bands via the
-    lattice plaquette field-strength algorithm; exact integer output.
+    """Momentum-space Chern number of the negative-energy band via the
+    lattice plaquette field-strength algorithm; exact integer output. Both
+    families' Bloch matrices are 2x2 with one occupied band.
 
     Orientation is the package convention anchor: qwz at u = 1 returns +1.
     """
@@ -243,20 +244,17 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     H = _bloch(family_tag, parameters, kgrid)
     ev, V = np.linalg.eigh(H)
     _check_gapped(family_tag, parameters, ev)
-    nocc = H.shape[-1] // 2
-    V = V[..., :nocc]
-    ip = np.roll(np.arange(kgrid), -1)
+    v = V[..., 0]
+    vx = np.roll(v, -1, axis=0)
+    vy = np.roll(v, -1, axis=1)
+    vxy = np.roll(vx, -1, axis=1)
+
+    def link(va, vb):
+        return np.einsum('ija,ija->ij', va.conj(), vb)
+
     # plaquette link product around each square, counterclockwise
-    def link(Va, Vb):
-        ov = np.einsum('ijal,ijam->ijlm', Va.conj(), Vb)
-        if nocc == 1:
-            return ov[:, :, 0, 0]
-        return np.linalg.det(ov)
-    u1 = link(V, V[ip, :])
-    u2 = link(V[ip, :], V[ip][:, ip])
-    u3 = link(V[ip][:, ip], V[:, ip])
-    u4 = link(V[:, ip], V)
-    total = float(np.sum(np.angle(u1 * u2 * u3 * u4))) / (2 * np.pi)
+    u = link(v, vx) * link(vx, vxy) * link(vxy, vy) * link(vy, v)
+    total = float(np.sum(np.angle(u))) / (2 * np.pi)
     c = int(np.rint(total))
     if abs(total - c) > 1e-6:
         raise ComputationError("gapless parameters")

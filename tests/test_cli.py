@@ -201,13 +201,14 @@ def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
     assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
 
 
-def _run_listing_scipy(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that then prints the scipy modules it
-    loaded to stderr and exits with the code's `rc`."""
+def _run_listing(code: str, roots=("scipy",)) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that then prints the modules it
+    loaded under the packages `roots` to stderr and exits with the code's `rc`."""
     import artifact
 
     src = str(Path(artifact.__file__).resolve().parents[1])
-    code += ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    code += (f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r}),"
+             " file=sys.stderr)\n"
              "sys.exit(rc)\n")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -217,8 +218,18 @@ def _run_listing_scipy(code: str) -> subprocess.CompletedProcess:
 def test_chern_run_leaves_scipy_unloaded():
     # scipy.linalg is imported only on the exact-zero branch of the
     # projection, so a plain run pays no scipy start-up
-    proc = _run_listing_scipy("import sys, artifact.cli\n"
-                              "rc = artifact.cli.main(['chern', '--radius', '6'])\n")
+    proc = _run_listing("import sys, artifact.cli\n"
+                        "rc = artifact.cli.main(['chern', '--radius', '6'])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
+    assert proc.stderr.strip() == "[]"
+
+
+def test_chern_run_leaves_the_process_pool_unloaded():
+    # multiprocessing and concurrent.futures serve only `sweep --jobs N > 1`
+    proc = _run_listing("import sys, artifact.cli\n"
+                        "rc = artifact.cli.main(['chern', '--radius', '6'])\n",
+                        roots=("multiprocessing", "concurrent"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
     assert proc.stderr.strip() == "[]"
@@ -227,7 +238,7 @@ def test_chern_run_leaves_scipy_unloaded():
 def test_far_flux_commutator_leaves_scipy_unloaded():
     # alpha 2.5 on the qwz radius-6 three-copy stack gives |C - I| = 0.63,
     # past the Mercator series: the general logarithm needs no scipy either
-    proc = _run_listing_scipy(
+    proc = _run_listing(
         "import sys\n"
         "import artifact as a\n"
         "geom = a.build_disk_lattice('square', 6.0, majorana_count=4)\n"
@@ -366,6 +377,20 @@ def test_selftest_algebraic_passes(capsys):
     out = capsys.readouterr().out
     assert "dress_commutes: 3/3 passed" in out
     assert "flux_group_law: 3/3 passed" in out
+
+
+def test_selftest_failure_exits_one_with_counterexample(capsys, monkeypatch):
+    import artifact.cli as cli
+
+    monkeypatch.setattr(cli, "pfaffian_expectation", lambda S, vs: 1e3)
+    assert main(["selftest", "wick", "--trials", "5", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["property"] == "pfaffian_vs_sum"
+    assert report["counterexample"]["seed"] == 7
+    assert report["counterexample"]["trial"] == 0
+    assert report["counterexample"]["pfaffian"] == 1e3
 
 
 def test_selftest_rejects_zero_trials(capsys):

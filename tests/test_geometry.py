@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -49,14 +48,6 @@ def test_site_ids_contiguous_and_dim():
     geom = build_disk_lattice("square", 5.0, majorana_count=4)
     assert [s.id for s in geom.sites] == list(range(len(geom.sites)))
     assert geom.dim_K == 4 * len(geom.sites)
-
-
-def test_geometry_json_roundtrip():
-    geom = build_disk_lattice("square", 4.5, majorana_count=2)
-    doc = json.loads(json.dumps(geom.to_json_dict()))
-    assert doc["majorana_count"] == 2
-    assert len(doc["sites"]) == len(geom.sites)
-    assert tuple(doc["apex"]) == geom.apex
 
 
 def test_good_partition_covers_all_sites():

@@ -232,7 +232,53 @@ def test_log_far_from_identity_uses_the_general_logarithm():
     C = (V * np.exp(1j * w)) @ V.conj().T
     norm_e = float(np.linalg.norm(C - np.eye(12), 2))
     assert norm_e >= 0.5
-    assert float(np.max(np.abs(_log_near_identity(C - np.eye(12), norm_e) - 1j * X))) <= 1e-10
+    assert float(np.max(np.abs(_log_near_identity(C - np.eye(12)) - 1j * X))) <= 1e-10
+
+
+def _exp_i(thetas, seed=3):
+    """Hermitian X with eigenvalues thetas in a random basis, and C = exp(iX)."""
+    rng = np.random.default_rng(seed)
+    n = len(thetas)
+    V = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    X = (V * np.asarray(thetas)) @ V.conj().T
+    return X, (V * np.exp(1j * np.asarray(thetas))) @ V.conj().T
+
+
+@pytest.mark.parametrize("dist, refused", [(1.87, False), (1.89, True)])
+def test_log_branch_rule_is_exact_at_its_threshold(dist, refused):
+    # one eigenvalue at |e^(i theta) - 1| = dist, just inside or outside the
+    # refusal radius 1.88 of |C - I|_2
+    X, C = _exp_i([2 * np.arcsin(dist / 2), 0.3, -0.2, 0.1, 0.0, -0.4])
+    E = C - np.eye(6)
+    if refused:
+        with pytest.raises(ComputationError, match="branch ambiguity"):
+            _log_near_identity(E)
+    else:
+        assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-10
+
+
+def test_log_refuses_a_singular_cayley_denominator():
+    # C = -I exactly: I + C is singular and the solve itself fails
+    with pytest.raises(ComputationError, match="branch ambiguity"):
+        _log_near_identity(-2.0 * np.eye(4, dtype=complex))
+
+
+def test_log_frobenius_rule_sends_small_spectral_norm_to_cayley(monkeypatch):
+    # |E|_2 < 0.5 <= |E|_F: the series would converge, but only the Frobenius
+    # bound is checked, so the Cayley-transform eigh runs and is exact too
+    X, C = _exp_i(0.4 * np.linspace(-1.0, 1.0, 12))
+    E = C - np.eye(12)
+    assert float(np.linalg.norm(E, 2)) < 0.5 <= float(np.linalg.norm(E))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-10
+    assert calls == [(12, 12)]
 
 
 def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):
@@ -398,7 +444,7 @@ def test_report_roundtrip_and_keys():
                       z2=1, z8_phase=complex(np.exp(1j * np.pi / 4)),
                       diagnostics={"radius": 8.0})
     rep.validate()
-    blob = json.loads(rep.to_json())
+    blob = json.loads(json.dumps(rep.to_json_dict()))
     assert set(blob) == {"nu", "nu_rounded", "sigma", "theta_N", "omega_N", "z2", "z8",
                          "diagnostics"}
     assert blob["z8"]["arg"] == pytest.approx(np.pi / 4)
