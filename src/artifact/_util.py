@@ -1,5 +1,8 @@
-"""Shared error types and the memory guard."""
+"""Shared error types, the memory guard and the row envelope of a local
+matrix."""
 from __future__ import annotations
+
+import numpy as np
 
 
 class ArtifactError(Exception):
@@ -37,11 +40,13 @@ def available_memory() -> int | None:
     return min(avail) if avail else None
 
 
-#: dim x dim float64 arrays ground_projection holds at its peak, A included:
-#: A, A^T A, LAPACK's copy of it, its eigh workspace (two) and the
-#: eigenvectors; the peak RSS above A measured at dim 1816 and 3216 is 5.1 to
-#: 5.2, so 6.2 with A. The model build stays below it (3.0 by tracemalloc,
-#: pinned by a test)
+#: dim x dim float64 arrays ground_projection holds at its peak, A included.
+#: During the eigh: A, A^T A, LAPACK's copy of it and its workspace, and the
+#: eigenvectors V. After it: A, V, G = V w^(-1/4) (the modes outside the
+#: window) and F = G G^T, then A, V, F and O = A F. The peak RSS above A
+#: measured at dim 1816 and 3216 is 5.1 to 5.2, so 6.2 with A; tracemalloc,
+#: which does not see LAPACK's buffers, measures 3.0 above A. Tests pin the
+#: traced peaks of the projection and of the model build (2.3) below it
 _WORKING_ARRAYS = 7
 
 
@@ -54,3 +59,22 @@ def check_memory(dim: int, arrays: int = _WORKING_ARRAYS, stage: str = "projecti
     if avail is not None and need > avail:
         raise ComputationError(f"{stage} needs ~{need / 1e9:.2g} GB, "
                                f"{avail / 1e9:.2g} GB available")
+
+
+#: rows per block of row_envelope: few enough that a block's columns stay
+#: near a stencil's width, enough for a block product to run at gemm speed
+_ENVELOPE_ROWS = 128
+
+
+def row_envelope(A: np.ndarray):
+    """Blocks of consecutive rows of A with the columns their nonzero entries
+    span: yields (r0, r1, c0, c1) such that A[r0:r1] is exactly zero outside
+    columns c0:c1 (c0 == c1 for a block of zero rows). The envelope is read
+    from A's entries, one boolean pass over the block, never assumed from a
+    geometry, so a far coupling widens its block and a dense A gives full
+    blocks."""
+    for r0 in range(0, A.shape[0], _ENVELOPE_ROWS):
+        r1 = min(r0 + _ENVELOPE_ROWS, A.shape[0])
+        cols = np.flatnonzero((A[r0:r1] != 0).any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        yield r0, r1, c0, c1

@@ -159,6 +159,7 @@ def compute_report(cfg: dict, task: str) -> IndexReport:
         "gap_used": P.gap_used,
         "core_fraction": cf,
         "nu_residual": nu_res,
+        "bulk_gap": h.bulk_gap,
         **P.health,  # edge_gap, zero_modes, projection_residual
     })
     nu_round_tol = float(cfg["numerics"]["nu_round_tol"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, check_memory
+from ._util import ComputationError, ConfigError, check_memory, row_envelope
 from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
@@ -39,12 +39,15 @@ class QuadraticHamiltonian:
     complex iA; an iA with a real part breaks J H J = -H (no
     conjugation-compatible filling of the ground state exists) and is
     refused as gapless, and an A with a symmetric part as not Hermitian.
+    `bulk_gap` is the periodic model's smallest |E(k)| when a builder
+    certified it (None for a matrix built by hand).
     """
     block: np.ndarray
     geometry: LatticeGeometry
     family_tag: str
     parameters: dict = field(default_factory=dict)
     copies: int = 1
+    bulk_gap: float | None = None
 
     def __post_init__(self):
         A = self.block
@@ -54,13 +57,17 @@ class QuadraticHamiltonian:
                 raise ComputationError(f"gapless: real part {real_part:.2g} > 1e-12")
             A = np.ascontiguousarray(A.imag)
         A = np.asarray(A, dtype=float)
-        S = A + A.T
-        symmetric_part = float(np.max(np.abs(S)))
+        # every nonzero A_ij lies in row i's envelope block, so the blocks
+        # see each nonzero entry of A + A^T
+        symmetric_part = 0.0
+        for r0, r1, c0, c1 in row_envelope(A):
+            S = A[r0:r1, c0:c1] + A[c0:c1, r0:r1].T
+            symmetric_part = max(symmetric_part, float(np.max(np.abs(S), initial=0.0)))
         if symmetric_part > 1e-12:
             raise ComputationError(f"Hamiltonian is not Hermitian: "
                                    f"|A + A^T| {symmetric_part:.2g} > 1e-12")
         if symmetric_part > 0.0:
-            A = np.subtract(A, A.T, out=S)
+            A = A - A.T
             A *= 0.5  # exactly antisymmetric
         self.block = A
 
@@ -124,9 +131,10 @@ def _bloch_at(family_tag: str, parameters: dict, kx: np.ndarray, ky: np.ndarray)
 _HIGH_SYMMETRY = np.meshgrid([0.0, np.pi], [0.0, np.pi], indexing="ij")
 
 
-def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = None):
-    """Refuse gapless parameters. `ev` are Bloch eigenvalues the caller has
-    already computed on its own grid (default: a kgrid-120 grid)."""
+def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = None) -> float:
+    """Refuse gapless parameters; return the bulk gap min |E(k)|. `ev` are
+    Bloch eigenvalues the caller has already computed on its own grid
+    (default: a kgrid-120 grid)."""
     if family_tag == "pip" and parameters["delta"] == 0.0 and abs(parameters["mu"]) <= 4.0:
         # nodal ring of the delta = 0 metal can slip between grid points
         raise ComputationError("gapless parameters: nodal ring at delta = 0")
@@ -136,6 +144,7 @@ def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = Non
     gap = min(float(np.min(np.abs(ev))), float(np.min(np.abs(corners))))
     if gap < 1e-6:
         raise ComputationError(f"gapless parameters: bulk gap {gap:.2g} < 1e-6")
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +204,9 @@ def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
         raise ComputationError("qwz needs majorana_count = 4")
     check_memory(geometry.dim_K)
     params = {"u": float(u)}
-    _check_gapped("qwz", params)
+    gap = _check_gapped("qwz", params)
     A = _real_space_K(geometry, *_qwz_blocks(float(u)))
-    return QuadraticHamiltonian(A, geometry, "qwz", params)
+    return QuadraticHamiltonian(A, geometry, "qwz", params, bulk_gap=gap)
 
 
 def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -206,9 +215,9 @@ def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHa
         raise ComputationError("pip needs majorana_count = 2")
     check_memory(geometry.dim_K)
     params = {"mu": float(mu), "delta": float(delta)}
-    _check_gapped("pip", params)
+    gap = _check_gapped("pip", params)
     A = _real_space_K(geometry, *_pip_blocks(float(mu), float(delta)))
-    return QuadraticHamiltonian(A, geometry, "pip", params)
+    return QuadraticHamiltonian(A, geometry, "pip", params, bulk_gap=gap)
 
 
 def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -216,7 +225,7 @@ def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
     check_memory(geometry.dim_K)
     n_orb = geometry.majorana_count // 2
     A = np.kron(np.eye(len(geometry.sites) * n_orb), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return QuadraticHamiltonian(A, geometry, "trivial", {})
+    return QuadraticHamiltonian(A, geometry, "trivial", {}, bulk_gap=1.0)
 
 
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
@@ -229,7 +238,8 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
         return h
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
     return QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
-                                dict(h.parameters, copies=copies), h.copies * copies)
+                                dict(h.parameters, copies=copies), h.copies * copies,
+                                bulk_gap=h.bulk_gap)
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:

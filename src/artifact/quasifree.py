@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, check_memory
+from ._util import ComputationError, check_memory, row_envelope
 from .models import QuadraticHamiltonian
 
 _WICK_MAX = 12
@@ -82,31 +82,46 @@ def _canonical_basis(N: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _local_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X, each row block of A multiplied only with the rows of X inside
+    its envelope (_util.row_envelope). The terms skipped are exact zeros of
+    A, so a nearest-neighbour A costs a band's flops and a dense A the full
+    product."""
+    out = np.empty((A.shape[0], X.shape[1]))
+    for r0, r1, c0, c1 in row_envelope(A):
+        np.matmul(A[r0:r1, c0:c1], X[c0:c1], out=out[r0:r1])
+    return out
+
+
 def _complex_structure(A: np.ndarray, gap_tol: float):
     """O = -i sign(iA) for real antisymmetric A, near-zero cluster filled
     halfway. Returns (O, edge gap min|lambda|, cluster size m).
 
-    One real eigh of A^T A gives w = lambda^2 and a real basis V. Modes with
-    |lambda| above the window (gap_tol, or a tenth of the largest |lambda|)
-    give O = A V w^(-1/2) V^T. The window's columns Vc span an invariant
-    subspace of A; the small Hermitian problem i Vc^T A Vc resolves its
-    lambdas at full accuracy, which squaring does not. Within it,
-    |lambda| <= gap_tol is the cluster: exact zero modes are paired from a
-    real orthonormal null basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T;
+    One real eigh of A^T A = -A A gives w = lambda^2 and a real basis V.
+    Modes with |lambda| above the window (gap_tol, or a tenth of the largest
+    |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
+    G = V w^(-1/4): F is one symmetric rank-k update, and both products with
+    A run over A's row envelope (_local_matmul). The window's columns Vc
+    span an invariant subspace of A; the small Hermitian problem i Vc^T A Vc
+    resolves its lambdas at full accuracy, which squaring does not. Within
+    it, |lambda| <= gap_tol is the cluster: exact zero modes are paired from
+    a real orthonormal null basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T;
     split +-epsilon pairs keep their negative member, as every other mode.
     """
     dim = A.shape[0]
-    w, V = np.linalg.eigh(A.T @ A)  # ascending; each lambda^2 twice
+    S = _local_matmul(A, A)
+    w, V = np.linalg.eigh(np.negative(S, out=S))  # ascending; each lambda^2 twice
+    del S
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
     k = int(np.searchsorted(w, tau2, side="right"))
     # never split the two copies of one lambda^2 between window and rest
     while 0 < k < dim and w[k] - w[k - 1] <= 1e3 * np.finfo(float).eps * w[-1]:
         k += 1
-    Vg = V[:, k:]
-    AV = A @ Vg
-    AV /= np.sqrt(w[k:])
-    O = AV @ Vg.T
-    del AV
+    G = V[:, k:] * w[k:] ** -0.25
+    F = G @ G.T  # numpy runs a product with its own transpose as syrk
+    del G
+    O = _local_matmul(A, F)
+    del F
     edge_gap, m = float(np.sqrt(max(w[0], 0.0))), 0
     if k:
         Vc = V[:, :k]
@@ -155,7 +170,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     A = h.block  # exactly antisymmetric, so OA = (AO)^T below
     check_memory(A.shape[0])
     O, edge_gap, m = _complex_structure(A, gap_tol)
-    AO = A @ O
+    AO = _local_matmul(A, O)
     AO -= AO.T  # numpy buffers the overlapping operand
     commutator = float(np.max(np.abs(AO, out=AO)))
     del AO

@@ -89,6 +89,7 @@ def test_trivial_chern_run(trivial_cfg, capsys):
     assert abs(blob["indices"]["nu"]) <= 1e-10
     assert blob["indices"]["nu_rounded"] == 0
     assert blob["indices"]["z2"] is None
+    assert blob["indices"]["diagnostics"]["bulk_gap"] == 1.0
 
 
 def test_run_is_byte_deterministic(trivial_cfg, capsys):
@@ -156,6 +157,8 @@ def test_report_carries_projection_health(capsys):
     diag = json.loads(capsys.readouterr().out)["indices"]["diagnostics"]
     assert diag["zero_modes"] == 0
     assert 1e-3 < diag["edge_gap"] < 1.0
+    # qwz at u = 1: |E(k)| >= 1, with equality at k = (pi, 0), (0, pi), (pi, pi)
+    assert diag["bulk_gap"] == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= diag["projection_residual"] <= 1e-12
 
 

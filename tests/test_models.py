@@ -5,7 +5,8 @@ import pytest
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
                       build_qwz, build_trivial, stack_copies, tknn_chern)
-from artifact.models import _bloch, _check_gapped, _pip_blocks, _qwz_blocks, _real_space_K
+from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
+                             _qwz_blocks, _real_space_K)
 from dense_oracle import dense_real_space_K
 from region_helpers import site_projector
 
@@ -36,6 +37,21 @@ def test_qwz_selfdual_structure(disk4):
 def test_spectra_come_in_plus_minus_pairs(disk4, disk2, build):
     ev = np.linalg.eigvalsh(build(disk4, disk2).matrix)  # ascending
     assert float(np.max(np.abs(ev + ev[::-1]))) <= 1e-9
+
+
+def test_far_corner_symmetric_part_refused():
+    # the constructor checks |A + A^T| over A's row envelope blocks; entries
+    # far outside the stencil must widen the envelope, not slip past it
+    disk = build_disk_lattice("square", 6.0, majorana_count=4)  # several blocks
+    A = build_qwz(1.0, disk).block.copy()
+    for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
+        A[0, -1], A[-1, 0] = corners
+        with pytest.raises(ComputationError, match="not Hermitian"):
+            QuadraticHamiltonian(A, disk, "qwz")
+    A[-1, 0] = -1e-6 + 1e-13  # within 1e-12: accepted, made exactly antisymmetric
+    B = QuadraticHamiltonian(A, disk, "qwz").block
+    assert np.array_equal(B, -B.T)
+    assert B[0, -1] == pytest.approx(1e-6 - 5e-14, abs=1e-20)
 
 
 def test_trivial_model_is_onsite(disk2):

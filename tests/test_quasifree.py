@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from artifact import (ComputationError, build_disk_lattice,
                       random_covariance, stack_copies, wick_expectation)
 from artifact import _util, quasifree
 from artifact.models import QuadraticHamiltonian
-from artifact.quasifree import BasisProjection, _pfaffian
+from artifact.quasifree import BasisProjection, _local_matmul, _pfaffian
 from dense_oracle import dense_basis_projection, dense_ground_projection
 
 
@@ -131,6 +132,51 @@ def test_oversize_job_refused_up_front(trivial_projection, monkeypatch):
         ground_projection(h, 1e-8)
     monkeypatch.setattr(_util, "available_memory", lambda: None)
     ground_projection(h, 1e-8)
+
+
+def test_projection_peak_stays_below_its_memory_estimate():
+    # the memory guard refuses up front on _WORKING_ARRAYS dim x dim arrays
+    h = build_qwz(1.0, build_disk_lattice("square", 8.0, majorana_count=4))
+    tracemalloc.start()
+    try:
+        ground_projection(h, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _util._WORKING_ARRAYS * 8 * h.block.shape[0] ** 2
+
+
+def _local_operator(case):
+    rng = np.random.default_rng(17)
+    if case == "zero":
+        return np.zeros((300, 300))
+    if case == "dense":
+        A = rng.standard_normal((300, 300))
+        return A - A.T
+    majoranas = 2 if case in ("pip", "trivial") else 4
+    geom = build_disk_lattice("square", 6.0, majorana_count=majoranas)
+    if case == "trivial":
+        return build_trivial(geom).block
+    if case == "pip":
+        return build_pip(-1.0, 0.5, geom).block
+    A = build_qwz(1.0, geom).block.copy()
+    if case == "far_corner":
+        # one coupling far outside the stencil: the envelope is read from A
+        A[0, -1], A[-1, 0] = 1.0, -1.0
+    return A
+
+
+@pytest.mark.parametrize("case", ["qwz", "pip", "trivial", "zero", "dense", "far_corner"])
+def test_local_matmul_is_the_product(case):
+    A = _local_operator(case)
+    n = A.shape[0]
+    assert n % _util._ENVELOPE_ROWS  # a short last row block
+    full = np.random.default_rng(3).standard_normal((n, n))
+    X = full[:, n // 3:]  # not contiguous, as the columns V[:, k:] of eigh
+    assert not X.flags.c_contiguous
+    for Y in (X, A, full):
+        bound = 1e-14 * (np.abs(A) @ np.abs(Y))
+        assert np.all(np.abs(_local_matmul(A, Y) - A @ Y) <= bound)
 
 
 # ---------------------------------------------------------------------------
