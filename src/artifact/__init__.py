@@ -6,7 +6,7 @@ phases, stacked-copy twist statistics, and parity indices, with exact
 reference values and randomized self-tests alongside.
 """
 from ._util import ArtifactError, ComputationError, ConfigError
-from .geometry import (Cone, ConicalPartition, LatticeGeometry, SitePoint,
+from .geometry import (Cone, ConicalPartition, LatticeGeometry,
                        build_disk_lattice, cone_site_ids, make_good_partition,
                        region_mask, windowed_site_ids)
 from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtifactError", "ComputationError", "ConfigError",
-    "Cone", "ConicalPartition", "LatticeGeometry", "SitePoint",
+    "Cone", "ConicalPartition", "LatticeGeometry",
     "build_disk_lattice", "cone_site_ids", "make_good_partition",
     "region_mask", "windowed_site_ids",
     "CONVENTION_TAG", "QuadraticHamiltonian",

@@ -46,7 +46,7 @@ def available_memory() -> int | None:
 #: window) and F = G G^T, then A, V, F and O = A F. The peak RSS above A
 #: measured at dim 1816 and 3216 is 5.1 to 5.2, so 6.2 with A; tracemalloc,
 #: which does not see LAPACK's buffers, measures 3.0 above A. Tests pin the
-#: traced peaks of the projection and of the model build (2.3) below it
+#: traced peaks of the projection and of the model build (1.1) below it
 _WORKING_ARRAYS = 7
 
 

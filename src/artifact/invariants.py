@@ -101,7 +101,7 @@ def chern_number_with_residual(P: BasisProjection, partition: ConicalPartition,
     scale = 0.5 * np.pi * JUNCTION_MULTIPLICITY * P.copies
     nu = scale * (t021 - t012)
     residual = scale * abs(t012 + t021)
-    if residual > ANOMALY_TOL:
+    if not residual <= ANOMALY_TOL:
         raise ComputationError("non-Hermitian anomaly")
     return nu, residual
 
@@ -145,7 +145,7 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     val = 2j * np.pi * JUNCTION_MULTIPLICITY * copy_trace * (t_fwd - t_rev)
     sigma = float(val.real)
     residual = abs(float(val.imag))
-    if residual > ANOMALY_TOL:
+    if not residual <= ANOMALY_TOL:
         raise ComputationError("non-Hermitian anomaly")
     return sigma, residual
 

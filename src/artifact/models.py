@@ -13,6 +13,7 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +54,16 @@ class QuadraticHamiltonian:
         A = self.block
         if np.iscomplexobj(A):
             real_part = float(np.max(np.abs(A.real)))
-            if real_part > 1e-12:
+            if not real_part <= 1e-12:
                 raise ComputationError(f"gapless: real part {real_part:.2g} > 1e-12")
             A = np.ascontiguousarray(A.imag)
         A = np.asarray(A, dtype=float)
-        # every nonzero A_ij lies in row i's envelope block, so the blocks
-        # see each nonzero entry of A + A^T
+        # every nonzero A_ij (NaN != 0 included) lies in row i's envelope
+        # block, so the blocks see each nonzero entry of A and of A + A^T
         symmetric_part = 0.0
         for r0, r1, c0, c1 in row_envelope(A):
+            if not np.isfinite(A[r0:r1, c0:c1]).all():
+                raise ComputationError("Hamiltonian is not finite")
             S = A[r0:r1, c0:c1] + A[c0:c1, r0:r1].T
             symmetric_part = max(symmetric_part, float(np.max(np.abs(S), initial=0.0)))
         if symmetric_part > 1e-12:
@@ -152,45 +155,45 @@ def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = Non
 
 
 def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
-    """Real-space Hamiltonian in the Majorana basis.
+    """Real-space Hamiltonian in the Majorana basis, with open boundaries.
 
-    Assembles h (hopping) and D (pairing) over the finite site set with open
-    boundaries. Rotating each (c, c*) fiber of the Nambu blocks
-    [[h, D], [-conj(D), -h^T]] by omega/sqrt(2) gives, for Hermitian h, the
-    real fibers of A written below (iA = omega N omega^dagger / 2).
+    The bond d (c*_{r+d} t_d c_r + c*_{r+d} D_d c*_r + h.c.) gives the site
+    pair (r + d, r) the blocks (h, D) = (t_d, D_d) and the pair (r, r + d)
+    the blocks (t_d^dagger, -D_d^T). Rotating each (c, c*) fiber of the
+    Nambu block [[h, D], [-conj(D), -h^T]] by omega/sqrt(2) gives, for
+    Hermitian h, the real fibers written below (iA = omega N omega^dagger / 2).
+    Each offset's real block is scattered into A at every site pair on the
+    disk, found through a lookup grid of the integer site coordinates.
     Returns the real antisymmetric matrix A of size dim_K.
     """
     n_orb = geometry.majorana_count // 2
-    ns = len(geometry.sites)
-    M = ns * n_orb
-    index = {(int(round(s.x)), int(round(s.y))): s.id for s in geometry.sites}
-    h = np.zeros((M, M), dtype=complex)
-    D = np.zeros((M, M), dtype=complex)
-    for s in geometry.sites:
-        i = s.id
-        sl = slice(i * n_orb, (i + 1) * n_orb)
-        h[sl, sl] += onsite
-        for d, blk in hops.items():
-            tgt = (int(round(s.x)) + d[0], int(round(s.y)) + d[1])
-            j = index.get(tgt)
-            if j is not None:
-                tl = slice(j * n_orb, (j + 1) * n_orb)
-                h[tl, sl] += blk
-                h[sl, tl] += blk.conj().T
-        for d, blk in pairs.items():
-            tgt = (int(round(s.x)) + d[0], int(round(s.y)) + d[1])
-            j = index.get(tgt)
-            if j is not None:
-                tl = slice(j * n_orb, (j + 1) * n_orb)
-                D[tl, sl] += blk
-                D[sl, tl] -= blk.T
-    # A[(a,s),(b,t)]: s, t index the fiber (gamma_1, gamma_2) of modes a, b
-    A = np.empty((M, 2, M, 2))
-    A[:, 0, :, 0] = h.imag + D.imag
-    A[:, 0, :, 1] = h.real - D.real
-    A[:, 1, :, 0] = -(h.real + D.real)
-    A[:, 1, :, 1] = h.imag - D.imag
-    return A.reshape(2 * M, 2 * M)
+    # offset d -> stacked (h, D) blocks of the site pair (r + d, r)
+    blocks = defaultdict(lambda: np.zeros((2, n_orb, n_orb), dtype=complex))
+    blocks[0, 0][0] += onsite
+    for d, blk in hops.items():
+        blocks[d][0] += blk
+        blocks[-d[0], -d[1]][0] += blk.conj().T
+    for d, blk in pairs.items():
+        blocks[d][1] += blk
+        blocks[-d[0], -d[1]][1] -= blk.T
+    ns, m = len(geometry.sites), geometry.majorana_count
+    xy = np.rint(geometry.sites).astype(int)
+    pad = max(abs(c) for d in blocks for c in d)
+    xy -= xy.min(axis=0) - pad
+    grid = np.full(tuple(xy.max(axis=0) + pad + 1), -1)  # lattice point -> site id
+    grid[xy[:, 0], xy[:, 1]] = np.arange(ns)
+    A = np.zeros((ns, m, ns, m))
+    for (dx, dy), (h, D) in blocks.items():
+        # F[(a,s),(b,t)]: s, t index the fiber (gamma_1, gamma_2) of modes a, b
+        F = np.empty((n_orb, 2, n_orb, 2))
+        F[:, 0, :, 0] = h.imag + D.imag
+        F[:, 0, :, 1] = h.real - D.real
+        F[:, 1, :, 0] = -(h.real + D.real)
+        F[:, 1, :, 1] = h.imag - D.imag
+        rows = grid[xy[:, 0] + dx, xy[:, 1] + dy]
+        cols = np.flatnonzero(rows >= 0)
+        A[rows[cols], :, cols, :] += F.reshape(m, m)
+    return A.reshape(ns * m, ns * m)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:

@@ -5,10 +5,10 @@ is the span of its negative-energy eigenvectors. `ground_projection` computes
 the real complex structure O = -i sign(H) of that sector in real arithmetic,
 with a half-filling rule for near-zero clusters (open disks of chiral models
 carry edge modes), and stores O: the spectral projector P = (I - iO)/2 is
-built only when `.matrix` is read (by the moment evaluators, oracles and
-tests). Moments of Majorana generators in the state are evaluated two ways:
-a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
-path (`pfaffian_expectation`).
+built only when `.matrix` is read (by oracles and tests). Moments of
+Majorana generators in the state are evaluated from O two ways: a literal
+permutation-sum oracle (`wick_expectation`) and a Pfaffian fast path
+(`pfaffian_expectation`).
 """
 from __future__ import annotations
 
@@ -56,12 +56,12 @@ class BasisProjection:
         O = self.O
         R = O + O.T
         antisym = float(np.max(np.abs(R, out=R)))
-        if antisym > tol:
+        if not antisym <= tol:
             raise ComputationError(f"projection is not Hermitian: {antisym:.2g} > {tol:.2g}")
         np.matmul(O, O, out=R)
         R.flat[::O.shape[0] + 1] += 1.0
         square = float(np.max(np.abs(R, out=R)))
-        if square > tol:
+        if not square <= tol:
             raise ComputationError(f"projection is not idempotent: {square:.2g} > {tol:.2g}")
         return max(antisym, square)
 
@@ -179,17 +179,20 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
         residual = proj.validate()
     except ComputationError as exc:
         raise ComputationError(f"gapless: {exc}") from None
-    if commutator > 1e-12:
+    if not commutator <= 1e-12:
         raise ComputationError(f"gapless: [A, O] residual {commutator:.2g} > 1e-12")
     proj.health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
                    "projection_residual": max(residual, commutator)}
     return proj
 
 
-def _pair_matrix(S: np.ndarray, vectors) -> np.ndarray:
-    """All pair expectations <J f_j, S f_k> = f_j^T S f_k."""
+def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
+    """All pair expectations <J f_j, P f_k> = f_j^T P f_k, from the real O:
+    F^T P F = (F^T F - i F^T O F)/2. On a stack P = kron(P1, I_N) this is
+    the sum of that form over the rows F_c of each copy c."""
     F = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    return F.T @ S @ F
+    return sum(Fc.T @ Fc - 1j * (Fc.T @ (S.O @ Fc))
+               for Fc in (F[c::S.copies] for c in range(S.copies))) / 2
 
 
 def wick_expectation(S: BasisProjection, vectors) -> complex:
@@ -208,7 +211,7 @@ def wick_expectation(S: BasisProjection, vectors) -> complex:
     if not vectors:
         return complex(1.0)
     n = len(vectors) // 2
-    M = _pair_matrix(S.matrix, vectors)
+    M = _pair_matrix(S, vectors)
     total = 0.0 + 0.0j
     indices = range(2 * n)
     for left in itertools.combinations(indices, n):
@@ -246,7 +249,7 @@ def pfaffian_expectation(S: BasisProjection, vectors) -> complex:
         raise ComputationError("pfaffian needs an even list")
     if not vectors:
         return complex(1.0)
-    M = _pair_matrix(S.matrix, vectors)
+    M = _pair_matrix(S, vectors)
     M = np.triu(M, 1)
     M = M - M.T
     return _pfaffian(M)

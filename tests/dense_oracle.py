@@ -1,9 +1,11 @@
 """Dense complex constructions that the real-arithmetic production paths are
 tested against.
 
-`dense_real_space_K` assembles the Hamiltonian by rotating every (c, c*)
-fiber of the complex Nambu blocks with one (M, M, 2, 2) einsum; it is the
-oracle for `artifact.models._real_space_K`, which writes A fiber by fiber.
+`dense_real_space_K` assembles the dense complex h and D site by site,
+then rotates every (c, c*) fiber of the complex Nambu blocks with one
+(M, M, 2, 2) einsum; it is the oracle for `artifact.models._real_space_K`,
+which never forms h or D: it applies the real fiber formulas to each bond's
+small blocks and scatters them into A.
 `dense_ground_projection` makes one complex eigh of H, keeps the
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
@@ -30,22 +32,22 @@ def dense_real_space_K(geometry, onsite, hops, pairs) -> np.ndarray:
     n_orb = geometry.majorana_count // 2
     ns = len(geometry.sites)
     M = ns * n_orb
-    index = {(int(round(s.x)), int(round(s.y))): s.id for s in geometry.sites}
+    points = [(int(round(x)), int(round(y))) for x, y in geometry.sites.tolist()]
+    index = {p: i for i, p in enumerate(points)}
     h = np.zeros((M, M), dtype=complex)
     D = np.zeros((M, M), dtype=complex)
-    for s in geometry.sites:
-        i = s.id
+    for i, (x, y) in enumerate(points):
         sl = slice(i * n_orb, (i + 1) * n_orb)
         h[sl, sl] += onsite
         for d, blk in hops.items():
-            tgt = (int(round(s.x)) + d[0], int(round(s.y)) + d[1])
+            tgt = (x + d[0], y + d[1])
             j = index.get(tgt)
             if j is not None:
                 tl = slice(j * n_orb, (j + 1) * n_orb)
                 h[tl, sl] += blk
                 h[sl, tl] += blk.conj().T
         for d, blk in pairs.items():
-            tgt = (int(round(s.x)) + d[0], int(round(s.y)) + d[1])
+            tgt = (x + d[0], y + d[1])
             j = index.get(tgt)
             if j is not None:
                 tl = slice(j * n_orb, (j + 1) * n_orb)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, Cone, build_disk_lattice, cone_site_ids,
-                      make_good_partition, region_mask, windowed_site_ids)
-from artifact.geometry import DEFAULT_APEX_OFFSET, cone_membership
+from artifact import (ComputationError, Cone, LatticeGeometry, build_disk_lattice,
+                      cone_site_ids, make_good_partition, region_mask, windowed_site_ids)
+from artifact.geometry import DEFAULT_APEX_OFFSET
 from region_helpers import partition_masks, site_projector
 
 
@@ -45,8 +45,12 @@ def test_site_count_area_bounds(radius):
 
 
 def test_site_ids_contiguous_and_dim():
+    # the row index is the site id: one float64 row per distinct lattice
+    # point, in lexicographic order
     geom = build_disk_lattice("square", 5.0, majorana_count=4)
-    assert [s.id for s in geom.sites] == list(range(len(geom.sites)))
+    assert geom.sites.shape == (len(geom.sites), 2) and geom.sites.dtype == np.float64
+    points = [tuple(p) for p in geom.sites.tolist()]
+    assert points == sorted(set(points))
     assert geom.dim_K == 4 * len(geom.sites)
 
 
@@ -76,18 +80,29 @@ def test_degenerate_angles_rejected():
 def test_overlapping_gap_cones_rejected():
     with pytest.raises(ComputationError, match="degenerate partition"):
         make_good_partition((0.2, 0.1), (0.0, 0.2, math.pi), gap_halfwidth=0.15)
+    for empty in (0.0, -0.1, math.nan):  # no gap cone at all
+        with pytest.raises(ComputationError, match="degenerate partition"):
+            make_good_partition((0.2, 0.1), gap_halfwidth=empty)
+
+
+def in_cone(cone, point) -> bool:
+    """Membership of one point, through cone_site_ids on a one-site geometry."""
+    return cone_site_ids(cone, LatticeGeometry(np.array([point]), 2, cone.apex)) == [0]
 
 
 def test_cone_membership_basics():
     cone = Cone((0.0, 0.0), 0.0, math.pi)
-    assert cone_membership(cone, (1.0, 0.5))
-    assert not cone_membership(cone, (1.0, -0.5))
+    assert in_cone(cone, (1.0, 0.5))
+    assert not in_cone(cone, (1.0, -0.5))
+    # a boundary is a half-line: its extension behind the apex is generic
+    assert not in_cone(Cone((0.0, 0.0), 0.3, 2.4), (-math.cos(0.3), -math.sin(0.3)))
 
 
 def test_cone_membership_boundary_is_non_generic():
     cone = Cone((0.0, 0.0), 0.0, math.pi)
-    with pytest.raises(ComputationError, match="non-generic site"):
-        cone_membership(cone, (1.0, 1e-9))
+    for point in ((1.0, 1e-9), (0.0, 0.0), (-1e-7, -1e-7)):  # a side, the apex, behind it
+        with pytest.raises(ComputationError, match="non-generic site"):
+            in_cone(cone, point)
 
 
 @given(st.floats(min_value=0.05, max_value=6.2), st.sampled_from([0.5, 2.0, 10.0]))
@@ -96,10 +111,10 @@ def test_cone_membership_scale_invariant(angle, scale):
     cone = Cone((0.0, 0.0), 0.3, 2.4)
     dx, dy = math.cos(angle), math.sin(angle)
     try:
-        base = cone_membership(cone, (dx, dy))
+        base = in_cone(cone, (dx, dy))
     except ComputationError:
         return  # non-generic direction; scaling preserves that too
-    assert cone_membership(cone, (scale * dx, scale * dy)) == base
+    assert in_cone(cone, (scale * dx, scale * dy)) == base
 
 
 def test_integer_apex_shift_preserves_membership():
@@ -115,7 +130,7 @@ def test_integer_apex_shift_preserves_membership():
 
 def test_site_projector_full_and_empty():
     geom = build_disk_lattice("square", 5.0, majorana_count=2)
-    all_ids = [s.id for s in geom.sites]
+    all_ids = list(range(len(geom.sites)))
     assert np.array_equal(site_projector(all_ids, geom), np.eye(geom.dim_K))
     assert np.array_equal(site_projector([], geom), np.zeros((geom.dim_K, geom.dim_K)))
 
@@ -132,12 +147,11 @@ def test_windowed_site_ids_inside_window_and_cones():
     geom = build_disk_lattice("square", 8.0, majorana_count=2)
     part = make_good_partition(geom.apex)
     wins = windowed_site_ids(part, geom, 0.7)
-    pos = {s.id: (s.x, s.y) for s in geom.sites}
     for cone, ids in zip(part.cones_A, wins):
         for i in ids:
-            x, y = pos[i]
+            x, y = geom.sites[i]
             assert math.hypot(x - part.apex[0], y - part.apex[1]) <= 0.7 * 8.0
-            assert cone_membership(cone, (x, y))
+            assert in_cone(cone, (x, y))
     full = windowed_site_ids(part, geom, 1.0)
     assert sum(len(ids) for ids in full) == len(geom.sites)
 
@@ -149,3 +163,17 @@ def test_windowed_core_fraction_validation():
         windowed_site_ids(part, geom, 0.0)
     with pytest.raises(ComputationError):
         windowed_site_ids(part, geom, 1.5)
+
+
+def test_windowed_site_ids_checks_only_sites_inside_the_window():
+    # two sites on the boundary half-line at pi/2: one inside the window
+    # (r = 1 <= 0.7 * 4), refused; one outside it (r = 3.5), never checked
+    apex = (0.0, 0.0)
+    part = make_good_partition(apex)
+    inside = LatticeGeometry(np.array([[1.0, 0.3], [0.0, 1.0]]), 2, apex, 4.0)
+    with pytest.raises(ComputationError, match="non-generic site"):
+        windowed_site_ids(part, inside, 0.7)
+    outside = LatticeGeometry(np.array([[1.0, 0.3], [0.0, 3.5], [-1.0, -0.2]]), 2, apex, 4.0)
+    assert windowed_site_ids(part, outside, 0.7) == [[2], [], [0]]
+    with pytest.raises(ComputationError, match="non-generic site"):
+        cone_site_ids(part.cones_A[0], outside)  # the full cone sees it

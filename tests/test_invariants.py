@@ -415,13 +415,13 @@ def test_nu_under_rotation_and_mirror_on_random_gapped_models(seed, majoranas):
     (x, y), angles = DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
     geom = build_disk_lattice("square", 4.0, (x, y), majorana_count=majoranas)
     G = np.random.default_rng(seed).standard_normal((geom.dim_K, geom.dim_K))
-    ids = {(s.x, s.y): s.id for s in geom.sites}
+    ids = {(x, y): i for i, (x, y) in enumerate(geom.sites.tolist())}
 
     def nu(apex, boundary_angles, preimage):
         # the same A on the moved disk: its site (x, y) is the original site
         # preimage(x, y), with that site's Majorana modes in order
         g = build_disk_lattice("square", 4.0, apex, majorana_count=majoranas)
-        sites = np.array([ids[preimage(s.x, s.y)] for s in g.sites])
+        sites = np.array([ids[preimage(x, y)] for x, y in g.sites.tolist()])
         fiber = (sites[:, None] * majoranas + np.arange(majoranas)).ravel()
         A = (G - G.T)[np.ix_(fiber, fiber)] / 2
         P = ground_projection(QuadraticHamiltonian(A, g, "random", {"seed": seed}), 1e-10)

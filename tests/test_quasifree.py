@@ -103,6 +103,32 @@ def test_nonhermitian_hamiltonian_refused(trivial_projection):
         ground_projection(dataclasses.replace(h, block=K), 1e-8)
 
 
+def test_non_finite_hamiltonian_refused(trivial_projection):
+    # NaN != 0 puts a NaN inside an envelope block, where the finiteness
+    # check sees it; every residual check would read NaN as passing
+    _, h = trivial_projection
+    for bad in (np.nan, np.inf):
+        A = h.block.copy()
+        A[0, 1] = bad
+        with pytest.raises(ComputationError, match="not finite"):
+            QuadraticHamiltonian(A, h.geometry, "trivial")
+    K = h.matrix.copy()
+    K[0, 1] += np.nan  # a NaN real part of iA
+    with pytest.raises(ComputationError, match="gapless: real part nan"):
+        QuadraticHamiltonian(K, h.geometry, "trivial")
+
+
+def test_nan_projection_refused(trivial_projection):
+    P, _ = trivial_projection
+    O = P.O.copy()
+    O[0, 1] = np.nan
+    with pytest.raises(ComputationError, match="not Hermitian: nan"):
+        dataclasses.replace(P, O=O).validate()
+    O = np.full_like(P.O, np.nan)
+    with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
+        chern_number(dataclasses.replace(P, O=O), make_good_partition(P.geometry.apex))
+
+
 def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, monkeypatch):
     # rotating O between two sites keeps O^T = -O and O^2 = -I (validate
     # passes) but breaks [A, O] = 0, which only the commutator check sees
@@ -285,6 +311,17 @@ def test_pair_moment_is_bilinear_form():
     g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     assert abs(wick_expectation(S, [f, g]) - f @ S.matrix @ g) <= 1e-12
     assert abs(pfaffian_expectation(S, [f, g]) - f @ S.matrix @ g) <= 1e-12
+
+
+def test_stacked_moments_match_the_dense_kron_projection():
+    # the evaluators read O, summing the pair form over the copies; the
+    # dense kron(P, I_3) is their oracle
+    rng = np.random.default_rng(3)
+    S1 = random_covariance(6, rng)
+    S = dataclasses.replace(S1, copies=3)
+    vs = [rng.standard_normal(18) + 1j * rng.standard_normal(18) for _ in range(4)]
+    assert abs(wick_expectation(S, vs[:2]) - vs[0] @ S.matrix @ vs[1]) <= 1e-12
+    assert abs(pfaffian_expectation(S, vs) - wick_expectation(S, vs)) <= 1e-10
 
 
 def test_car_relation():

@@ -48,7 +48,7 @@ def test_lift_charge_empty_region_is_zero(small_geometry):
 
 def test_lift_charge_full_region_commutes_with_global_charge(small_geometry):
     q = cyclic_charge(3)
-    all_sites = [s.id for s in small_geometry.sites]
+    all_sites = list(range(len(small_geometry.sites)))
     Q = lift_charge(q, small_geometry, all_sites).Qtilde
     glob = np.kron(np.eye(small_geometry.dim_K), q)
     assert float(np.max(np.abs(Q @ glob - glob @ Q))) == 0.0
@@ -110,7 +110,7 @@ def test_dress_shape_mismatch():
 def test_parity_charge_full_region_is_reflection(qwz_r6):
     P, _ = qwz_r6
     geom = P.geometry
-    all_sites = [s.id for s in geom.sites]
+    all_sites = list(range(len(geom.sites)))
     g = parity_charge(P, all_sites, geom)
     T = np.eye(P.dim_K) - 2 * P.matrix
     assert float(np.max(np.abs(g.Qtilde - T))) <= 1e-12
