@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -88,22 +89,48 @@ def load_config(path: str | None) -> dict:
     return _deep_merge(DEFAULT_CONFIG, user)
 
 
+def _is_number(value) -> bool:
+    """A finite real number: an int or a finite float, not a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check_numbers(cfg: dict, defaults: dict, prefix: str = ""):
+    """Refuse a numeric setting that is not a finite real number, reading the
+    schema off the defaults: where the default is a number the value must be
+    one, an int where the default is an int; where it is a list of numbers
+    the value must list as many; a None default also admits None."""
+    for key, default in defaults.items():
+        name, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            _check_numbers(value, default, f"{name}.")
+        elif isinstance(default, list):
+            if not (isinstance(value, list) and len(value) == len(default)
+                    and all(_is_number(v) for v in value)):
+                raise ConfigError(f"{name} must list {len(default)} finite numbers")
+        elif default is None or _is_number(default):
+            if value is None and default is None:
+                continue
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a finite number, not {value!r}")
+            if isinstance(default, int) and not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
 def validate_config(cfg: dict, task: str):
+    _check_numbers(cfg, DEFAULT_CONFIG)
     family = cfg["model"].get("family")
     if family not in _FAMILY_MAJORANA:
         raise ConfigError(f"unknown model family {family!r}")
-    radius = cfg["geometry"]["radius"]
-    if not isinstance(radius, (int, float)) or radius < 4:
+    if cfg["geometry"]["radius"] < 4:
         raise ConfigError("geometry.radius must be a number >= 4")
-    angles = cfg["geometry"]["boundary_angles"]
-    if len(angles) != 3:
-        raise ConfigError("geometry.boundary_angles must list three angles")
     cf = cfg["numerics"]["core_fraction"]
     if not 0.0 < cf <= 1.0:
         raise ConfigError("numerics.core_fraction must be in (0, 1]")
     if task == "twist":
         copies = cfg["copies"]
-        if not isinstance(copies, int) or copies < 1 or copies % 2 == 0:
+        if copies < 1 or copies % 2 == 0:
             raise ConfigError("copies must be odd")
 
 
@@ -262,7 +289,7 @@ def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
         raise ConfigError("sweep needs at least two radii")
     if sorted(radii) != list(radii) or len(set(radii)) != len(radii):
         raise ConfigError("radii must be strictly increasing")
-    if any(r < 4 for r in radii):
+    if not all(4 <= r < math.inf for r in radii):
         raise ConfigError("geometry.radius must be a number >= 4")
     if jobs > 1:
         rows = _map_in_workers(_sweep_row, jobs, [cfg] * len(radii), radii)

@@ -10,11 +10,16 @@ small blocks and scatters them into A.
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
 `artifact.quasifree.ground_projection`. `dense_basis_projection` stores such
-a complex P in the real form O = -2 Im P that the evaluators read."""
+a complex P in the real form O = -2 Im P that the evaluators read.
+`dense_tknn_chern` solves every 2x2 Bloch matrix with eigh and multiplies
+the lower band's link overlaps around each plaquette; it is the oracle for
+`artifact.models.tknn_chern`, which reads bands and plaquette phases off
+H = e0 + d . sigma in closed form."""
 import numpy as np
 import scipy.linalg
 
-from artifact import BasisProjection, ComputationError
+from artifact import BasisProjection, ComputationError, ConfigError
+from artifact.models import _bloch, _check_gapped
 from artifact.quasifree import _canonical_basis
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
@@ -106,3 +111,35 @@ def dense_basis_projection(P: np.ndarray, gap_tol: float, geometry) -> BasisProj
     if selfdual > 1e-12:
         raise ComputationError(f"projection violates P + JPJ = I: {selfdual:.2g}")
     return BasisProjection(-2.0 * P.imag, "dense", gap_tol, geometry)
+
+
+def dense_plaquette_phases(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal arg of the lower band's counterclockwise four-link product
+    around each plaquette of the periodic grid of 2x2 Bloch matrices H, shape
+    (kgrid, kgrid, 2, 2); also returns the eigenvalues of H."""
+    ev, V = np.linalg.eigh(H)
+    v = V[..., 0]
+    vx = np.roll(v, -1, axis=0)
+    vy = np.roll(v, -1, axis=1)
+    vxy = np.roll(vx, -1, axis=1)
+
+    def link(va, vb):
+        return np.einsum('ija,ija->ij', va.conj(), vb)
+
+    u = link(v, vx) * link(vx, vxy) * link(vxy, vy) * link(vy, v)
+    return np.angle(u), ev
+
+
+def dense_tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
+    """Chern number of the negative-energy band from eigh and link products
+    (Fukui-Hatsugai-Suzuki), with the production gap certificate applied to
+    the eigh eigenvalues."""
+    if kgrid < 50:
+        raise ConfigError("kgrid must be >= 50")
+    phases, ev = dense_plaquette_phases(_bloch(family_tag, parameters, kgrid))
+    _check_gapped(family_tag, parameters, ev)
+    total = float(np.sum(phases)) / (2 * np.pi)
+    c = int(np.rint(total))
+    if abs(total - c) > 1e-6:
+        raise ComputationError("gapless parameters")
+    return c

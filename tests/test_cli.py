@@ -70,6 +70,35 @@ def test_even_copies_rejected(trivial_cfg, capsys):
     assert "copies must be odd" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, payload, argv, key", [
+    ("chern", {"geometry": {"apex_offset": [NAN, 0.1]}}, [], "geometry.apex_offset"),
+    ("chern", None, ["--radius", "inf"], "geometry.radius"),
+    ("oracle-tknn", {"model": {"family": "qwz", "u": NAN}}, [], "model.u"),
+    ("oracle-tknn", {"model": {"family": "qwz", "u": INF}}, [], "model.u"),
+    ("oracle-tknn", {"model": {"family": "pip", "mu": NAN}}, [], "model.mu"),
+    ("oracle-tknn", {"numerics": {"kgrid": NAN}}, [], "numerics.kgrid"),
+    ("chern", {"geometry": {"boundary_angles": 5}}, [], "geometry.boundary_angles"),
+    ("chern", {"geometry": {"apex_offset": [1]}}, [], "geometry.apex_offset"),
+    ("chern", {"numerics": {"core_fraction": "0.7"}}, [], "numerics.core_fraction"),
+    ("chern", {"numerics": {"gap_tol": NAN}}, [], "numerics.gap_tol"),
+    ("chern", {"numerics": {"nu_round_tol": NAN}}, [], "numerics.nu_round_tol"),
+    ("oracle-tknn", {"numerics": {"kgrid": 60.7}}, [], "numerics.kgrid"),
+    ("oracle-tknn", {"model": {"u": True}}, [], "model.u"),
+    ("sweep", None, ["--radii", "4,inf"], "geometry.radius"),
+], ids=["apex-nan", "radius-inf", "u-nan", "u-inf", "mu-nan", "kgrid-nan",
+        "angles-scalar", "apex-short", "core-fraction-string", "gap-tol-nan",
+        "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf"])
+def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
+    if payload is not None:
+        argv = ["--config", _write_cfg(tmp_path, "bad.json", payload)] + argv
+    assert main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
-                      build_qwz, build_trivial, stack_copies, tknn_chern)
+                      build_qwz, build_trivial, models, stack_copies, tknn_chern)
 from artifact.geometry import DEFAULT_APEX_OFFSET
-from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
-                             _qwz_blocks, _real_space_K)
-from dense_oracle import dense_real_space_K
+from artifact.models import (QuadraticHamiltonian, _bands, _bloch, _check_gapped, _pauli,
+                             _pip_blocks, _plaquette_phases, _qwz_blocks, _real_space_K)
+from dense_oracle import dense_plaquette_phases, dense_real_space_K, dense_tknn_chern
 from region_helpers import site_projector
 
 
@@ -145,6 +147,100 @@ def test_odd_grid_still_sees_closings_at_pi(family, params):
         tknn_chern(family, params, kgrid=51)
     with pytest.raises(ComputationError, match="bulk gap"):
         _check_gapped(family, params, ev=np.ones(4))
+
+
+#: parameters on both sides of every gap closing, some within 0.01 of one
+ORACLE_CASES = ([("qwz", {"u": u}) for u in (3.0, -3.0, 1.0, -1.0, 0.5, -0.5, 1.8, -1.99,
+                                             1.999, 0.01, -0.003)]
+                + [("pip", {"mu": mu, "delta": delta}) for mu in (-5.0, 1.0, -1.0, -3.5, 3.99)
+                   for delta in (0.5, 0.05)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ComputationError, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("family, params", ORACLE_CASES,
+                         ids=[f"{f}-{'-'.join(map(str, p.values()))}" for f, p in ORACLE_CASES])
+def test_closed_form_tknn_matches_dense_oracle(family, params):
+    # the same integer or the same refusal as eigh + link products, on even
+    # and odd grids
+    for kgrid in (50, 51, 60, 200):
+        assert (_outcome(tknn_chern, family, params, kgrid)
+                == _outcome(dense_tknn_chern, family, params, kgrid)), kgrid
+
+
+def _random_bloch_grid(seed: int, kgrid: int = 8) -> np.ndarray:
+    # neighbouring momenta far apart on the Bloch sphere: plaquette phases
+    # near +-pi, whose two triangle halves sum beyond (-pi, pi]
+    a, b, re, im = np.random.default_rng(seed).standard_normal((4, kgrid, kgrid))
+    return np.moveaxis(np.array([[a, re + 1j * im], [re - 1j * im, b]]), (0, 1), (2, 3))
+
+
+def test_plaquette_phases_match_link_products():
+    grids = ([_bloch(family, params, 64) for family, params in ORACLE_CASES]
+             + [_random_bloch_grid(seed) for seed in range(4)])
+    for H in grids:
+        want, _ = dense_plaquette_phases(H)
+        got = _plaquette_phases(_pauli(H)[1])
+        assert np.all((got > -np.pi) & (got <= np.pi))
+        diff = np.angle(np.exp(1j * (got - want)))
+        assert float(np.max(np.abs(diff))) <= 1e-12
+
+
+#: matrix entries: zero or at least 1e-100 in magnitude, inside the range
+#: where the squares of d summed by _bands neither underflow nor overflow
+_entries = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+
+
+@given(st.lists(st.tuples(_entries, _entries, _entries, _entries), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_bands_match_eigvalsh(entries):
+    H = np.empty((len(entries), 2, 2), dtype=complex)
+    for k, (a, b, re, im) in enumerate(entries):
+        H[k] = [[a, re + 1j * im], [re - 1j * im, b]]
+    H[H[:, 0, 0].real + H[:, 1, 1].real == 0.0, 0, 0] += 1.0  # nonzero trace: e0 != 0
+    want = np.linalg.eigvalsh(H)
+    norm = np.max(np.abs(want), axis=-1)
+    got = _bands(*_pauli(H)).T
+    assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None])
+
+
+@given(st.integers(0, 49), st.integers(0, 49),
+       st.floats(0.01, 10.0) | st.floats(-10.0, -0.01))
+@settings(max_examples=25, deadline=None)
+def test_band_touching_refused_loudly(i, j, e0):
+    # d = 0 with e0 != 0: the bands touch although |E| stays away from zero,
+    # so the gap certificate passes and the plaquette phases must refuse
+    H = _bloch("qwz", {"u": 1.0}, 50)
+    H[i, j] = e0 * np.eye(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_bloch", lambda *args: H)
+        with pytest.raises(ComputationError, match="bands touch"):
+            tknn_chern("qwz", {"u": 1.0}, kgrid=50)
+
+
+def test_non_finite_bloch_grid_refused(monkeypatch):
+    H = _bloch("qwz", {"u": 1.0}, 50)
+    H[3, 4, 0, 1] = complex(np.nan, 0.0)
+    monkeypatch.setattr(models, "_bloch", lambda *args: H)
+    with pytest.raises(ComputationError, match="not finite"):
+        tknn_chern("qwz", {"u": 1.0}, kgrid=50)
+
+
+def test_bands_and_builders_run_without_lapack_eigensolvers(monkeypatch, disk4, disk2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("batched LAPACK eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert tknn_chern("qwz", {"u": 1.0}) == 1
+    assert tknn_chern("pip", {"mu": -1.0, "delta": 0.5}) == 1
+    assert build_qwz(1.0, disk4).bulk_gap > 0
+    assert build_pip(-1.0, 0.5, disk2).bulk_gap > 0
 
 
 def test_stack_copies_is_kron(disk2):
