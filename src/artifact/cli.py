@@ -1,11 +1,19 @@
 """Command-line interface: config ingestion, runs, sweeps, self-tests.
 
-Subcommands
------------
+Subcommands, and the flags each reads (any other flag exits 2)
+--------------------------------------------------------------
 chern | parity | twist   index computations on a fresh disk model
+                         (--config --out --seed --radius; twist also --copies)
 oracle-tknn              momentum-space integer oracle for the same model
+                         (--config --out --seed --radius)
 sweep                    one full run per radius, CSV output
-selftest                 randomized property suites (wick | algebraic)
+                         (--config --out --seed --radii --jobs)
+selftest                 randomized property suites, wick | algebraic
+                         (--trials --seed)
+
+The config file is merged over DEFAULT_CONFIG and the flags over that, by
+one merge that refuses unknown keys, before the config is validated. The
+model families come from models.FAMILIES.
 
 Exit codes: 0 ok, 1 selftest failure, 2 usage/config error, 3 computation
 error. Reports are JSON with sorted keys; identical config and seed give
@@ -24,16 +32,15 @@ import time
 
 import numpy as np
 
+from . import models
 from ._util import ArtifactError, ComputationError, ConfigError
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
 from .invariants import IndexReport, chern_number_with_residual, parity_from_nu, twist_from_nu
-from .models import CONVENTION_TAG, build_pip, build_qwz, build_trivial, stack_copies, tknn_chern
+from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
 from .symgen import FluxGenerator, cyclic_charge, dress_charge, flux_unitary
-
-_FAMILY_MAJORANA = {"qwz": 4, "pip": 2, "trivial": 2}
 
 DEFAULT_CONFIG = {
     "model": {"family": "qwz", "u": 1.0, "mu": -1.0, "delta": 0.5},
@@ -55,13 +62,24 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "", unknown: list | None = None) -> dict:
+    """A deep copy of `base` with `override` merged in, `base` giving the
+    schema: a key it lacks is refused (all such keys at once, dotted), and
+    so is a value that is not an object where `base` has a section."""
     out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+    found = [] if unknown is None else unknown
+    for key, value in override.items():
+        name = prefix + key
+        if key not in base:
+            found.append(name)
+        elif isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
+            out[key] = _merge(base[key], value, f"{name}.", found)
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = copy.deepcopy(value)
+    if unknown is None and found:
+        raise ConfigError(f"unknown config keys: {sorted(found)}")
     return out
 
 
@@ -77,16 +95,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    for section, defaults in DEFAULT_CONFIG.items():
-        if not isinstance(defaults, dict) or section not in user:
-            continue
-        if not isinstance(user[section], dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
-        unknown |= {f"{section}.{key}" for key in set(user[section]) - set(defaults)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return _merge(DEFAULT_CONFIG, user)
 
 
 def _is_number(value) -> bool:
@@ -120,9 +129,12 @@ def _check_numbers(cfg: dict, defaults: dict, prefix: str = ""):
 
 def validate_config(cfg: dict, task: str):
     _check_numbers(cfg, DEFAULT_CONFIG)
-    family = cfg["model"].get("family")
-    if family not in _FAMILY_MAJORANA:
+    family = cfg["model"]["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
+    lattice = cfg["geometry"]["family"]
+    if lattice != "square":
+        raise ConfigError(f"geometry.family must be 'square', not {lattice!r}")
     if cfg["geometry"]["radius"] < 4:
         raise ConfigError("geometry.radius must be a number >= 4")
     cf = cfg["numerics"]["core_fraction"]
@@ -141,18 +153,19 @@ def _gap_tol(cfg: dict) -> float:
     return 1e-8 if cfg["model"]["family"] == "trivial" else 1e-4
 
 
+def _model_parameters(cfg: dict) -> dict:
+    return {key: float(cfg["model"][key]) for key in FAMILIES[cfg["model"]["family"]][1]}
+
+
 def build_model(cfg: dict, copies: int = 1):
     g = cfg["geometry"]
     family = cfg["model"]["family"]
     geometry = build_disk_lattice(g["family"], float(g["radius"]),
                                   tuple(g["apex_offset"]),
-                                  majorana_count=_FAMILY_MAJORANA[family])
-    if family == "qwz":
-        h = build_qwz(float(cfg["model"]["u"]), geometry)
-    elif family == "pip":
-        h = build_pip(float(cfg["model"]["mu"]), float(cfg["model"]["delta"]), geometry)
-    else:
-        h = build_trivial(geometry)
+                                  majorana_count=FAMILIES[family][0])
+    # looked up on every call, so a builder rebound in `models` is the one used
+    build = getattr(models, f"build_{family}")
+    h = build(geometry=geometry, **_model_parameters(cfg))
     if copies > 1:
         h = stack_copies(h, copies)
     return h
@@ -162,15 +175,6 @@ def build_partition(cfg: dict, geometry):
     return make_good_partition(geometry.apex,
                                tuple(float(a) for a in cfg["geometry"]["boundary_angles"]),
                                gap_halfwidth=float(cfg["geometry"]["gap_halfwidth"]))
-
-
-def _model_parameters(cfg: dict) -> dict:
-    family = cfg["model"]["family"]
-    if family == "qwz":
-        return {"u": float(cfg["model"]["u"])}
-    if family == "pip":
-        return {"mu": float(cfg["model"]["mu"]), "delta": float(cfg["model"]["delta"])}
-    return {}
 
 
 def compute_report(cfg: dict, task: str) -> IndexReport:
@@ -203,8 +207,7 @@ def compute_report(cfg: dict, task: str) -> IndexReport:
     return report
 
 
-def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -212,16 +215,15 @@ def _emit(payload: dict, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _report_text(task: str, cfg: dict, section: str, body: dict) -> str:
+    payload = {"task": task, "convention": CONVENTION_TAG, "config": cfg, section: body}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def run(cfg: dict, task: str, out_path: str | None) -> int:
     validate_config(cfg, task)
     report = compute_report(cfg, task)
-    payload = {
-        "task": task,
-        "convention": CONVENTION_TAG,
-        "config": cfg,
-        "indices": report.to_json_dict(),
-    }
-    _emit(payload, out_path)
+    _write(_report_text(task, cfg, "indices", report.to_json_dict()), out_path)
     return 0
 
 
@@ -229,15 +231,10 @@ def run_oracle(cfg: dict, out_path: str | None) -> int:
     validate_config(cfg, "oracle-tknn")
     family = cfg["model"]["family"]
     params = _model_parameters(cfg)
-    value = tknn_chern(family, params, int(cfg["numerics"]["kgrid"]))
-    payload = {
-        "task": "oracle-tknn",
-        "convention": CONVENTION_TAG,
-        "config": cfg,
-        "oracle": {"family": family, "parameters": params,
-                   "kgrid": int(cfg["numerics"]["kgrid"]), "chern": value},
-    }
-    _emit(payload, out_path)
+    kgrid = int(cfg["numerics"]["kgrid"])
+    oracle = {"family": family, "parameters": params, "kgrid": kgrid,
+              "chern": tknn_chern(family, params, kgrid)}
+    _write(_report_text("oracle-tknn", cfg, "oracle", oracle), out_path)
     return 0
 
 
@@ -285,6 +282,8 @@ def _map_in_workers(fn, jobs: int, *iterables) -> list:
 
 def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
     validate_config(cfg, "sweep")
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     if len(radii) < 2:
         raise ConfigError("sweep needs at least two radii")
     if sorted(radii) != list(radii) or len(set(radii)) != len(radii):
@@ -298,12 +297,7 @@ def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
     lines = ["radius,nu,sigma,err_nu,wall_ms"]
     for radius, nu, sigma, err_nu, wall_ms in rows:
         lines.append(f"{radius:.12g},{nu},{sigma},{err_nu},{wall_ms}")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out_path)
     return 0
 
 
@@ -393,67 +387,62 @@ _SELFTESTS = {"wick": _wick_checks, "algebraic": _algebraic_checks}
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized self-tests")
-    sub.add_argument("--radius", type=float, default=None, help="override geometry.radius")
-
-
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="artifact",
                                 description="finite-disk topological index laboratory")
     subs = p.add_subparsers(dest="command", required=True)
-    for name in ("chern", "parity"):
-        sp = subs.add_parser(name, help=f"compute the {name} indices")
-        _add_common(sp)
-    sp = subs.add_parser("twist", help="copy-cycling defect statistics on a stack")
-    _add_common(sp)
-    sp.add_argument("--copies", type=int, default=None, help="number of stacked copies (odd)")
-    sp = subs.add_parser("oracle-tknn", help="momentum-space integer oracle")
-    _add_common(sp)
-    sp = subs.add_parser("sweep", help="radius convergence sweep (CSV)")
-    _add_common(sp)
-    sp.add_argument("--radii", default=None, help="comma-separated radii, increasing")
+    for name, text in [("chern", "compute the chern indices"),
+                       ("parity", "compute the parity indices"),
+                       ("twist", "copy-cycling defect statistics on a stack"),
+                       ("oracle-tknn", "momentum-space integer oracle"),
+                       ("sweep", "radius convergence sweep (CSV)")]:
+        sp = subs.add_parser(name, help=text)
+        sp.add_argument("--config", default=None, help="JSON config file")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--seed", type=int, default=None, help="override the config's seed")
+        if name == "sweep":
+            sp.add_argument("--radii", default=None, help="comma-separated radii, increasing")
+            sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+        else:
+            sp.add_argument("--radius", type=float, default=None, help="override geometry.radius")
+        if name == "twist":
+            sp.add_argument("--copies", type=int, default=None,
+                            help="number of stacked copies (odd)")
     sp = subs.add_parser("selftest", help="randomized property suites")
-    sp.add_argument("kind", choices=["wick", "algebraic"])
+    sp.add_argument("kind", choices=list(_SELFTESTS))
     sp.add_argument("--trials", type=int, default=100)
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=42, help="seed of the trials")
     return p
 
 
 def _resolve(args) -> dict:
-    cfg = load_config(args.config)
-    if args.radius is not None:
-        cfg["geometry"]["radius"] = float(args.radius)
+    """The config file merged over the defaults, then the flags merged over
+    that by the same merge; the result is validated by the run."""
+    flags = {}
+    if getattr(args, "radius", None) is not None:
+        flags["geometry"] = {"radius": float(args.radius)}
     if args.seed is not None:
-        cfg["seed"] = int(args.seed)
+        flags["seed"] = int(args.seed)
     if getattr(args, "copies", None) is not None:
-        cfg["copies"] = int(args.copies)
-    return cfg
+        flags["copies"] = int(args.copies)
+    return _merge(load_config(args.config), flags)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            seed = args.seed if args.seed is not None else 42
-            return run_selftest(_SELFTESTS[args.kind], seed, args.trials)
+            return run_selftest(_SELFTESTS[args.kind], args.seed, args.trials)
         cfg = _resolve(args)
-        if args.command in ("chern", "parity", "twist"):
-            return run(cfg, args.command, args.out)
         if args.command == "oracle-tknn":
             return run_oracle(cfg, args.out)
         if args.command == "sweep":
-            if not args.radii:
-                raise ConfigError("sweep needs at least two radii")
             try:
-                radii = [float(r) for r in args.radii.split(",") if r.strip()]
+                radii = [float(r) for r in (args.radii or "").split(",") if r.strip()]
             except ValueError:
                 raise ConfigError("radii must be numbers") from None
-            return sweep_radius(cfg, radii, max(1, args.jobs), args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return sweep_radius(cfg, radii, args.jobs, args.out)
+        return run(cfg, args.command, args.out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -14,7 +14,7 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,11 @@ from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
 CONVENTION_TAG = "nu(qwz,u=1)=+2; tknn(qwz,u=1)=+1; ccw-cones"
+
+#: model family -> (Majorana modes per site, the names of its parameters in
+#: its builder's order). The CLI builds each family's disk with this count;
+#: `trivial` takes any even count.
+FAMILIES = {"qwz": (4, ("u",)), "pip": (2, ("mu", "delta")), "trivial": (2, ())}
 
 _sx = np.array([[0, 1], [1, 0]], dtype=complex)
 _sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,7 +51,6 @@ class QuadraticHamiltonian:
     block: np.ndarray
     geometry: LatticeGeometry
     family_tag: str
-    parameters: dict = field(default_factory=dict)
     copies: int = 1
     bulk_gap: float | None = None
 
@@ -251,6 +255,21 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
     return A.reshape(ns * m, ns * m)
 
 
+def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> QuadraticHamiltonian:
+    """The body of every builder: the Majorana-count check, the memory guard
+    (before anything is allocated), the bulk-gap certificate, the real-space
+    assembly of `blocks(**params)` (on-site, hopping and pairing blocks) and
+    the construction. `trivial` takes any even Majorana count, and its
+    spectrum is exactly {+-1}, so its bulk gap is 1."""
+    count = FAMILIES[family_tag][0]
+    if family_tag != "trivial" and geometry.majorana_count != count:
+        raise ComputationError(f"{family_tag} needs majorana_count = {count}")
+    check_memory(geometry.dim_K)
+    gap = 1.0 if family_tag == "trivial" else _check_gapped(family_tag, params)
+    A = _real_space_K(geometry, *blocks(**params))
+    return QuadraticHamiltonian(A, geometry, family_tag, bulk_gap=gap)
+
+
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
     """Two-band Chern insulator with mass u on the geometry's sites.
 
@@ -258,32 +277,20 @@ def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
     certified on the periodic spectrum; the open disk hosts edge modes whose
     near-zero energies are not a gap failure.
     """
-    if geometry.majorana_count != 4:
-        raise ComputationError("qwz needs majorana_count = 4")
-    check_memory(geometry.dim_K)
-    params = {"u": float(u)}
-    gap = _check_gapped("qwz", params)
-    A = _real_space_K(geometry, *_qwz_blocks(float(u)))
-    return QuadraticHamiltonian(A, geometry, "qwz", params, bulk_gap=gap)
+    return _build("qwz", geometry, _qwz_blocks, u=float(u))
 
 
 def build_pip(mu: float, delta: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
     """Spinless p-wave paired model (one complex mode per site, majorana_count 2)."""
-    if geometry.majorana_count != 2:
-        raise ComputationError("pip needs majorana_count = 2")
-    check_memory(geometry.dim_K)
-    params = {"mu": float(mu), "delta": float(delta)}
-    gap = _check_gapped("pip", params)
-    A = _real_space_K(geometry, *_pip_blocks(float(mu), float(delta)))
-    return QuadraticHamiltonian(A, geometry, "pip", params, bulk_gap=gap)
+    return _build("pip", geometry, _pip_blocks, mu=float(mu), delta=float(delta))
 
 
 def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
-    """Decoupled on-site modes at unit energy; spectrum exactly {±1}."""
-    check_memory(geometry.dim_K)
-    n_orb = geometry.majorana_count // 2
-    A = np.kron(np.eye(len(geometry.sites) * n_orb), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return QuadraticHamiltonian(A, geometry, "trivial", {}, bulk_gap=1.0)
+    """Decoupled on-site modes at unit energy; spectrum exactly {±1}: the
+    on-site block is I on every orbital and there are no bonds, so each
+    fiber of A is [[0, 1], [-1, 0]]."""
+    return _build("trivial", geometry,
+                  lambda: (np.eye(geometry.majorana_count // 2), {}, {}))
 
 
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
@@ -296,8 +303,7 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
         return h
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
     return QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
-                                dict(h.parameters, copies=copies), h.copies * copies,
-                                bulk_gap=h.bulk_gap)
+                                h.copies * copies, bulk_gap=h.bulk_gap)
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:

@@ -42,6 +42,12 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, section, key):
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+def test_unknown_keys_are_listed_together(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "typos.json", {"modle": {}, "numerics": {"core_frac": 0.5}})
+    assert main(["chern", "--config", cfg]) == 2
+    assert "unknown config keys: ['modle', 'numerics.core_frac']" in capsys.readouterr().err
+
+
 def test_non_object_section_rejected(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "flat.json", {"numerics": 5})
     assert main(["chern", "--config", cfg]) == 2
@@ -97,6 +103,46 @@ def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
     assert main([command] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"geometry": {"family": "hex"}}, "geometry.family must be 'square', not 'hex'"),
+    ({"model": {"family": "hex"}}, "unknown model family 'hex'"),
+    ({"model": {"family": ["qwz"]}}, "unknown model family ['qwz']"),
+], ids=["lattice", "model", "model-list"])
+def test_bad_family_is_a_config_error(tmp_path, capsys, payload, message):
+    assert main(["chern", "--config", _write_cfg(tmp_path, "fam.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+def test_radius_flag_replaces_a_bad_file_value(tmp_path, capsys):
+    # the flags are merged over the file before any value is checked
+    cfg = _write_cfg(tmp_path, "inf.json", {"geometry": {"radius": INF}})
+    assert main(["chern", "--config", cfg, "--radius", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["geometry"]["radius"] == 4.0
+
+
+def test_file_of_the_defaults_changes_nothing(tmp_path, capsys):
+    from artifact.cli import DEFAULT_CONFIG
+
+    assert main(["chern"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["chern", "--config", _write_cfg(tmp_path, "defaults.json", DEFAULT_CONFIG)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--jobs", "2"], ["parity", "--jobs", "2"], ["twist", "--jobs", "2"],
+    ["oracle-tknn", "--jobs", "2"], ["sweep", "--radii", "4,5", "--radius", "8"],
+    ["selftest", "wick", "--out", "f"], ["selftest", "wick", "--config", "c.json"],
+    ["selftest", "wick", "--radius", "8"], ["selftest", "wick", "--jobs", "2"],
+])
+def test_flag_the_subcommand_does_not_read_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():
@@ -336,6 +382,12 @@ def test_sweep_rejects_unsorted_radii(trivial_cfg, capsys):
     assert main(["sweep", "--config", trivial_cfg, "--radii", "6,6"]) == 2
     assert main(["sweep", "--config", trivial_cfg, "--radii", "2,6"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(trivial_cfg, capsys, jobs):
+    assert main(["sweep", "--config", trivial_cfg, "--radii", "4,5", "--jobs", jobs]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_trivial_sweep_csv(trivial_cfg, capsys):

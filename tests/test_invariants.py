@@ -181,7 +181,7 @@ def test_unconverged_random_state_is_refused():
     part = make_good_partition((0.31, 0.17))
     rng = np.random.default_rng(0)
     A = rng.standard_normal((geom.dim_K, geom.dim_K))
-    h = QuadraticHamiltonian(1j * (A - A.T) / 2, geom, "random", {"seed": 0})
+    h = QuadraticHamiltonian(1j * (A - A.T) / 2, geom, "random")
     P = ground_projection(h, gap_tol=1e-10)
     with pytest.raises(ComputationError, match="unconverged"):
         parity_indices(P, part)
@@ -388,7 +388,7 @@ def test_flux_identities_on_random_gapped_models(seed, N):
     geom = build_disk_lattice("square", 4.0, majorana_count=2)
     part = make_good_partition(geom.apex)
     G = np.random.default_rng(seed).standard_normal((geom.dim_K, geom.dim_K))
-    h = QuadraticHamiltonian((G - G.T) / 2, geom, "random", {"seed": seed})
+    h = QuadraticHamiltonian((G - G.T) / 2, geom, "random")
     P = ground_projection(h, gap_tol=1e-10)
     nu = chern_number(P, part)
     ids, _ = core_regions(P, part, 0.7)
@@ -424,7 +424,7 @@ def test_nu_under_rotation_and_mirror_on_random_gapped_models(seed, majoranas):
         sites = np.array([ids[preimage(x, y)] for x, y in g.sites.tolist()])
         fiber = (sites[:, None] * majoranas + np.arange(majoranas)).ravel()
         A = (G - G.T)[np.ix_(fiber, fiber)] / 2
-        P = ground_projection(QuadraticHamiltonian(A, g, "random", {"seed": seed}), 1e-10)
+        P = ground_projection(QuadraticHamiltonian(A, g, "random"), 1e-10)
         return chern_number(P, make_good_partition(g.apex, boundary_angles))
 
     nu0 = nu((x, y), angles, lambda u, v: (u, v))

@@ -67,6 +67,16 @@ def test_trivial_model_is_onsite(disk2):
     assert float(np.max(np.abs(comm))) == 0.0
 
 
+@pytest.mark.parametrize("majoranas", [2, 4])
+def test_trivial_block_is_the_onsite_kronecker_form(majoranas):
+    # the bond-scatter assembly of the trivial family against its closed form
+    g = build_disk_lattice("square", 4.0, majorana_count=majoranas)
+    h = build_trivial(g)
+    n = len(g.sites) * majoranas // 2
+    assert np.array_equal(h.block, np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+    assert h.bulk_gap == 1.0
+
+
 @pytest.mark.parametrize("u", [0.0, 2.0, -2.0])
 def test_qwz_gap_closings_rejected(disk4, u):
     # the k-grid contains every Dirac point, so the certificate itself fails
