@@ -15,11 +15,10 @@ from .quasifree import (BasisProjection, ground_projection, pfaffian_expectation
                         random_covariance, wick_expectation)
 from .symgen import (FluxGenerator, cyclic_charge, dress_charge, flux_unitary,
                      lift_charge, parity_charge)
-from .invariants import (FreeFermionPrediction, IndexReport, chern_number,
-                         chern_number_with_residual, cocycle_exponent, core_regions,
-                         exchange_phase_bch, exchange_phase_closed, hall_sigma,
-                         hall_sigma_with_residual, parity_indices,
-                         predicted_free_fermion, twist_statistics)
+from .invariants import (FreeFermionPrediction, chern_number, chern_number_with_residual,
+                         cocycle_exponent, core_regions, exchange_phase_bch,
+                         exchange_phase_closed, hall_sigma, hall_sigma_with_residual,
+                         parity_indices, predicted_free_fermion, twist_statistics)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "pfaffian_expectation", "random_covariance", "wick_expectation",
     "FluxGenerator", "cyclic_charge", "dress_charge",
     "flux_unitary", "lift_charge", "parity_charge",
-    "FreeFermionPrediction", "IndexReport",
+    "FreeFermionPrediction",
     "chern_number", "chern_number_with_residual", "cocycle_exponent",
     "core_regions", "exchange_phase_bch", "exchange_phase_closed",
     "hall_sigma", "hall_sigma_with_residual", "parity_indices",

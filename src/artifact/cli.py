@@ -18,7 +18,8 @@ model families come from models.FAMILIES.
 Exit codes: 0 ok, 1 selftest failure, 2 usage/config error, 3 computation
 error. Reports are JSON with sorted keys; identical config and seed give
 byte-identical output (the sweep CSV's wall_ms column is the documented
-exception).
+exception). This module alone knows the report format: compute_report
+returns the `indices` section exactly as it is printed.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from . import models
 from ._util import ArtifactError, ComputationError, ConfigError
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import IndexReport, chern_number_with_residual, parity_from_nu, twist_from_nu
+from .invariants import chern_number_with_residual, parity_from_nu, twist_from_nu
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
@@ -137,9 +138,18 @@ def validate_config(cfg: dict, task: str):
         raise ConfigError(f"geometry.family must be 'square', not {lattice!r}")
     if cfg["geometry"]["radius"] < 4:
         raise ConfigError("geometry.radius must be a number >= 4")
+    try:
+        build_partition(cfg)
+    except ComputationError as exc:
+        raise ConfigError(f"geometry.boundary_angles and geometry.gap_halfwidth "
+                          f"give a {exc}") from None
     cf = cfg["numerics"]["core_fraction"]
     if not 0.0 < cf <= 1.0:
         raise ConfigError("numerics.core_fraction must be in (0, 1]")
+    for key in ("gap_tol", "nu_round_tol"):
+        tol = cfg["numerics"][key]
+        if tol is not None and tol < 0:
+            raise ConfigError(f"numerics.{key} must be >= 0")
     if task == "twist":
         copies = cfg["copies"]
         if copies < 1 or copies % 2 == 0:
@@ -171,39 +181,55 @@ def build_model(cfg: dict, copies: int = 1):
     return h
 
 
-def build_partition(cfg: dict, geometry):
-    return make_good_partition(geometry.apex,
-                               tuple(float(a) for a in cfg["geometry"]["boundary_angles"]),
-                               gap_halfwidth=float(cfg["geometry"]["gap_halfwidth"]))
+def build_partition(cfg: dict):
+    """The three cones around the disk's apex, which is the configured apex
+    offset (build_disk_lattice)."""
+    g = cfg["geometry"]
+    return make_good_partition(tuple(g["apex_offset"]),
+                               tuple(float(a) for a in g["boundary_angles"]),
+                               gap_halfwidth=float(g["gap_halfwidth"]))
 
 
-def compute_report(cfg: dict, task: str) -> IndexReport:
+def _phase(z: complex | None) -> dict | None:
+    """A unit phase as the report writes it."""
+    if z is None:
+        return None
+    return {"re": z.real, "im": z.imag, "arg": float(np.angle(z))}
+
+
+def compute_report(cfg: dict, task: str) -> dict:
+    """The `indices` section of the task's report, exactly as it is printed:
+    the seven index keys, null where the task does not compute one, and the
+    run's diagnostics."""
     copies = cfg["copies"] if task == "twist" else 1
+    gap_tol = _gap_tol(cfg)
     h = build_model(cfg, copies=copies)
-    partition = build_partition(cfg, h.geometry)
-    P = ground_projection(h, _gap_tol(cfg))
+    partition = build_partition(cfg)
+    P = ground_projection(h, gap_tol)
     cf = float(cfg["numerics"]["core_fraction"])
     nu, nu_res = chern_number_with_residual(P, partition, cf)
-    report = IndexReport(diagnostics={
+    report = dict.fromkeys(("nu", "nu_rounded", "sigma", "theta_N", "omega_N", "z2", "z8"))
+    report["diagnostics"] = {
         "radius": float(cfg["geometry"]["radius"]),
         "copies": copies,
-        "gap_used": P.gap_used,
+        "gap_used": gap_tol,
         "core_fraction": cf,
         "nu_residual": nu_res,
         "bulk_gap": h.bulk_gap,
         **P.health,  # edge_gap, zero_modes, projection_residual
-    })
+    }
     nu_round_tol = float(cfg["numerics"]["nu_round_tol"])
     if task == "twist":
-        report.sigma, report.theta_N, report.omega_N = twist_from_nu(nu, copies)
+        sigma, theta_N, omega_N = twist_from_nu(nu, copies)
+        report.update(sigma=sigma, theta_N=_phase(theta_N), omega_N=_phase(omega_N))
     else:
-        report.nu = nu
+        report["nu"] = nu
         nu_r = int(np.rint(nu))
         if abs(nu - nu_r) <= nu_round_tol:
-            report.nu_rounded = nu_r
+            report["nu_rounded"] = nu_r
     if task == "parity":
-        report.z2, report.z8_phase = parity_from_nu(nu, nu_round_tol)
-    report.validate()
+        z2, z8 = parity_from_nu(nu, nu_round_tol)
+        report.update(z2=z2, z8=_phase(z8))
     return report
 
 
@@ -222,8 +248,7 @@ def _report_text(task: str, cfg: dict, section: str, body: dict) -> str:
 
 def run(cfg: dict, task: str, out_path: str | None) -> int:
     validate_config(cfg, task)
-    report = compute_report(cfg, task)
-    _write(_report_text(task, cfg, "indices", report.to_json_dict()), out_path)
+    _write(_report_text(task, cfg, "indices", compute_report(cfg, task)), out_path)
     return 0
 
 
@@ -242,14 +267,13 @@ def run_oracle(cfg: dict, out_path: str | None) -> int:
 # radius sweep
 
 
-def _sweep_row(cfg: dict, radius: float):
-    """One CSV row; sigma is the parity-flux response, nu / 2 identically
-    (see invariants.parity_indices)."""
-    row_cfg = copy.deepcopy(cfg)
-    row_cfg["geometry"]["radius"] = radius
+def _sweep_row(row_cfg: dict):
+    """One CSV row, at the config's radius; sigma is the parity-flux
+    response, nu / 2 identically (see invariants.parity_indices)."""
+    radius = row_cfg["geometry"]["radius"]
     start = time.perf_counter()
     try:
-        nu = compute_report(row_cfg, "chern").nu
+        nu = compute_report(row_cfg, "chern")["nu"]
         err_nu = abs(nu - round(nu))
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         return (radius, f"{nu:.12g}", f"{nu / 2:.12g}", f"{err_nu:.12g}", wall_ms)
@@ -281,19 +305,21 @@ def _map_in_workers(fn, jobs: int, *iterables) -> list:
 
 
 def sweep_radius(cfg: dict, radii, jobs: int, out_path: str | None) -> int:
-    validate_config(cfg, "sweep")
+    """One chern run per radius; each row's config (the config with that
+    radius) is validated before any row runs."""
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     if len(radii) < 2:
         raise ConfigError("sweep needs at least two radii")
     if sorted(radii) != list(radii) or len(set(radii)) != len(radii):
         raise ConfigError("radii must be strictly increasing")
-    if not all(4 <= r < math.inf for r in radii):
-        raise ConfigError("geometry.radius must be a number >= 4")
+    row_cfgs = [_merge(cfg, {"geometry": {"radius": r}}) for r in radii]
+    for row_cfg in row_cfgs:
+        validate_config(row_cfg, "sweep")
     if jobs > 1:
-        rows = _map_in_workers(_sweep_row, jobs, [cfg] * len(radii), radii)
+        rows = _map_in_workers(_sweep_row, jobs, row_cfgs)
     else:
-        rows = [_sweep_row(cfg, r) for r in radii]
+        rows = [_sweep_row(row_cfg) for row_cfg in row_cfgs]
     lines = ["radius,nu,sigma,err_nu,wall_ms"]
     for radius, nu, sigma, err_nu, wall_ms in rows:
         lines.append(f"{radius:.12g},{nu},{sigma},{err_nu},{wall_ms}")

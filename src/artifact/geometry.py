@@ -154,15 +154,13 @@ def cone_site_ids(cone: Cone, geometry: LatticeGeometry) -> list[int]:
 
 def region_mask(region, geometry: LatticeGeometry) -> np.ndarray:
     """Boolean mask over the dim_K basis selecting all Majorana indices of the
-    region's sites. `region` is a Cone or an iterable of site ids."""
+    region's sites. `region` is an iterable of site ids (cone_site_ids gives
+    a cone's)."""
+    ids = np.asarray(list(region), dtype=int)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(geometry.sites)):
+        raise ComputationError("site id out of range")
     sel = np.zeros(len(geometry.sites), dtype=bool)
-    if isinstance(region, Cone):
-        sel[cone_site_ids(region, geometry)] = True
-    else:
-        ids = np.asarray(list(region), dtype=int)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(geometry.sites)):
-            raise ComputationError("site id out of range")
-        sel[ids] = True
+    sel[ids] = True
     return np.repeat(sel, geometry.majorana_count)
 
 

@@ -22,7 +22,7 @@ Computed quantities:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -56,7 +56,7 @@ _BCH_WORKING_ARRAYS = 40
 
 
 def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
-    geom = getattr(P, "geometry", None)
+    geom = P.geometry
     if geom is None:
         raise ComputationError("projection carries no geometry")
     return windowed_site_ids(partition, geom, core_fraction), geom
@@ -354,9 +354,6 @@ class FreeFermionPrediction:
             return None
         return _unit_phase(self.z8_exponent)
 
-    def __iter__(self):
-        return iter((self.sigma, self.theta_N, self.omega_N, self.z2, self.z8))
-
 
 def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
     """Closed-form indices of an N-fold stack at integer invariant nu:
@@ -379,45 +376,3 @@ def cocycle_exponent(N: int, a1: int, a2: int, a3: int) -> int:
     with arguments reduced mod N."""
     a1, a2, a3 = a1 % N, a2 % N, a3 % N
     return a1 * ((a2 + a3) // N)
-
-
-# ---------------------------------------------------------------------------
-# report container
-
-
-@dataclass
-class IndexReport:
-    nu: Optional[float] = None
-    nu_rounded: Optional[int] = None
-    sigma: Optional[float] = None
-    theta_N: Optional[complex] = None
-    omega_N: Optional[complex] = None
-    z2: Optional[int] = None
-    z8_phase: Optional[complex] = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def validate(self, tol: float = 1e-8):
-        for name in ("theta_N", "omega_N", "z8_phase"):
-            v = getattr(self, name)
-            if v is not None and abs(abs(v) - 1.0) > tol:
-                raise ComputationError(f"{name} is not a unit phase")
-        if self.nu_rounded is not None and self.z8_phase is not None:
-            if self.nu_rounded % 2:
-                raise ComputationError("order-8 phase present for odd invariant")
-
-    def to_json_dict(self) -> dict:
-        def phase(v):
-            if v is None:
-                return None
-            return {"re": v.real, "im": v.imag, "arg": float(np.angle(v))}
-
-        return {
-            "nu": self.nu,
-            "nu_rounded": self.nu_rounded,
-            "sigma": self.sigma,
-            "theta_N": phase(self.theta_N),
-            "omega_N": phase(self.omega_N),
-            "z2": self.z2,
-            "z8": phase(self.z8_phase),
-            "diagnostics": self.diagnostics,
-        }

@@ -50,7 +50,6 @@ class QuadraticHamiltonian:
     """
     block: np.ndarray
     geometry: LatticeGeometry
-    family_tag: str
     copies: int = 1
     bulk_gap: float | None = None
 
@@ -267,7 +266,7 @@ def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> Quad
     check_memory(geometry.dim_K)
     gap = 1.0 if family_tag == "trivial" else _check_gapped(family_tag, params)
     A = _real_space_K(geometry, *blocks(**params))
-    return QuadraticHamiltonian(A, geometry, family_tag, bulk_gap=gap)
+    return QuadraticHamiltonian(A, geometry, bulk_gap=gap)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -302,8 +301,7 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     if copies == 1:
         return h
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
-    return QuadraticHamiltonian(h.block, geom, f"stack{copies}x({h.family_tag})",
-                                h.copies * copies, bulk_gap=h.bulk_gap)
+    return QuadraticHamiltonian(h.block, geom, h.copies * copies, bulk_gap=h.bulk_gap)
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:

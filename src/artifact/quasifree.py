@@ -36,8 +36,6 @@ class BasisProjection:
     projection_residual); a random one (random_covariance) is the two-point
     operator of a random pure Gaussian state."""
     O: np.ndarray
-    source: str
-    gap_used: float
     geometry: object = None  # LatticeGeometry when built from a lattice model
     health: dict = field(default_factory=dict)
     copies: int = 1
@@ -174,7 +172,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     AO -= AO.T  # numpy buffers the overlapping operand
     commutator = float(np.max(np.abs(AO, out=AO)))
     del AO
-    proj = BasisProjection(O, h.family_tag, float(gap_tol), h.geometry, copies=h.copies)
+    proj = BasisProjection(O, h.geometry, copies=h.copies)
     try:
         residual = proj.validate()
     except ComputationError as exc:
@@ -287,4 +285,4 @@ def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
         A = A - A.T
         O, edge_gap, _ = _complex_structure(A, 0.0)
         if edge_gap > 1e-6:
-            return BasisProjection(O, "random", 0.0)
+            return BasisProjection(O)

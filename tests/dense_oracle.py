@@ -104,13 +104,13 @@ def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
     return V @ V.conj().T
 
 
-def dense_basis_projection(P: np.ndarray, gap_tol: float, geometry) -> BasisProjection:
+def dense_basis_projection(P: np.ndarray, geometry) -> BasisProjection:
     """The dense projection P as a BasisProjection, after checking that it
     has the real form P = (I - iO)/2, i.e. P + JPJ = I."""
     selfdual = float(np.max(np.abs(P + np.conj(P) - np.eye(P.shape[0]))))
     if selfdual > 1e-12:
         raise ComputationError(f"projection violates P + JPJ = I: {selfdual:.2g}")
-    return BasisProjection(-2.0 * P.imag, "dense", gap_tol, geometry)
+    return BasisProjection(-2.0 * P.imag, geometry)
 
 
 def dense_plaquette_phases(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

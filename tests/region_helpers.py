@@ -2,18 +2,18 @@
 compare against or assemble explicit projectors."""
 import numpy as np
 
-from artifact import ComputationError, region_mask
+from artifact import ComputationError, cone_site_ids, region_mask
 
 
 def site_projector(region, geometry) -> np.ndarray:
-    """Diagonal 0/1 projector on K for a Cone or explicit site-id set."""
+    """Diagonal 0/1 projector on K for an explicit site-id set."""
     return np.diag(region_mask(region, geometry).astype(float))
 
 
 def partition_masks(partition, geometry) -> list[np.ndarray]:
     """The three K-masks of the A-cones. Every site lands in exactly one cone
     (genericity is enforced per site); the masks sum to the identity."""
-    masks = [region_mask(c, geometry) for c in partition.cones_A]
+    masks = [region_mask(cone_site_ids(c, geometry), geometry) for c in partition.cones_A]
     total = masks[0].astype(int) + masks[1].astype(int) + masks[2].astype(int)
     if not np.all(total == 1):
         raise ComputationError("non-generic site")

@@ -94,9 +94,17 @@ NAN, INF = float("nan"), float("inf")
     ("oracle-tknn", {"numerics": {"kgrid": 60.7}}, [], "numerics.kgrid"),
     ("oracle-tknn", {"model": {"u": True}}, [], "model.u"),
     ("sweep", None, ["--radii", "4,inf"], "geometry.radius"),
+    ("chern", {"numerics": {"gap_tol": -1}}, [], "numerics.gap_tol"),
+    ("parity", {"numerics": {"nu_round_tol": -1}}, [], "numerics.nu_round_tol"),
+    ("chern", {"geometry": {"gap_halfwidth": -0.1}}, [], "geometry.gap_halfwidth"),
+    ("chern", {"geometry": {"boundary_angles": [0, 0, 1]}}, [], "geometry.boundary_angles"),
+    ("sweep", {"model": {"family": "trivial"}, "geometry": {"gap_halfwidth": -0.1}},
+     ["--radii", "4,5"], "geometry.gap_halfwidth"),
 ], ids=["apex-nan", "radius-inf", "u-nan", "u-inf", "mu-nan", "kgrid-nan",
         "angles-scalar", "apex-short", "core-fraction-string", "gap-tol-nan",
-        "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf"])
+        "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf",
+        "gap-tol-negative", "round-tol-negative", "halfwidth-negative",
+        "angles-degenerate", "sweep-halfwidth-negative"])
 def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
     if payload is not None:
         argv = ["--config", _write_cfg(tmp_path, "bad.json", payload)] + argv
@@ -388,6 +396,15 @@ def test_sweep_rejects_unsorted_radii(trivial_cfg, capsys):
 def test_sweep_rejects_jobs_below_one(trivial_cfg, capsys, jobs):
     assert main(["sweep", "--config", trivial_cfg, "--radii", "4,5", "--jobs", jobs]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_radii_replace_the_file_radius(tmp_path, capsys):
+    # each row's config, with the row's radius, is the one validated
+    cfg = _write_cfg(tmp_path, "small.json",
+                     {"model": {"family": "trivial"}, "geometry": {"radius": 3}})
+    assert main(["sweep", "--config", cfg, "--radii", "4,5"]) == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [r[0] for r in rows] == ["4", "5"]
 
 
 def test_trivial_sweep_csv(trivial_cfg, capsys):

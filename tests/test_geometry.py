@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import (ComputationError, Cone, LatticeGeometry, build_disk_lattice,
-                      cone_site_ids, make_good_partition, region_mask, windowed_site_ids)
+                      cone_site_ids, make_good_partition, pfaffian_expectation,
+                      random_covariance, region_mask, windowed_site_ids)
 from artifact.geometry import DEFAULT_APEX_OFFSET
 from region_helpers import partition_masks, site_projector
 
@@ -141,6 +142,21 @@ def test_region_mask_expands_majorana_indices():
     assert mask.dtype == bool
     assert int(mask.sum()) == 8
     assert mask[0] and mask[3] and mask[8] and mask[11]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: region_mask([2], LatticeGeometry(np.zeros((2, 2)), 2, (0.5, 0.5))),
+     "site id out of range"),
+    (lambda: pfaffian_expectation(random_covariance(4, np.random.default_rng(0)),
+                                  [np.ones(4)] * 3),
+     "pfaffian needs an even list"),
+    (lambda: random_covariance(5, np.random.default_rng(0)), "dim_K must be even"),
+    (lambda: LatticeGeometry(np.zeros((1, 2)), 3, (0.5, 0.5)),
+     "majorana_count must be a positive even integer"),
+], ids=["site-id", "pfaffian-odd", "covariance-odd", "majorana-count"])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ComputationError, match=message):
+        call()
 
 
 def test_windowed_site_ids_inside_window_and_cones():

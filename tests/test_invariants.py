@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
+from artifact import (ComputationError, FreeFermionPrediction,
                       build_disk_lattice, build_pip, build_qwz, build_trivial, chern_number,
                       chern_number_with_residual, cocycle_exponent, core_regions,
                       cyclic_charge, dress_charge, exchange_phase_bch,
@@ -15,6 +15,7 @@ from artifact import (ComputationError, FreeFermionPrediction, IndexReport,
                       make_good_partition, parity_charge, parity_indices,
                       predicted_free_fermion, stack_copies, twist_statistics)
 from artifact import _util
+from artifact.cli import compute_report, load_config
 from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
 from artifact.invariants import _BCH_WORKING_ARRAYS, _log_near_identity
 from artifact.quasifree import BasisProjection
@@ -42,7 +43,8 @@ def test_closed_phase_pi_pi():
 
 def test_prediction_trivial():
     pred = predicted_free_fermion(0, 5)
-    assert tuple(pred) == (0.0, 1.0 + 0j, 1.0 + 0j, 1, 1.0 + 0j)
+    got = (pred.sigma, pred.theta_N, pred.omega_N, pred.z2, pred.z8)
+    assert got == (0.0, 1.0 + 0j, 1.0 + 0j, 1, 1.0 + 0j)
 
 
 def test_prediction_nu2_three_copies():
@@ -131,7 +133,7 @@ def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
 def test_conjugated_projection_flips_invariant(qwz_r6):
     P, part = qwz_r6
     nu = chern_number(P, part)
-    Pc = BasisProjection(-P.O, P.source, P.gap_used, P.geometry)  # conj(P)
+    Pc = BasisProjection(-P.O, P.geometry)  # conj(P)
     assert abs(chern_number(Pc, part) + nu) <= 1e-12
 
 
@@ -139,8 +141,7 @@ def test_nonhermitian_input_is_refused(qwz_r6):
     P, part = qwz_r6
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(P.O.shape)
-    Pbad = BasisProjection(P.O + 1e-3 * noise, "corrupt",
-                           P.gap_used, P.geometry)
+    Pbad = BasisProjection(P.O + 1e-3 * noise, P.geometry)
     with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
         chern_number_with_residual(Pbad, part)
 
@@ -168,7 +169,7 @@ def test_nu_is_invariant_under_c4(family):
 
 def test_missing_geometry_is_refused(qwz_r6):
     _, part = qwz_r6
-    P = BasisProjection(np.zeros((4, 4)), "synthetic", 0.0)  # P = I/2
+    P = BasisProjection(np.zeros((4, 4)))  # P = I/2
     with pytest.raises(ComputationError, match="projection carries no geometry"):
         chern_number(P, part)
 
@@ -181,7 +182,7 @@ def test_unconverged_random_state_is_refused():
     part = make_good_partition((0.31, 0.17))
     rng = np.random.default_rng(0)
     A = rng.standard_normal((geom.dim_K, geom.dim_K))
-    h = QuadraticHamiltonian(1j * (A - A.T) / 2, geom, "random")
+    h = QuadraticHamiltonian(1j * (A - A.T) / 2, geom)
     P = ground_projection(h, gap_tol=1e-10)
     with pytest.raises(ComputationError, match="unconverged"):
         parity_indices(P, part)
@@ -199,7 +200,7 @@ def test_bch_zero_flux_short_circuit(qwz_stack3_r6_generators):
 
 def _synthetic_projection():
     # the two short-circuits below never read P beyond its dimension
-    return BasisProjection(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]), "synthetic", 0.0)
+    return BasisProjection(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_bch_commuting_generators_give_one():
@@ -388,7 +389,7 @@ def test_flux_identities_on_random_gapped_models(seed, N):
     geom = build_disk_lattice("square", 4.0, majorana_count=2)
     part = make_good_partition(geom.apex)
     G = np.random.default_rng(seed).standard_normal((geom.dim_K, geom.dim_K))
-    h = QuadraticHamiltonian((G - G.T) / 2, geom, "random")
+    h = QuadraticHamiltonian((G - G.T) / 2, geom)
     P = ground_projection(h, gap_tol=1e-10)
     nu = chern_number(P, part)
     ids, _ = core_regions(P, part, 0.7)
@@ -401,7 +402,7 @@ def test_flux_identities_on_random_gapped_models(seed, N):
     # twist_statistics is that identity; the dressed cyclic charges are its oracle
     g0, g1 = (dress_charge(P_N, lift_charge(cyclic_charge(N), geom, ids[a])) for a in (0, 1))
     assert abs(sigma_N - hall_sigma(P_N, g0, g1, part)) <= 1e-10
-    Pc = BasisProjection(-P.O, P.source, P.gap_used, P.geometry)  # conj(P)
+    Pc = BasisProjection(-P.O, P.geometry)  # conj(P)
     assert abs(chern_number(Pc, part) + nu) <= 1e-10
 
 
@@ -424,7 +425,7 @@ def test_nu_under_rotation_and_mirror_on_random_gapped_models(seed, majoranas):
         sites = np.array([ids[preimage(x, y)] for x, y in g.sites.tolist()])
         fiber = (sites[:, None] * majoranas + np.arange(majoranas)).ravel()
         A = (G - G.T)[np.ix_(fiber, fiber)] / 2
-        P = ground_projection(QuadraticHamiltonian(A, g, "random"), 1e-10)
+        P = ground_projection(QuadraticHamiltonian(A, g), 1e-10)
         return chern_number(P, make_good_partition(g.apex, boundary_angles))
 
     nu0 = nu((x, y), angles, lambda u, v: (u, v))
@@ -436,32 +437,18 @@ def test_nu_under_rotation_and_mirror_on_random_gapped_models(seed, majoranas):
 
 
 # ---------------------------------------------------------------------------
-# report container
+# report
 
 
 def test_report_roundtrip_and_keys():
-    rep = IndexReport(nu=1.998, nu_rounded=2, sigma=0.999,
-                      z2=1, z8_phase=complex(np.exp(1j * np.pi / 4)),
-                      diagnostics={"radius": 8.0})
-    rep.validate()
-    blob = json.loads(json.dumps(rep.to_json_dict()))
+    cfg = load_config(None)
+    cfg["model"]["family"], cfg["geometry"]["radius"] = "trivial", 4.0
+    blob = json.loads(json.dumps(compute_report(cfg, "parity")))
     assert set(blob) == {"nu", "nu_rounded", "sigma", "theta_N", "omega_N", "z2", "z8",
                          "diagnostics"}
-    assert blob["z8"]["arg"] == pytest.approx(np.pi / 4)
+    assert blob["z8"]["arg"] == pytest.approx(0.0, abs=1e-12)
     assert blob["theta_N"] is None
-    assert blob["diagnostics"]["radius"] == 8.0
-
-
-def test_report_rejects_nonunit_phase():
-    rep = IndexReport(theta_N=1.2 + 0j)
-    with pytest.raises(ComputationError, match="unit phase"):
-        rep.validate()
-
-
-def test_report_rejects_order8_phase_at_odd_invariant():
-    rep = IndexReport(nu_rounded=1, z8_phase=1.0 + 0j)
-    with pytest.raises(ComputationError, match="odd invariant"):
-        rep.validate()
+    assert blob["diagnostics"]["radius"] == 4.0
 
 
 def test_prediction_is_frozen():

@@ -50,9 +50,9 @@ def test_far_corner_symmetric_part_refused():
     for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
         A[0, -1], A[-1, 0] = corners
         with pytest.raises(ComputationError, match="not Hermitian"):
-            QuadraticHamiltonian(A, disk, "qwz")
+            QuadraticHamiltonian(A, disk)
     A[-1, 0] = -1e-6 + 1e-13  # within 1e-12: accepted, made exactly antisymmetric
-    B = QuadraticHamiltonian(A, disk, "qwz").block
+    B = QuadraticHamiltonian(A, disk).block
     assert np.array_equal(B, -B.T)
     assert B[0, -1] == pytest.approx(1e-6 - 5e-14, abs=1e-20)
 
@@ -90,8 +90,7 @@ def test_pip_gapless_without_pairing(disk2):
 
 
 def test_pip_strong_pairing_builds(disk2):
-    h = build_pip(-5.0, 0.5, disk2)
-    assert h.family_tag == "pip"
+    build_pip(-5.0, 0.5, disk2)
 
 
 def test_majorana_count_requirements(disk4, disk2):

@@ -36,7 +36,6 @@ def test_trivial_projection_invariants(trivial_projection):
     idem, herm, selfdual = _projection_residuals(P.matrix)
     assert max(idem, herm, selfdual) <= 1e-12
     assert round(np.trace(P.matrix).real) * 2 == P.dim_K
-    assert P.source == "trivial"
     assert P.geometry is h.geometry
     assert P.health == {"edge_gap": pytest.approx(1.0, abs=1e-12), "zero_modes": 0,
                         "projection_residual": pytest.approx(0.0, abs=1e-12)}
@@ -53,7 +52,7 @@ def test_ground_state_is_stored_real(qwz_r6):
     P, _ = qwz_r6
     h = build_qwz(1.0, P.geometry)
     for stored in (h.block, P.O, stack_copies(h, 3).block,
-                   QuadraticHamiltonian(h.matrix, h.geometry, "qwz").block):
+                   QuadraticHamiltonian(h.matrix, h.geometry).block):
         assert stored.dtype == np.float64
     assert np.array_equal(h.matrix, 1j * h.block)
     assert np.array_equal(P.matrix, (np.eye(P.dim_K) - 1j * P.O) / 2)
@@ -111,11 +110,11 @@ def test_non_finite_hamiltonian_refused(trivial_projection):
         A = h.block.copy()
         A[0, 1] = bad
         with pytest.raises(ComputationError, match="not finite"):
-            QuadraticHamiltonian(A, h.geometry, "trivial")
+            QuadraticHamiltonian(A, h.geometry)
     K = h.matrix.copy()
     K[0, 1] += np.nan  # a NaN real part of iA
     with pytest.raises(ComputationError, match="gapless: real part nan"):
-        QuadraticHamiltonian(K, h.geometry, "trivial")
+        QuadraticHamiltonian(K, h.geometry)
 
 
 def test_nan_projection_refused(trivial_projection):
@@ -142,7 +141,7 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         O = R @ O @ R.T
         O = (O - O.T) / 2
-        BasisProjection(O, "rotated", gap_tol).validate()
+        BasisProjection(O).validate()
         return O, edge_gap, m
 
     monkeypatch.setattr(quasifree, "_complex_structure", rotated)
@@ -233,7 +232,7 @@ def test_real_path_matches_dense_oracle(case):
     Pd = dense_ground_projection(h, gap_tol)
     assert float(np.max(np.abs(P.matrix - Pd))) <= 1e-10
     part = make_good_partition(h.geometry.apex)
-    dense = dense_basis_projection(Pd, gap_tol, h.geometry)
+    dense = dense_basis_projection(Pd, h.geometry)
     assert abs(chern_number(P, part) - chern_number(dense, part)) <= 1e-10
 
 
@@ -277,7 +276,7 @@ def test_real_path_matches_oracle_on_random_spectra(seed):
     Q = np.linalg.qr(rng.standard_normal((2 * pairs, 2 * pairs)))[0]
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     A = Q @ np.kron(np.diag(lam), J) @ Q.T
-    h = QuadraticHamiltonian(1j * (A - A.T) / 2, None, "random")
+    h = QuadraticHamiltonian(1j * (A - A.T) / 2, None)
     P = ground_projection(h, gap_tol)  # validates at 1e-12, [A, O] included
     assert P.health["projection_residual"] <= 1e-12
     assert P.health["zero_modes"] == 0

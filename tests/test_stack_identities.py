@@ -51,7 +51,7 @@ def stack(request):
     h = build(geom)
     hs = stack_copies(h, N)
     P = ground_projection(hs, gap_tol)
-    dense = dense_basis_projection(dense_ground_projection(hs, gap_tol), gap_tol, hs.geometry)
+    dense = dense_basis_projection(dense_ground_projection(hs, gap_tol), hs.geometry)
     return h, N, gap_tol, make_good_partition(geom.apex), P, dense
 
 
@@ -90,7 +90,7 @@ def test_stack_health_counts_every_copy():
     K = h.block.copy()
     K[0:2, :] = 0.0
     K[:, 0:2] = 0.0
-    h = QuadraticHamiltonian(K, h.geometry, "trivial")
+    h = QuadraticHamiltonian(K, h.geometry)
     P1 = ground_projection(h, 1e-8)
     P3 = ground_projection(stack_copies(h, 3), 1e-8)
     assert P1.health["zero_modes"] == 2 and P3.health["zero_modes"] == 6
