@@ -5,7 +5,7 @@ Subcommands, and the flags each reads (any other flag exits 2)
 chern | parity | twist   index computations on a fresh disk model
                          (--config --out --seed --radius; twist also --copies)
 oracle-tknn              momentum-space integer oracle for the same model
-                         (--config --out --seed --radius)
+                         (--config --out --seed)
 sweep                    one full run per radius, CSV output
                          (--config --out --seed --radii --jobs)
 selftest                 randomized property suites, wick | algebraic
@@ -429,7 +429,7 @@ def _parser() -> argparse.ArgumentParser:
         if name == "sweep":
             sp.add_argument("--radii", default=None, help="comma-separated radii, increasing")
             sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-        else:
+        elif name != "oracle-tknn":
             sp.add_argument("--radius", type=float, default=None, help="override geometry.radius")
         if name == "twist":
             sp.add_argument("--copies", type=int, default=None,

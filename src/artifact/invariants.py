@@ -46,9 +46,13 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: unitaries count twice). tracemalloc at block dim 448 and 804: 16.2 on both
-#: the Mercator-series and the Cayley-transform paths
+#: arrays count twice). tracemalloc at block dim 448 and 804: 8.0 on the
+#: Mercator-series path, 14.0 on the Cayley-transform path
 _BCH_WORKING_ARRAYS = 40
+
+#: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
+#: Mercator series, whose terms then shrink at least as fast as 0.5^k
+_SERIES_RADIUS = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +169,30 @@ def exchange_phase_closed(sigma: float, alpha0: float, alpha1: float) -> complex
     return complex(np.exp(1j * alpha0 * alpha1 * sigma / (4 * np.pi)))
 
 
+def _log_series(E: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """log(I + E) Y from the Mercator series sum_k (-1)^(k+1) E^k Y / k,
+    taken only for |E|_F < _SERIES_RADIUS. Each term is one product with
+    the columns of Y, so a thin Y never forms the logarithm itself. The
+    series stops once a term's largest entry over k + 1 is below 1e-16:
+    in norm every later term is at most |E|_2 < 0.5 times the one before."""
+    term = E @ Y
+    L = np.zeros_like(term)
+    sign = 1.0
+    for k in range(1, 61):
+        L += (sign / k) * term
+        if float(np.max(np.abs(term))) / (k + 1) < 1e-16:
+            break
+        term = E @ term
+        sign = -sign
+    return L
+
+
 def _log_near_identity(E: np.ndarray) -> np.ndarray:
     """Principal logarithm of a unitary C = I + E, refused near the branch
     cut at -1.
 
-    While |E|_F < 0.5, a bound on |E|_2, the Mercator series in E converges.
-    Otherwise the Cayley transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E:
+    While |E|_F < _SERIES_RADIUS the Mercator series. Otherwise the
+    Cayley transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E:
     it is Hermitian, with C's eigenvectors and the eigenvalues
     kappa = tan(theta/2) for C's e^(i theta), so one eigh gives
     log C = W diag(2i arctan kappa) W^+. C is normal, so
@@ -178,17 +200,8 @@ def _log_near_identity(E: np.ndarray) -> np.ndarray:
     A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within 0.68 of -1),
     is a branch ambiguity.
     """
-    if float(np.linalg.norm(E)) < 0.5:
-        L = np.zeros_like(E)
-        term = E
-        sign = 1.0
-        for k in range(1, 61):
-            L += (sign / k) * term
-            if float(np.max(np.abs(term))) / (k + 1) < 1e-16:
-                break
-            term = term @ E
-            sign = -sign
-        return L
+    if float(np.linalg.norm(E)) < _SERIES_RADIUS:
+        return _log_series(E, np.eye(E.shape[0]))
     M = E.copy()
     M[np.diag_indices_from(M)] += 2.0  # I + C
     try:
@@ -218,10 +231,26 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     Both generators must carry the same charge c. In its eigenbasis,
     Ua = exp(i alpha_a kron(Ba, c)) splits into the sectors
     exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
-    the trace. One eigh per block serves every sector; the phase is
-    exp(sum_j phi_j), each sector under the branch-ambiguity rule. The
-    j = 0 sector is the identity and is skipped. A job whose block-size
-    working set would not fit in the available memory is refused up front.
+    the trace; the phase is exp(sum_j phi_j). The j = 0 sector is the
+    identity and is skipped, and so is any sector with |C - I|_F < 1e-13.
+
+    Each sector works in the eigenbasis V0 of B0: there U0 is the diagonal
+    D0 = exp(i alpha0 j lam0) and U1 is W = X exp(i alpha1 j lam1) X^+, with
+    X = V0^+ V1 formed once, so C' = V0^+ C V0 = (D0 W D0*) W^+ takes two
+    products and no flux unitary is built. C' and C share their spectrum
+    and |C - I|_F, so the skip, the branch rule and both refusals of
+    _log_near_identity are unchanged. The trace reads only the anchor's
+    columns L[:, a] = V0 log(C') Va^+ and rows L[a, :] = Va log(C') V0^+,
+    Va = V0[a, :]. Under the Mercator series these are series on the thin
+    Va^+ and Va, so log C is never formed; the Cayley transform forms
+    log C', and can refuse, before the anchor is read.
+
+    A purely imaginary charge (the cyclic charge) has a spectrum symmetric
+    under j -> -j. With real blocks V0 and X are real, so going from j to -j
+    conjugates D0, W, C', its logarithm and the anchor's columns and rows:
+    the sector -j is read off the sector j instead of being computed. A job
+    whose block-size working set would not fit in the available memory is
+    refused up front.
     """
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
@@ -232,23 +261,42 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     check_memory(g0.block.shape[0], _BCH_WORKING_ARRAYS, "flux commutator")
     lam0, V0 = np.linalg.eigh(g0.block)
     lam1, V1 = np.linalg.eigh(g1.block)
+    X = V0.conj().T @ V1
+    del V1
     js = np.linalg.eigvalsh(g0.charge)
+    js = js[np.abs(js) > 1e-12 * np.max(np.abs(js))]
+    mirrored = np.isrealobj(X) and not np.any(g0.charge.real)
+    if mirrored:
+        js = js[js > 0]
     anchor, phi = None, 0.0
-    for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
-        U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
-        U1 = (V1 * np.exp(1j * alpha1 * j * lam1)) @ V1.conj().T
-        E = U0 @ U1 @ U0.conj().T @ U1.conj().T
-        del U0, U1
-        E[np.diag_indices_from(E)] -= 1.0  # E = C - I; C itself is never kept
-        if float(np.max(np.abs(E))) < 1e-13:
+    for j in js:
+        W = (X * np.exp(1j * alpha1 * j * lam1)) @ X.conj().T  # V0^+ U1 V0
+        Wh = W.conj().T
+        d0 = np.exp(1j * alpha0 * j * lam0)
+        W *= d0[:, None]
+        W *= d0.conj()  # D0 W D0*, in place
+        E = W @ Wh
+        del W, Wh
+        E[np.diag_indices_from(E)] -= 1.0  # E = C' - I; C' itself is never kept
+        norm = float(np.linalg.norm(E))
+        if norm < 1e-13:
             continue
-        L = _log_near_identity(E)
+        L = None if norm < _SERIES_RADIUS else _log_near_identity(E)  # Cayley; may refuse
         if anchor is None:
             anchor = _core_indices(P, partition, core_fraction)[2]
-            Oa = P.O[anchor, :]
+            Oa, Va = P.O[anchor, :], V0[anchor, :]
+        if L is None:
+            cols = _log_series(E, Va.conj().T)  # log(C') Va^+
+            rows = _log_series(E.T, Va.T).T  # Va log(C')
+        else:
+            cols, rows = L @ Va.conj().T, Va @ L
+        del E, L
+        Lc, Lr = V0 @ cols, V0 @ rows.conj().T  # L[:, a] and L[a, :]^+
         # Tr_a(P L) + Tr_a(L P), and Tr_a(L P) = conj(Tr_a(P L^+)) for Hermitian P
-        t = (_anchored_trace(Oa, anchor, L[:, anchor])
-             + np.conj(_anchored_trace(Oa, anchor, L[anchor, :].conj().T)))
+        t = _anchored_trace(Oa, anchor, Lc) + np.conj(_anchored_trace(Oa, anchor, Lr))
+        if mirrored:  # the sector -j
+            t += (_anchored_trace(Oa, anchor, Lc.conj())
+                  + np.conj(_anchored_trace(Oa, anchor, Lr.conj())))
         phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
     return complex(np.exp(phi))
 

@@ -14,11 +14,19 @@ a complex P in the real form O = -2 Im P that the evaluators read.
 `dense_tknn_chern` solves every 2x2 Bloch matrix with eigh and multiplies
 the lower band's link overlaps around each plaquette; it is the oracle for
 `artifact.models.tknn_chern`, which reads bands and plaquette phases off
-H = e0 + d . sigma in closed form."""
+H = e0 + d . sigma in closed form.
+`dense_exchange_phase_bch` builds both flux unitaries of every charge
+sector, the full commutator C and its full logarithm, and reads the anchor's
+rows and columns of log C; it is the oracle for
+`artifact.invariants.exchange_phase_bch`, which works in the first
+generator's eigenbasis and, under the Mercator series, runs the series on
+the anchor's rows and columns only."""
 import numpy as np
 import scipy.linalg
 
 from artifact import BasisProjection, ComputationError, ConfigError
+from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
+                                 _anchored_trace, _core_indices, _log_near_identity)
 from artifact.models import _bloch, _check_gapped
 from artifact.quasifree import _canonical_basis
 
@@ -143,3 +151,29 @@ def dense_tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int
     if abs(total - c) > 1e-6:
         raise ComputationError("gapless parameters")
     return c
+
+
+def dense_exchange_phase_bch(P, g0, g1, alpha0: float, alpha1: float, partition,
+                             core_fraction: float = DEFAULT_CORE_FRACTION) -> complex:
+    """exp(sum_j phi_j) over the nonzero eigenvalues j of the shared charge:
+    per sector the unitaries Ua = exp(i alpha_a j Ba), E = U0 U1 U0* U1* - I,
+    the full principal logarithm L of I + E, and phi_j the symmetrized
+    anchored half-trace of P L. A sector with max|E| < 1e-13 is skipped."""
+    lam0, V0 = np.linalg.eigh(g0.block)
+    lam1, V1 = np.linalg.eigh(g1.block)
+    js = np.linalg.eigvalsh(g0.charge)
+    anchor = _core_indices(P, partition, core_fraction)[2]
+    Oa = P.O[anchor, :]
+    phi = 0.0
+    for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
+        U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T
+        U1 = (V1 * np.exp(1j * alpha1 * j * lam1)) @ V1.conj().T
+        E = U0 @ U1 @ U0.conj().T @ U1.conj().T
+        E[np.diag_indices_from(E)] -= 1.0
+        if float(np.max(np.abs(E))) < 1e-13:
+            continue
+        L = _log_near_identity(E)
+        t = (_anchored_trace(Oa, anchor, L[:, anchor])
+             + np.conj(_anchored_trace(Oa, anchor, L[anchor, :].conj().T)))
+        phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
+    return complex(np.exp(phi))

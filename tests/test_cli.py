@@ -142,7 +142,8 @@ def test_file_of_the_defaults_changes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["chern", "--jobs", "2"], ["parity", "--jobs", "2"], ["twist", "--jobs", "2"],
-    ["oracle-tknn", "--jobs", "2"], ["sweep", "--radii", "4,5", "--radius", "8"],
+    ["oracle-tknn", "--jobs", "2"], ["oracle-tknn", "--radius", "4"],
+    ["sweep", "--radii", "4,5", "--radius", "8"],
     ["selftest", "wick", "--out", "f"], ["selftest", "wick", "--config", "c.json"],
     ["selftest", "wick", "--radius", "8"], ["selftest", "wick", "--jobs", "2"],
 ])
@@ -354,7 +355,7 @@ def test_gapless_parameters_exit_three(tmp_path, capsys):
 
 
 def test_oracle_tknn_qwz(capsys):
-    assert main(["oracle-tknn", "--radius", "4"]) == 0
+    assert main(["oracle-tknn"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["oracle"]["chern"] == 1
     assert blob["oracle"]["parameters"] == {"u": 1.0}

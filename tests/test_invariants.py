@@ -14,12 +14,13 @@ from artifact import (ComputationError, FreeFermionPrediction,
                       exchange_phase_closed, ground_projection, hall_sigma, lift_charge,
                       make_good_partition, parity_charge, parity_indices,
                       predicted_free_fermion, stack_copies, twist_statistics)
-from artifact import _util
+from artifact import _util, invariants
 from artifact.cli import compute_report, load_config
 from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
-from artifact.invariants import _BCH_WORKING_ARRAYS, _log_near_identity
+from artifact.invariants import _BCH_WORKING_ARRAYS, _log_near_identity, _log_series
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
+from dense_oracle import dense_exchange_phase_bch
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +204,19 @@ def _synthetic_projection():
     return BasisProjection(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def test_bch_commuting_generators_give_one():
+def test_bch_commuting_generators_give_one(monkeypatch):
+    # C - I is rounding noise, below 1e-13 in Frobenius norm: the sector is
+    # skipped before either logarithm runs
     d = np.diag(np.array([1.0, 2.0, -1.0, 0.5]))
     g0 = FluxGenerator(d.astype(complex))
     g1 = FluxGenerator((2 * d).astype(complex))
     P = _synthetic_projection()
+
+    def no_log(*args):
+        raise AssertionError("a logarithm ran on an identity sector")
+
+    monkeypatch.setattr(invariants, "_log_near_identity", no_log)
+    monkeypatch.setattr(invariants, "_log_series", no_log)
     assert exchange_phase_bch(P, g0, g1, 0.4, 0.7, None) == 1.0 + 0j
 
 
@@ -256,6 +265,17 @@ def test_log_branch_rule_is_exact_at_its_threshold(dist, refused):
             _log_near_identity(E)
     else:
         assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-10
+
+
+def test_log_series_is_exact_inside_its_radius():
+    # |E|_F < 0.5: the Mercator series, for the full logarithm and on a thin
+    # block of columns
+    X, C = _exp_i(0.1 * np.linspace(-1.0, 1.0, 12))
+    E = C - np.eye(12)
+    assert float(np.linalg.norm(E)) < 0.5
+    assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-14
+    Y = np.random.default_rng(4).standard_normal((12, 3))
+    assert float(np.max(np.abs(_log_series(E, Y) - 1j * X @ Y))) <= 1e-14
 
 
 def test_log_refuses_a_singular_cayley_denominator():
@@ -325,6 +345,68 @@ def test_bch_matches_closed_form(qwz_stack3_r6_generators):
            for a in (0.1, 0.05)]
     assert err[0] <= 1e-6
     assert err[1] <= err[0] / 4
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 2.5])  # series (5, 15 terms); series; Cayley eigh
+def test_bch_matches_the_dense_commutator(qwz_stack3_r6_generators, alpha):
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    want = dense_exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+    assert abs(exchange_phase_bch(P, g0, g1, alpha, alpha, part) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0])  # series; Cayley eigh
+@pytest.mark.parametrize("field", [complex, float])
+def test_bch_matches_the_dense_commutator_on_random_blocks(scale, field):
+    # random Hermitian generators with the charge [[1]]: complex blocks make
+    # the eigenvectors, and so X = V0^+ V1, complex; real blocks make X real,
+    # but a real charge has no sector -j to read off the sector j
+    geom = build_disk_lattice("square", 4.0, majorana_count=4)
+    part = make_good_partition(geom.apex)
+    P = ground_projection(build_qwz(1.0, geom), 1e-4)
+    rng = np.random.default_rng(5)
+    n = P.O.shape[0]
+
+    def generator():
+        G = rng.standard_normal((n, n))
+        if field is complex:
+            G = G + 1j * rng.standard_normal((n, n))
+        B = (G + G.conj().T) / 2
+        return FluxGenerator(B / np.linalg.norm(B, 2))
+
+    g0, g1 = generator(), generator()
+    want = dense_exchange_phase_bch(P, g0, g1, scale, scale, part)
+    assert abs(exchange_phase_bch(P, g0, g1, scale, scale, part) - want) <= 1e-12
+
+
+def test_bch_series_runs_on_the_anchor_only(qwz_stack3_r6_generators, monkeypatch):
+    # |C - I|_F < 0.5 at alpha 0.1: the full logarithm is never formed, and
+    # the series runs on the anchor's columns and rows of the sector j = 1
+    # only (j = -1 is its conjugate); at alpha 2.5 the Cayley transform
+    # needs the full logarithm
+    P, part, g0, g1 = qwz_stack3_r6_generators
+
+    class Formed(Exception):
+        pass
+
+    def formed(E):
+        raise Formed
+
+    series = []
+
+    def spy(E, Y):
+        series.append(Y.shape)
+        return log_series(E, Y)
+
+    log_series = invariants._log_series
+    monkeypatch.setattr(invariants, "_log_near_identity", formed)
+    monkeypatch.setattr(invariants, "_log_series", spy)
+    sigma = hall_sigma(P, g0, g1, part)
+    assert abs(exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
+               - exchange_phase_closed(sigma, 0.1, 0.1)) <= 1e-4
+    anchor = invariants._core_indices(P, part, 0.7)[2]
+    assert series == [(g0.block.shape[0], len(anchor))] * 2
+    with pytest.raises(Formed):
+        exchange_phase_bch(P, g0, g1, 2.5, 2.5, part)
 
 
 # ---------------------------------------------------------------------------
