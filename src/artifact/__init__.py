@@ -6,9 +6,8 @@ phases, stacked-copy twist statistics, and parity indices, with exact
 reference values and randomized self-tests alongside.
 """
 from ._util import ArtifactError, ComputationError, ConfigError
-from .geometry import (Cone, ConicalPartition, LatticeGeometry,
-                       build_disk_lattice, cone_site_ids, make_good_partition,
-                       region_mask, windowed_site_ids)
+from .geometry import (ConicalPartition, LatticeGeometry, build_disk_lattice,
+                       make_good_partition, region_mask, windowed_site_ids)
 from .models import (CONVENTION_TAG, QuadraticHamiltonian, build_pip, build_qwz,
                      build_trivial, stack_copies, tknn_chern)
 from .quasifree import (BasisProjection, ground_projection, pfaffian_expectation,
@@ -24,9 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtifactError", "ComputationError", "ConfigError",
-    "Cone", "ConicalPartition", "LatticeGeometry",
-    "build_disk_lattice", "cone_site_ids", "make_good_partition",
-    "region_mask", "windowed_site_ids",
+    "ConicalPartition", "LatticeGeometry",
+    "build_disk_lattice", "make_good_partition", "region_mask", "windowed_site_ids",
     "CONVENTION_TAG", "QuadraticHamiltonian",
     "build_pip", "build_qwz", "build_trivial", "stack_copies", "tknn_chern",
     "BasisProjection", "ground_projection",

@@ -133,6 +133,8 @@ def validate_config(cfg: dict, task: str):
     family = cfg["model"]["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
+    if task == "oracle-tknn":  # the momentum-space oracle builds no disk
+        return
     lattice = cfg["geometry"]["family"]
     if lattice != "square":
         raise ConfigError(f"geometry.family must be 'square', not {lattice!r}")

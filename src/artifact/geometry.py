@@ -6,12 +6,13 @@ row index is the site id. The one-particle space K has one basis vector per
 modes per site. Everything downstream (models, generators, invariants)
 addresses K through the masks built here.
 
-Region conventions: a partition consists of three open cones A0, A1, A2
-around a common apex, ordered counterclockwise, whose closures cover the
-plane; the thin gap sectors of half-width gap_halfwidth straddling the
-boundaries are only validated, never built, and carry no sites. Sites too
-close to a cone boundary are rejected ("non-generic site") so membership is
-unambiguous.
+Region conventions: a partition is an apex and three boundary angles,
+ordered counterclockwise; the boundary half-lines from the apex cut the
+plane into the cones 0, 1, 2, cone a being the sector
+[theta_a, theta_{a+1}). The thin gap sectors of half-width gap_halfwidth
+straddling the boundaries are only validated, never built, and carry no
+sites. Sites too close to a boundary half-line are rejected ("non-generic
+site") so membership is unambiguous.
 """
 from __future__ import annotations
 
@@ -58,21 +59,7 @@ class LatticeGeometry:
 
 
 @dataclass(frozen=True)
-class Cone:
-    """Open angular sector {apex + r e^{i phi} : r > 0, phi in (lo, hi) mod 2pi}."""
-    apex: tuple[float, float]
-    angle_lo: float
-    angle_hi: float
-
-    def __post_init__(self):
-        width = (self.angle_hi - self.angle_lo) % TWO_PI
-        if not (0.0 < width < TWO_PI):
-            raise ComputationError("degenerate partition")
-
-
-@dataclass(frozen=True)
 class ConicalPartition:
-    cones_A: tuple[Cone, Cone, Cone]
     apex: tuple[float, float]
     boundary_angles: tuple[float, float, float]
 
@@ -106,7 +93,7 @@ def make_good_partition(apex: tuple[float, float],
                         gap_halfwidth: float = 0.15) -> ConicalPartition:
     """Three cones between consecutive boundary half-lines, counterclockwise.
 
-    The A-cones are the full open sectors [theta_a, theta_{a+1}).
+    Cone a is the full sector [theta_a, theta_{a+1}).
     `gap_halfwidth` is the half-width of the thin gap sector straddling each
     boundary; it must be positive and the gap sectors of neighbouring
     boundaries may not overlap. No site is ever assigned to a gap sector.
@@ -121,41 +108,37 @@ def make_good_partition(apex: tuple[float, float],
     if not gap_halfwidth > 0 or any(2 * gap_halfwidth >= g for g in gaps):
         # an empty gap sector, or gap closures overlapping away from the apex
         raise ComputationError("degenerate partition")
-    A = tuple(Cone(apex, th[i], th[(i + 1) % 3]) for i in range(3))
-    return ConicalPartition(A, apex, (th[0], th[1], th[2]))
+    return ConicalPartition(apex, (th[0], th[1], th[2]))
 
 
-def _in_cone(cone: Cone, xy: np.ndarray) -> np.ndarray:
-    """Boolean mask of the points (rows of xy) whose direction from the cone
-    apex lies in the open sector.
+def _cone_labels(partition: ConicalPartition, xy: np.ndarray) -> np.ndarray:
+    """The cone 0, 1 or 2 of each point (rows of xy).
 
-    Raises "non-generic site" if any point is within EPS_GENERIC of either
+    Raises "non-generic site" if any point is within EPS_GENERIC of a
     boundary half-line, the apex included (membership would depend on
     rounding).
     """
-    dx, dy = xy[:, 0] - cone.apex[0], xy[:, 1] - cone.apex[1]
+    dx, dy = xy[:, 0] - partition.apex[0], xy[:, 1] - partition.apex[1]
     r = np.hypot(dx, dy)
-    for theta in (cone.angle_lo, cone.angle_hi):
+    th = np.asarray(partition.boundary_angles) % TWO_PI
+    for theta in th:
         c, s = np.cos(theta), np.sin(theta)
         # distance to the half-line: to its origin behind it, else to the line
         dist = np.where(dx * c + dy * s <= 0.0, r, np.abs(-dx * s + dy * c))
         if np.any(dist < EPS_GENERIC):
             raise ComputationError("non-generic site")
     phi = np.arctan2(dy, dx) % TWO_PI
-    lo, hi = cone.angle_lo % TWO_PI, cone.angle_hi % TWO_PI
-    if lo <= hi:
-        return (lo <= phi) & (phi < hi)
-    return (phi >= lo) | (phi < hi)
-
-
-def cone_site_ids(cone: Cone, geometry: LatticeGeometry) -> list[int]:
-    return np.flatnonzero(_in_cone(cone, geometry.sites)).tolist()
+    # th runs counterclockwise, so it is sort(th) rotated by argmin(th): the
+    # point lies in [sorted[k-1], sorted[k]) (k = 0 and 3 wrap round), the
+    # cone that begins at sorted[k-1] = th[(k - 1 + argmin(th)) % 3]
+    k = np.searchsorted(np.sort(th), phi, side="right")
+    return (k - 1 + int(np.argmin(th))) % 3
 
 
 def region_mask(region, geometry: LatticeGeometry) -> np.ndarray:
     """Boolean mask over the dim_K basis selecting all Majorana indices of the
-    region's sites. `region` is an iterable of site ids (cone_site_ids gives
-    a cone's)."""
+    region's sites. `region` is an iterable of site ids (windowed_site_ids
+    gives each cone's)."""
     ids = np.asarray(list(region), dtype=int)
     if ids.size and (ids.min() < 0 or ids.max() >= len(geometry.sites)):
         raise ComputationError("site id out of range")
@@ -166,8 +149,9 @@ def region_mask(region, geometry: LatticeGeometry) -> np.ndarray:
 
 def windowed_site_ids(partition: ConicalPartition, geometry: LatticeGeometry,
                       core_fraction: float) -> list[list[int]]:
-    """Site ids of each A-cone restricted to the evaluation window
-    {|pos - apex| <= core_fraction * radius}.
+    """Site ids of each cone of the partition restricted to the evaluation
+    window {|pos - apex| <= core_fraction * radius}; core_fraction = 1 gives
+    the full cones.
 
     The window keeps the triple junction deep in the bulk and excludes the
     disk edge; with the full cones the alternating triple traces cancel
@@ -181,4 +165,5 @@ def windowed_site_ids(partition: ConicalPartition, geometry: LatticeGeometry,
     r = np.hypot(xy[:, 0] - partition.apex[0], xy[:, 1] - partition.apex[1])
     R = geometry.radius if geometry.radius > 0 else float(np.max(r))
     window = np.flatnonzero(r <= core_fraction * R)
-    return [window[_in_cone(cone, xy[window])].tolist() for cone in partition.cones_A]
+    labels = _cone_labels(partition, xy[window])
+    return [window[labels == a].tolist() for a in range(3)]

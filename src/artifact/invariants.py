@@ -133,12 +133,9 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     The commutator trace is anchored on the core of the third cone (the one
     carrying neither generator) and scaled by the junction multiplicity.
     With P = kron(P1, I_N) and Qa = kron(Ba, qa) the trace factors into
-    Tr(q0 q1) times the same trace of the blocks. Identical generators
-    short-circuit to exactly zero.
+    Tr(q0 q1) times the same trace of the blocks. Identical generators give
+    two identical traces and so exactly zero.
     """
-    if g0 is g1 or (np.array_equal(g0.block, g1.block)
-                     and np.array_equal(g0.charge, g1.charge)):
-        return 0.0, 0.0
     g0.check_factors(P)
     g1.check_factors(P)
     anchor = _core_indices(P, partition, core_fraction)[2]
@@ -270,7 +267,9 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         js = js[js > 0]
     anchor, phi = None, 0.0
     for j in js:
-        W = (X * np.exp(1j * alpha1 * j * lam1)) @ X.conj().T  # V0^+ U1 V0
+        # V0^+ U1 V0 = X exp(i theta) X^+, as two real products when X is real
+        theta = alpha1 * j * lam1
+        W = (X * np.cos(theta)) @ X.conj().T + 1j * ((X * np.sin(theta)) @ X.conj().T)
         Wh = W.conj().T
         d0 = np.exp(1j * alpha0 * j * lam0)
         W *= d0[:, None]

@@ -105,51 +105,25 @@ def _pip_blocks(mu: float, delta: float):
 
 
 def _bloch(family_tag: str, parameters: dict, kgrid: int) -> np.ndarray:
-    """k-space matrices of the periodic model on the kgrid x kgrid grid of the
-    Brillouin zone, shape (kgrid, kgrid, 2, 2): the band matrix for qwz, the
-    BdG matrix for pip."""
+    """Bloch vectors d(k) of the periodic model on the kgrid x kgrid grid of
+    the Brillouin zone, shape (3, kgrid, kgrid): of the band matrix for qwz,
+    of the BdG matrix for pip."""
     ks = 2 * np.pi * np.arange(kgrid) / kgrid
     return _bloch_at(family_tag, parameters, ks[:, None], ks[None, :])
 
 
 def _bloch_at(family_tag: str, parameters: dict, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-    """k-space matrices at the momenta (kx, ky), which broadcast against each
-    other; shape np.broadcast(kx, ky).shape + (2, 2). Both families have the
-    form [[m, w], [conj(w), -m]]."""
+    """Bloch vector d(k) at the momenta (kx, ky), which broadcast against
+    each other; shape (3,) + np.broadcast(kx, ky).shape. Both families'
+    Bloch matrices are the traceless H(k) = d(k) . sigma."""
     if family_tag == "qwz":
-        m = float(parameters["u"]) + np.cos(kx) + np.cos(ky)
-        w = np.sin(kx) - 1j * np.sin(ky)
+        d = (np.sin(kx), np.sin(ky), float(parameters["u"]) + np.cos(kx) + np.cos(ky))
     elif family_tag == "pip":
         mu, delta = float(parameters["mu"]), float(parameters["delta"])
-        m = -2.0 * (np.cos(kx) + np.cos(ky)) - mu
-        w = delta * (np.sin(kx) - 1j * np.sin(ky))
+        d = (delta * np.sin(kx), delta * np.sin(ky), -2.0 * (np.cos(kx) + np.cos(ky)) - mu)
     else:
         raise ConfigError(f"no periodic oracle for family {family_tag!r}")
-    H = np.empty(m.shape + (2, 2), dtype=complex)
-    H[..., 0, 0] = m
-    H[..., 0, 1] = w
-    H[..., 1, 0] = np.conj(w)
-    H[..., 1, 1] = -m
-    return H
-
-
-def _pauli(H: np.ndarray):
-    """Read a stack of 2x2 Hermitian matrices as H = e0 I + d . sigma: returns
-    e0 (shape H.shape[:-2]) and the components (dx, dy, dz) =
-    (Re H01, -Im H01, (H00 - H11)/2) of d stacked first (shape
-    (3,) + H.shape[:-2])."""
-    e0 = 0.5 * (H[..., 0, 0].real + H[..., 1, 1].real)
-    d = np.stack([H[..., 0, 1].real, -H[..., 0, 1].imag,
-                  0.5 * (H[..., 0, 0].real - H[..., 1, 1].real)])
-    return e0, d
-
-
-def _bands(e0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The two bands e0 -+ |d| of H = e0 I + d . sigma, stacked first. |d| is
-    the root of the summed squares, accurate to a few ulp while the nonzero
-    components of d lie between 1e-150 and 1e150 in magnitude."""
-    r = np.sqrt(np.sum(d * d, axis=0))
-    return np.stack([e0 - r, e0 + r])
+    return np.stack(np.broadcast_arrays(*d))
 
 
 #: the four momenta k in {0, pi}^2, where every gap closing of qwz and pip
@@ -158,17 +132,17 @@ _HIGH_SYMMETRY = np.meshgrid([0.0, np.pi], [0.0, np.pi], indexing="ij")
 
 
 def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = None) -> float:
-    """Refuse gapless parameters; return the bulk gap min |E(k)| over the
-    closed-form bands e0 -+ |d| of the Bloch matrices, on a grid and at the
-    four momenta {0, pi}^2. `ev` are bands the caller has already computed
-    on its own grid (default: a kgrid-120 grid)."""
+    """Refuse gapless parameters; return the bulk gap min |E(k)| of the bands
+    -+|d(k)| of the traceless Bloch matrices d(k) . sigma, on a grid and at
+    the four momenta {0, pi}^2. `ev` are energies the caller has already
+    computed on its own grid (default: |d| on a kgrid-120 grid)."""
     if family_tag == "pip" and parameters["delta"] == 0.0 and abs(parameters["mu"]) <= 4.0:
         # nodal ring of the delta = 0 metal can slip between grid points
         raise ComputationError("gapless parameters: nodal ring at delta = 0")
     if ev is None:
-        ev = _bands(*_pauli(_bloch(family_tag, parameters, 120)))
-    corners = _bands(*_pauli(_bloch_at(family_tag, parameters, *_HIGH_SYMMETRY)))
-    gap = min(float(np.min(np.abs(ev))), float(np.min(np.abs(corners))))
+        ev = np.linalg.norm(_bloch(family_tag, parameters, 120), axis=0)
+    corners = np.linalg.norm(_bloch_at(family_tag, parameters, *_HIGH_SYMMETRY), axis=0)
+    gap = min(float(np.min(np.abs(ev))), float(np.min(corners)))
     if gap < 1e-6:
         raise ComputationError(f"gapless parameters: bulk gap {gap:.2g} < 1e-6")
     return gap
@@ -185,19 +159,17 @@ def _solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _plaquette_phases(d: np.ndarray) -> np.ndarray:
-    """Berry-phase field strength of the lower band of H(k) = e0 + d(k) . sigma
-    on each plaquette of a periodic grid, d of shape (3, kgrid, kgrid): the
+    """Berry-phase field strength of the lower band of H(k) = d(k) . sigma on
+    each plaquette of a periodic grid, d of shape (3, kgrid, kgrid) and
+    nonzero at every momentum (the gap certificate refuses a d = 0): the
     principal arg of the link product <n|nx><nx|nxy><nxy|ny><ny|n> around
     the counterclockwise plaquette (k, k + x, k + x + y, k + y), computed in
     closed form. The lower band is the spin-1/2 state along n = -d/|d|, and
     arg <a|b><b|c><c|a> is half the signed solid angle O(a, b, c) of the
     geodesic triangle (a, b, c), so the plaquette's arg is
-    [O(n, nx, nxy) + O(n, nxy, ny)]/2, wrapped into (-pi, pi]. A momentum
-    with d = 0, where the bands touch whatever e0 is, is refused.
+    [O(n, nx, nxy) + O(n, nxy, ny)]/2, wrapped into (-pi, pi].
     """
-    r = np.sqrt(np.sum(d * d, axis=0))
-    if np.any(r == 0.0):
-        raise ComputationError("bands touch: d(k) = 0 at a grid momentum")
+    r = np.linalg.norm(d, axis=0)
     n = d / -r
     nx = np.roll(n, -1, axis=1)
     ny = np.roll(n, -1, axis=2)
@@ -307,17 +279,17 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     """Momentum-space Chern number of the negative-energy band by the
     plaquette field-strength algorithm of Fukui, Hatsugai and Suzuki; exact
-    integer output. Both families' Bloch matrices are 2x2, H = e0 + d . sigma
-    with one occupied band, so the bands and every plaquette's Berry phase
-    come in closed form from d(k) (`_plaquette_phases`); no eigenproblem is
-    solved.
+    integer output. Both families' Bloch matrices are the traceless 2x2
+    H(k) = d(k) . sigma with one occupied band, so the bands -+|d| and every
+    plaquette's Berry phase come in closed form from d(k)
+    (`_plaquette_phases`); no eigenproblem is solved.
 
     Orientation is the package convention anchor: qwz at u = 1 returns +1.
     """
     if kgrid < 50:
         raise ConfigError("kgrid must be >= 50")
-    e0, d = _pauli(_bloch(family_tag, parameters, kgrid))
-    _check_gapped(family_tag, parameters, _bands(e0, d))
+    d = _bloch(family_tag, parameters, kgrid)
+    _check_gapped(family_tag, parameters, np.linalg.norm(d, axis=0))
     total = float(np.sum(_plaquette_phases(d))) / (2 * np.pi)
     if not np.isfinite(total):
         raise ComputationError(f"Chern sum is not finite: {total}")

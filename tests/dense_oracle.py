@@ -11,10 +11,11 @@ lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
 `artifact.quasifree.ground_projection`. `dense_basis_projection` stores such
 a complex P in the real form O = -2 Im P that the evaluators read.
-`dense_tknn_chern` solves every 2x2 Bloch matrix with eigh and multiplies
+`dense_tknn_chern` assembles every 2x2 Bloch matrix H = d . sigma from the
+Bloch vector d(k) (`bloch_matrices`), solves it with eigh and multiplies
 the lower band's link overlaps around each plaquette; it is the oracle for
-`artifact.models.tknn_chern`, which reads bands and plaquette phases off
-H = e0 + d . sigma in closed form.
+`artifact.models.tknn_chern`, which reads the bands -+|d| and the plaquette
+phases off d(k) in closed form.
 `dense_exchange_phase_bch` builds both flux unitaries of every charge
 sector, the full commutator C and its full logarithm, and reads the anchor's
 rows and columns of log C; it is the oracle for
@@ -121,6 +122,16 @@ def dense_basis_projection(P: np.ndarray, geometry) -> BasisProjection:
     return BasisProjection(-2.0 * P.imag, geometry)
 
 
+def bloch_matrices(d: np.ndarray) -> np.ndarray:
+    """H = d . sigma for Bloch vectors d of shape (3, ...); shape (..., 2, 2)."""
+    H = np.empty(d.shape[1:] + (2, 2), dtype=complex)
+    H[..., 0, 0] = d[2]
+    H[..., 0, 1] = d[0] - 1j * d[1]
+    H[..., 1, 0] = d[0] + 1j * d[1]
+    H[..., 1, 1] = -d[2]
+    return H
+
+
 def dense_plaquette_phases(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal arg of the lower band's counterclockwise four-link product
     around each plaquette of the periodic grid of 2x2 Bloch matrices H, shape
@@ -144,7 +155,7 @@ def dense_tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int
     the eigh eigenvalues."""
     if kgrid < 50:
         raise ConfigError("kgrid must be >= 50")
-    phases, ev = dense_plaquette_phases(_bloch(family_tag, parameters, kgrid))
+    phases, ev = dense_plaquette_phases(bloch_matrices(_bloch(family_tag, parameters, kgrid)))
     _check_gapped(family_tag, parameters, ev)
     total = float(np.sum(phases)) / (2 * np.pi)
     c = int(np.rint(total))

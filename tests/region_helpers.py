@@ -2,7 +2,7 @@
 compare against or assemble explicit projectors."""
 import numpy as np
 
-from artifact import ComputationError, cone_site_ids, region_mask
+from artifact import ComputationError, region_mask, windowed_site_ids
 
 
 def site_projector(region, geometry) -> np.ndarray:
@@ -11,9 +11,9 @@ def site_projector(region, geometry) -> np.ndarray:
 
 
 def partition_masks(partition, geometry) -> list[np.ndarray]:
-    """The three K-masks of the A-cones. Every site lands in exactly one cone
-    (genericity is enforced per site); the masks sum to the identity."""
-    masks = [region_mask(cone_site_ids(c, geometry), geometry) for c in partition.cones_A]
+    """The three K-masks of the full cones. Every site lands in exactly one
+    cone (genericity is enforced per site); the masks sum to the identity."""
+    masks = [region_mask(ids, geometry) for ids in windowed_site_ids(partition, geometry, 1.0)]
     total = masks[0].astype(int) + masks[1].astype(int) + masks[2].astype(int)
     if not np.all(total == 1):
         raise ComputationError("non-generic site")

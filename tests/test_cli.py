@@ -361,6 +361,19 @@ def test_oracle_tknn_qwz(capsys):
     assert blob["oracle"]["parameters"] == {"u": 1.0}
 
 
+@pytest.mark.parametrize("geometry", [{"radius": 3.0}, {"gap_halfwidth": 3.0},
+                                      {"family": "hex"}],
+                         ids=["radius", "halfwidth", "lattice"])
+def test_oracle_tknn_ignores_the_disk_rules(tmp_path, capsys, geometry):
+    # the momentum-space oracle builds no disk, so a geometry the disk tasks
+    # refuse leaves it unchanged
+    assert main(["oracle-tknn"]) == 0
+    want = json.loads(capsys.readouterr().out)["oracle"]
+    cfg = _write_cfg(tmp_path, "disk.json", {"geometry": geometry})
+    assert main(["oracle-tknn", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == want
+
+
 def test_oracle_tknn_rejects_trivial(trivial_cfg, capsys):
     assert main(["oracle-tknn", "--config", trivial_cfg]) == 2
     assert "no periodic oracle" in capsys.readouterr().err

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, Cone, LatticeGeometry, build_disk_lattice,
-                      cone_site_ids, make_good_partition, pfaffian_expectation,
-                      random_covariance, region_mask, windowed_site_ids)
+from artifact import (ComputationError, LatticeGeometry, build_disk_lattice,
+                      make_good_partition, pfaffian_expectation, random_covariance,
+                      region_mask, windowed_site_ids)
 from artifact.geometry import DEFAULT_APEX_OFFSET
 from region_helpers import partition_masks, site_projector
 
@@ -58,7 +58,7 @@ def test_site_ids_contiguous_and_dim():
 def test_good_partition_covers_all_sites():
     geom = build_disk_lattice("square", 8.0, majorana_count=2)
     part = make_good_partition(geom.apex)
-    counts = [len(cone_site_ids(c, geom)) for c in part.cones_A]
+    counts = [len(ids) for ids in windowed_site_ids(part, geom, 1.0)]
     assert sum(counts) == len(geom.sites)
     assert all(c > 0 for c in counts)
 
@@ -86,36 +86,37 @@ def test_overlapping_gap_cones_rejected():
             make_good_partition((0.2, 0.1), gap_halfwidth=empty)
 
 
-def in_cone(cone, point) -> bool:
-    """Membership of one point, through cone_site_ids on a one-site geometry."""
-    return cone_site_ids(cone, LatticeGeometry(np.array([point]), 2, cone.apex)) == [0]
+def in_cone(lo, hi, point) -> bool:
+    """Membership of one point in the cone [lo, hi) around the origin, through
+    windowed_site_ids on a one-site geometry; the partition's third boundary
+    halves the rest of the turn."""
+    part = make_good_partition((0.0, 0.0), (lo, hi, (lo + hi) / 2 + math.pi))
+    site = LatticeGeometry(np.array([point]), 2, part.apex)
+    return windowed_site_ids(part, site, 1.0)[0] == [0]
 
 
 def test_cone_membership_basics():
-    cone = Cone((0.0, 0.0), 0.0, math.pi)
-    assert in_cone(cone, (1.0, 0.5))
-    assert not in_cone(cone, (1.0, -0.5))
+    assert in_cone(0.0, math.pi, (1.0, 0.5))
+    assert not in_cone(0.0, math.pi, (1.0, -0.5))
     # a boundary is a half-line: its extension behind the apex is generic
-    assert not in_cone(Cone((0.0, 0.0), 0.3, 2.4), (-math.cos(0.3), -math.sin(0.3)))
+    assert not in_cone(0.3, 2.4, (-math.cos(0.3), -math.sin(0.3)))
 
 
 def test_cone_membership_boundary_is_non_generic():
-    cone = Cone((0.0, 0.0), 0.0, math.pi)
     for point in ((1.0, 1e-9), (0.0, 0.0), (-1e-7, -1e-7)):  # a side, the apex, behind it
         with pytest.raises(ComputationError, match="non-generic site"):
-            in_cone(cone, point)
+            in_cone(0.0, math.pi, point)
 
 
 @given(st.floats(min_value=0.05, max_value=6.2), st.sampled_from([0.5, 2.0, 10.0]))
 @settings(max_examples=25, deadline=None)
 def test_cone_membership_scale_invariant(angle, scale):
-    cone = Cone((0.0, 0.0), 0.3, 2.4)
     dx, dy = math.cos(angle), math.sin(angle)
     try:
-        base = in_cone(cone, (dx, dy))
+        base = in_cone(0.3, 2.4, (dx, dy))
     except ComputationError:
         return  # non-generic direction; scaling preserves that too
-    assert in_cone(cone, (scale * dx, scale * dy)) == base
+    assert in_cone(0.3, 2.4, (scale * dx, scale * dy)) == base
 
 
 def test_integer_apex_shift_preserves_membership():
@@ -124,8 +125,8 @@ def test_integer_apex_shift_preserves_membership():
     assert len(geom1.sites) == len(geom2.sites)
     part1 = make_good_partition(geom1.apex)
     part2 = make_good_partition(geom2.apex)
-    counts1 = sorted(len(cone_site_ids(c, geom1)) for c in part1.cones_A)
-    counts2 = sorted(len(cone_site_ids(c, geom2)) for c in part2.cones_A)
+    counts1 = sorted(len(ids) for ids in windowed_site_ids(part1, geom1, 1.0))
+    counts2 = sorted(len(ids) for ids in windowed_site_ids(part2, geom2, 1.0))
     assert counts1 == counts2
 
 
@@ -163,12 +164,12 @@ def test_windowed_site_ids_inside_window_and_cones():
     geom = build_disk_lattice("square", 8.0, majorana_count=2)
     part = make_good_partition(geom.apex)
     wins = windowed_site_ids(part, geom, 0.7)
-    for cone, ids in zip(part.cones_A, wins):
+    full = windowed_site_ids(part, geom, 1.0)
+    for ids, cone in zip(wins, full):
         for i in ids:
             x, y = geom.sites[i]
             assert math.hypot(x - part.apex[0], y - part.apex[1]) <= 0.7 * 8.0
-            assert in_cone(cone, (x, y))
-    full = windowed_site_ids(part, geom, 1.0)
+            assert i in cone
     assert sum(len(ids) for ids in full) == len(geom.sites)
 
 
@@ -192,4 +193,4 @@ def test_windowed_site_ids_checks_only_sites_inside_the_window():
     outside = LatticeGeometry(np.array([[1.0, 0.3], [0.0, 3.5], [-1.0, -0.2]]), 2, apex, 4.0)
     assert windowed_site_ids(part, outside, 0.7) == [[2], [], [0]]
     with pytest.raises(ComputationError, match="non-generic site"):
-        cone_site_ids(part.cones_A[0], outside)  # the full cone sees it
+        windowed_site_ids(part, outside, 1.0)  # the full cones see it

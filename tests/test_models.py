@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from artifact import (ComputationError, ConfigError, build_disk_lattice, build_pip,
                       build_qwz, build_trivial, models, stack_copies, tknn_chern)
 from artifact.geometry import DEFAULT_APEX_OFFSET
-from artifact.models import (QuadraticHamiltonian, _bands, _bloch, _check_gapped, _pauli,
-                             _pip_blocks, _plaquette_phases, _qwz_blocks, _real_space_K)
-from dense_oracle import dense_plaquette_phases, dense_real_space_K, dense_tknn_chern
+from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
+                             _plaquette_phases, _qwz_blocks, _real_space_K)
+from dense_oracle import (bloch_matrices, dense_plaquette_phases, dense_real_space_K,
+                          dense_tknn_chern)
 from region_helpers import site_projector
 
 
@@ -106,21 +107,16 @@ def test_majorana_count_requirements(disk4, disk2):
 def test_bloch_grid_matches_pointwise(family, params):
     kgrid = 7
     ks = 2 * np.pi * np.arange(kgrid) / kgrid
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     grid = _bloch(family, params, kgrid)
-    assert grid.shape == (kgrid, kgrid, 2, 2)
+    assert grid.shape == (3, kgrid, kgrid)
     for i, kx in enumerate(ks):
         for j, ky in enumerate(ks):
             if family == "qwz":
-                want = (np.sin(kx) * sx + np.sin(ky) * sy
-                        + (params["u"] + np.cos(kx) + np.cos(ky)) * sz)
+                want = [np.sin(kx), np.sin(ky), params["u"] + np.cos(kx) + np.cos(ky)]
             else:
-                xi = -2.0 * (np.cos(kx) + np.cos(ky)) - params["mu"]
-                dk = params["delta"] * (np.sin(kx) - 1j * np.sin(ky))
-                want = np.array([[xi, dk], [np.conj(dk), -xi]])
-            assert np.array_equal(grid[i, j], want)
+                want = [params["delta"] * np.sin(kx), params["delta"] * np.sin(ky),
+                        -2.0 * (np.cos(kx) + np.cos(ky)) - params["mu"]]
+            assert np.array_equal(grid[:, i, j], want)
 
 
 def test_tknn_integers():
@@ -185,57 +181,54 @@ def test_closed_form_tknn_matches_dense_oracle(family, params):
 def _random_bloch_grid(seed: int, kgrid: int = 8) -> np.ndarray:
     # neighbouring momenta far apart on the Bloch sphere: plaquette phases
     # near +-pi, whose two triangle halves sum beyond (-pi, pi]
-    a, b, re, im = np.random.default_rng(seed).standard_normal((4, kgrid, kgrid))
-    return np.moveaxis(np.array([[a, re + 1j * im], [re - 1j * im, b]]), (0, 1), (2, 3))
+    return np.random.default_rng(seed).standard_normal((3, kgrid, kgrid))
 
 
 def test_plaquette_phases_match_link_products():
     grids = ([_bloch(family, params, 64) for family, params in ORACLE_CASES]
              + [_random_bloch_grid(seed) for seed in range(4)])
-    for H in grids:
-        want, _ = dense_plaquette_phases(H)
-        got = _plaquette_phases(_pauli(H)[1])
+    for d in grids:
+        want, _ = dense_plaquette_phases(bloch_matrices(d))
+        got = _plaquette_phases(d)
         assert np.all((got > -np.pi) & (got <= np.pi))
         diff = np.angle(np.exp(1j * (got - want)))
         assert float(np.max(np.abs(diff))) <= 1e-12
 
 
-#: matrix entries: zero or at least 1e-100 in magnitude, inside the range
-#: where the squares of d summed by _bands neither underflow nor overflow
+#: components of d: zero or at least 1e-100 in magnitude, inside the range
+#: where the squares summed by |d| neither underflow nor overflow
 _entries = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
 
 
-@given(st.lists(st.tuples(_entries, _entries, _entries, _entries), min_size=1, max_size=8))
+@given(st.lists(st.tuples(_entries, _entries, _entries), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_closed_form_bands_match_eigvalsh(entries):
-    H = np.empty((len(entries), 2, 2), dtype=complex)
-    for k, (a, b, re, im) in enumerate(entries):
-        H[k] = [[a, re + 1j * im], [re - 1j * im, b]]
-    H[H[:, 0, 0].real + H[:, 1, 1].real == 0.0, 0, 0] += 1.0  # nonzero trace: e0 != 0
-    want = np.linalg.eigvalsh(H)
+    # the bands -+|d| of d . sigma, which the gap certificate reads
+    d = np.array(entries, dtype=float).T
+    want = np.linalg.eigvalsh(bloch_matrices(d))
     norm = np.max(np.abs(want), axis=-1)
-    got = _bands(*_pauli(H)).T
+    r = np.linalg.norm(d, axis=0)
+    got = np.stack([-r, r]).T
     assert np.all(np.abs(got - want) <= 1e-14 * norm[:, None])
 
 
-@given(st.integers(0, 49), st.integers(0, 49),
-       st.floats(0.01, 10.0) | st.floats(-10.0, -0.01))
+@given(st.integers(0, 49), st.integers(0, 49))
 @settings(max_examples=25, deadline=None)
-def test_band_touching_refused_loudly(i, j, e0):
-    # d = 0 with e0 != 0: the bands touch although |E| stays away from zero,
-    # so the gap certificate passes and the plaquette phases must refuse
-    H = _bloch("qwz", {"u": 1.0}, 50)
-    H[i, j] = e0 * np.eye(2)
+def test_band_touching_refused_loudly(i, j):
+    # d = 0 at one grid momentum: the bands touch at zero energy, and the
+    # gap certificate refuses before any plaquette phase is formed
+    d = _bloch("qwz", {"u": 1.0}, 50)
+    d[:, i, j] = 0.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "_bloch", lambda *args: H)
-        with pytest.raises(ComputationError, match="bands touch"):
+        mp.setattr(models, "_bloch", lambda *args: d)
+        with pytest.raises(ComputationError, match=r"gapless parameters: bulk gap 0 < 1e-6"):
             tknn_chern("qwz", {"u": 1.0}, kgrid=50)
 
 
 def test_non_finite_bloch_grid_refused(monkeypatch):
-    H = _bloch("qwz", {"u": 1.0}, 50)
-    H[3, 4, 0, 1] = complex(np.nan, 0.0)
-    monkeypatch.setattr(models, "_bloch", lambda *args: H)
+    d = _bloch("qwz", {"u": 1.0}, 50)
+    d[0, 3, 4] = np.nan
+    monkeypatch.setattr(models, "_bloch", lambda *args: d)
     with pytest.raises(ComputationError, match="not finite"):
         tknn_chern("qwz", {"u": 1.0}, kgrid=50)
 
