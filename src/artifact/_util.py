@@ -40,14 +40,17 @@ def available_memory() -> int | None:
     return min(avail) if avail else None
 
 
-#: dim x dim float64 arrays ground_projection holds at its peak, A included.
-#: During the eigh: A, A^T A, LAPACK's copy of it and its workspace, and the
-#: eigenvectors V. After it: A, V, G = V w^(-1/4) (the modes outside the
-#: window) and F = G G^T, then A, V, F and O = A F. The peak RSS above A
-#: measured at dim 1816 and 3216 is 5.1 to 5.2, so 6.2 with A; tracemalloc,
-#: which does not see LAPACK's buffers, measures 3.0 above A. Tests pin the
-#: traced peaks of the projection and of the model build (1.1) below it
-_WORKING_ARRAYS = 7
+#: dim x dim float64 arrays ground_projection holds at its peak, the eigh:
+#: S = A^T A, LAPACK's copy of it and its workspace (two arrays), and the
+#: eigenvectors V. A itself is held as its row envelope blocks (0.16 of an
+#: array at dim 1816, 0.11 at 3216), and the dense A that S is multiplied
+#: from is freed before the eigh. After it: V and F = G G^T, then F and
+#: O = A F. Peak RSS above the imported interpreter, model build included,
+#: measured 5.26 at dim 1816 and 5.17 at dim 3216 (6.05 and 6.03 while a
+#: dense A was held); tracemalloc, which does not see LAPACK's buffers,
+#: measures 3.0. Tests pin the traced peaks of the projection and of the
+#: model build (0.56 at dim 804) below it
+_WORKING_ARRAYS = 6
 
 
 def check_memory(dim: int, arrays: int = _WORKING_ARRAYS, stage: str = "projection"):
@@ -75,6 +78,11 @@ def row_envelope(A: np.ndarray):
     blocks."""
     for r0 in range(0, A.shape[0], _ENVELOPE_ROWS):
         r1 = min(r0 + _ENVELOPE_ROWS, A.shape[0])
-        cols = np.flatnonzero((A[r0:r1] != 0).any(axis=0))
-        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-        yield r0, r1, c0, c1
+        yield (r0, r1) + column_span(A[r0:r1])
+
+
+def column_span(rows: np.ndarray) -> tuple[int, int]:
+    """(c0, c1) such that `rows` is exactly zero outside columns c0:c1;
+    (0, 0) when it is zero everywhere."""
+    cols = np.flatnonzero((rows != 0).any(axis=0))
+    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)

@@ -23,8 +23,7 @@ Computed quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from ._util import ComputationError, check_memory
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
 from .symgen import FluxGenerator
+
+if TYPE_CHECKING:  # fractions (and decimal through it) load only with the predictions
+    from fractions import Fraction
 
 #: a commutator trace localized at the triple junction receives equal
 #: contributions from the three cone pairs; anchoring on one core region
@@ -290,7 +292,9 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         else:
             cols, rows = L @ Va.conj().T, Va @ L
         del E, L
-        Lc, Lr = V0 @ cols, V0 @ rows.conj().T  # L[:, a] and L[a, :]^+
+        # L[:, a] and L[a, :]^+; V0 @ Y as two real products, without
+        # casting a real V0 to a complex copy
+        Lc, Lr = (V0 @ Y.real + 1j * (V0 @ Y.imag) for Y in (cols, rows.conj().T))
         # Tr_a(P L) + Tr_a(L P), and Tr_a(L P) = conj(Tr_a(P L^+)) for Hermitian P
         t = _anchored_trace(Oa, anchor, Lc) + np.conj(_anchored_trace(Oa, anchor, Lr))
         if mirrored:  # the sector -j
@@ -407,6 +411,8 @@ def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
     sigma = nu (N^3 - N)/24, theta_N = exp(2 pi i (nu/48)(N - 1/N)),
     omega_N = exp(2 pi i nu (N^2 - 1)/24), z2 = (-1)^nu, and for even nu
     z8 = exp(2 pi i nu/16)."""
+    from fractions import Fraction
+
     if N % 2 == 0:
         raise ComputationError("even copies unsupported")
     nu = int(nu)

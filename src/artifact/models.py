@@ -14,11 +14,11 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, check_memory, row_envelope
+from ._util import (_ENVELOPE_ROWS, ComputationError, ConfigError, check_memory,
+                    column_span, row_envelope)
 from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
@@ -34,12 +34,14 @@ _sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass
 class QuadraticHamiltonian:
     """H = kron(iA, I_copies) on the geometry: `copies` identical copies of
-    the single-copy Hamiltonian iA, copy index fastest. `block` stores the
-    real antisymmetric A; the complex stacked H is built only when `.matrix`
-    is read.
+    the single-copy Hamiltonian iA, copy index fastest. A is kept as its row
+    envelope blocks (_util.row_envelope), `blocks` = ((r0, r1, c0, c1,
+    A[r0:r1, c0:c1]), ...), so a nearest-neighbour A holds a band of floats
+    and no dim x dim array. The dense A (`dense()`) and the complex stacked H
+    (`.matrix`) are built only when read (by oracles and tests). `dim` is
+    the single-copy dimension.
 
     The constructor is where a matrix becomes A. It takes A itself or a
     complex iA; an iA with a real part breaks J H J = -H (no
@@ -48,13 +50,9 @@ class QuadraticHamiltonian:
     `bulk_gap` is the periodic model's smallest |E(k)| when a builder
     certified it (None for a matrix built by hand).
     """
-    block: np.ndarray
-    geometry: LatticeGeometry
-    copies: int = 1
-    bulk_gap: float | None = None
 
-    def __post_init__(self):
-        A = self.block
+    def __init__(self, A: np.ndarray, geometry: LatticeGeometry, copies: int = 1,
+                 bulk_gap: float | None = None):
         if np.iscomplexobj(A):
             real_part = float(np.max(np.abs(A.real)))
             if not real_part <= 1e-12:
@@ -63,23 +61,45 @@ class QuadraticHamiltonian:
         A = np.asarray(A, dtype=float)
         # every nonzero A_ij (NaN != 0 included) lies in row i's envelope
         # block, so the blocks see each nonzero entry of A and of A + A^T
-        symmetric_part = 0.0
+        symmetric_part, blocks = 0.0, []
         for r0, r1, c0, c1 in row_envelope(A):
-            if not np.isfinite(A[r0:r1, c0:c1]).all():
+            block = A[r0:r1, c0:c1]
+            if not np.isfinite(block).all():
                 raise ComputationError("Hamiltonian is not finite")
-            S = A[r0:r1, c0:c1] + A[c0:c1, r0:r1].T
+            S = block + A[c0:c1, r0:r1].T
             symmetric_part = max(symmetric_part, float(np.max(np.abs(S), initial=0.0)))
+            blocks.append((r0, r1, c0, c1, block.copy()))  # a copy frees A on return
         if symmetric_part > 1e-12:
             raise ComputationError(f"Hamiltonian is not Hermitian: "
                                    f"|A + A^T| {symmetric_part:.2g} > 1e-12")
         if symmetric_part > 0.0:
             A = A - A.T
-            A *= 0.5  # exactly antisymmetric
-        self.block = A
+            A *= 0.5  # exactly antisymmetric, with an envelope of its own
+            blocks = [(r0, r1, c0, c1, A[r0:r1, c0:c1].copy())
+                      for r0, r1, c0, c1 in row_envelope(A)]
+        self.blocks, self.dim = tuple(blocks), A.shape[0]
+        self.geometry, self.copies, self.bulk_gap = geometry, copies, bulk_gap
+
+    @classmethod
+    def _of_blocks(cls, blocks, dim: int, geometry: LatticeGeometry, copies: int = 1,
+                   bulk_gap: float | None = None) -> "QuadraticHamiltonian":
+        """The Hamiltonian kept as `blocks`, the row envelope blocks of an A
+        the caller has already checked (the builders, stack_copies)."""
+        h = cls.__new__(cls)
+        h.blocks, h.dim = blocks, dim
+        h.geometry, h.copies, h.bulk_gap = geometry, copies, bulk_gap
+        return h
+
+    def dense(self) -> np.ndarray:
+        """The single-copy A as a dense dim x dim array."""
+        A = np.zeros((self.dim, self.dim))
+        for r0, r1, c0, c1, block in self.blocks:
+            A[r0:r1, c0:c1] = block
+        return A
 
     @property
     def matrix(self) -> np.ndarray:
-        return 1j * np.kron(self.block, np.eye(self.copies))
+        return 1j * np.kron(self.dense(), np.eye(self.copies))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +204,20 @@ def _plaquette_phases(d: np.ndarray) -> np.ndarray:
 # real-space assembly
 
 
-def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
-    """Real-space Hamiltonian in the Majorana basis, with open boundaries.
+def _bond_fibers(geometry: LatticeGeometry, onsite, hops, pairs):
+    """The bonds of the real-space Hamiltonian in the Majorana basis, with
+    open boundaries: yields (F, rows, cols) per offset d, F the real m x m
+    block that A holds at every site pair (rows[i], cols[i]) = (r + d, r) on
+    the disk.
 
     The bond d (c*_{r+d} t_d c_r + c*_{r+d} D_d c*_r + h.c.) gives the site
     pair (r + d, r) the blocks (h, D) = (t_d, D_d) and the pair (r, r + d)
     the blocks (t_d^dagger, -D_d^T). Rotating each (c, c*) fiber of the
     Nambu block [[h, D], [-conj(D), -h^T]] by omega/sqrt(2) gives, for
-    Hermitian h, the real fibers written below (iA = omega N omega^dagger / 2).
-    Each offset's real block is scattered into A at every site pair on the
-    disk, found through a lookup grid of the integer site coordinates.
-    Returns the real antisymmetric matrix A of size dim_K.
+    Hermitian h, the real fibers written below (iA = omega N omega^dagger / 2),
+    and the fibers of d and -d are exact negative transposes: A is exactly
+    antisymmetric. The site pairs are found through a lookup grid of the
+    integer site coordinates; distinct offsets give distinct site pairs.
     """
     n_orb = geometry.majorana_count // 2
     # offset d -> stacked (h, D) blocks of the site pair (r + d, r)
@@ -212,7 +235,6 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
     xy -= xy.min(axis=0) - pad
     grid = np.full(tuple(xy.max(axis=0) + pad + 1), -1)  # lattice point -> site id
     grid[xy[:, 0], xy[:, 1]] = np.arange(ns)
-    A = np.zeros((ns, m, ns, m))
     for (dx, dy), (h, D) in blocks.items():
         # F[(a,s),(b,t)]: s, t index the fiber (gamma_1, gamma_2) of modes a, b
         F = np.empty((n_orb, 2, n_orb, 2))
@@ -222,8 +244,38 @@ def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
         F[:, 1, :, 1] = h.imag - D.imag
         rows = grid[xy[:, 0] + dx, xy[:, 1] + dy]
         cols = np.flatnonzero(rows >= 0)
-        A[rows[cols], :, cols, :] += F.reshape(m, m)
+        yield F.reshape(m, m), rows[cols], cols
+
+
+def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
+    """The dense real antisymmetric A of size dim_K: every bond of
+    _bond_fibers scattered into one (site, majorana, site, majorana) array.
+    The builders keep A's row envelope blocks (_real_space_blocks); the
+    dense A is their reference."""
+    ns, m = len(geometry.sites), geometry.majorana_count
+    A = np.zeros((ns, m, ns, m))
+    for F, rows, cols in _bond_fibers(geometry, onsite, hops, pairs):
+        A[rows, :, cols, :] += F
     return A.reshape(ns * m, ns * m)
+
+
+def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
+    """The row envelope blocks (r0, r1, c0, c1, A[r0:r1, c0:c1]) of
+    _real_space_K's A, equal to it entry for entry: each slab of
+    _ENVELOPE_ROWS rows of A is assembled from the bonds of the sites that
+    hold it, and only its envelope is kept, so no dense A is formed."""
+    ns, m = len(geometry.sites), geometry.majorana_count
+    bonds = list(_bond_fibers(geometry, onsite, hops, pairs))
+    for r0 in range(0, ns * m, _ENVELOPE_ROWS):
+        r1 = min(r0 + _ENVELOPE_ROWS, ns * m)
+        s0, s1 = r0 // m, -(-r1 // m)  # the sites holding rows r0:r1
+        slab = np.zeros((s1 - s0, m, ns, m))
+        for F, rows, cols in bonds:
+            inside = (rows >= s0) & (rows < s1)
+            slab[rows[inside] - s0, :, cols[inside], :] += F
+        slab = slab.reshape(-1, ns * m)[r0 - s0 * m:r1 - s0 * m]
+        c0, c1 = column_span(slab)
+        yield r0, r1, c0, c1, slab[:, c0:c1].copy()
 
 
 def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> QuadraticHamiltonian:
@@ -237,8 +289,10 @@ def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> Quad
         raise ComputationError(f"{family_tag} needs majorana_count = {count}")
     check_memory(geometry.dim_K)
     gap = 1.0 if family_tag == "trivial" else _check_gapped(family_tag, params)
-    A = _real_space_K(geometry, *blocks(**params))
-    return QuadraticHamiltonian(A, geometry, bulk_gap=gap)
+    envelope = tuple(_real_space_blocks(geometry, *blocks(**params)))
+    if not all(np.isfinite(block).all() for *_, block in envelope):
+        raise ComputationError("Hamiltonian is not finite")
+    return QuadraticHamiltonian._of_blocks(envelope, geometry.dim_K, geometry, bulk_gap=gap)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -267,13 +321,13 @@ def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
     so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
-    The result keeps the factors (H's block and the copy count)."""
+    The result keeps the factors (H's blocks and the copy count)."""
     if copies < 1:
         raise ComputationError("copies must be >= 1")
     if copies == 1:
         return h
     geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
-    return QuadraticHamiltonian(h.block, geom, h.copies * copies, bulk_gap=h.bulk_gap)
+    return QuadraticHamiltonian._of_blocks(h.blocks, h.dim, geom, h.copies * copies, h.bulk_gap)
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, check_memory, row_envelope
+from ._util import ComputationError, check_memory
 from .models import QuadraticHamiltonian
 
 _WICK_MAX = 12
@@ -50,14 +50,19 @@ class BasisProjection:
         """Check O^T = -O (P Hermitian) and O^2 = -I (P idempotent) with one
         real matmul; return the larger residual. P + JPJ = I holds by
         construction, and kron with I_N preserves each residual, so the
-        single-copy O is checked."""
+        single-copy O is checked. An exactly antisymmetric O (as
+        ground_projection's) has -O^2 = O O^T, which numpy runs as a syrk."""
         O = self.O
         R = O + O.T
         antisym = float(np.max(np.abs(R, out=R)))
         if not antisym <= tol:
             raise ComputationError(f"projection is not Hermitian: {antisym:.2g} > {tol:.2g}")
-        np.matmul(O, O, out=R)
-        R.flat[::O.shape[0] + 1] += 1.0
+        if antisym == 0.0:
+            np.matmul(O, O.T, out=R)
+            R.flat[::O.shape[0] + 1] -= 1.0
+        else:
+            np.matmul(O, O, out=R)
+            R.flat[::O.shape[0] + 1] += 1.0
         square = float(np.max(np.abs(R, out=R)))
         if not square <= tol:
             raise ComputationError(f"projection is not idempotent: {square:.2g} > {tol:.2g}")
@@ -80,34 +85,40 @@ def _canonical_basis(N: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def _local_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X, each row block of A multiplied only with the rows of X inside
-    its envelope (_util.row_envelope). The terms skipped are exact zeros of
-    A, so a nearest-neighbour A costs a band's flops and a dense A the full
-    product."""
-    out = np.empty((A.shape[0], X.shape[1]))
-    for r0, r1, c0, c1 in row_envelope(A):
-        np.matmul(A[r0:r1, c0:c1], X[c0:c1], out=out[r0:r1])
+def _local_matmul(h: QuadraticHamiltonian, X: np.ndarray) -> np.ndarray:
+    """A @ X for h's single-copy A, each of its row envelope blocks
+    multiplied only with the rows of X inside it. The terms skipped are
+    exact zeros of A, so a nearest-neighbour A costs a band's flops and a
+    dense A the full product."""
+    out = np.empty((h.dim, X.shape[1]))
+    for r0, r1, c0, c1, block in h.blocks:
+        np.matmul(block, X[c0:c1], out=out[r0:r1])
     return out
 
 
-def _complex_structure(A: np.ndarray, gap_tol: float):
-    """O = -i sign(iA) for real antisymmetric A, near-zero cluster filled
+def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
+    """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
     halfway. Returns (O, edge gap min|lambda|, cluster size m).
 
     One real eigh of A^T A = -A A gives w = lambda^2 and a real basis V.
     Modes with |lambda| above the window (gap_tol, or a tenth of the largest
     |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
-    G = V w^(-1/4): F is one symmetric rank-k update, and both products with
-    A run over A's row envelope (_local_matmul). The window's columns Vc
-    span an invariant subspace of A; the small Hermitian problem i Vc^T A Vc
-    resolves its lambdas at full accuracy, which squaring does not. Within
-    it, |lambda| <= gap_tol is the cluster: exact zero modes are paired from
-    a real orthonormal null basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T;
-    split +-epsilon pairs keep their negative member, as every other mode.
+    G = V w^(-1/4), scaled in V's own columns: F is one symmetric rank-k
+    update, and A A, A F run over A's row envelope blocks (_local_matmul).
+    The dense A that A A needs rows of is freed before the eigh, whose
+    working set so holds the blocks and no A. The window's columns Vc span
+    an invariant subspace of A; the small Hermitian problem i Vc^T A Vc,
+    with A Vc the product of a dense A built again (the plain product keeps
+    every digit of O), resolves their lambdas at full accuracy, which
+    squaring does not. Within it, |lambda| <= gap_tol is the cluster: exact
+    zero modes are paired from a real orthonormal null basis (a_k, b_k) ->
+    O_c = sum a_k b_k^T - b_k a_k^T; split +-epsilon pairs keep their
+    negative member, as every other mode.
     """
-    dim = A.shape[0]
-    S = _local_matmul(A, A)
+    dim = h.dim
+    A = h.dense()
+    S = _local_matmul(h, A)
+    del A
     w, V = np.linalg.eigh(np.negative(S, out=S))  # ascending; each lambda^2 twice
     del S
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
@@ -115,15 +126,16 @@ def _complex_structure(A: np.ndarray, gap_tol: float):
     # never split the two copies of one lambda^2 between window and rest
     while 0 < k < dim and w[k] - w[k - 1] <= 1e3 * np.finfo(float).eps * w[-1]:
         k += 1
-    G = V[:, k:] * w[k:] ** -0.25
+    Vc = V[:, :k].copy()
+    G = V[:, k:]
+    G *= w[k:] ** -0.25
     F = G @ G.T  # numpy runs a product with its own transpose as syrk
-    del G
-    O = _local_matmul(A, F)
+    del G, V
+    O = _local_matmul(h, F)
     del F
     edge_gap, m = float(np.sqrt(max(w[0], 0.0))), 0
     if k:
-        Vc = V[:, :k]
-        mu, U = np.linalg.eigh(1j * (Vc.T @ (A @ Vc)))
+        mu, U = np.linalg.eigh(1j * (Vc.T @ (h.dense() @ Vc)))
         edge_gap = float(np.min(np.abs(mu)))
         cluster = np.abs(mu) <= gap_tol
         m = int(np.count_nonzero(cluster))
@@ -165,10 +177,9 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     above runs on the single-copy block A, and the result keeps the factors.
     Its health describes the stacked space: each cluster mode occurs N times.
     """
-    A = h.block  # exactly antisymmetric, so OA = (AO)^T below
-    check_memory(A.shape[0])
-    O, edge_gap, m = _complex_structure(A, gap_tol)
-    AO = _local_matmul(A, O)
+    check_memory(h.dim)
+    O, edge_gap, m = _complex_structure(h, gap_tol)
+    AO = _local_matmul(h, O)  # A is exactly antisymmetric, so OA = (AO)^T
     AO -= AO.T  # numpy buffers the overlapping operand
     commutator = float(np.max(np.abs(AO, out=AO)))
     del AO
@@ -282,7 +293,6 @@ def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
         raise ComputationError("dim_K must be even")
     while True:
         A = rng.standard_normal((dim, dim))
-        A = A - A.T
-        O, edge_gap, _ = _complex_structure(A, 0.0)
+        O, edge_gap, _ = _complex_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
         if edge_gap > 1e-6:
             return BasisProjection(O)

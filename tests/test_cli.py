@@ -256,7 +256,7 @@ def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):
 
 def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
     # qwz radius 4: block dim 204, stack dim 612; the budget lies between
-    # the block's estimate 7 * 8 * 204^2 B (2.3 MB) and the stack's (21 MB)
+    # the block's estimate 6 * 8 * 204^2 B (2.0 MB) and the stack's (18 MB)
     import numpy as np
     from artifact import _util
 
@@ -270,21 +270,21 @@ def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
     assert abs(blob["indices"]["sigma"] - 2.0) <= 0.3
     monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
     assert main(["twist", "--copies", "3", "--radius", "4"]) == 3
-    block_need = 7 * 8 * 204**2 / 1e9
+    block_need = _util._WORKING_ARRAYS * 8 * 204**2 / 1e9
     assert f"projection needs ~{block_need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
 
 
 def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
-    # qwz radius 4: dim 204, estimate 7 * 8 * 204^2 B (2.3 MB) above the budget
+    # qwz radius 4: dim 204, estimate 6 * 8 * 204^2 B (2.0 MB) above the budget
     from artifact import _util, models
 
     def no_build(*args):
         raise AssertionError("the model build ran before the memory guard")
 
-    monkeypatch.setattr(models, "_real_space_K", no_build)
+    monkeypatch.setattr(models, "_real_space_blocks", no_build)
     monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
     assert main(["chern", "--radius", "4"]) == 3
-    need = 7 * 8 * 204**2 / 1e9
+    need = _util._WORKING_ARRAYS * 8 * 204**2 / 1e9
     assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
 
 
@@ -304,9 +304,11 @@ def _run_listing(code: str, roots=("scipy",)) -> subprocess.CompletedProcess:
 
 def test_chern_run_leaves_scipy_unloaded():
     # scipy.linalg is imported only on the exact-zero branch of the
-    # projection, so a plain run pays no scipy start-up
+    # projection, and fractions (with decimal) only by the exact
+    # predictions, so a plain run pays for neither start-up
     proc = _run_listing("import sys, artifact.cli\n"
-                        "rc = artifact.cli.main(['chern', '--radius', '6'])\n")
+                        "rc = artifact.cli.main(['chern', '--radius', '6'])\n",
+                        roots=("scipy", "fractions"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
     assert proc.stderr.strip() == "[]"

@@ -47,13 +47,13 @@ def test_far_corner_symmetric_part_refused():
     # the constructor checks |A + A^T| over A's row envelope blocks; entries
     # far outside the stencil must widen the envelope, not slip past it
     disk = build_disk_lattice("square", 6.0, majorana_count=4)  # several blocks
-    A = build_qwz(1.0, disk).block.copy()
+    A = build_qwz(1.0, disk).dense()
     for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
         A[0, -1], A[-1, 0] = corners
         with pytest.raises(ComputationError, match="not Hermitian"):
             QuadraticHamiltonian(A, disk)
     A[-1, 0] = -1e-6 + 1e-13  # within 1e-12: accepted, made exactly antisymmetric
-    B = QuadraticHamiltonian(A, disk).block
+    B = QuadraticHamiltonian(A, disk).dense()
     assert np.array_equal(B, -B.T)
     assert B[0, -1] == pytest.approx(1e-6 - 5e-14, abs=1e-20)
 
@@ -74,7 +74,7 @@ def test_trivial_block_is_the_onsite_kronecker_form(majoranas):
     g = build_disk_lattice("square", 4.0, majorana_count=majoranas)
     h = build_trivial(g)
     n = len(g.sites) * majoranas // 2
-    assert np.array_equal(h.block, np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.array_equal(h.dense(), np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
     assert h.bulk_gap == 1.0
 
 
@@ -275,9 +275,10 @@ def test_real_assembly_matches_dense_oracle(family, blocks, radius, apex):
 
 def test_build_peak_stays_below_projection_estimate():
     # the memory guard runs before the build on the projection's estimate of
-    # 7 real dim x dim arrays, so the build itself must need less. It holds
-    # A plus the constructor's envelope blocks (1.13 arrays measured at dim
-    # 804), so the bound also keeps dense dim x dim intermediates out
+    # 6 real dim x dim arrays, so the build itself must need less. It holds
+    # A's envelope blocks (0.28 arrays at dim 804) and one slab of rows being
+    # assembled (0.16), 0.56 arrays measured, so the bound also keeps every
+    # dense dim x dim array out, a dense A included
     geom = build_disk_lattice("square", 8.0, majorana_count=4)
     tracemalloc.start()
     try:
@@ -285,4 +286,38 @@ def test_build_peak_stays_below_projection_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * 8 * geom.dim_K**2
+    assert peak < 0.6 * 8 * geom.dim_K**2
+
+
+@pytest.mark.parametrize("family, majoranas", [("qwz", 4), ("pip", 2), ("trivial", 2),
+                                               ("trivial", 6), ("qwz_stack3", 4)])
+def test_dense_on_read_is_the_assembled_A(family, majoranas):
+    # the builders keep only A's row envelope blocks, assembled slab by slab
+    # (six Majoranas a site do not divide a slab's 128 rows); read back dense
+    # they are the dense assembly entry for entry, and the constructor's
+    # checks take that A to the same blocks (a symmetric part would change
+    # or refuse them)
+    geom = build_disk_lattice("square", 6.0, majorana_count=majoranas)
+    if family == "pip":
+        h, blocks = build_pip(-1.0, 0.5, geom), _pip_blocks(-1.0, 0.5)
+    elif family == "trivial":
+        h, blocks = build_trivial(geom), (np.eye(majoranas // 2), {}, {})
+    else:
+        h, blocks = build_qwz(1.0, geom), _qwz_blocks(1.0)
+    if family == "qwz_stack3":
+        h = stack_copies(h, 3)
+        assert np.array_equal(h.matrix, 1j * np.kron(h.dense(), np.eye(3)))
+    A = _real_space_K(geom, *blocks)
+    assert np.array_equal(h.dense(), A)
+    for (*span, block), (*again, block_again) in zip(
+            h.blocks, QuadraticHamiltonian(A, geom).blocks, strict=True):
+        assert span == again and np.array_equal(block, block_again)
+
+
+def test_hamiltonian_holds_no_dense_array():
+    # qwz at radius 12 (dim 1816): the blocks own their data (no view keeps a
+    # dense A alive) and hold under a fifth of dim^2 floats; a stack shares them
+    h = build_qwz(1.0, build_disk_lattice("square", 12.0, majorana_count=4))
+    assert all(block.base is None for *_, block in h.blocks)
+    assert sum(block.size for *_, block in h.blocks) <= 0.2 * h.dim**2
+    assert stack_copies(h, 3).blocks is h.blocks

@@ -13,7 +13,7 @@ from artifact import (ComputationError, build_disk_lattice,
 from artifact import _util, quasifree
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import BasisProjection, _local_matmul, _pfaffian
-from dense_oracle import dense_basis_projection, dense_ground_projection
+from dense_oracle import dense_A_structure, dense_basis_projection, dense_ground_projection
 
 
 @pytest.fixture(scope="module")
@@ -51,16 +51,16 @@ def test_ground_state_is_stored_real(qwz_r6):
     # A and O are what is stored; iA and (I - iO)/2 are built on read
     P, _ = qwz_r6
     h = build_qwz(1.0, P.geometry)
-    for stored in (h.block, P.O, stack_copies(h, 3).block,
-                   QuadraticHamiltonian(h.matrix, h.geometry).block):
-        assert stored.dtype == np.float64
-    assert np.array_equal(h.matrix, 1j * h.block)
+    for stored in (h, stack_copies(h, 3), QuadraticHamiltonian(h.matrix, h.geometry)):
+        assert all(block.dtype == np.float64 for *_, block in stored.blocks)
+    assert P.O.dtype == np.float64
+    assert np.array_equal(h.matrix, 1j * h.dense())
     assert np.array_equal(P.matrix, (np.eye(P.dim_K) - 1j * P.O) / 2)
 
 
 def test_zero_hamiltonian_unresolvable(trivial_projection):
     _, h = trivial_projection
-    h0 = dataclasses.replace(h, block=np.zeros_like(h.matrix))
+    h0 = QuadraticHamiltonian(np.zeros_like(h.matrix), h.geometry)
     with pytest.raises(ComputationError, match="unresolvable zero modes"):
         ground_projection(h0, 1e-8)
 
@@ -70,7 +70,7 @@ def test_exact_zero_pair_resolved(trivial_projection):
     K = h.matrix.copy()
     K[0:2, :] = 0.0
     K[:, 0:2] = 0.0
-    hz = dataclasses.replace(h, block=K)
+    hz = QuadraticHamiltonian(K, h.geometry)
     P = ground_projection(hz, 1e-8)
     idem, herm, selfdual = _projection_residuals(P.matrix)
     assert max(idem, herm, selfdual) <= 1e-12
@@ -84,14 +84,14 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
     # which cannot be half-filled compatibly
     K[0:2, 0:2] = np.array([[0.3, 0.0], [0.0, -0.3]])
     with pytest.raises(ComputationError, match="gapless"):
-        ground_projection(dataclasses.replace(h, block=K), 1e-8)
+        ground_projection(QuadraticHamiltonian(K, h.geometry), 1e-8)
 
 
 def _split_pair(h, eps):
     """h with the on-site block of site 0 replaced by a +-eps pair."""
     K = h.matrix.copy()
     K[0:2, 0:2] = np.array([[0.0, 1j * eps], [-1j * eps, 0.0]])
-    return dataclasses.replace(h, block=K)
+    return QuadraticHamiltonian(K, h.geometry)
 
 
 def test_nonhermitian_hamiltonian_refused(trivial_projection):
@@ -99,7 +99,7 @@ def test_nonhermitian_hamiltonian_refused(trivial_projection):
     K = h.matrix.copy()
     K[0, 1] += 1e-6j
     with pytest.raises(ComputationError, match="not Hermitian"):
-        ground_projection(dataclasses.replace(h, block=K), 1e-8)
+        ground_projection(QuadraticHamiltonian(K, h.geometry), 1e-8)
 
 
 def test_non_finite_hamiltonian_refused(trivial_projection):
@@ -107,7 +107,7 @@ def test_non_finite_hamiltonian_refused(trivial_projection):
     # check sees it; every residual check would read NaN as passing
     _, h = trivial_projection
     for bad in (np.nan, np.inf):
-        A = h.block.copy()
+        A = h.dense()
         A[0, 1] = bad
         with pytest.raises(ComputationError, match="not finite"):
             QuadraticHamiltonian(A, h.geometry)
@@ -126,6 +126,29 @@ def test_nan_projection_refused(trivial_projection):
     O = np.full_like(P.O, np.nan)
     with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
         chern_number(dataclasses.replace(P, O=O), make_good_partition(P.geometry.apex))
+
+
+def test_validate_squares_an_exactly_antisymmetric_structure_by_syrk(qwz_r6):
+    # ground_projection's O is exactly antisymmetric, so validate takes
+    # O O^T - I (a syrk): the residual of O^2 + I up to rounding
+    P, _ = qwz_r6
+    O = P.O
+    assert np.array_equal(O, -O.T)
+    square = float(np.max(np.abs(O @ O + np.eye(len(O)))))
+    assert P.validate() <= 1e-12
+    assert abs(P.validate() - square) <= 1e-15
+    # a bad square is refused on both paths: exactly antisymmetric, and
+    # with an asymmetry inside the tolerance
+    bad = O * 1.01
+    assert np.array_equal(bad, -bad.T)
+    with pytest.raises(ComputationError, match="not idempotent"):
+        BasisProjection(bad).validate()
+    bad[0, 1] += 1e-13
+    with pytest.raises(ComputationError, match="not idempotent"):
+        BasisProjection(bad).validate()
+    O = O.copy()
+    O[0, 1] += 1e-13
+    assert 1e-13 <= BasisProjection(O).validate() <= 1e-12
 
 
 def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, monkeypatch):
@@ -168,7 +191,7 @@ def test_projection_peak_stays_below_its_memory_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _util._WORKING_ARRAYS * 8 * h.block.shape[0] ** 2
+    assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
 
 
 def _local_operator(case):
@@ -181,10 +204,10 @@ def _local_operator(case):
     majoranas = 2 if case in ("pip", "trivial") else 4
     geom = build_disk_lattice("square", 6.0, majorana_count=majoranas)
     if case == "trivial":
-        return build_trivial(geom).block
+        return build_trivial(geom).dense()
     if case == "pip":
-        return build_pip(-1.0, 0.5, geom).block
-    A = build_qwz(1.0, geom).block.copy()
+        return build_pip(-1.0, 0.5, geom).dense()
+    A = build_qwz(1.0, geom).dense()
     if case == "far_corner":
         # one coupling far outside the stencil: the envelope is read from A
         A[0, -1], A[-1, 0] = 1.0, -1.0
@@ -201,7 +224,7 @@ def test_local_matmul_is_the_product(case):
     assert not X.flags.c_contiguous
     for Y in (X, A, full):
         bound = 1e-14 * (np.abs(A) @ np.abs(Y))
-        assert np.all(np.abs(_local_matmul(A, Y) - A @ Y) <= bound)
+        assert np.all(np.abs(_local_matmul(QuadraticHamiltonian(A, None), Y) - A @ Y) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +259,15 @@ def test_real_path_matches_dense_oracle(case):
     assert abs(chern_number(P, part) - chern_number(dense, part)) <= 1e-10
 
 
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_structure_equals_the_dense_A_reference_bit_for_bit(case):
+    # the Hamiltonian keeps only A's envelope blocks; O is the one a dense A
+    # held throughout gives with the same products
+    build, gap_tol = ORACLE_CASES[case]
+    h = build()
+    assert np.array_equal(ground_projection(h, gap_tol).O, dense_A_structure(h.dense(), gap_tol))
+
+
 @pytest.mark.parametrize("kind", ["exact_zero_pair", "split_pair"])
 def test_cluster_inputs_match_dense_oracle(trivial_projection, kind):
     _, h = trivial_projection
@@ -248,7 +280,7 @@ def test_cluster_inputs_match_dense_oracle(trivial_projection, kind):
         K[0:4, :] = 0.0
         K[:, 0:4] = 0.0
         Q = np.linalg.qr(np.random.default_rng(5).standard_normal(K.shape))[0]
-        h = dataclasses.replace(h, block=Q @ K @ Q.T)
+        h = QuadraticHamiltonian(Q @ K @ Q.T, h.geometry)
     P = ground_projection(h, 1e-8)
     if kind == "split_pair":
         assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)

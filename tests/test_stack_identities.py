@@ -87,7 +87,7 @@ def test_twist_sigma_is_nu_times_copy_factor(stack):
 def test_stack_health_counts_every_copy():
     # two exact zero modes per copy: the stacked cluster is N times the block's
     h = build_trivial(build_disk_lattice("square", 4.0, majorana_count=2))
-    K = h.block.copy()
+    K = h.dense()
     K[0:2, :] = 0.0
     K[:, 0:2] = 0.0
     h = QuadraticHamiltonian(K, h.geometry)
