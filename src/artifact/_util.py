@@ -45,11 +45,13 @@ def available_memory() -> int | None:
 #: eigenvectors V. A itself is held as its row envelope blocks (0.16 of an
 #: array at dim 1816, 0.11 at 3216), and the dense A that S is multiplied
 #: from is freed before the eigh. After it: V and F = G G^T, then F and
-#: O = A F. Peak RSS above the imported interpreter, model build included,
-#: measured 5.26 at dim 1816 and 5.17 at dim 3216 (6.05 and 6.03 while a
-#: dense A was held); tracemalloc, which does not see LAPACK's buffers,
-#: measures 3.0. Tests pin the traced peaks of the projection and of the
-#: model build (0.56 at dim 804) below it
+#: O = A F in V's buffer; the transposes of the tail run over tiles. Peak
+#: RSS above the imported interpreter, model build included, measured 5.26
+#: at dim 1816 and 5.17 at dim 3216 (6.05 and 6.03 while a dense A was
+#: held); tracemalloc, which does not see LAPACK's buffers, measures 2.2 at
+#: dim 804 and 2.0 at dim 1816. Tests pin the traced peaks of the
+#: projection (below 2.5 at dim 804) and of the model build (0.56 at dim
+#: 804) below it
 _WORKING_ARRAYS = 6
 
 

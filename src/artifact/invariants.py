@@ -48,9 +48,11 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: arrays count twice). tracemalloc at block dim 448 and 804: 8.0 on the
-#: Mercator-series path, 14.0 on the Cayley-transform path
-_BCH_WORKING_ARRAYS = 40
+#: arrays count twice), two arrays above the largest measured peak: at block
+#: dim 448 and 804, tracemalloc gives 5.5 on the Mercator-series path and
+#: 14.0 on the Cayley-transform path, and the peak RSS above the pre-call
+#: level 3.6 and 5.3 on the series path, 13.2 and 14.7 on the Cayley path
+_BCH_WORKING_ARRAYS = 17
 
 #: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
 #: Mercator series, whose terms then shrink at least as fast as 0.5^k
@@ -216,6 +218,42 @@ def _log_near_identity(E: np.ndarray) -> np.ndarray:
     return (W * (2j * np.arctan(kappa))) @ W.conj().T
 
 
+#: columns of E = C' - I that _sector_commutator forms at a time
+_SECTOR_COLUMNS = 128
+
+
+def _times(X: np.ndarray, Y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """X @ Y, or X^+ @ Y with `adjoint`, for a complex block of columns Y.
+    A real X multiplies the float view of a C-ordered Y, each row's real
+    and imaginary parts side by side, in one real product: X is never cast
+    to a complex copy. A complex X^+ @ Y is read as conj(X^T conj(Y)), so
+    no adjoint copy of X is made either."""
+    M = X.T if adjoint else X
+    if np.isrealobj(X):
+        return (M @ np.ascontiguousarray(Y).view(float)).view(complex)
+    return (M @ Y.conj()).conj() if adjoint else M @ Y
+
+
+def _sector_commutator(X: np.ndarray, d0: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E = C' - I of one charge sector, C' = D0 W D0* W^+ with D0 = diag(d0)
+    and W = X diag(p) X^+, filled from X alone in blocks of
+    _SECTOR_COLUMNS columns: the columns c of W^+ are X (p* X^+[:, c]), and
+    E[:, c] = D0 X (p X^+ (D0* those columns)) - I[:, c]. W, W^+ and C' are
+    never formed; E is the only block-size array."""
+    n = X.shape[0]
+    E = np.empty((n, n), dtype=complex)
+    for c0 in range(0, n, _SECTOR_COLUMNS):
+        Y = _times(X, X[c0:c0 + _SECTOR_COLUMNS].conj().T * p.conj()[:, None])
+        Y *= d0.conj()[:, None]
+        Y = _times(X, Y, adjoint=True)
+        Y *= p[:, None]
+        Y = _times(X, Y)
+        Y *= d0[:, None]
+        E[:, c0:c0 + _SECTOR_COLUMNS] = Y
+    E.flat[::n + 1] -= 1.0
+    return E
+
+
 def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
                        alpha0: float, alpha1: float,
                        partition: ConicalPartition,
@@ -235,9 +273,12 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
 
     Each sector works in the eigenbasis V0 of B0: there U0 is the diagonal
     D0 = exp(i alpha0 j lam0) and U1 is W = X exp(i alpha1 j lam1) X^+, with
-    X = V0^+ V1 formed once, so C' = V0^+ C V0 = (D0 W D0*) W^+ takes two
-    products and no flux unitary is built. C' and C share their spectrum
-    and |C - I|_F, so the skip, the branch rule and both refusals of
+    X = V0^+ V1 formed once, so C' = V0^+ C V0 = (D0 W D0*) W^+ and no flux
+    unitary is built. E = C' - I is filled from X alone, a block of columns
+    at a time (_sector_commutator): W, W^+ and C' are never formed, and with
+    a real X every product is one real product of X, or its transpose view,
+    with the float view of a complex block. A non-finite |E|_F is refused. C' and C share their spectrum and
+    |C - I|_F, so the skip, the branch rule and both refusals of
     _log_near_identity are unchanged. The trace reads only the anchor's
     columns L[:, a] = V0 log(C') Va^+ and rows L[a, :] = Va log(C') V0^+,
     Va = V0[a, :]. Under the Mercator series these are series on the thin
@@ -269,17 +310,11 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         js = js[js > 0]
     anchor, phi = None, 0.0
     for j in js:
-        # V0^+ U1 V0 = X exp(i theta) X^+, as two real products when X is real
-        theta = alpha1 * j * lam1
-        W = (X * np.cos(theta)) @ X.conj().T + 1j * ((X * np.sin(theta)) @ X.conj().T)
-        Wh = W.conj().T
-        d0 = np.exp(1j * alpha0 * j * lam0)
-        W *= d0[:, None]
-        W *= d0.conj()  # D0 W D0*, in place
-        E = W @ Wh
-        del W, Wh
-        E[np.diag_indices_from(E)] -= 1.0  # E = C' - I; C' itself is never kept
+        E = _sector_commutator(X, np.exp(1j * alpha0 * j * lam0),
+                               np.exp(1j * alpha1 * j * lam1))
         norm = float(np.linalg.norm(E))
+        if not np.isfinite(norm):
+            raise ComputationError("flux commutator is not finite")
         if norm < 1e-13:
             continue
         L = None if norm < _SERIES_RADIUS else _log_near_identity(E)  # Cayley; may refuse
@@ -292,9 +327,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         else:
             cols, rows = L @ Va.conj().T, Va @ L
         del E, L
-        # L[:, a] and L[a, :]^+; V0 @ Y as two real products, without
-        # casting a real V0 to a complex copy
-        Lc, Lr = (V0 @ Y.real + 1j * (V0 @ Y.imag) for Y in (cols, rows.conj().T))
+        Lc, Lr = (_times(V0, Y) for Y in (cols, rows.conj().T))  # L[:, a], L[a, :]^+
         # Tr_a(P L) + Tr_a(L P), and Tr_a(L P) = conj(Tr_a(P L^+)) for Hermitian P
         t = _anchored_trace(Oa, anchor, Lc) + np.conj(_anchored_trace(Oa, anchor, Lr))
         if mirrored:  # the sector -j

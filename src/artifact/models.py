@@ -155,15 +155,18 @@ def _check_gapped(family_tag: str, parameters: dict, ev: np.ndarray | None = Non
     """Refuse gapless parameters; return the bulk gap min |E(k)| of the bands
     -+|d(k)| of the traceless Bloch matrices d(k) . sigma, on a grid and at
     the four momenta {0, pi}^2. `ev` are energies the caller has already
-    computed on its own grid (default: |d| on a kgrid-120 grid)."""
+    computed on its own grid (default: |d| on a kgrid-120 grid). A NaN or
+    infinite gap is refused, never certified."""
     if family_tag == "pip" and parameters["delta"] == 0.0 and abs(parameters["mu"]) <= 4.0:
         # nodal ring of the delta = 0 metal can slip between grid points
         raise ComputationError("gapless parameters: nodal ring at delta = 0")
     if ev is None:
         ev = np.linalg.norm(_bloch(family_tag, parameters, 120), axis=0)
     corners = np.linalg.norm(_bloch_at(family_tag, parameters, *_HIGH_SYMMETRY), axis=0)
-    gap = min(float(np.min(np.abs(ev))), float(np.min(corners)))
-    if gap < 1e-6:
+    gap = float(np.minimum(np.min(np.abs(ev)), np.min(corners)))  # NaN stays NaN
+    if not np.isfinite(gap):
+        raise ComputationError(f"Bloch bands are not finite: bulk gap {gap}")
+    if not gap >= 1e-6:
         raise ComputationError(f"gapless parameters: bulk gap {gap:.2g} < 1e-6")
     return gap
 

@@ -47,16 +47,17 @@ class BasisProjection:
         return np.kron(P, np.eye(self.copies))
 
     def validate(self, tol: float = 1e-12) -> float:
-        """Check O^T = -O (P Hermitian) and O^2 = -I (P idempotent) with one
-        real matmul; return the larger residual. P + JPJ = I holds by
-        construction, and kron with I_N preserves each residual, so the
-        single-copy O is checked. An exactly antisymmetric O (as
-        ground_projection's) has -O^2 = O O^T, which numpy runs as a syrk."""
+        """Check O^T = -O (P Hermitian), over tile pairs, and O^2 = -I (P
+        idempotent) with one real matmul; return the larger residual.
+        P + JPJ = I holds by construction, and kron with I_N preserves each
+        residual, so the single-copy O is checked. An exactly antisymmetric
+        O (as ground_projection's) has -O^2 = O O^T, which numpy runs as a
+        syrk."""
         O = self.O
-        R = O + O.T
-        antisym = float(np.max(np.abs(R, out=R)))
+        antisym = _transpose_residual(O, np.add)
         if not antisym <= tol:
             raise ComputationError(f"projection is not Hermitian: {antisym:.2g} > {tol:.2g}")
+        R = np.empty_like(O)
         if antisym == 0.0:
             np.matmul(O, O.T, out=R)
             R.flat[::O.shape[0] + 1] -= 1.0
@@ -85,15 +86,72 @@ def _canonical_basis(N: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def _local_matmul(h: QuadraticHamiltonian, X: np.ndarray) -> np.ndarray:
+def _local_matmul(h: QuadraticHamiltonian, X: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """A @ X for h's single-copy A, each of its row envelope blocks
-    multiplied only with the rows of X inside it. The terms skipped are
-    exact zeros of A, so a nearest-neighbour A costs a band's flops and a
-    dense A the full product."""
-    out = np.empty((h.dim, X.shape[1]))
+    multiplied only with the rows of X inside it, written into `out` when
+    given. The terms skipped are exact zeros of A, so a nearest-neighbour A
+    costs a band's flops and a dense A the full product."""
+    if out is None:
+        out = np.empty((h.dim, X.shape[1]))
     for r0, r1, c0, c1, block in h.blocks:
         np.matmul(block, X[c0:c1], out=out[r0:r1])
     return out
+
+
+def _local_square(h: QuadraticHamiltonian) -> np.ndarray:
+    """A @ A, equal entry for entry to _local_matmul(h, h.dense()): each
+    block's rows are multiplied only over the column span of the rows of A
+    they meet, the union of the envelopes of the blocks holding rows c0:c1.
+    Outside it the product is exactly zero, so a nearest-neighbour A costs
+    a band's flops there too."""
+    A = h.dense()
+    S = np.zeros((h.dim, h.dim))
+    for r0, r1, c0, c1, block in h.blocks:
+        spans = [(b0, b1) for q0, q1, b0, b1, _ in h.blocks if q0 < c1 and c0 < q1 and b0 < b1]
+        if spans:
+            s0, s1 = min(b0 for b0, _ in spans), max(b1 for _, b1 in spans)
+            np.matmul(block, A[c0:c1, s0:s1], out=S[r0:r1, s0:s1])
+    return S
+
+
+#: edge of the square tiles that the transpose passes below visit in pairs
+_TILE = 256
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of the tiles on and above the diagonal of an
+    n x n array: with its mirror tile (cols, rows), each pair covers every
+    entry once."""
+    for i0 in range(0, n, _TILE):
+        for j0 in range(i0, n, _TILE):
+            yield slice(i0, i0 + _TILE), slice(j0, j0 + _TILE)
+
+
+def _antisymmetrize(O: np.ndarray) -> None:
+    """O <- (O - O^T)/2 in place, one pair of tiles at a time: entry for
+    entry what O -= O.T; O *= 0.5 gives, with no transposed dim x dim
+    buffer. Each entry is O_ij - O_ji rounded once, then halved exactly."""
+    for I, J in _tile_pairs(O.shape[0]):
+        if I == J:
+            O[I, I] -= O[I, I].T  # numpy buffers the overlapping tile
+        else:
+            upper = O[I, J].copy()
+            O[I, J] -= O[J, I].T
+            O[J, I] -= upper.T
+    O *= 0.5
+
+
+def _transpose_residual(M: np.ndarray, op) -> float:
+    """max |op(M, M^T)| for op np.add or np.subtract, over pairs of tiles
+    (the residual is symmetric, so the tiles above the diagonal see every
+    entry), with no dim x dim buffer. The maxima are reduced by numpy, so a
+    NaN anywhere in M gives NaN."""
+    worst = np.zeros(())
+    for I, J in _tile_pairs(M.shape[0]):
+        tile = op(M[I, J], M[J, I].T)
+        worst = np.maximum(worst, np.max(np.abs(tile, out=tile)))
+    return float(worst)
 
 
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
@@ -104,21 +162,21 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     Modes with |lambda| above the window (gap_tol, or a tenth of the largest
     |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
     G = V w^(-1/4), scaled in V's own columns: F is one symmetric rank-k
-    update, and A A, A F run over A's row envelope blocks (_local_matmul).
-    The dense A that A A needs rows of is freed before the eigh, whose
-    working set so holds the blocks and no A. The window's columns Vc span
+    update, and A A, A F run over A's row envelope blocks (_local_square,
+    _local_matmul), A F into V's dead buffer. The dense A that A A needs
+    rows of is freed before the eigh, whose working set so holds the blocks
+    and no A. The window's columns Vc span
     an invariant subspace of A; the small Hermitian problem i Vc^T A Vc,
     with A Vc the product of a dense A built again (the plain product keeps
     every digit of O), resolves their lambdas at full accuracy, which
     squaring does not. Within it, |lambda| <= gap_tol is the cluster: exact
     zero modes are paired from a real orthonormal null basis (a_k, b_k) ->
     O_c = sum a_k b_k^T - b_k a_k^T; split +-epsilon pairs keep their
-    negative member, as every other mode.
+    negative member, as every other mode. O is antisymmetrized in place
+    over pairs of tiles (_antisymmetrize).
     """
     dim = h.dim
-    A = h.dense()
-    S = _local_matmul(h, A)
-    del A
+    S = _local_square(h)
     w, V = np.linalg.eigh(np.negative(S, out=S))  # ascending; each lambda^2 twice
     del S
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
@@ -130,9 +188,9 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     G = V[:, k:]
     G *= w[k:] ** -0.25
     F = G @ G.T  # numpy runs a product with its own transpose as syrk
-    del G, V
-    O = _local_matmul(h, F)
-    del F
+    del G
+    O = _local_matmul(h, F, out=V)  # V is dead: O takes its buffer
+    del F, V
     edge_gap, m = float(np.sqrt(max(w[0], 0.0))), 0
     if k:
         mu, U = np.linalg.eigh(1j * (Vc.T @ (h.dense() @ Vc)))
@@ -157,8 +215,7 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
             raise ComputationError("unresolvable zero modes")
         Ow = (-1j * (U * s) @ U.conj().T).real  # -i sign(i Vc^T A Vc)
         O += Vc @ Ow @ Vc.T
-    O -= O.T
-    O *= 0.5
+    _antisymmetrize(O)
     return O, edge_gap, m
 
 
@@ -180,8 +237,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     check_memory(h.dim)
     O, edge_gap, m = _complex_structure(h, gap_tol)
     AO = _local_matmul(h, O)  # A is exactly antisymmetric, so OA = (AO)^T
-    AO -= AO.T  # numpy buffers the overlapping operand
-    commutator = float(np.max(np.abs(AO, out=AO)))
+    commutator = _transpose_residual(AO, np.subtract)
     del AO
     proj = BasisProjection(O, h.geometry, copies=h.copies)
     try:

@@ -24,7 +24,10 @@ sector, the full commutator C and its full logarithm, and reads the anchor's
 rows and columns of log C; it is the oracle for
 `artifact.invariants.exchange_phase_bch`, which works in the first
 generator's eigenbasis and, under the Mercator series, runs the series on
-the anchor's rows and columns only."""
+the anchor's rows and columns only. `dense_sector_commutator` forms one
+sector's E = (D0 W D0*) W^+ - I from the whole W and W^+; it is the oracle
+for `artifact.invariants._sector_commutator`, which fills E from X alone,
+a block of columns at a time."""
 import numpy as np
 import scipy.linalg
 
@@ -222,3 +225,14 @@ def dense_exchange_phase_bch(P, g0, g1, alpha0: float, alpha1: float, partition,
              + np.conj(_anchored_trace(Oa, anchor, L[anchor, :].conj().T)))
         phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
     return complex(np.exp(phi))
+
+
+def dense_sector_commutator(X, d0, p) -> np.ndarray:
+    """E = C' - I of one charge sector with C' = (D0 W D0*) W^+, from the
+    whole W = X diag(p) X^+ and its adjoint, D0 = diag(d0)."""
+    W = (X * p) @ X.conj().T
+    Wh = W.conj().T
+    W = d0[:, None] * W * d0.conj()
+    E = W @ Wh
+    E[np.diag_indices_from(E)] -= 1.0
+    return E

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -17,10 +18,11 @@ from artifact import (ComputationError, FreeFermionPrediction,
 from artifact import _util, invariants
 from artifact.cli import compute_report, load_config
 from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
-from artifact.invariants import _BCH_WORKING_ARRAYS, _log_near_identity, _log_series
+from artifact.invariants import (_BCH_WORKING_ARRAYS, _log_near_identity, _log_series,
+                                 _sector_commutator)
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
-from dense_oracle import dense_exchange_phase_bch
+from dense_oracle import dense_exchange_phase_bch, dense_sector_commutator
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +322,17 @@ def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alph
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _BCH_WORKING_ARRAYS * 8 * g0.block.shape[0] ** 2
+    array = 8 * g0.block.shape[0] ** 2
+    assert peak < _BCH_WORKING_ARRAYS * array
+    if alpha == 0.1:  # the series path holds E, V0 and X, and no W or W^+
+        assert peak < 7 * array
 
 
 def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
-    # block dim 448: the estimate 40 * 8 * 448^2 B (64 MB) is above the budget
+    # block dim 448: the estimate of _BCH_WORKING_ARRAYS arrays is above the budget
     P, part, g0, g1 = qwz_stack3_r6_generators
+    need = _BCH_WORKING_ARRAYS * 8 * 448**2 / 1e9
+    assert need > 0.01
 
     def no_eigh(*args):
         raise AssertionError("the flux commutator ran before the memory guard")
@@ -333,8 +340,51 @@ def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(_util, "available_memory", lambda: 10**7)
     with pytest.raises(ComputationError,
-                       match=r"flux commutator needs ~0\.064 GB, 0\.01 GB available"):
+                       match=re.escape(f"flux commutator needs ~{need:.2g} GB, 0.01 GB available")):
         exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
+
+
+def test_bch_refuses_a_non_finite_commutator(qwz_stack3_r6_generators):
+    # a NaN in a block reaches E; its norm is refused before the branch, on
+    # the series and the Cayley path alike, not left to the Cayley eigh
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    block = g1.block.copy()
+    block[3, 5] = block[5, 3] = np.nan
+    poisoned = FluxGenerator(block, g1.charge)
+    for alpha in (0.1, 2.5):
+        with pytest.raises(ComputationError, match="flux commutator is not finite"):
+            exchange_phase_bch(P, g0, poisoned, alpha, alpha, part)
+
+
+def _sector_inputs(n, complex_x, seed=8):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    if complex_x:
+        M = M + 1j * rng.standard_normal((n, n))
+    X = np.linalg.qr(M)[0]
+    return X, np.exp(1j * rng.uniform(-3, 3, n)), np.exp(0.3j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 300])
+@pytest.mark.parametrize("complex_x", [False, True])
+def test_sector_commutator_matches_the_whole_w_formula(n, complex_x):
+    # E filled a block of columns at a time from X alone, against E from
+    # the whole W and W^+; a real X runs as real products
+    X, d0, p = _sector_inputs(n, complex_x)
+    assert np.iscomplexobj(X) == complex_x
+    E = _sector_commutator(X, d0, p)
+    assert float(np.max(np.abs(E - dense_sector_commutator(X, d0, p)))) <= 1e-14
+
+
+def test_sector_commutator_matches_on_the_stack_generators(qwz_stack3_r6_generators):
+    _, _, g0, g1 = qwz_stack3_r6_generators
+    lam0, V0 = np.linalg.eigh(g0.block)
+    lam1, V1 = np.linalg.eigh(g1.block)
+    X = V0.T @ V1
+    for alpha in (0.1, 2.5):
+        d0, p = np.exp(1j * alpha * lam0), np.exp(1j * alpha * lam1)
+        E = _sector_commutator(X, d0, p)
+        assert float(np.max(np.abs(E - dense_sector_commutator(X, d0, p)))) <= 1e-14
 
 
 def test_bch_matches_closed_form(qwz_stack3_r6_generators):

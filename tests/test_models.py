@@ -154,6 +154,17 @@ def test_odd_grid_still_sees_closings_at_pi(family, params):
         _check_gapped(family, params, ev=np.ones(4))
 
 
+def test_nan_parameters_are_refused_by_the_gap_certificate():
+    # a NaN gap fails every comparison, so it must be refused, not certified
+    with pytest.raises(ComputationError, match="not finite: bulk gap nan"):
+        _check_gapped("qwz", {"u": np.nan})
+    with pytest.raises(ComputationError, match="not finite: bulk gap nan"):
+        _check_gapped("qwz", {"u": 1.0}, ev=np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(ComputationError, match="not finite: bulk gap nan"):
+        build_qwz(np.nan, build_disk_lattice("square", 3.0, majorana_count=4))
+    assert _check_gapped("qwz", {"u": 1.0}, ev=np.array([1.0, 2.0])) == 1.0
+
+
 #: parameters on both sides of every gap closing, some within 0.01 of one
 ORACLE_CASES = ([("qwz", {"u": u}) for u in (3.0, -3.0, 1.0, -1.0, 0.5, -0.5, 1.8, -1.99,
                                              1.999, 0.01, -0.003)]

@@ -12,7 +12,8 @@ from artifact import (ComputationError, build_disk_lattice,
                       random_covariance, stack_copies, wick_expectation)
 from artifact import _util, quasifree
 from artifact.models import QuadraticHamiltonian
-from artifact.quasifree import BasisProjection, _local_matmul, _pfaffian
+from artifact.quasifree import (BasisProjection, _antisymmetrize, _local_matmul, _local_square,
+                                _pfaffian, _transpose_residual)
 from dense_oracle import dense_A_structure, dense_basis_projection, dense_ground_projection
 
 
@@ -192,6 +193,53 @@ def test_projection_peak_stays_below_its_memory_estimate():
     finally:
         tracemalloc.stop()
     assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
+    # no transposed dim x dim buffer in the projection's tail (it was 3.0)
+    assert peak < 2.5 * 8 * h.dim**2
+
+
+TILE_SIZES = [1, 2, 255, 256, 257, 773]
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+def test_tile_antisymmetrization_is_the_dense_one(n):
+    O = np.random.default_rng(n).standard_normal((n, n))
+    O[0, -1] = O[-1, 0]  # an entry whose difference is an exact zero
+    expected = (O - O.T) / 2
+    _antisymmetrize(O)
+    assert np.array_equal(O, expected)
+    assert O.tobytes() == expected.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+def test_tiled_transpose_residuals_are_the_dense_ones(n):
+    rng = np.random.default_rng(n + 1)
+    M = rng.standard_normal((n, n))
+    near = M - M.T + 1e-14 * rng.standard_normal((n, n))  # nearly antisymmetric
+    for X in (M, near):
+        assert _transpose_residual(X, np.add) == float(np.max(np.abs(X + X.T)))
+        assert _transpose_residual(X, np.subtract) == float(np.max(np.abs(X - X.T)))
+
+
+NAN_SPOTS = [(0, 0), (0, 447), (447, 0), (300, 300), (260, 5), (5, 260), (447, 447)]
+
+
+@pytest.mark.parametrize("spot", NAN_SPOTS)
+def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
+    # the tile maxima are reduced by numpy, so one NaN in any tile, on or
+    # off the diagonal, refuses validate and the commutator check
+    P, _ = qwz_r6
+    O = P.O.copy()
+    assert O.shape == (448, 448)
+    O[spot] = np.nan
+    for op in (np.add, np.subtract):
+        assert np.isnan(_transpose_residual(O, op))
+    with pytest.raises(ComputationError, match="not Hermitian: nan"):
+        BasisProjection(O).validate()
+    h = build_qwz(1.0, P.geometry)
+    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (O, 0.5, 0))
+    monkeypatch.setattr(BasisProjection, "validate", lambda self: 0.0)
+    with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual nan"):
+        ground_projection(h, 1e-4)
 
 
 def _local_operator(case):
@@ -225,6 +273,17 @@ def test_local_matmul_is_the_product(case):
     for Y in (X, A, full):
         bound = 1e-14 * (np.abs(A) @ np.abs(Y))
         assert np.all(np.abs(_local_matmul(QuadraticHamiltonian(A, None), Y) - A @ Y) <= bound)
+
+
+@pytest.mark.parametrize("case", ["qwz", "pip", "trivial", "qwz_stack3", "dense", "far_corner"])
+def test_band_limited_square_is_the_product_bit_for_bit(case):
+    # A A over the column span of each block's rows only: the entries
+    # skipped are exact zeros of the full envelope product
+    if case == "qwz_stack3":
+        h = stack_copies(build_qwz(1.0, build_disk_lattice("square", 6.0, majorana_count=4)), 3)
+    else:
+        h = QuadraticHamiltonian(_local_operator(case), None)
+    assert np.array_equal(_local_square(h), _local_matmul(h, h.dense()))
 
 
 # ---------------------------------------------------------------------------
