@@ -1,8 +1,5 @@
-"""Shared error types, the memory guard and the row envelope of a local
-matrix."""
+"""Shared error types and the memory guard."""
 from __future__ import annotations
-
-import numpy as np
 
 
 class ArtifactError(Exception):
@@ -43,15 +40,14 @@ def available_memory() -> int | None:
 #: dim x dim float64 arrays ground_projection holds at its peak, the eigh:
 #: S = A^T A, LAPACK's copy of it and its workspace (two arrays), and the
 #: eigenvectors V. A itself is held as its row envelope blocks (0.16 of an
-#: array at dim 1816, 0.11 at 3216), and the dense A that S is multiplied
-#: from is freed before the eigh. After it: V and F = G G^T, then F and
-#: O = A F in V's buffer; the transposes of the tail run over tiles. Peak
-#: RSS above the imported interpreter, model build included, measured 5.26
-#: at dim 1816 and 5.17 at dim 3216 (6.05 and 6.03 while a dense A was
-#: held); tracemalloc, which does not see LAPACK's buffers, measures 2.2 at
-#: dim 804 and 2.0 at dim 1816. Tests pin the traced peaks of the
-#: projection (below 2.5 at dim 804) and of the model build (0.56 at dim
-#: 804) below it
+#: array at dim 1816, 0.11 at 3216), and S is summed from them (h.gram), so
+#: no dense A is formed. After the eigh: V and F = G G^T, then F and O = A F
+#: in V's buffer; the transposes of the tail run over tiles. Peak RSS above
+#: the imported interpreter, model build included, measured 5.26 at dim
+#: 1816 and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's
+#: buffers, measures 2.2 at dim 804 and 2.0 at dim 1816. Tests pin the
+#: traced peaks of the projection (below 2.5 at dim 804) and of the model
+#: build (0.56 at dim 804) below it
 _WORKING_ARRAYS = 6
 
 
@@ -64,27 +60,3 @@ def check_memory(dim: int, arrays: int = _WORKING_ARRAYS, stage: str = "projecti
     if avail is not None and need > avail:
         raise ComputationError(f"{stage} needs ~{need / 1e9:.2g} GB, "
                                f"{avail / 1e9:.2g} GB available")
-
-
-#: rows per block of row_envelope: few enough that a block's columns stay
-#: near a stencil's width, enough for a block product to run at gemm speed
-_ENVELOPE_ROWS = 128
-
-
-def row_envelope(A: np.ndarray):
-    """Blocks of consecutive rows of A with the columns their nonzero entries
-    span: yields (r0, r1, c0, c1) such that A[r0:r1] is exactly zero outside
-    columns c0:c1 (c0 == c1 for a block of zero rows). The envelope is read
-    from A's entries, one boolean pass over the block, never assumed from a
-    geometry, so a far coupling widens its block and a dense A gives full
-    blocks."""
-    for r0 in range(0, A.shape[0], _ENVELOPE_ROWS):
-        r1 = min(r0 + _ENVELOPE_ROWS, A.shape[0])
-        yield (r0, r1) + column_span(A[r0:r1])
-
-
-def column_span(rows: np.ndarray) -> tuple[int, int]:
-    """(c0, c1) such that `rows` is exactly zero outside columns c0:c1;
-    (0, 0) when it is zero everywhere."""
-    cols = np.flatnonzero((rows != 0).any(axis=0))
-    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)

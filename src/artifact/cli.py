@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from . import models
-from ._util import ArtifactError, ComputationError, ConfigError
+from ._util import ArtifactError, ComputationError, ConfigError, check_memory
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
 from .invariants import chern_number_with_residual, parity_from_nu, twist_from_nu
@@ -172,9 +172,13 @@ def _model_parameters(cfg: dict) -> dict:
 def build_model(cfg: dict, copies: int = 1):
     g = cfg["geometry"]
     family = cfg["model"]["family"]
-    geometry = build_disk_lattice(g["family"], float(g["radius"]),
-                                  tuple(g["apex_offset"]),
-                                  majorana_count=FAMILIES[family][0])
+    radius, majoranas = float(g["radius"]), FAMILIES[family][0]
+    # the unit squares around the disk's sites cover the disk of radius
+    # R - 1/sqrt(2), so it has at least that many sites: an oversize radius
+    # is refused before any lattice array is allocated
+    check_memory(int(np.pi * max(radius - 0.5**0.5, 0.0) ** 2) * majoranas)
+    geometry = build_disk_lattice(g["family"], radius, tuple(g["apex_offset"]),
+                                  majorana_count=majoranas)
     # looked up on every call, so a builder rebound in `models` is the one used
     build = getattr(models, f"build_{family}")
     h = build(geometry=geometry, **_model_parameters(cfg))

@@ -48,10 +48,13 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: arrays count twice), two arrays above the largest measured peak: at block
-#: dim 448 and 804, tracemalloc gives 5.5 on the Mercator-series path and
-#: 14.0 on the Cayley-transform path, and the peak RSS above the pre-call
-#: level 3.6 and 5.3 on the series path, 13.2 and 14.7 on the Cayley path
+#: arrays count twice), two arrays above the largest measured peak, rounded
+#: up. At block dims 448 and 804 (alpha 0.1 and 2.5), tracemalloc gives 6.3
+#: and 5.5 on the Mercator-series path and 8.0 on the Cayley-transform path;
+#: the peak RSS above the pre-call level, in a fresh process with BLAS and
+#: LAPACK warmed up, is 8.2 and 6.4 on the series path and 14.3 and 13.7 on
+#: the Cayley path, whose eigh holds K (in E's buffer), LAPACK's copy of it,
+#: two workspaces and the eigenvectors beside V0 and X
 _BCH_WORKING_ARRAYS = 17
 
 #: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
@@ -188,38 +191,47 @@ def _log_series(E: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return L
 
 
+#: columns of a sector's block-size arrays that one step of a block-wise
+#: pass (_sector_commutator, the Cayley Hermitization) visits at a time
+_SECTOR_COLUMNS = 128
+
+
 def _log_near_identity(E: np.ndarray) -> np.ndarray:
     """Principal logarithm of a unitary C = I + E, refused near the branch
     cut at -1.
 
     While |E|_F < _SERIES_RADIUS the Mercator series. Otherwise the
-    Cayley transform K = i(I - C)(I + C)^-1 = -i (2I + E)^-1 E:
-    it is Hermitian, with C's eigenvectors and the eigenvalues
-    kappa = tan(theta/2) for C's e^(i theta), so one eigh gives
-    log C = W diag(2i arctan kappa) W^+. C is normal, so
-    |C - I|_2 = max |e^(i theta) - 1| = max 2|kappa|/sqrt(1 + kappa^2) exactly.
-    A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within 0.68 of -1),
-    is a branch ambiguity.
+    Cayley transform K = i(I - C)(I + C)^-1 = -i (I - 2 (I + C)^-1): it is
+    Hermitian, with C's eigenvectors and the eigenvalues kappa = tan(theta/2)
+    for C's e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
+    I + C, then K, then W diag(2i arctan kappa) are formed in E's own buffer,
+    so E is overwritten on this path. eigh reads only the lower triangle, so
+    only it is Hermitized, a block of columns at a time, and W^+ is a view
+    of W conjugated in place. C is normal, so
+    |C - I|_2 = max |e^(i theta) - 1| = max 2|kappa|/sqrt(1 + kappa^2)
+    exactly. A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within
+    0.68 of -1), is a branch ambiguity.
     """
     if float(np.linalg.norm(E)) < _SERIES_RADIUS:
         return _log_series(E, np.eye(E.shape[0]))
-    M = E.copy()
-    M[np.diag_indices_from(M)] += 2.0  # I + C
+    n = E.shape[0]
+    E.flat[::n + 1] += 2.0  # I + C
     try:
-        K = np.linalg.solve(M, E)
+        inverse = np.linalg.inv(E)
     except np.linalg.LinAlgError:
         raise ComputationError("branch ambiguity; reduce alpha") from None
-    del M
-    K *= -0.5j
-    K += K.conj().T  # Hermitized
+    K = np.multiply(inverse, 1j, out=E)
+    del inverse
+    K.flat[::n + 1] -= 0.5j  # K / 2
+    for c0 in range(0, n, _SECTOR_COLUMNS):
+        c1 = c0 + _SECTOR_COLUMNS
+        K[c0:, c0:c1] += K[c0:c1, c0:].conj().T
     kappa, W = np.linalg.eigh(K)
+    del K
     if float(np.max(2.0 * np.abs(kappa) / np.hypot(1.0, kappa))) >= 1.88:
         raise ComputationError("branch ambiguity; reduce alpha")
-    return (W * (2j * np.arctan(kappa))) @ W.conj().T
-
-
-#: columns of E = C' - I that _sector_commutator forms at a time
-_SECTOR_COLUMNS = 128
+    Ws = np.multiply(W, 2j * np.arctan(kappa), out=E)
+    return Ws @ np.conjugate(W, out=W).T  # W^+ as a view of W's own buffer
 
 
 def _times(X: np.ndarray, Y: np.ndarray, adjoint: bool = False) -> np.ndarray:

@@ -86,35 +86,6 @@ def _canonical_basis(N: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def _local_matmul(h: QuadraticHamiltonian, X: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """A @ X for h's single-copy A, each of its row envelope blocks
-    multiplied only with the rows of X inside it, written into `out` when
-    given. The terms skipped are exact zeros of A, so a nearest-neighbour A
-    costs a band's flops and a dense A the full product."""
-    if out is None:
-        out = np.empty((h.dim, X.shape[1]))
-    for r0, r1, c0, c1, block in h.blocks:
-        np.matmul(block, X[c0:c1], out=out[r0:r1])
-    return out
-
-
-def _local_square(h: QuadraticHamiltonian) -> np.ndarray:
-    """A @ A, equal entry for entry to _local_matmul(h, h.dense()): each
-    block's rows are multiplied only over the column span of the rows of A
-    they meet, the union of the envelopes of the blocks holding rows c0:c1.
-    Outside it the product is exactly zero, so a nearest-neighbour A costs
-    a band's flops there too."""
-    A = h.dense()
-    S = np.zeros((h.dim, h.dim))
-    for r0, r1, c0, c1, block in h.blocks:
-        spans = [(b0, b1) for q0, q1, b0, b1, _ in h.blocks if q0 < c1 and c0 < q1 and b0 < b1]
-        if spans:
-            s0, s1 = min(b0 for b0, _ in spans), max(b1 for _, b1 in spans)
-            np.matmul(block, A[c0:c1, s0:s1], out=S[r0:r1, s0:s1])
-    return S
-
-
 #: edge of the square tiles that the transpose passes below visit in pairs
 _TILE = 256
 
@@ -158,27 +129,22 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
     halfway. Returns (O, edge gap min|lambda|, cluster size m).
 
-    One real eigh of A^T A = -A A gives w = lambda^2 and a real basis V.
-    Modes with |lambda| above the window (gap_tol, or a tenth of the largest
-    |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
+    One real eigh of A^T A = -A A (h.gram()) gives w = lambda^2 and a real
+    basis V. Modes with |lambda| above the window (gap_tol, or a tenth of
+    the largest |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
     G = V w^(-1/4), scaled in V's own columns: F is one symmetric rank-k
-    update, and A A, A F run over A's row envelope blocks (_local_square,
-    _local_matmul), A F into V's dead buffer. The dense A that A A needs
-    rows of is freed before the eigh, whose working set so holds the blocks
-    and no A. The window's columns Vc span
-    an invariant subspace of A; the small Hermitian problem i Vc^T A Vc,
-    with A Vc the product of a dense A built again (the plain product keeps
-    every digit of O), resolves their lambdas at full accuracy, which
-    squaring does not. Within it, |lambda| <= gap_tol is the cluster: exact
-    zero modes are paired from a real orthonormal null basis (a_k, b_k) ->
-    O_c = sum a_k b_k^T - b_k a_k^T; split +-epsilon pairs keep their
-    negative member, as every other mode. O is antisymmetrized in place
-    over pairs of tiles (_antisymmetrize).
+    update, and A F runs over A's blocks (h.matmul) into V's dead buffer.
+    The window's columns Vc span an invariant subspace of A; the small
+    Hermitian problem i Vc^T A Vc, with A Vc = h.matmul(Vc), resolves their
+    lambdas at full accuracy, which squaring does not. A is read only
+    through its blocks: no dense A is formed. Within the window,
+    |lambda| <= gap_tol is the cluster: exact zero modes are paired from a
+    real orthonormal null basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T;
+    split +-epsilon pairs keep their negative member, as every other mode.
+    O is antisymmetrized in place over pairs of tiles (_antisymmetrize).
     """
     dim = h.dim
-    S = _local_square(h)
-    w, V = np.linalg.eigh(np.negative(S, out=S))  # ascending; each lambda^2 twice
-    del S
+    w, V = np.linalg.eigh(h.gram())  # ascending; each lambda^2 twice
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
     k = int(np.searchsorted(w, tau2, side="right"))
     # never split the two copies of one lambda^2 between window and rest
@@ -189,11 +155,11 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     G *= w[k:] ** -0.25
     F = G @ G.T  # numpy runs a product with its own transpose as syrk
     del G
-    O = _local_matmul(h, F, out=V)  # V is dead: O takes its buffer
+    O = h.matmul(F, out=V)  # V is dead: O takes its buffer
     del F, V
     edge_gap, m = float(np.sqrt(max(w[0], 0.0))), 0
     if k:
-        mu, U = np.linalg.eigh(1j * (Vc.T @ (h.dense() @ Vc)))
+        mu, U = np.linalg.eigh(1j * (Vc.T @ h.matmul(Vc)))
         edge_gap = float(np.min(np.abs(mu)))
         cluster = np.abs(mu) <= gap_tol
         m = int(np.count_nonzero(cluster))
@@ -236,7 +202,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     """
     check_memory(h.dim)
     O, edge_gap, m = _complex_structure(h, gap_tol)
-    AO = _local_matmul(h, O)  # A is exactly antisymmetric, so OA = (AO)^T
+    AO = h.matmul(O)  # A is exactly antisymmetric, so OA = (AO)^T
     commutator = _transpose_residual(AO, np.subtract)
     del AO
     proj = BasisProjection(O, h.geometry, copies=h.copies)

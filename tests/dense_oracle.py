@@ -13,7 +13,8 @@ near-zero cluster; it is the oracle for
 a complex P in the real form O = -2 Im P that the evaluators read.
 `dense_A_structure` is the real path with a dense A held throughout: the
 same products as `artifact.quasifree._complex_structure`, taken over the
-row envelope of the dense A, so the two agree bit for bit.
+row envelope of the dense A (the square A^T A as the sum of B^T B over its
+blocks B, and A X as the blocks' products), so the two agree bit for bit.
 `dense_tknn_chern` assembles every 2x2 Bloch matrix H = d . sigma from the
 Bloch vector d(k) (`bloch_matrices`), solves it with eigh and multiplies
 the lower band's link overlaps around each plaquette; it is the oracle for
@@ -34,8 +35,7 @@ import scipy.linalg
 from artifact import BasisProjection, ComputationError, ConfigError
 from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
-from artifact.models import _bloch, _check_gapped
-from artifact._util import row_envelope
+from artifact.models import _bloch, _check_gapped, row_envelope
 from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
@@ -125,14 +125,15 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
     path's window rule and products; inputs with exact zero modes are
     refused."""
     dim = A.shape[0]
+    envelope = list(row_envelope(A))
 
     def envelope_product(X):
         out = np.empty((dim, X.shape[1]))
-        for r0, r1, c0, c1 in row_envelope(A):
+        for r0, r1, c0, c1 in envelope:
             np.matmul(A[r0:r1, c0:c1], X[c0:c1], out=out[r0:r1])
         return out
 
-    w, V = np.linalg.eigh(-envelope_product(A))
+    w, V = np.linalg.eigh(dense_gram(A))
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
     k = int(np.searchsorted(w, tau2, side="right"))
     while 0 < k < dim and w[k] - w[k - 1] <= 1e3 * np.finfo(float).eps * w[-1]:
@@ -141,13 +142,23 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
     O = envelope_product(G @ G.T)
     if k:
         Vc = V[:, :k]
-        mu, U = np.linalg.eigh(1j * (Vc.T @ (A @ Vc)))
+        mu, U = np.linalg.eigh(1j * (Vc.T @ envelope_product(Vc)))
         if float(np.min(np.abs(mu))) <= 1e-12:
             raise ComputationError("exact zero modes")
         O += Vc @ (-1j * (U * np.sign(mu)) @ U.conj().T).real @ Vc.T
     O -= O.T
     O *= 0.5
     return O
+
+
+def dense_gram(A: np.ndarray) -> np.ndarray:
+    """A^T A as the sum of B^T B over the row envelope blocks B of the dense
+    A, each term added over its block's column span."""
+    S = np.zeros(A.shape)
+    for r0, r1, c0, c1 in row_envelope(A):
+        B = A[r0:r1, c0:c1]
+        S[c0:c1, c0:c1] += B.T @ B
+    return S
 
 
 def dense_basis_projection(P: np.ndarray, geometry) -> BasisProjection:

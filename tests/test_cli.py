@@ -288,6 +288,25 @@ def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
     assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["qwz", "trivial"])
+def test_oversize_radius_refused_before_the_lattice(tmp_path, capsys, monkeypatch, family):
+    # radius 10^6: the disk's lattice arrays alone would need terabytes
+    import numpy as np
+    from artifact import _util
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice was built before the memory guard")
+
+    monkeypatch.setattr(np, "meshgrid", no_lattice)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**10)
+    cfg = _write_cfg(tmp_path, "big.json", {"model": {"family": family}})
+    assert main(["chern", "--config", cfg, "--radius", "1000000"]) == 3
+    assert re.search(r"projection needs ~\S+ GB, 10 GB available", capsys.readouterr().err)
+    assert main(["sweep", "--config", cfg, "--radii", "1000000,2000000"]) == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [row[1].split(" needs")[0] for row in rows] == ["ERROR: projection"] * 2
+
+
 def _run_listing(code: str, roots=("scipy",)) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter that then prints the modules it
     loaded under the packages `roots` to stderr and exits with the code's `rc`."""
@@ -385,6 +404,20 @@ def test_oracle_tknn_rejects_coarse_grid(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "coarse.json", {"numerics": {"kgrid": 10}})
     assert main(["oracle-tknn", "--config", cfg]) == 2
     assert "kgrid" in capsys.readouterr().err
+
+
+def test_oversize_kgrid_refused_up_front(tmp_path, capsys, monkeypatch):
+    from artifact import _util, models
+
+    def no_bloch(*args):
+        raise AssertionError("the Bloch grid was built before the memory guard")
+
+    monkeypatch.setattr(models, "_bloch", no_bloch)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**10)
+    cfg = _write_cfg(tmp_path, "fine.json", {"numerics": {"kgrid": 1000000}})
+    assert main(["oracle-tknn", "--config", cfg]) == 3
+    need = models._TKNN_WORKING_ARRAYS * 8 * 1000000**2 / 1e9
+    assert f"tknn oracle needs ~{need:.2g} GB, 10 GB available" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

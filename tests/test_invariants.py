@@ -326,6 +326,8 @@ def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alph
     assert peak < _BCH_WORKING_ARRAYS * array
     if alpha == 0.1:  # the series path holds E, V0 and X, and no W or W^+
         assert peak < 7 * array
+    else:  # the Cayley path adds W and log C, and no copy of E or adjoint of W
+        assert peak < 9 * array
 
 
 def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):

@@ -10,11 +10,12 @@ from artifact import (ComputationError, build_disk_lattice,
                       build_pip, build_qwz, build_trivial, chern_number,
                       ground_projection, make_good_partition, pfaffian_expectation,
                       random_covariance, stack_copies, wick_expectation)
-from artifact import _util, quasifree
+from artifact import _util, models, quasifree
+from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
-from artifact.quasifree import (BasisProjection, _antisymmetrize, _local_matmul, _local_square,
-                                _pfaffian, _transpose_residual)
-from dense_oracle import dense_A_structure, dense_basis_projection, dense_ground_projection
+from artifact.quasifree import BasisProjection, _antisymmetrize, _pfaffian, _transpose_residual
+from dense_oracle import (dense_A_structure, dense_basis_projection, dense_gram,
+                          dense_ground_projection)
 
 
 @pytest.fixture(scope="module")
@@ -266,24 +267,30 @@ def _local_operator(case):
 def test_local_matmul_is_the_product(case):
     A = _local_operator(case)
     n = A.shape[0]
-    assert n % _util._ENVELOPE_ROWS  # a short last row block
+    assert n % models._ENVELOPE_ROWS  # a short last row block
     full = np.random.default_rng(3).standard_normal((n, n))
     X = full[:, n // 3:]  # not contiguous, as the columns V[:, k:] of eigh
     assert not X.flags.c_contiguous
     for Y in (X, A, full):
         bound = 1e-14 * (np.abs(A) @ np.abs(Y))
-        assert np.all(np.abs(_local_matmul(QuadraticHamiltonian(A, None), Y) - A @ Y) <= bound)
+        assert np.all(np.abs(QuadraticHamiltonian(A, None).matmul(Y) - A @ Y) <= bound)
 
 
-@pytest.mark.parametrize("case", ["qwz", "pip", "trivial", "qwz_stack3", "dense", "far_corner"])
+@pytest.mark.parametrize("case", ["qwz", "pip", "trivial", "zero", "dense", "far_corner",
+                                  "qwz_stack3"])
 def test_band_limited_square_is_the_product_bit_for_bit(case):
-    # A A over the column span of each block's rows only: the entries
-    # skipped are exact zeros of the full envelope product
+    # h.gram(): A^T A as the sum of B^T B over the blocks, each over its
+    # column span; bit for bit the dense reference's sum, and the plain
+    # product within the matmul bound
     if case == "qwz_stack3":
         h = stack_copies(build_qwz(1.0, build_disk_lattice("square", 6.0, majorana_count=4)), 3)
     else:
         h = QuadraticHamiltonian(_local_operator(case), None)
-    assert np.array_equal(_local_square(h), _local_matmul(h, h.dense()))
+    A = h.dense()
+    S = h.gram()
+    assert np.array_equal(S, dense_gram(A))
+    assert np.array_equal(S, S.T)
+    assert np.all(np.abs(S - A.T @ A) <= 1e-14 * (np.abs(A).T @ np.abs(A)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +334,23 @@ def test_structure_equals_the_dense_A_reference_bit_for_bit(case):
     assert np.array_equal(ground_projection(h, gap_tol).O, dense_A_structure(h.dense(), gap_tol))
 
 
+def _four_zero_modes(h):
+    """h with four exact zero modes on a generic subspace: the pairing is a
+    choice that only the canonical null basis makes the same in both paths."""
+    K = h.matrix.copy()
+    K[0:4, :] = 0.0
+    K[:, 0:4] = 0.0
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal(K.shape))[0]
+    return QuadraticHamiltonian(Q @ K @ Q.T, h.geometry)
+
+
 @pytest.mark.parametrize("kind", ["exact_zero_pair", "split_pair"])
 def test_cluster_inputs_match_dense_oracle(trivial_projection, kind):
     _, h = trivial_projection
     if kind == "split_pair":
         h = _split_pair(h, 1e-10)
     else:
-        # four exact zero modes on a generic subspace: the pairing is a choice
-        # that only the canonical null basis makes the same in both paths
-        K = h.matrix.copy()
-        K[0:4, :] = 0.0
-        K[:, 0:4] = 0.0
-        Q = np.linalg.qr(np.random.default_rng(5).standard_normal(K.shape))[0]
-        h = QuadraticHamiltonian(Q @ K @ Q.T, h.geometry)
+        h = _four_zero_modes(h)
     P = ground_projection(h, 1e-8)
     if kind == "split_pair":
         assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)
@@ -375,6 +386,25 @@ def test_real_path_matches_oracle_on_random_spectra(seed):
     assert float(np.max(np.abs(P.matrix - dense_ground_projection(h, gap_tol)))) <= 1e-10
     O_exact = Q @ np.kron(np.diag(np.sign(lam)), J) @ Q.T
     assert float(np.max(np.abs(P.O - O_exact))) <= 1e-10
+
+
+def test_production_never_builds_a_dense_a(trivial_projection, tmp_path, monkeypatch):
+    # the projection reads A only through its blocks (gram, matmul)
+    def disk(radius, majoranas):
+        return build_disk_lattice("square", radius, majorana_count=majoranas)
+
+    inputs = [(build_qwz(1.0, disk(6.0, 4)), 1e-4), (build_pip(-1.0, 0.5, disk(6.0, 2)), 1e-4),
+              (stack_copies(build_qwz(1.0, disk(4.0, 4)), 3), 1e-4),
+              (_four_zero_modes(trivial_projection[1]), 1e-8)]
+
+    def no_dense(self):
+        raise AssertionError("a dense A was built")
+
+    monkeypatch.setattr(QuadraticHamiltonian, "dense", no_dense)
+    for h, gap_tol in inputs:
+        ground_projection(h, gap_tol)
+    random_covariance(40, np.random.default_rng(0)).validate()
+    assert main(["parity", "--radius", "6", "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_covariance_of_projection_is_valid(trivial_projection):
