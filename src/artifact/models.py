@@ -13,6 +13,7 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 """
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -32,34 +33,31 @@ _sx = np.array([[0, 1], [1, 0]], dtype=complex)
 _sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: rows per block of row_envelope: few enough that a block's columns stay
-#: near a stencil's width, enough for a block product to run at gemm speed
+#: rows per envelope block: few enough that a block's columns stay near a
+#: stencil's width, enough for a block product to run at gemm speed
 _ENVELOPE_ROWS = 128
 
 
-def row_envelope(A: np.ndarray):
-    """Blocks of consecutive rows of A with the columns their nonzero entries
-    span: yields (r0, r1, c0, c1) such that A[r0:r1] is exactly zero outside
-    columns c0:c1 (c0 == c1 for a block of zero rows). The envelope is read
-    from A's entries, one boolean pass over the block, never assumed from a
-    geometry, so a far coupling widens its block and a dense A gives full
-    blocks."""
-    for r0 in range(0, A.shape[0], _ENVELOPE_ROWS):
-        r1 = min(r0 + _ENVELOPE_ROWS, A.shape[0])
-        yield (r0, r1) + column_span(A[r0:r1])
-
-
-def column_span(rows: np.ndarray) -> tuple[int, int]:
-    """(c0, c1) such that `rows` is exactly zero outside columns c0:c1;
-    (0, 0) when it is zero everywhere."""
-    cols = np.flatnonzero((rows != 0).any(axis=0))
-    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+def _envelope(slabs):
+    """The row envelope blocks of a matrix given as its consecutive slabs of
+    rows: yields (r0, r1, c0, c1, block) per slab, the slab being rows r0:r1,
+    exactly zero outside columns c0:c1 (NaN counts as nonzero; c0 == c1 == 0
+    for a zero slab), and `block` an owned copy of its columns c0:c1. The
+    envelope is read from the entries, never assumed from a geometry, so a
+    far coupling widens its block and a dense matrix gives full blocks."""
+    r0 = 0
+    for slab in slabs:
+        r1 = r0 + slab.shape[0]
+        cols = np.flatnonzero((slab != 0).any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        yield r0, r1, c0, c1, slab[:, c0:c1].copy()
+        r0 = r1
 
 
 class QuadraticHamiltonian:
     """H = kron(iA, I_copies) on the geometry: `copies` identical copies of
     the single-copy Hamiltonian iA, copy index fastest. A is kept as its row
-    envelope blocks (row_envelope), `blocks` = ((r0, r1, c0, c1,
+    envelope blocks (_envelope), `blocks` = ((r0, r1, c0, c1,
     A[r0:r1, c0:c1]), ...), so a nearest-neighbour A holds a band of floats
     and no dim x dim array. The computations read A through the blocks
     (`matmul`, `gram`); the dense A (`dense()`) and the complex stacked H
@@ -82,25 +80,18 @@ class QuadraticHamiltonian:
                 raise ComputationError(f"gapless: real part {real_part:.2g} > 1e-12")
             A = np.ascontiguousarray(A.imag)
         A = np.asarray(A, dtype=float)
-        # every nonzero A_ij (NaN != 0 included) lies in row i's envelope
-        # block, so the blocks see each nonzero entry of A and of A + A^T
-        symmetric_part, blocks = 0.0, []
-        for r0, r1, c0, c1 in row_envelope(A):
-            block = A[r0:r1, c0:c1]
-            if not np.isfinite(block).all():
-                raise ComputationError("Hamiltonian is not finite")
-            S = block + A[c0:c1, r0:r1].T
-            symmetric_part = max(symmetric_part, float(np.max(np.abs(S), initial=0.0)))
-            blocks.append((r0, r1, c0, c1, block.copy()))  # a copy frees A on return
+        if not np.isfinite(A).all():
+            raise ComputationError("Hamiltonian is not finite")
+        symmetric_part = float(np.max(np.abs(A + A.T), initial=0.0))
         if symmetric_part > 1e-12:
             raise ComputationError(f"Hamiltonian is not Hermitian: "
                                    f"|A + A^T| {symmetric_part:.2g} > 1e-12")
         if symmetric_part > 0.0:
             A = A - A.T
-            A *= 0.5  # exactly antisymmetric, with an envelope of its own
-            blocks = [(r0, r1, c0, c1, A[r0:r1, c0:c1].copy())
-                      for r0, r1, c0, c1 in row_envelope(A)]
-        self.blocks, self.dim = tuple(blocks), A.shape[0]
+            A *= 0.5  # exactly antisymmetric
+        self.blocks = tuple(_envelope(A[r0:r0 + _ENVELOPE_ROWS]
+                                      for r0 in range(0, len(A), _ENVELOPE_ROWS)))
+        self.dim = len(A)
         self.geometry, self.copies, self.bulk_gap = geometry, copies, bulk_gap
 
     @classmethod
@@ -294,35 +285,26 @@ def _bond_fibers(geometry: LatticeGeometry, onsite, hops, pairs):
         yield F.reshape(m, m), rows[cols], cols
 
 
-def _real_space_K(geometry: LatticeGeometry, onsite, hops, pairs) -> np.ndarray:
-    """The dense real antisymmetric A of size dim_K: every bond of
-    _bond_fibers scattered into one (site, majorana, site, majorana) array.
-    The builders keep A's row envelope blocks (_real_space_blocks); the
-    dense A is their reference."""
-    ns, m = len(geometry.sites), geometry.majorana_count
-    A = np.zeros((ns, m, ns, m))
-    for F, rows, cols in _bond_fibers(geometry, onsite, hops, pairs):
-        A[rows, :, cols, :] += F
-    return A.reshape(ns * m, ns * m)
-
-
 def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
-    """The row envelope blocks (r0, r1, c0, c1, A[r0:r1, c0:c1]) of
-    _real_space_K's A, equal to it entry for entry: each slab of
-    _ENVELOPE_ROWS rows of A is assembled from the bonds of the sites that
-    hold it, and only its envelope is kept, so no dense A is formed."""
+    """The row envelope blocks (r0, r1, c0, c1, A[r0:r1, c0:c1]) of the real
+    antisymmetric A of size dim_K that the bonds of _bond_fibers make: each
+    slab of _ENVELOPE_ROWS rows of A is assembled from the bonds of the sites
+    that hold it and handed to _envelope, one at a time, so no dense A is
+    formed."""
     ns, m = len(geometry.sites), geometry.majorana_count
     bonds = list(_bond_fibers(geometry, onsite, hops, pairs))
-    for r0 in range(0, ns * m, _ENVELOPE_ROWS):
-        r1 = min(r0 + _ENVELOPE_ROWS, ns * m)
-        s0, s1 = r0 // m, -(-r1 // m)  # the sites holding rows r0:r1
-        slab = np.zeros((s1 - s0, m, ns, m))
-        for F, rows, cols in bonds:
-            inside = (rows >= s0) & (rows < s1)
-            slab[rows[inside] - s0, :, cols[inside], :] += F
-        slab = slab.reshape(-1, ns * m)[r0 - s0 * m:r1 - s0 * m]
-        c0, c1 = column_span(slab)
-        yield r0, r1, c0, c1, slab[:, c0:c1].copy()
+
+    def slabs():
+        for r0 in range(0, ns * m, _ENVELOPE_ROWS):
+            r1 = min(r0 + _ENVELOPE_ROWS, ns * m)
+            s0, s1 = r0 // m, -(-r1 // m)  # the sites holding rows r0:r1
+            slab = np.zeros((s1 - s0, m, ns, m))
+            for F, rows, cols in bonds:
+                inside = (rows >= s0) & (rows < s1)
+                slab[rows[inside] - s0, :, cols[inside], :] += F
+            yield slab.reshape(-1, ns * m)[r0 - s0 * m:r1 - s0 * m]
+
+    return _envelope(slabs())
 
 
 def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> QuadraticHamiltonian:
@@ -369,6 +351,10 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
     so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
     The result keeps the factors (H's blocks and the copy count)."""
+    try:
+        copies = operator.index(copies)
+    except TypeError:
+        raise ComputationError(f"copies must be an integer, not {copies!r}") from None
     if copies < 1:
         raise ComputationError("copies must be >= 1")
     if copies == 1:

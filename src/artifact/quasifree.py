@@ -26,6 +26,9 @@ _WICK_MAX = 12
 #: small window problem: squaring A costs them accuracy, the window does not
 _WINDOW_FRACTION = 0.1
 
+#: largest residual of O^T = -O, O^2 = -I and [A, O] = 0 a projection passes
+_RESIDUAL_TOL = 1e-12
+
 
 @dataclass
 class BasisProjection:
@@ -46,17 +49,19 @@ class BasisProjection:
         P.flat[::P.shape[0] + 1] += 0.5
         return np.kron(P, np.eye(self.copies))
 
-    def validate(self, tol: float = 1e-12) -> float:
+    def validate(self) -> float:
         """Check O^T = -O (P Hermitian), over tile pairs, and O^2 = -I (P
-        idempotent) with one real matmul; return the larger residual.
+        idempotent) with one real matmul, each to _RESIDUAL_TOL; return the
+        larger residual.
         P + JPJ = I holds by construction, and kron with I_N preserves each
         residual, so the single-copy O is checked. An exactly antisymmetric
         O (as ground_projection's) has -O^2 = O O^T, which numpy runs as a
         syrk."""
         O = self.O
         antisym = _transpose_residual(O, np.add)
-        if not antisym <= tol:
-            raise ComputationError(f"projection is not Hermitian: {antisym:.2g} > {tol:.2g}")
+        if not antisym <= _RESIDUAL_TOL:
+            raise ComputationError(f"projection is not Hermitian: "
+                                   f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
         R = np.empty_like(O)
         if antisym == 0.0:
             np.matmul(O, O.T, out=R)
@@ -65,8 +70,9 @@ class BasisProjection:
             np.matmul(O, O, out=R)
             R.flat[::O.shape[0] + 1] += 1.0
         square = float(np.max(np.abs(R, out=R)))
-        if not square <= tol:
-            raise ComputationError(f"projection is not idempotent: {square:.2g} > {tol:.2g}")
+        if not square <= _RESIDUAL_TOL:
+            raise ComputationError(f"projection is not idempotent: "
+                                   f"{square:.2g} > {_RESIDUAL_TOL:.2g}")
         return max(antisym, square)
 
     @property
@@ -193,8 +199,8 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     cluster gives the plain lambda < 0 projector; a nonzero one is filled
     halfway, choosing members compatibly with entrywise conjugation so that
     P + JPJ = I survives (see _complex_structure). The result is refused as
-    gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to 1e-12; the last
-    certifies that P commutes with H.
+    gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
+    (1e-12); the last certifies that P commutes with H.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
@@ -210,8 +216,8 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
         residual = proj.validate()
     except ComputationError as exc:
         raise ComputationError(f"gapless: {exc}") from None
-    if not commutator <= 1e-12:
-        raise ComputationError(f"gapless: [A, O] residual {commutator:.2g} > 1e-12")
+    if not commutator <= _RESIDUAL_TOL:
+        raise ComputationError(f"gapless: [A, O] residual {commutator:.2g} > {_RESIDUAL_TOL:.2g}")
     proj.health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
                    "projection_residual": max(residual, commutator)}
     return proj

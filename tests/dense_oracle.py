@@ -3,9 +3,10 @@ tested against.
 
 `dense_real_space_K` assembles the dense complex h and D site by site,
 then rotates every (c, c*) fiber of the complex Nambu blocks with one
-(M, M, 2, 2) einsum; it is the oracle for `artifact.models._real_space_K`,
-which never forms h or D: it applies the real fiber formulas to each bond's
-small blocks and scatters them into A.
+(M, M, 2, 2) einsum; it is the one dense assembly, the oracle for the
+builders' A (`artifact.models._real_space_blocks`), which never forms h,
+D or a dense A: it applies the real fiber formulas to each bond's small
+blocks and scatters them into slabs of A's rows.
 `dense_ground_projection` makes one complex eigh of H, keeps the
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
@@ -13,8 +14,9 @@ near-zero cluster; it is the oracle for
 a complex P in the real form O = -2 Im P that the evaluators read.
 `dense_A_structure` is the real path with a dense A held throughout: the
 same products as `artifact.quasifree._complex_structure`, taken over the
-row envelope of the dense A (the square A^T A as the sum of B^T B over its
-blocks B, and A X as the blocks' products), so the two agree bit for bit.
+row envelope that the constructor reads off the dense A (the square A^T A
+as the sum of B^T B over its blocks B, and A X as the blocks' products), so
+the two agree bit for bit.
 `dense_tknn_chern` assembles every 2x2 Bloch matrix H = d . sigma from the
 Bloch vector d(k) (`bloch_matrices`), solves it with eigh and multiplies
 the lower band's link overlaps around each plaquette; it is the oracle for
@@ -35,7 +37,7 @@ import scipy.linalg
 from artifact import BasisProjection, ComputationError, ConfigError
 from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
-from artifact.models import _bloch, _check_gapped, row_envelope
+from artifact.models import QuadraticHamiltonian, _bloch, _check_gapped
 from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
@@ -125,11 +127,11 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
     path's window rule and products; inputs with exact zero modes are
     refused."""
     dim = A.shape[0]
-    envelope = list(row_envelope(A))
+    blocks = QuadraticHamiltonian(A, None).blocks  # only their spans are read
 
     def envelope_product(X):
         out = np.empty((dim, X.shape[1]))
-        for r0, r1, c0, c1 in envelope:
+        for r0, r1, c0, c1, _ in blocks:
             np.matmul(A[r0:r1, c0:c1], X[c0:c1], out=out[r0:r1])
         return out
 
@@ -153,9 +155,10 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
 
 def dense_gram(A: np.ndarray) -> np.ndarray:
     """A^T A as the sum of B^T B over the row envelope blocks B of the dense
-    A, each term added over its block's column span."""
+    A (the constructor's spans, B sliced from A), each term added over its
+    block's column span."""
     S = np.zeros(A.shape)
-    for r0, r1, c0, c1 in row_envelope(A):
+    for r0, r1, c0, c1, _ in QuadraticHamiltonian(A, None).blocks:
         B = A[r0:r1, c0:c1]
         S[c0:c1, c0:c1] += B.T @ B
     return S

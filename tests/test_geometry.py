@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from artifact import (ComputationError, LatticeGeometry, build_disk_lattice,
                       make_good_partition, pfaffian_expectation, random_covariance,
                       region_mask, windowed_site_ids)
-from artifact.geometry import DEFAULT_APEX_OFFSET
+from artifact import _util, geometry
+from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
 from region_helpers import partition_masks, site_projector
 
 
@@ -35,6 +36,29 @@ def test_tiny_radius_is_empty():
 def test_unknown_family_rejected():
     with pytest.raises(ComputationError):
         build_disk_lattice("hex", 6.0)
+
+
+@pytest.mark.parametrize("radius, apex", [(math.nan, DEFAULT_APEX_OFFSET),
+                                          (math.inf, DEFAULT_APEX_OFFSET),
+                                          (6.0, (math.nan, 0.1)), (6.0, (0.2, -math.inf))],
+                         ids=["radius-nan", "radius-inf", "apex-nan", "apex-inf"])
+def test_non_finite_lattice_refused(radius, apex):
+    with pytest.raises(ComputationError, match="lattice radius and apex must be finite"):
+        build_disk_lattice("square", radius, apex)
+
+
+def test_oversize_lattice_refused_before_its_grid(monkeypatch):
+    # radius 10^6 about the default apex: a bounding box of 2000002 points a
+    # side, whose coordinate grids alone would need terabytes
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the lattice grid was built before the memory guard")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**10)
+    with pytest.raises(ComputationError) as exc:
+        build_disk_lattice("square", 1e6)
+    need = geometry._LATTICE_WORKING_ARRAYS * 8 * 2000002**2 / 1e9
+    assert str(exc.value) == f"lattice needs ~{need:.2g} GB, 10 GB available"
 
 
 @given(st.floats(min_value=4.0, max_value=24.0))
@@ -76,6 +100,20 @@ def test_partition_masks_sum_to_identity_bitwise():
 def test_degenerate_angles_rejected():
     with pytest.raises(ComputationError, match="degenerate partition"):
         make_good_partition((0.2, 0.1), (0.0, 0.0, math.pi))
+
+
+@pytest.mark.parametrize("apex, angles, halfwidth", [
+    ((math.nan, 0.1), DEFAULT_BOUNDARY_ANGLES, 0.15),
+    ((0.2, math.inf), DEFAULT_BOUNDARY_ANGLES, 0.15),
+    ((0.2, 0.1), (math.nan, 7 * math.pi / 6, 11 * math.pi / 6), 0.15),
+    ((0.2, 0.1), (math.pi / 2, math.inf, 11 * math.pi / 6), 0.15),
+    ((0.2, 0.1), DEFAULT_BOUNDARY_ANGLES, math.inf),
+], ids=["apex-nan", "apex-inf", "angle-nan", "angle-inf", "halfwidth-inf"])
+def test_non_finite_partition_rejected(apex, angles, halfwidth):
+    # a NaN apex or angle once passed and gave a wrong nu (0.0 and 1.992
+    # for the 1.998 of qwz at radius 6)
+    with pytest.raises(ComputationError, match="degenerate partition"):
+        make_good_partition(apex, angles, halfwidth)
 
 
 def test_overlapping_gap_cones_rejected():

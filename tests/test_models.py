@@ -9,7 +9,7 @@ from artifact import (ComputationError, ConfigError, build_disk_lattice, build_p
                       build_qwz, build_trivial, models, stack_copies, tknn_chern)
 from artifact.geometry import DEFAULT_APEX_OFFSET
 from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
-                             _plaquette_phases, _qwz_blocks, _real_space_K)
+                             _plaquette_phases, _qwz_blocks, _real_space_blocks)
 from dense_oracle import (bloch_matrices, dense_plaquette_phases, dense_real_space_K,
                           dense_tknn_chern)
 from region_helpers import site_projector
@@ -44,8 +44,8 @@ def test_spectra_come_in_plus_minus_pairs(disk4, disk2, build):
 
 
 def test_far_corner_symmetric_part_refused():
-    # the constructor checks |A + A^T| over A's row envelope blocks; entries
-    # far outside the stencil must widen the envelope, not slip past it
+    # the constructor checks |A + A^T| on the dense input; entries far outside
+    # the stencil must be seen there and widen the envelope, not slip past it
     disk = build_disk_lattice("square", 6.0, majorana_count=4)  # several blocks
     A = build_qwz(1.0, disk).dense()
     for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
@@ -269,6 +269,16 @@ def test_stack_copies_validates_count(disk2):
         stack_copies(build_trivial(disk2), 0)
 
 
+def test_stack_copies_refuses_a_non_integer_count(disk2):
+    # a count of 2.5 once gave a stack whose chern_number read 2.5 nu
+    h = build_trivial(disk2)
+    for count in (2.5, 3.0, "3"):
+        with pytest.raises(ComputationError, match="copies must be an integer"):
+            stack_copies(h, count)
+    h3 = stack_copies(h, np.int64(3))
+    assert h3.copies == 3 and type(h3.copies) is int
+
+
 @pytest.mark.parametrize("radius, apex", [(4, DEFAULT_APEX_OFFSET), (6, DEFAULT_APEX_OFFSET),
                                           (8, DEFAULT_APEX_OFFSET), (12, DEFAULT_APEX_OFFSET),
                                           (8, (2.2371, -1.8871))],
@@ -279,7 +289,9 @@ def test_stack_copies_validates_count(disk2):
 def test_real_assembly_matches_dense_oracle(family, blocks, radius, apex):
     geom = build_disk_lattice("square", float(radius), apex,
                               majorana_count=4 if family == "qwz" else 2)
-    A = _real_space_K(geom, *blocks)
+    # the builders' assembly, read back dense
+    A = QuadraticHamiltonian._of_blocks(tuple(_real_space_blocks(geom, *blocks)),
+                                        geom.dim_K, geom).dense()
     assert A.shape == (geom.dim_K, geom.dim_K)
     assert np.array_equal(1j * A, dense_real_space_K(geom, *blocks))
 
@@ -318,7 +330,7 @@ def test_dense_on_read_is_the_assembled_A(family, majoranas):
     if family == "qwz_stack3":
         h = stack_copies(h, 3)
         assert np.array_equal(h.matrix, 1j * np.kron(h.dense(), np.eye(3)))
-    A = _real_space_K(geom, *blocks)
+    A = dense_real_space_K(geom, *blocks).imag
     assert np.array_equal(h.dense(), A)
     for (*span, block), (*again, block_again) in zip(
             h.blocks, QuadraticHamiltonian(A, geom).blocks, strict=True):
