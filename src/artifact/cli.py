@@ -37,7 +37,7 @@ from . import models
 from ._util import ArtifactError, ComputationError, ConfigError, check_memory
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import chern_number_with_residual, parity_from_nu, twist_from_nu
+from .invariants import chern_number_with_residual, parity_from_nu, round_nu, twist_from_nu
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
@@ -229,10 +229,7 @@ def compute_report(cfg: dict, task: str) -> dict:
         sigma, theta_N, omega_N = twist_from_nu(nu, copies)
         report.update(sigma=sigma, theta_N=_phase(theta_N), omega_N=_phase(omega_N))
     else:
-        report["nu"] = nu
-        nu_r = int(np.rint(nu))
-        if abs(nu - nu_r) <= nu_round_tol:
-            report["nu_rounded"] = nu_r
+        report.update(nu=nu, nu_rounded=round_nu(nu, nu_round_tol))
     if task == "parity":
         z2, z8 = parity_from_nu(nu, nu_round_tol)
         report.update(z2=z2, z8=_phase(z8))

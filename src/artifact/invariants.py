@@ -197,23 +197,21 @@ _SECTOR_COLUMNS = 128
 
 
 def _log_near_identity(E: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a unitary C = I + E, refused near the branch
-    cut at -1.
+    """Principal logarithm of a unitary C = I + E by the Cayley transform,
+    refused near the branch cut at -1. exchange_phase_bch sends
+    |E|_F < _SERIES_RADIUS to the Mercator series (_log_series) instead.
 
-    While |E|_F < _SERIES_RADIUS the Mercator series. Otherwise the
-    Cayley transform K = i(I - C)(I + C)^-1 = -i (I - 2 (I + C)^-1): it is
-    Hermitian, with C's eigenvectors and the eigenvalues kappa = tan(theta/2)
-    for C's e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
-    I + C, then K, then W diag(2i arctan kappa) are formed in E's own buffer,
-    so E is overwritten on this path. eigh reads only the lower triangle, so
+    K = i(I - C)(I + C)^-1 = -i (I - 2 (I + C)^-1) is Hermitian, with C's
+    eigenvectors and the eigenvalues kappa = tan(theta/2) for C's
+    e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
+    I + C, then K, then W diag(2i arctan kappa) are formed in E's own
+    buffer, so E is overwritten. eigh reads only the lower triangle, so
     only it is Hermitized, a block of columns at a time, and W^+ is a view
     of W conjugated in place. C is normal, so
     |C - I|_2 = max |e^(i theta) - 1| = max 2|kappa|/sqrt(1 + kappa^2)
     exactly. A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within
     0.68 of -1), is a branch ambiguity.
     """
-    if float(np.linalg.norm(E)) < _SERIES_RADIUS:
-        return _log_series(E, np.eye(E.shape[0]))
     n = E.shape[0]
     E.flat[::n + 1] += 2.0  # I + C
     try:
@@ -273,14 +271,16 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     """Exchange phase from the group commutator of the two flux unitaries.
 
     C = U0 U1 U0* U1* is unitary with spectrum near 1 for small alpha; the
-    phase is exp of the junction-localized half-trace of P log C, with the
-    anchor symmetrized to keep the exponent purely imaginary up to rounding.
-    Matches exchange_phase_closed to cubic order in the flux angles.
+    phase is exp of the junction-localized symmetrized half-trace
+    (Tr_a(P L) + Tr_a(L P))/2 of L = log C. L is anti-Hermitian, so that is
+    i Im Tr_a(P L): the phase is exp(i phi) with a real phi, of unit modulus
+    by construction. Matches exchange_phase_closed to cubic order in the
+    flux angles.
 
     Both generators must carry the same charge c. In its eigenbasis,
     Ua = exp(i alpha_a kron(Ba, c)) splits into the sectors
     exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
-    the trace; the phase is exp(sum_j phi_j). The j = 0 sector is the
+    the trace; the phase is exp(i sum_j phi_j). The j = 0 sector is the
     identity and is skipped, and so is any sector with |C - I|_F < 1e-13.
 
     Each sector works in the eigenbasis V0 of B0: there U0 is the diagonal
@@ -292,15 +292,16 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     with the float view of a complex block. A non-finite |E|_F is refused. C' and C share their spectrum and
     |C - I|_F, so the skip, the branch rule and both refusals of
     _log_near_identity are unchanged. The trace reads only the anchor's
-    columns L[:, a] = V0 log(C') Va^+ and rows L[a, :] = Va log(C') V0^+,
-    Va = V0[a, :]. Under the Mercator series these are series on the thin
-    Va^+ and Va, so log C is never formed; the Cayley transform forms
-    log C', and can refuse, before the anchor is read.
+    columns L[:, a] = V0 log(C') Va^+, Va = V0[a, :]. This function alone
+    chooses the logarithm: for |E|_F < _SERIES_RADIUS the Mercator series
+    runs on the thin Va^+, so log C is never formed; otherwise the Cayley
+    transform (_log_near_identity) forms log C', and can refuse, before the
+    anchor is read.
 
     A purely imaginary charge (the cyclic charge) has a spectrum symmetric
     under j -> -j. With real blocks V0 and X are real, so going from j to -j
-    conjugates D0, W, C', its logarithm and the anchor's columns and rows:
-    the sector -j is read off the sector j instead of being computed. A job
+    conjugates D0, W, C', its logarithm and the anchor's columns: the
+    sector -j is read off the sector j instead of being computed. A job
     whose block-size working set would not fit in the available memory is
     refused up front.
     """
@@ -333,20 +334,15 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         if anchor is None:
             anchor = _core_indices(P, partition, core_fraction)[2]
             Oa, Va = P.O[anchor, :], V0[anchor, :]
-        if L is None:
-            cols = _log_series(E, Va.conj().T)  # log(C') Va^+
-            rows = _log_series(E.T, Va.T).T  # Va log(C')
-        else:
-            cols, rows = L @ Va.conj().T, Va @ L
+        cols = _log_series(E, Va.conj().T) if L is None else L @ Va.conj().T
         del E, L
-        Lc, Lr = (_times(V0, Y) for Y in (cols, rows.conj().T))  # L[:, a], L[a, :]^+
-        # Tr_a(P L) + Tr_a(L P), and Tr_a(L P) = conj(Tr_a(P L^+)) for Hermitian P
-        t = _anchored_trace(Oa, anchor, Lc) + np.conj(_anchored_trace(Oa, anchor, Lr))
+        Lc = _times(V0, cols)  # L[:, a]
+        # L is anti-Hermitian: Tr_a(P L) + Tr_a(L P) = 2i Im Tr_a(P L)
+        t = _anchored_trace(Oa, anchor, Lc).imag
         if mirrored:  # the sector -j
-            t += (_anchored_trace(Oa, anchor, Lc.conj())
-                  + np.conj(_anchored_trace(Oa, anchor, Lr.conj())))
-        phi += 0.5 * JUNCTION_MULTIPLICITY * 0.5 * t
-    return complex(np.exp(phi))
+            t += _anchored_trace(Oa, anchor, Lc.conj()).imag
+        phi += 0.5 * JUNCTION_MULTIPLICITY * t
+    return complex(np.exp(1j * phi))
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +375,20 @@ def twist_statistics(P_stacked: BasisProjection, N: int, partition: ConicalParti
 # parity-flux indices
 
 
+def round_nu(nu: float, nu_round_tol: float) -> Optional[int]:
+    """The integer nearest nu, or None unless |nu - rint(nu)| <= nu_round_tol;
+    a NaN invariant or tolerance fails the check."""
+    nu_r = float(np.rint(nu))
+    return int(nu_r) if abs(nu - nu_r) <= nu_round_tol else None
+
+
 def parity_from_nu(nu: float, nu_round_tol: float):
     """((-1)^nu, order-8 phase) of the invariant nu. The phase is only defined
     on the even-nu branch; odd nu returns None there. An invariant that does
-    not round within nu_round_tol is refused rather than silently rounded."""
-    nu_r = int(np.rint(nu))
-    if abs(nu - nu_r) > nu_round_tol:
+    not round within nu_round_tol (round_nu) is refused rather than silently
+    rounded."""
+    nu_r = round_nu(nu, nu_round_tol)
+    if nu_r is None:
         raise ComputationError("unconverged")
     if nu_r % 2:
         return -1, None
@@ -458,6 +462,8 @@ def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
     z8 = exp(2 pi i nu/16)."""
     from fractions import Fraction
 
+    if N < 1:
+        raise ComputationError("copies must be >= 1")
     if N % 2 == 0:
         raise ComputationError("even copies unsupported")
     nu = int(nu)

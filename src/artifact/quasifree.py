@@ -200,12 +200,15 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     halfway, choosing members compatibly with entrywise conjugation so that
     P + JPJ = I survives (see _complex_structure). The result is refused as
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
-    (1e-12); the last certifies that P commutes with H.
+    (1e-12); the last certifies that P commutes with H. A gap_tol that is
+    not a finite number >= 0 is refused before any eigh.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
     Its health describes the stacked space: each cluster mode occurs N times.
     """
+    if not 0.0 <= gap_tol < np.inf:
+        raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
     check_memory(h.dim)
     O, edge_gap, m = _complex_structure(h, gap_tol)
     AO = h.matmul(O)  # A is exactly antisymmetric, so OA = (AO)^T

@@ -23,14 +23,18 @@ the lower band's link overlaps around each plaquette; it is the oracle for
 `artifact.models.tknn_chern`, which reads the bands -+|d| and the plaquette
 phases off d(k) in closed form.
 `dense_exchange_phase_bch` builds both flux unitaries of every charge
-sector, the full commutator C and its full logarithm, and reads the anchor's
+sector, the full commutator C and its full logarithm (the Cayley transform
+at every alpha), and reads the two-sided anchored trace off the anchor's
 rows and columns of log C; it is the oracle for
 `artifact.invariants.exchange_phase_bch`, which works in the first
-generator's eigenbasis and, under the Mercator series, runs the series on
-the anchor's rows and columns only. `dense_sector_commutator` forms one
-sector's E = (D0 W D0*) W^+ - I from the whole W and W^+; it is the oracle
-for `artifact.invariants._sector_commutator`, which fills E from X alone,
-a block of columns at a time."""
+generator's eigenbasis, reads one trace of the anchor's columns per sector
+(log C is anti-Hermitian, so its rows follow from its columns) and, below
+the series radius, runs the Mercator series on those columns only, so the
+oracle checks that shortcut and the series independently.
+`dense_sector_commutator` forms one sector's E = (D0 W D0*) W^+ - I from
+the whole W and W^+; it is the oracle for
+`artifact.invariants._sector_commutator`, which fills E from X alone, a
+block of columns at a time."""
 import numpy as np
 import scipy.linalg
 
@@ -219,8 +223,9 @@ def dense_exchange_phase_bch(P, g0, g1, alpha0: float, alpha1: float, partition,
                              core_fraction: float = DEFAULT_CORE_FRACTION) -> complex:
     """exp(sum_j phi_j) over the nonzero eigenvalues j of the shared charge:
     per sector the unitaries Ua = exp(i alpha_a j Ba), E = U0 U1 U0* U1* - I,
-    the full principal logarithm L of I + E, and phi_j the symmetrized
-    anchored half-trace of P L. A sector with max|E| < 1e-13 is skipped."""
+    the full principal logarithm L of I + E by the Cayley transform, and
+    phi_j the symmetrized anchored half-trace (Tr_a(P L) + Tr_a(L P))/2.
+    A sector with max|E| < 1e-13 is skipped."""
     lam0, V0 = np.linalg.eigh(g0.block)
     lam1, V1 = np.linalg.eigh(g1.block)
     js = np.linalg.eigvalsh(g0.charge)

@@ -19,7 +19,7 @@ from artifact import _util, invariants
 from artifact.cli import compute_report, load_config
 from artifact.geometry import DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES
 from artifact.invariants import (_BCH_WORKING_ARRAYS, _log_near_identity, _log_series,
-                                 _sector_commutator)
+                                 _sector_commutator, parity_from_nu, round_nu)
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 from dense_oracle import dense_exchange_phase_bch, dense_sector_commutator
@@ -77,6 +77,13 @@ def test_prediction_odd_nu_has_no_order8_branch():
 def test_prediction_rejects_even_copies():
     with pytest.raises(ComputationError, match="even copies unsupported"):
         predicted_free_fermion(2, 4)
+
+
+@pytest.mark.parametrize("N", [0, -1, -3])
+def test_prediction_rejects_a_count_below_one(N):
+    # an odd negative count would otherwise give a sigma of the wrong sign
+    with pytest.raises(ComputationError, match="copies must be >= 1"):
+        predicted_free_fermion(2, N)
 
 
 @pytest.mark.parametrize("N", [1, 3, 5, 7, 9])
@@ -191,6 +198,19 @@ def test_unconverged_random_state_is_refused():
         parity_indices(P, part)
 
 
+@pytest.mark.parametrize("nu, tol, want", [
+    (2.04, 0.1, 2), (-0.96, 0.1, -1), (1.7, 0.1, None), (2.1, 0.1, None),
+    (1.5, np.nan, None), (np.nan, 0.1, None), (np.inf, 0.1, None)])
+def test_nu_rounds_within_its_tolerance_only(nu, tol, want):
+    assert round_nu(nu, tol) == want
+
+
+@pytest.mark.parametrize("nu, tol", [(1.5, np.nan), (np.nan, 0.1)])
+def test_parity_refuses_a_nan_invariant_or_tolerance(nu, tol):
+    with pytest.raises(ComputationError, match="unconverged"):
+        parity_from_nu(nu, tol)
+
+
 # ---------------------------------------------------------------------------
 # flux-commutator exchange phase
 
@@ -271,13 +291,15 @@ def test_log_branch_rule_is_exact_at_its_threshold(dist, refused):
 
 def test_log_series_is_exact_inside_its_radius():
     # |E|_F < 0.5: the Mercator series, for the full logarithm and on a thin
-    # block of columns
+    # block of columns; the Cayley transform is exact there too (it
+    # overwrites its argument, so it gets a copy)
     X, C = _exp_i(0.1 * np.linspace(-1.0, 1.0, 12))
     E = C - np.eye(12)
     assert float(np.linalg.norm(E)) < 0.5
-    assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-14
+    assert float(np.max(np.abs(_log_series(E, np.eye(12)) - 1j * X))) <= 1e-14
     Y = np.random.default_rng(4).standard_normal((12, 3))
     assert float(np.max(np.abs(_log_series(E, Y) - 1j * X @ Y))) <= 1e-14
+    assert float(np.max(np.abs(_log_near_identity(E.copy()) - 1j * X))) <= 1e-14
 
 
 def test_log_refuses_a_singular_cayley_denominator():
@@ -287,8 +309,9 @@ def test_log_refuses_a_singular_cayley_denominator():
 
 
 def test_log_frobenius_rule_sends_small_spectral_norm_to_cayley(monkeypatch):
-    # |E|_2 < 0.5 <= |E|_F: the series would converge, but only the Frobenius
-    # bound is checked, so the Cayley-transform eigh runs and is exact too
+    # |E|_2 < 0.5 <= |E|_F: the series would converge, but exchange_phase_bch
+    # checks only the Frobenius bound and sends such an E to the
+    # Cayley-transform eigh, which is exact on it too
     X, C = _exp_i(0.4 * np.linspace(-1.0, 1.0, 12))
     E = C - np.eye(12)
     assert float(np.linalg.norm(E, 2)) < 0.5 <= float(np.linalg.norm(E))
@@ -399,6 +422,14 @@ def test_bch_matches_closed_form(qwz_stack3_r6_generators):
     assert err[1] <= err[0] / 4
 
 
+@pytest.mark.parametrize("alpha", [0.1, 1.0])  # Mercator series, 5 and 15 terms
+def test_bch_phase_has_unit_modulus(qwz_stack3_r6_generators, alpha):
+    # log C is anti-Hermitian, so the exponent is i times a real number and
+    # |bch| = 1 to the rounding of exp(i phi) alone
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    assert abs(abs(exchange_phase_bch(P, g0, g1, alpha, alpha, part)) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.5])  # series (5, 15 terms); series; Cayley eigh
 def test_bch_matches_the_dense_commutator(qwz_stack3_r6_generators, alpha):
     P, part, g0, g1 = qwz_stack3_r6_generators
@@ -432,9 +463,9 @@ def test_bch_matches_the_dense_commutator_on_random_blocks(scale, field):
 
 def test_bch_series_runs_on_the_anchor_only(qwz_stack3_r6_generators, monkeypatch):
     # |C - I|_F < 0.5 at alpha 0.1: the full logarithm is never formed, and
-    # the series runs on the anchor's columns and rows of the sector j = 1
-    # only (j = -1 is its conjugate); at alpha 2.5 the Cayley transform
-    # needs the full logarithm
+    # the series runs once, on the anchor's columns of the sector j = 1 only
+    # (j = -1 is its conjugate, and the rows follow from the columns); at
+    # alpha 2.5 the Cayley transform needs the full logarithm
     P, part, g0, g1 = qwz_stack3_r6_generators
 
     class Formed(Exception):
@@ -456,7 +487,7 @@ def test_bch_series_runs_on_the_anchor_only(qwz_stack3_r6_generators, monkeypatc
     assert abs(exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
                - exchange_phase_closed(sigma, 0.1, 0.1)) <= 1e-4
     anchor = invariants._core_indices(P, part, 0.7)[2]
-    assert series == [(g0.block.shape[0], len(anchor))] * 2
+    assert series == [(g0.block.shape[0], len(anchor))]
     with pytest.raises(Formed):
         exchange_phase_bch(P, g0, g1, 2.5, 2.5, part)
 

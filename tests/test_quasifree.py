@@ -184,6 +184,22 @@ def test_oversize_job_refused_up_front(trivial_projection, monkeypatch):
     ground_projection(h, 1e-8)
 
 
+@pytest.mark.parametrize("gap_tol", [np.nan, -1.0, np.inf])
+def test_bad_gap_tol_refused_before_any_eigh(trivial_projection, gap_tol, monkeypatch):
+    # a NaN window would be the whole space, a negative one wider than asked,
+    # and inf would fail only as unresolvable zero modes
+    _, h = trivial_projection
+
+    def no_structure(*args):
+        raise AssertionError("the spectrum was read before gap_tol was checked")
+
+    monkeypatch.setattr(quasifree, "_complex_structure", no_structure)
+    with pytest.raises(ComputationError, match="gap_tol must be a finite number >= 0"):
+        ground_projection(h, gap_tol)
+    with pytest.raises(AssertionError):  # 0 is valid and reaches the spectrum
+        ground_projection(h, 0.0)
+
+
 def test_projection_peak_stays_below_its_memory_estimate():
     # the memory guard refuses up front on _WORKING_ARRAYS dim x dim arrays
     h = build_qwz(1.0, build_disk_lattice("square", 8.0, majorana_count=4))
