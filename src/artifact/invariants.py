@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._util import ComputationError, check_memory
+from ._util import ComputationError, as_integer, check_memory
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection
 from .symgen import FluxGenerator
@@ -459,14 +459,15 @@ def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
     """Closed-form indices of an N-fold stack at integer invariant nu:
     sigma = nu (N^3 - N)/24, theta_N = exp(2 pi i (nu/48)(N - 1/N)),
     omega_N = exp(2 pi i nu (N^2 - 1)/24), z2 = (-1)^nu, and for even nu
-    z8 = exp(2 pi i nu/16)."""
+    z8 = exp(2 pi i nu/16). Both arguments are taken through as_integer, so
+    a non-integer invariant or copy count is refused, never truncated."""
     from fractions import Fraction
 
+    nu, N = as_integer(nu, "nu"), as_integer(N, "copies")
     if N < 1:
         raise ComputationError("copies must be >= 1")
     if N % 2 == 0:
         raise ComputationError("even copies unsupported")
-    nu = int(nu)
     sigma = Fraction(nu * (N**3 - N), 24)
     theta_exp = Fraction(nu * (N**2 - 1), 48 * N)
     omega_exp = Fraction(nu * (N**2 - 1), 24)

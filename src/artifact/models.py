@@ -13,12 +13,11 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 """
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, check_memory
+from ._util import ComputationError, ConfigError, as_integer, check_memory
 from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
@@ -52,6 +51,23 @@ def _envelope(slabs):
         c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
         yield r0, r1, c0, c1, slab[:, c0:c1].copy()
         r0 = r1
+
+
+def _charge_fibers(r0, r1, c0, c1, block):
+    """(rows, cols, X, Y) of an envelope block whose 2 x 2 fibers all read
+    x I + y eps: the block's span in units of fibers, its column span widened
+    to whole fibers, and the planes X = A[0::2, 0::2], Y = A[0::2, 1::2] of
+    that span; None when the block cuts a fiber or one fiber breaks the
+    form exactly."""
+    if r0 % 2 or r1 % 2:
+        return None
+    e0, e1 = c0 - c0 % 2, c1 + c1 % 2
+    B = np.zeros((r1 - r0, e1 - e0))
+    B[:, c0 - e0:c1 - e0] = block
+    X, Y = B[0::2, 0::2], B[0::2, 1::2]
+    if not (np.array_equal(B[1::2, 1::2], X) and np.array_equal(B[1::2, 0::2], -Y)):
+        return None
+    return slice(r0 // 2, r1 // 2), slice(e0 // 2, e1 // 2), X, Y
 
 
 class QuadraticHamiltonian:
@@ -124,6 +140,26 @@ class QuadraticHamiltonian:
         for *_, c0, c1, block in self.blocks:
             S[c0:c1, c0:c1] += block.T @ block
         return S
+
+    def charge_hamiltonian(self) -> np.ndarray | None:
+        """The complex Hermitian H of size dim/2 with A = -iH under the
+        complex structure of the pairs (gamma_{a,1}, gamma_{a,2}), or None.
+
+        A commutes with the charge rotation exactly when every 2 x 2 fiber
+        A[2a:2a+2, 2b:2b+2] has the form x I + y eps, eps = [[0, 1],
+        [-1, 0]]: a Hamiltonian with no pairing term (_bond_fibers with
+        D = 0 gives x = Im h_ab, y = Re h_ab). Then H = Y + iX, the hopping
+        matrix itself, and O = -i sign(iA) is the real form of -i sign(H).
+        The structure is read from the blocks' entries, never assumed from
+        a family: None is returned at the first block with a fiber that
+        breaks it exactly, and for an odd dim, before H is allocated."""
+        if self.dim % 2 or not all(_charge_fibers(*b) for b in self.blocks):
+            return None
+        H = np.zeros((self.dim // 2, self.dim // 2), dtype=complex)
+        for block in self.blocks:
+            rows, cols, X, Y = _charge_fibers(*block)
+            H[rows, cols].real, H[rows, cols].imag = Y, X
+        return H
 
     def dense(self) -> np.ndarray:
         """The single-copy A as a dense dim x dim array."""
@@ -216,9 +252,10 @@ def _solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(triple, 1.0 + np.sum(a * b + b * c + c * a, axis=0))
 
 
-def _plaquette_phases(d: np.ndarray) -> np.ndarray:
+def _plaquette_phases(d: np.ndarray, rows: range | None = None) -> np.ndarray:
     """Berry-phase field strength of the lower band of H(k) = d(k) . sigma on
-    each plaquette of a periodic grid, d of shape (3, kgrid, kgrid) and
+    the plaquettes of a periodic grid whose corner k has its first index in
+    `rows` (default: every plaquette), d of shape (3, kgrid, kgrid) and
     nonzero at every momentum (the gap certificate refuses a d = 0): the
     principal arg of the link product <n|nx><nx|nxy><nxy|ny><ny|n> around
     the counterclockwise plaquette (k, k + x, k + x + y, k + y), computed in
@@ -227,9 +264,12 @@ def _plaquette_phases(d: np.ndarray) -> np.ndarray:
     geodesic triangle (a, b, c), so the plaquette's arg is
     [O(n, nx, nxy) + O(n, nxy, ny)]/2, wrapped into (-pi, pi].
     """
+    kgrid = d.shape[1]
+    rows = range(kgrid) if rows is None else rows
+    d = d[:, np.arange(rows.start, rows.stop + 1) % kgrid]  # and the row k + x
     r = np.linalg.norm(d, axis=0)
     n = d / -r
-    nx = np.roll(n, -1, axis=1)
+    nx, n = n[:, 1:], n[:, :-1]
     ny = np.roll(n, -1, axis=2)
     nxy = np.roll(nx, -1, axis=2)
     phase = 0.5 * (_solid_angle(n, nx, nxy) + _solid_angle(n, nxy, ny))
@@ -351,10 +391,7 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
     so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
     The result keeps the factors (H's blocks and the copy count)."""
-    try:
-        copies = operator.index(copies)
-    except TypeError:
-        raise ComputationError(f"copies must be an integer, not {copies!r}") from None
+    copies = as_integer(copies, "copies")
     if copies < 1:
         raise ComputationError("copies must be >= 1")
     if copies == 1:
@@ -363,12 +400,18 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     return QuadraticHamiltonian._of_blocks(h.blocks, h.dim, geom, h.copies * copies, h.bulk_gap)
 
 
-#: kgrid x kgrid float64 arrays tknn_chern holds at its peak (the Bloch
-#: vectors, their unit vectors and rolled copies, and the solid-angle
-#: temporaries), rounded up to the next whole array as _util._WORKING_ARRAYS
-#: is: tracemalloc measures 24.0 at kgrid 200, 400 and 800, and the peak RSS
-#: above the pre-call level 25.1 at kgrid 200 and 24.3 at 400
-_TKNN_WORKING_ARRAYS = 26
+#: strips of rows of the momentum grid that tknn_chern sums its plaquette
+#: phases over, one at a time: the unit vectors, their rolled copies and the
+#: solid-angle temporaries exist only for one strip and its wrap row
+_TKNN_STRIPS = 32
+
+#: kgrid x kgrid float64 arrays tknn_chern holds at its peak, rounded up to
+#: the next whole array as _util._WORKING_ARRAYS is. The peak is _bloch's:
+#: the three planes of d(k) and one being stacked; the strips add about a
+#: twentieth of that. tracemalloc measures 4.02 at kgrid 200 and 4.00 at
+#: 800, and the peak RSS above the pre-call level 4.70 at kgrid 200, 4.24
+#: at 400 and 4.04 at 800 (24.0 traced before the strips)
+_TKNN_WORKING_ARRAYS = 5
 
 
 def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
@@ -377,7 +420,8 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     integer output. Both families' Bloch matrices are the traceless 2x2
     H(k) = d(k) . sigma with one occupied band, so the bands -+|d| and every
     plaquette's Berry phase come in closed form from d(k)
-    (`_plaquette_phases`); no eigenproblem is solved.
+    (`_plaquette_phases`, summed over _TKNN_STRIPS strips of rows, the last
+    one wrapping to row 0); no eigenproblem is solved.
 
     Orientation is the package convention anchor: qwz at u = 1 returns +1.
     A grid whose arrays would not fit in the available memory is refused
@@ -387,8 +431,11 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
         raise ConfigError("kgrid must be >= 50")
     check_memory(kgrid, _TKNN_WORKING_ARRAYS, "tknn oracle")
     d = _bloch(family_tag, parameters, kgrid)
-    _check_gapped(family_tag, parameters, np.linalg.norm(d, axis=0))
-    total = float(np.sum(_plaquette_phases(d))) / (2 * np.pi)
+    step = -(-kgrid // _TKNN_STRIPS)
+    strips = [range(i0, min(i0 + step, kgrid)) for i0 in range(0, kgrid, step)]
+    bands = [np.min(np.linalg.norm(d[:, s.start:s.stop], axis=0)) for s in strips]
+    _check_gapped(family_tag, parameters, np.array(bands))
+    total = sum(float(np.sum(_plaquette_phases(d, s))) for s in strips) / (2 * np.pi)
     if not np.isfinite(total):
         raise ComputationError(f"Chern sum is not finite: {total}")
     c = int(np.rint(total))

@@ -2,13 +2,14 @@
 
 The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
 is the span of its negative-energy eigenvectors. `ground_projection` computes
-the real complex structure O = -i sign(H) of that sector in real arithmetic,
-with a half-filling rule for near-zero clusters (open disks of chiral models
-carry edge modes), and stores O: the spectral projector P = (I - iO)/2 is
-built only when `.matrix` is read (by oracles and tests). Moments of
-Majorana generators in the state are evaluated from O two ways: a literal
-permutation-sum oracle (`wick_expectation`) and a Pfaffian fast path
-(`pfaffian_expectation`).
+the real complex structure O = -i sign(H) of that sector: from one complex
+eigh of size dim/2 when A conserves charge (no pairing), else in real
+arithmetic with a half-filling rule for near-zero clusters (open disks of
+chiral models carry edge modes). It stores O: the spectral projector
+P = (I - iO)/2 is built only when `.matrix` is read (by oracles and tests).
+Moments of Majorana generators in the state are evaluated from O two ways:
+a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
+path (`pfaffian_expectation`).
 """
 from __future__ import annotations
 
@@ -134,6 +135,58 @@ def _transpose_residual(M: np.ndarray, op) -> float:
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
     halfway. Returns (O, edge gap min|lambda|, cluster size m).
+
+    An A that commutes with the charge rotation (h.charge_hamiltonian() is
+    not None) and has no |lambda| <= gap_tol takes _charge_structure, one
+    Hermitian eigh of size dim/2. Everything else, and such an A with a
+    near-zero cluster, takes _real_structure after the charge path's arrays
+    are freed."""
+    found = _charge_structure(h, gap_tol)
+    if found is not None:
+        return found
+    return _real_structure(h, gap_tol)
+
+
+def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
+    """(O, min|lambda|, 0) from the complex H of A = -iH
+    (h.charge_hamiltonian()), or None when A has no such H or H has an
+    eigenvalue with |lambda| <= gap_tol.
+
+    One complex eigh of H (no squaring, no window) gives sign(H) =
+    I - 2 G G^+, G the eigenvectors of the lambda < 0 modes. O is the real
+    form of -i sign(H): O[0::2, 0::2] = O[1::2, 1::2] = Im sign(H) and
+    O[0::2, 1::2] = -O[1::2, 0::2] = Re sign(H), antisymmetrized in place
+    over pairs of tiles (_antisymmetrize)."""
+    H = h.charge_hamiltonian()
+    if H is None:
+        return None
+    lam, U = np.linalg.eigh(H)  # ascending
+    del H
+    edge_gap = float(np.min(np.abs(lam)))
+    if not edge_gap > gap_tol:
+        return None
+    # U is freed before O is allocated, and O before S: S is then freed
+    # above O, where the A O product of ground_projection reuses its pages,
+    # and the eigh stays the peak RSS
+    G = U[:, :int(np.searchsorted(lam, 0.0))].copy()
+    del U
+    O = np.empty((h.dim, h.dim))
+    S = G @ G.conj().T
+    del G
+    S *= -2.0
+    S.flat[::S.shape[0] + 1] += 1.0  # sign(H)
+    O[0::2, 0::2] = S.imag
+    O[1::2, 1::2] = S.imag
+    O[0::2, 1::2] = S.real
+    np.negative(S.real, out=O[1::2, 0::2])
+    del S
+    _antisymmetrize(O)
+    return O, edge_gap, 0
+
+
+def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
+    """O = -i sign(iA) in real arithmetic, for any real antisymmetric A,
+    near-zero cluster filled halfway. Returns (O, edge gap, cluster size m).
 
     One real eigh of A^T A = -A A (h.gram()) gives w = lambda^2 and a real
     basis V. Modes with |lambda| above the window (gap_tol, or a tenth of

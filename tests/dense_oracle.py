@@ -13,7 +13,7 @@ near-zero cluster; it is the oracle for
 `artifact.quasifree.ground_projection`. `dense_basis_projection` stores such
 a complex P in the real form O = -2 Im P that the evaluators read.
 `dense_A_structure` is the real path with a dense A held throughout: the
-same products as `artifact.quasifree._complex_structure`, taken over the
+same products as `artifact.quasifree._real_structure`, taken over the
 row envelope that the constructor reads off the dense A (the square A^T A
 as the sum of B^T B over its blocks B, and A X as the blocks' products), so
 the two agree bit for bit.

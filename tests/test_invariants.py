@@ -86,6 +86,24 @@ def test_prediction_rejects_a_count_below_one(N):
         predicted_free_fermion(2, N)
 
 
+@pytest.mark.parametrize("nu", [2.5, 2.0, "2"])
+def test_prediction_refuses_a_non_integer_invariant(nu):
+    # int(nu) once truncated 2.5 to 2 and gave sigma 2.0 for (2.5, 3)
+    with pytest.raises(ComputationError, match=f"nu must be an integer, not {nu!r}"):
+        predicted_free_fermion(nu, 3)
+
+
+@pytest.mark.parametrize("N", [3.5, 3.0, "3"])
+def test_prediction_refuses_a_non_integer_copy_count(N):
+    # (2, 3.5) once failed with a TypeError from Fraction
+    with pytest.raises(ComputationError, match=f"copies must be an integer, not {N!r}"):
+        predicted_free_fermion(2, N)
+
+
+def test_prediction_takes_numpy_integers():
+    assert predicted_free_fermion(np.int64(2), np.int32(3)) == predicted_free_fermion(2, 3)
+
+
 @pytest.mark.parametrize("N", [1, 3, 5, 7, 9])
 def test_prediction_exact_orders(N):
     for nu in range(-8, 9):

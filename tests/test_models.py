@@ -131,6 +131,20 @@ def test_tknn_sign_flips_with_mass(u):
     assert tknn_chern("qwz", {"u": -u}, kgrid=60) == -tknn_chern("qwz", {"u": u}, kgrid=60)
 
 
+@pytest.mark.parametrize("kgrid", [200, 800])
+def test_tknn_peak_stays_below_its_estimate(kgrid):
+    # the plaquette phases are summed over strips of rows, so the Bloch
+    # vectors d(k) set the peak: 4.02 and 4.00 kgrid x kgrid arrays measured
+    # (24.0 with the whole grid's phases at once)
+    tracemalloc.start()
+    try:
+        assert tknn_chern("qwz", {"u": 1.0}, kgrid) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.1 * 8 * kgrid**2 <= models._TKNN_WORKING_ARRAYS * 8 * kgrid**2
+
+
 def test_tknn_small_grid_rejected():
     with pytest.raises(ConfigError):
         tknn_chern("qwz", {"u": 1.0}, kgrid=10)
@@ -204,6 +218,15 @@ def test_plaquette_phases_match_link_products():
         assert np.all((got > -np.pi) & (got <= np.pi))
         diff = np.angle(np.exp(1j * (got - want)))
         assert float(np.max(np.abs(diff))) <= 1e-12
+
+
+@pytest.mark.parametrize("kgrid, step", [(60, 7), (51, 2), (50, 50)])
+def test_strip_phases_are_the_whole_grid_phases(kgrid, step):
+    # tknn_chern sums strips of rows; the last strip wraps to row 0
+    d = _bloch("pip", {"mu": -1.0, "delta": 0.5}, kgrid)
+    strips = [_plaquette_phases(d, range(i0, min(i0 + step, kgrid)))
+              for i0 in range(0, kgrid, step)]
+    assert np.array_equal(np.concatenate(strips, axis=0), _plaquette_phases(d))
 
 
 #: components of d: zero or at least 1e-100 in magnitude, inside the range
