@@ -49,8 +49,8 @@ def available_memory() -> int | None:
 
 
 #: dim x dim float64 arrays ground_projection holds at its peak. On the real
-#: path (quasifree._real_structure, which every A with pairing, a broken
-#: charge structure or a near-zero cluster takes) that is the eigh:
+#: path (quasifree._real_structure, which only an A without the charge
+#: structure takes: pairing or a broken fiber) that is the eigh:
 #: S = A^T A, LAPACK's copy of it and its workspace (two arrays), and the
 #: eigenvectors V. A itself is held as its row envelope blocks (0.16 of an
 #: array at dim 1816, 0.11 at 3216), and S is summed from them (h.gram), so

@@ -478,6 +478,10 @@ def predicted_free_fermion(nu: int, N: int) -> FreeFermionPrediction:
 
 def cocycle_exponent(N: int, a1: int, a2: int, a3: int) -> int:
     """Integer exponent a1 * floor((a2 + a3)/N) of the group 3-cocycle,
-    with arguments reduced mod N."""
-    a1, a2, a3 = a1 % N, a2 % N, a3 % N
+    with arguments reduced mod N. All four are taken through as_integer,
+    and N < 1 is refused."""
+    N = as_integer(N, "N")
+    if N < 1:
+        raise ComputationError(f"N must be >= 1, not {N}")
+    a1, a2, a3 = (as_integer(a, f"a{k}") % N for k, a in enumerate((a1, a2, a3), 1))
     return a1 * ((a2 + a3) // N)

@@ -4,7 +4,7 @@ The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
 is the span of its negative-energy eigenvectors. `ground_projection` computes
 the real complex structure O = -i sign(H) of that sector: from one complex
 eigh of size dim/2 when A conserves charge (no pairing), else in real
-arithmetic with a half-filling rule for near-zero clusters (open disks of
+arithmetic; either path fills a near-zero cluster halfway (open disks of
 chiral models carry edge modes). It stores O: the spectral projector
 P = (I - iO)/2 is built only when `.matrix` is read (by oracles and tests).
 Moments of Majorana generators in the state are evaluated from O two ways:
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ComputationError, check_memory
+from ._util import ComputationError, as_integer, check_memory
 from .models import QuadraticHamiltonian
 
 _WICK_MAX = 12
@@ -26,6 +26,9 @@ _WICK_MAX = 12
 #: modes with |lambda| below this fraction of the largest are resolved in the
 #: small window problem: squaring A costs them accuracy, the window does not
 _WINDOW_FRACTION = 0.1
+
+#: |lambda| at or below this is an exact zero mode of the cluster (both paths)
+_EXACT_ZERO = 1e-12
 
 #: largest residual of O^T = -O, O^2 = -I and [A, O] = 0 a projection passes
 _RESIDUAL_TOL = 1e-12
@@ -134,41 +137,36 @@ def _transpose_residual(M: np.ndarray, op) -> float:
 
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
-    halfway. Returns (O, edge gap min|lambda|, cluster size m).
-
-    An A that commutes with the charge rotation (h.charge_hamiltonian() is
-    not None) and has no |lambda| <= gap_tol takes _charge_structure, one
-    Hermitian eigh of size dim/2. Everything else, and such an A with a
-    near-zero cluster, takes _real_structure after the charge path's arrays
-    are freed."""
-    found = _charge_structure(h, gap_tol)
-    if found is not None:
-        return found
-    return _real_structure(h, gap_tol)
+    halfway; returns (O, edge gap min|lambda|, cluster size m). An A that
+    commutes with the charge rotation takes _charge_structure, cluster or
+    not; every other A takes _real_structure."""
+    return _charge_structure(h, gap_tol) or _real_structure(h, gap_tol)
 
 
 def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """(O, min|lambda|, 0) from the complex H of A = -iH
-    (h.charge_hamiltonian()), or None when A has no such H or H has an
-    eigenvalue with |lambda| <= gap_tol.
+    """(O, min|lambda|, m) from the complex H of A = -iH
+    (h.charge_hamiltonian()), or None when A has no such H.
 
-    One complex eigh of H (no squaring, no window) gives sign(H) =
-    I - 2 G G^+, G the eigenvectors of the lambda < 0 modes. O is the real
-    form of -i sign(H): O[0::2, 0::2] = O[1::2, 1::2] = Im sign(H) and
-    O[0::2, 1::2] = -O[1::2, 0::2] = Re sign(H), antisymmetrized in place
-    over pairs of tiles (_antisymmetrize)."""
+    One complex eigh of H gives sign(H) = I - 2 G G^+, G the occupied
+    eigenvectors. Each lambda of H is a pair +-lambda of iA, so the cluster
+    |lambda| <= gap_tol (m twice its size) is filled halfway, by the real
+    path's rule: a split pair keeps its negative member; an exact zero mode
+    (_EXACT_ZERO) stays empty, which commutes with the charge rotation. O
+    is the real form of -i sign(H), O[0::2, 0::2] = O[1::2, 1::2] = Im and
+    O[0::2, 1::2] = -O[1::2, 0::2] = Re, antisymmetrized over tile pairs."""
     H = h.charge_hamiltonian()
     if H is None:
         return None
     lam, U = np.linalg.eigh(H)  # ascending
     del H
     edge_gap = float(np.min(np.abs(lam)))
-    if not edge_gap > gap_tol:
-        return None
+    m = int(np.count_nonzero(np.abs(lam) <= gap_tol))
+    if m == lam.size:
+        raise ComputationError("unresolvable zero modes")
     # U is freed before O is allocated, and O before S: S is then freed
     # above O, where the A O product of ground_projection reuses its pages,
     # and the eigh stays the peak RSS
-    G = U[:, :int(np.searchsorted(lam, 0.0))].copy()
+    G = U[:, :int(np.searchsorted(lam, -min(gap_tol, _EXACT_ZERO)))].copy()
     del U
     O = np.empty((h.dim, h.dim))
     S = G @ G.conj().T
@@ -181,7 +179,7 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     np.negative(S.real, out=O[1::2, 0::2])
     del S
     _antisymmetrize(O)
-    return O, edge_gap, 0
+    return O, edge_gap, 2 * m
 
 
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
@@ -225,7 +223,7 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
         if m % 2 or m >= dim:
             raise ComputationError("unresolvable zero modes")
         s = np.sign(mu)
-        if m and float(np.max(np.abs(mu[cluster]))) <= 1e-12:
+        if m and float(np.max(np.abs(mu[cluster]))) <= _EXACT_ZERO:
             s[cluster] = 0.0
             import scipy.linalg
 
@@ -372,7 +370,12 @@ def _pfaffian(M: np.ndarray) -> complex:
 
 
 def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
-    """Pure random covariance (ground state of a random gapped quadratic H)."""
+    """Pure random covariance (ground state of a random gapped quadratic H).
+    dim is taken through as_integer and refused below 2 or odd, before any
+    draw."""
+    dim = as_integer(dim, "dim_K")
+    if dim < 2:
+        raise ComputationError(f"dim_K must be >= 2, not {dim}")
     if dim % 2 == 1:
         raise ComputationError("dim_K must be even")
     while True:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ComputationError
+from ._util import ComputationError, as_integer
 from .geometry import LatticeGeometry, region_mask
 from .quasifree import BasisProjection
 
@@ -46,12 +46,14 @@ def cyclic_charge(N: int) -> np.ndarray:
 
     Built from the discrete-Fourier eigenvectors of the cyclic shift with
     integer weights j = -(N-1)/2 ... (N-1)/2, so the spectrum is exactly that
-    integer window. Only odd N is meaningful here; even N is refused.
+    integer window. Only odd N is meaningful here; even N is refused, and N
+    is taken through as_integer, so 2.5 is refused, never truncated.
     """
-    if N % 2 == 0:
-        raise ComputationError("even copies unsupported")
+    N = as_integer(N, "copies")
     if N < 1:
         raise ComputationError("copies must be >= 1")
+    if N % 2 == 0:
+        raise ComputationError("even copies unsupported")
     half = (N - 1) // 2
     js = np.arange(-half, half + 1)
     k = np.arange(N)

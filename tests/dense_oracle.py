@@ -98,9 +98,11 @@ def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
     """Spectral projector onto the lambda < 0 eigenvectors of h.matrix.
 
     Exact zero modes are paired from the canonical real orthonormal null
-    basis (the pairing is a choice, shared with the production path so the
-    two can be compared entrywise); split +-epsilon pairs keep their negative
-    member.
+    basis (the pairing is a choice, shared with the real path,
+    artifact.quasifree._real_structure, so the two can be compared
+    entrywise; the charge path leaves the exact zero modes of its H empty,
+    which is the same choice on a zero pair in one site's fiber); split
+    +-epsilon pairs keep their negative member.
     """
     H = h.matrix
     dim = H.shape[0]

@@ -190,9 +190,14 @@ def test_region_mask_expands_majorana_indices():
                                   [np.ones(4)] * 3),
      "pfaffian needs an even list"),
     (lambda: random_covariance(5, np.random.default_rng(0)), "dim_K must be even"),
+    # 0 and -2 failed inside numpy, with a message about its own arrays
+    (lambda: random_covariance(0, np.random.default_rng(0)), "dim_K must be >= 2"),
+    (lambda: random_covariance(-2, np.random.default_rng(0)), "dim_K must be >= 2"),
+    (lambda: random_covariance(4.0, np.random.default_rng(0)), "dim_K must be an integer"),
     (lambda: LatticeGeometry(np.zeros((1, 2)), 3, (0.5, 0.5)),
      "majorana_count must be a positive even integer"),
-], ids=["site-id", "pfaffian-odd", "covariance-odd", "majorana-count"])
+], ids=["site-id", "pfaffian-odd", "covariance-odd", "covariance-zero", "covariance-negative",
+        "covariance-float", "majorana-count"])
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ComputationError, match=message):
         call()

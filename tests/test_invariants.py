@@ -126,6 +126,17 @@ def test_cocycle_examples():
     assert cocycle_exponent(3, 4, 2, 2) == cocycle_exponent(3, 1, 2, 2)
 
 
+@pytest.mark.parametrize("args, message", [((0, 1, 1, 1), "N must be >= 1"), ((-3, 1, 1, 1), "N must be >= 1"),
+                                           ((3, 1.5, 1, 1), "a1 must be an integer"),
+                                           ((3.0, 1, 2, 2), "N must be an integer"),
+                                           ((3, 1, 2, 2.0), "a3 must be an integer")])
+def test_cocycle_refuses_bad_arguments(args, message):
+    # (0, 1, 1, 1) divided by zero, (3, 1.5, 1, 1) gave 0.0 and
+    # (3.0, 1, 2, 2) gave 1.0
+    with pytest.raises(ComputationError, match=message):
+        cocycle_exponent(*args)
+
+
 def test_cocycle_condition_exhaustive_n3():
     N = 3
     for a1 in range(N):

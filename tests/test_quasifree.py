@@ -89,11 +89,16 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
         ground_projection(QuadraticHamiltonian(K, h.geometry), 1e-8)
 
 
-def _split_pair(h, eps):
-    """h with the on-site block of site 0 replaced by a +-eps pair."""
-    K = h.matrix.copy()
-    K[0:2, 0:2] = np.array([[0.0, 1j * eps], [-1j * eps, 0.0]])
-    return QuadraticHamiltonian(K, h.geometry)
+def _trivial_with_fibers(fibers):
+    """trivial R=4 with the on-site fiber of each site s in `fibers` set to
+    y eps, eps = [[0, 1], [-1, 0]]: still x I + y eps, a zero pair for y = 0
+    and a split +-y pair otherwise. The model is on-site, so each fiber is a
+    mode of its own."""
+    h = build_trivial(build_disk_lattice("square", 4.0, majorana_count=2))
+    A = h.dense()
+    for s, y in fibers.items():
+        A[2 * s:2 * s + 2, 2 * s:2 * s + 2] = [[0.0, y], [-y, 0.0]]
+    return QuadraticHamiltonian(A, h.geometry)
 
 
 def test_nonhermitian_hamiltonian_refused(trivial_projection):
@@ -399,31 +404,66 @@ def _perturbed_qwz():
     return QuadraticHamiltonian(A, h.geometry)
 
 
-def _zero_pair_trivial():
-    """trivial R=4 with the fiber of site 0 zeroed: still x I + y eps, with
-    an exact zero pair."""
-    h = build_trivial(_disk(4.0, 2))
-    A = h.dense()
-    A[0:2, :] = 0.0
-    A[:, 0:2] = 0.0
-    return QuadraticHamiltonian(A, h.geometry)
-
-
-FALLBACK_CASES = {"pip_r8": (_pip_r8, 1e-4, False), "perturbed_qwz_r6": (_perturbed_qwz, 1e-4, False),
-                  "zero_pair_trivial_r4": (_zero_pair_trivial, 1e-8, True)}
+FALLBACK_CASES = {"pip_r8": _pip_r8, "perturbed_qwz_r6": _perturbed_qwz}
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_fallback_is_the_real_path_bit_for_bit(case):
-    build, gap_tol, structured = FALLBACK_CASES[case]
-    h = build()
-    assert (h.charge_hamiltonian() is not None) == structured
-    assert quasifree._charge_structure(h, gap_tol) is None
-    O, edge_gap, m = quasifree._real_structure(h, gap_tol)
-    P = ground_projection(h, gap_tol)
+    # an A without the charge structure is the one input the real path takes
+    h = FALLBACK_CASES[case]()
+    assert h.charge_hamiltonian() is None
+    assert quasifree._charge_structure(h, 1e-4) is None
+    O, edge_gap, m = quasifree._real_structure(h, 1e-4)
+    P = ground_projection(h, 1e-4)
     assert P.O.tobytes() == O.tobytes()
-    assert P.health["edge_gap"] == edge_gap and P.health["zero_modes"] == m
-    assert m == (2 if structured else 0)
+    assert P.health["edge_gap"] == edge_gap and P.health["zero_modes"] == m == 0
+
+
+CLUSTER_CASES = {"split_pair": {0: 1e-10}, "zero_pair": {0: 0.0}, "mixed": {0: 0.0, 1: 1e-10}}
+
+
+@pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
+    # a charge-conserving A never reaches the real path: its one eigh of H
+    # leaves an exact zero mode empty and a split pair's positive member
+    # empty, the real path's filling; the mixed cluster the real path refuses
+    h = _trivial_with_fibers(CLUSTER_CASES[case])
+    assert h.charge_hamiltonian() is not None
+    if case == "mixed":
+        with pytest.raises(ComputationError, match="unresolvable zero modes"):
+            quasifree._real_structure(h, 1e-8)
+    else:
+        O_real, _, m_real = quasifree._real_structure(h, 1e-8)
+        assert m_real == 2
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_real_path(*args):
+        raise AssertionError("a charge-conserving A reached the real path")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(quasifree, "_real_structure", no_real_path)
+    P = ground_projection(h, 1e-8)
+    assert shapes == [(h.dim // 2, h.dim // 2)]
+    O = P.O
+    assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
+    assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
+    assert P.health["projection_residual"] <= 1e-12
+    assert P.health["zero_modes"] == 2 * len(CLUSTER_CASES[case])
+    if case == "split_pair":
+        assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)
+        assert float(np.max(np.abs(O - O_real))) <= 1e-15
+    else:
+        assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
+    if case == "zero_pair":  # equal entry for entry; a zero's sign may differ
+        assert np.array_equal(O, O_real)
+    # each cluster fiber (y >= 0) is left empty, so O reads eps there
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for s in CLUSTER_CASES[case]:
+        assert float(np.max(np.abs(O[2 * s:2 * s + 2, 2 * s:2 * s + 2] - eps))) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["qwz", "trivial6", "qwz_stack3"])
@@ -489,7 +529,7 @@ def _four_zero_modes(h):
 def test_cluster_inputs_match_dense_oracle(trivial_projection, kind):
     _, h = trivial_projection
     if kind == "split_pair":
-        h = _split_pair(h, 1e-10)
+        h = _trivial_with_fibers({0: 1e-10})
     else:
         h = _four_zero_modes(h)
     P = ground_projection(h, 1e-8)

@@ -34,6 +34,14 @@ def test_even_copies_rejected():
         cyclic_charge(4)
 
 
+@pytest.mark.parametrize("N, message", [(2.5, "copies must be an integer"), (3.0, "copies must be an integer"),
+                                        (0, "copies must be >= 1"), (-1, "copies must be >= 1")])
+def test_bad_copies_refused_before_the_parity_check(N, message):
+    # 2.5 built a 3 x 3 zero charge, and 0 was reported as even
+    with pytest.raises(ComputationError, match=message):
+        cyclic_charge(N)
+
+
 @pytest.fixture(scope="module")
 def small_geometry():
     return build_disk_lattice("square", 4.0, majorana_count=2)
