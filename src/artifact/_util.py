@@ -49,25 +49,31 @@ def available_memory() -> int | None:
 
 
 #: dim x dim float64 arrays ground_projection holds at its peak. On the real
-#: path (quasifree._real_structure, which only an A without the charge
-#: structure takes: pairing or a broken fiber) that is the eigh:
-#: S = A^T A, LAPACK's copy of it and its workspace (two arrays), and the
-#: eigenvectors V. A itself is held as its row envelope blocks (0.16 of an
-#: array at dim 1816, 0.11 at 3216), and S is summed from them (h.gram), so
-#: no dense A is formed. After the eigh: V and F = G G^T, then F and O = A F
-#: in V's buffer; the transposes of the tail run over tiles. Peak RSS above
-#: the imported interpreter, model build included, measured 5.26 at dim
-#: 1816 and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's
-#: buffers, measures 2.2 at dim 804 and 2.0 at dim 1816. The charge path
-#: (quasifree._charge_structure, an A with no pairing) peaks in its complex
-#: eigh of size dim/2 at about 2.5: H, LAPACK's copy and workspace (1.5)
-#: and the eigenvectors U, each complex (dim/2)^2 array half a real one.
-#: Its peak RSS, measured the same way, is 3.83 at dim 804, 2.88 at 1816
-#: and 2.73 at 3216; tracemalloc measures 2.00 at all three (O, G, G^+ and
-#: S). The estimate stays at the real path's 6, which any input can reach.
-#: Tests pin the traced peaks of the projection (below 2.5 at dim 804), of
-#: the charge path (below 2.1 at dim 804) and of the model build (0.56 at
-#: dim 804) below it
+#: path (quasifree._real_structure on an A without the charge structure:
+#: pairing or a broken fiber) that is the eigh: S = A^T A, LAPACK's copy of
+#: it and its workspace (two arrays), and the eigenvectors V. A itself is
+#: held as its row envelope blocks (0.16 of an array at dim 1816, 0.11 at
+#: 3216), and S is summed from them (h.gram), so no dense A is formed.
+#: After the eigh: V and F = G G^T, then F and O = A F in V's buffer; the
+#: checks of the tail run over slabs of 256 rows. Peak RSS above the
+#: imported interpreter, model build included, measured 5.26 at dim 1816
+#: and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's buffers,
+#: measures 2.0 at dim 804 and 1816. The charge path
+#: (quasifree._charge_structure, an A with no pairing) of a particle-hole
+#: symmetric H (every qwz disk) runs the real path at dim/2, each of its
+#: arrays a quarter of one here, and then holds O and four (dim/4)^2
+#: planes: its peak RSS, measured the same way, is 3.37 at dim 804, 2.27 at
+#: 1816 and 2.01 at 3216, and tracemalloc measures 1.37, 1.31 and 1.29
+#: (O, the planes and the blocks of A'; the whole projection 1.68 at dim
+#: 804, where two slabs of the tail are 0.64 of an array). Any other
+#: charge-conserving A peaks in a complex eigh of size dim/2 at about 2.5:
+#: H, LAPACK's copy and workspace (1.5) and the eigenvectors U, each
+#: complex (dim/2)^2 array half a real one (measured on qwz disks: peak RSS
+#: 3.83 at dim 804, 2.88 at 1816, 2.73 at 3216; tracemalloc 2.00). The
+#: estimate stays at the real path's 6, which any input can reach. Tests
+#: pin the traced peaks of the projection (below 1.8 at dim 804), of the
+#: charge path (below 1.4 at dim 804) and of the model build (0.56 at dim
+#: 804) below it
 _WORKING_ARRAYS = 6
 
 

@@ -120,15 +120,20 @@ class QuadraticHamiltonian:
         h.geometry, h.copies, h.bulk_gap = geometry, copies, bulk_gap
         return h
 
-    def matmul(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A @ X for the single-copy A, each block multiplied only with the
-        rows of X inside its column span, written into `out` when given. The
-        terms skipped are exact zeros of A, so a nearest-neighbour A costs a
+    def matmul(self, X: np.ndarray, out: np.ndarray | None = None,
+               rows: slice = slice(0, None)) -> np.ndarray:
+        """A[rows] @ X for the single-copy A (all of A by default, `rows` a
+        slice of step 1), each block multiplied only with the rows of X
+        inside its column span, written into `out` when given. The terms
+        skipped are exact zeros of A, so a nearest-neighbour A costs a
         band's flops and a dense A the full product."""
+        lo, hi, _ = rows.indices(self.dim)
         if out is None:
-            out = np.empty((self.dim, X.shape[1]))
+            out = np.empty((hi - lo, X.shape[1]))
         for r0, r1, c0, c1, block in self.blocks:
-            np.matmul(block, X[c0:c1], out=out[r0:r1])
+            a, b = max(r0, lo), min(r1, hi)
+            if a < b:
+                np.matmul(block[a - r0:b - r0], X[c0:c1], out=out[a - lo:b - lo])
         return out
 
     def gram(self) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
 is the span of its negative-energy eigenvectors. `ground_projection` computes
-the real complex structure O = -i sign(H) of that sector: from one complex
-eigh of size dim/2 when A conserves charge (no pairing), else in real
-arithmetic; either path fills a near-zero cluster halfway (open disks of
-chiral models carry edge modes). It stores O: the spectral projector
-P = (I - iO)/2 is built only when `.matrix` is read (by oracles and tests).
+the real complex structure O = -i sign(H) of that sector in real arithmetic:
+from one real eigh of size dim/2 when A conserves charge (no pairing) and
+its charge Hamiltonian has the particle-hole symmetry (every qwz disk),
+from one complex eigh of size dim/2 for any other charge-conserving A, and
+from one real eigh of size dim otherwise; every path fills a near-zero
+cluster halfway (open disks of chiral models carry edge modes). Its checks
+run over slabs of rows, so no second dim x dim array is held. It stores O:
+the spectral projector P = (I - iO)/2 is built only when `.matrix` is read
+(by oracles and tests).
 Moments of Majorana generators in the state are evaluated from O two ways:
 a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
 path (`pfaffian_expectation`).
@@ -55,25 +59,30 @@ class BasisProjection:
 
     def validate(self) -> float:
         """Check O^T = -O (P Hermitian), over tile pairs, and O^2 = -I (P
-        idempotent) with one real matmul, each to _RESIDUAL_TOL; return the
-        larger residual.
+        idempotent), each to _RESIDUAL_TOL; return the larger residual.
         P + JPJ = I holds by construction, and kron with I_N preserves each
         residual, so the single-copy O is checked. An exactly antisymmetric
-        O (as ground_projection's) has -O^2 = O O^T, which numpy runs as a
-        syrk."""
+        O (as ground_projection's) has -O^2 = O O^T, which is symmetric: the
+        slab of rows I is O[I] O[i0:]^T, the columns from the slab's first
+        row on. Otherwise the slab is O[I] O. The slabs have _TILE rows, so
+        no dim x dim buffer is held, and their maxima are reduced by numpy,
+        so a NaN gives NaN."""
         O = self.O
         antisym = _transpose_residual(O, np.add)
         if not antisym <= _RESIDUAL_TOL:
             raise ComputationError(f"projection is not Hermitian: "
                                    f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
-        R = np.empty_like(O)
-        if antisym == 0.0:
-            np.matmul(O, O.T, out=R)
-            R.flat[::O.shape[0] + 1] -= 1.0
-        else:
-            np.matmul(O, O, out=R)
-            R.flat[::O.shape[0] + 1] += 1.0
-        square = float(np.max(np.abs(R, out=R)))
+        n, worst = O.shape[0], np.zeros(())
+        for i0 in range(0, n, _TILE):
+            if antisym == 0.0:
+                R = O[i0:i0 + _TILE] @ O[i0:].T
+                R.flat[::R.shape[1] + 1] -= 1.0
+            else:
+                R = O[i0:i0 + _TILE] @ O
+                R.flat[i0::n + 1] += 1.0
+            worst = np.maximum(worst, np.max(np.abs(R, out=R)))
+            del R  # freed before the next slab's product
+        square = float(worst)
         if not square <= _RESIDUAL_TOL:
             raise ComputationError(f"projection is not idempotent: "
                                    f"{square:.2g} > {_RESIDUAL_TOL:.2g}")
@@ -135,6 +144,25 @@ def _transpose_residual(M: np.ndarray, op) -> float:
     return float(worst)
 
 
+def _commutator_residual(h: QuadraticHamiltonian, O: np.ndarray) -> float:
+    """max |A O - (A O)^T|, which is [A, O] for an antisymmetric O (A is
+    exactly antisymmetric, so O A = (A O)^T), with no dim x dim buffer. The
+    difference is antisymmetric, so the rows I = i0:i0 + _TILE need only
+    its columns from i0 on: A[I, :] O[:, i0:] - (A[i0:, :] O[:, I])^T, two
+    products over A's blocks (h.matmul), the transpose taken tile by tile.
+    The maxima are reduced by numpy, so a NaN anywhere in O gives NaN."""
+    n, worst = O.shape[0], np.zeros(())
+    for i0 in range(0, n, _TILE):
+        I = slice(i0, i0 + _TILE)
+        rows = h.matmul(O[:, i0:], rows=I)
+        cols = h.matmul(O[:, I], rows=slice(i0, n))
+        for j0 in range(0, n - i0, _TILE):
+            rows[:, j0:j0 + _TILE] -= cols[j0:j0 + _TILE].T
+        worst = np.maximum(worst, np.max(np.abs(rows, out=rows)))
+        del rows, cols  # freed before the next slab's products
+    return float(worst)
+
+
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
     halfway; returns (O, edge gap min|lambda|, cluster size m). An A that
@@ -147,16 +175,33 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     """(O, min|lambda|, m) from the complex H of A = -iH
     (h.charge_hamiltonian()), or None when A has no such H.
 
-    One complex eigh of H gives sign(H) = I - 2 G G^+, G the occupied
-    eigenvectors. Each lambda of H is a pair +-lambda of iA, so the cluster
-    |lambda| <= gap_tol (m twice its size) is filled halfway, by the real
-    path's rule: a split pair keeps its negative member; an exact zero mode
-    (_EXACT_ZERO) stays empty, which commutes with the charge rotation. O
-    is the real form of -i sign(H), O[0::2, 0::2] = O[1::2, 1::2] = Im and
+    An H with the particle-hole symmetry (_particle_hole_form; every qwz
+    disk and stack) is solved in its real form: _real_structure on the real
+    antisymmetric A' of size dim/2, one real eigh of A'^T A', and O read
+    off O' = -i sign(iA') fiber by fiber (_particle_hole_structure). Its
+    lambdas are H's, so m counts H's cluster twice, as below. A cluster
+    holding an exact zero, or one the real path refuses, takes the complex
+    eigh below instead, whose filling rule is the charge path's.
+
+    Every other H takes one complex eigh, sign(H) = I - 2 G G^+, G the
+    occupied eigenvectors. Each lambda of H is a pair +-lambda of iA, so the
+    cluster |lambda| <= gap_tol (m twice its size) is filled halfway, by the
+    real path's rule: a split pair keeps its negative member; an exact zero
+    mode (_EXACT_ZERO) stays empty, which commutes with the charge rotation.
+    O is the real form of -i sign(H), O[0::2, 0::2] = O[1::2, 1::2] = Im and
     O[0::2, 1::2] = -O[1::2, 0::2] = Re, antisymmetrized over tile pairs."""
     H = h.charge_hamiltonian()
     if H is None:
         return None
+    A_half = _particle_hole_form(H)
+    if A_half is not None:
+        del H  # freed before A' is checked and split into its blocks
+        half = QuadraticHamiltonian(A_half, None)
+        del A_half
+        found = _particle_hole_structure(half, gap_tol)
+        if found is not None:
+            return found
+        H = h.charge_hamiltonian()
     lam, U = np.linalg.eigh(H)  # ascending
     del H
     edge_gap = float(np.min(np.abs(lam)))
@@ -164,8 +209,8 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     if m == lam.size:
         raise ComputationError("unresolvable zero modes")
     # U is freed before O is allocated, and O before S: S is then freed
-    # above O, where the A O product of ground_projection reuses its pages,
-    # and the eigh stays the peak RSS
+    # above O, where the slabs of ground_projection's checks reuse its
+    # pages, and the eigh stays the peak RSS
     G = U[:, :int(np.searchsorted(lam, -min(gap_tol, _EXACT_ZERO)))].copy()
     del U
     O = np.empty((h.dim, h.dim))
@@ -179,6 +224,73 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     np.negative(S.real, out=O[1::2, 0::2])
     del S
     _antisymmetrize(O)
+    return O, edge_gap, 2 * m
+
+
+def _particle_hole_form(H: np.ndarray) -> np.ndarray | None:
+    """The real antisymmetric A' of size n = len(H) with W^+ H W = iA', or
+    None when H lacks the particle-hole symmetry.
+
+    H has it when sigma_x conj(H) sigma_x = -H on every pair of orbitals
+    (2a, 2a + 1): H[0::2, 0::2] = -conj(H[1::2, 1::2]) and H[0::2, 1::2] =
+    -conj(H[1::2, 0::2]), entry for entry (class D: the qwz Bloch matrix
+    has sigma_x H(-k)* sigma_x = -H(k)). The symmetry is read from the
+    entries, never assumed from a family. W = [[1, i], [1, -i]]/sqrt(2) on
+    each pair has W W^T = sigma_x, so W^+ H W is imaginary; its planes,
+    1/2 Im/Re of h00 +- h01 +- h10 +- h11, are under the symmetry sums of
+    two planes of h00 = H[0::2, 0::2] and h01 = H[0::2, 1::2], rounded
+    once."""
+    h00, h01 = H[0::2, 0::2], H[0::2, 1::2]
+    if not (np.array_equal(h00, -H[1::2, 1::2].conj())
+            and np.array_equal(h01, -H[1::2, 0::2].conj())):
+        return None
+    A = np.empty(H.shape)
+    np.add(h00.imag, h01.imag, out=A[0::2, 0::2])
+    np.subtract(h00.real, h01.real, out=A[0::2, 1::2])
+    np.add(h00.real, h01.real, out=A[1::2, 0::2])
+    np.negative(A[1::2, 0::2], out=A[1::2, 0::2])
+    np.subtract(h00.imag, h01.imag, out=A[1::2, 1::2])
+    return A
+
+
+#: the 4 x 4 fiber O[4p:4p + 4, 4q:4q + 4] of O = W O' W^+ in the real form,
+#: entry (i, j) = (k, sign): sign times plane k of (s, a, d, b), where
+#: s, d = (O'00 +- O'11)/2 and a, b = (O'01 -+ O'10)/2 at the pairs (p, q)
+_PARTICLE_HOLE_FIBER = (((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)),
+                        ((1, -1.0), (0, 1.0), (3, 1.0), (2, 1.0)),
+                        ((2, 1.0), (3, 1.0), (0, 1.0), (1, -1.0)),
+                        ((3, -1.0), (2, 1.0), (1, 1.0), (0, 1.0)))
+
+
+def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
+    """(O, min|lambda|, m) of the charge Hamiltonian whose real form
+    (_particle_hole_form) is `half`, or None when its cluster holds an
+    exact zero (edge gap <= _EXACT_ZERO) or is refused by _real_structure.
+
+    O' = -i sign(iA') of size n comes from _real_structure, and -i sign(H)
+    = W O' W^+: each 4 x 4 fiber of O at the pairs (p, q) is read from the
+    planes O'00 = O'[0::2, 0::2], ... at (p, q) (_PARTICLE_HOLE_FIBER), with
+    four n/2-square temporaries and no complex array. O' is exactly
+    antisymmetric, so O is too, and it commutes with the charge rotation
+    exactly."""
+    try:
+        O_half, edge_gap, m = _real_structure(half, gap_tol)
+    except ComputationError:
+        return None
+    if not edge_gap > _EXACT_ZERO:
+        return None
+    p00, p01 = O_half[0::2, 0::2], O_half[0::2, 1::2]
+    p10, p11 = O_half[1::2, 0::2], O_half[1::2, 1::2]
+    planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)
+    del p00, p01, p10, p11, O_half  # O' is freed before O is allocated
+    for plane in planes:
+        plane *= 0.5
+    pairs = len(planes[0])
+    O = np.empty((4 * pairs, 4 * pairs))
+    fibers = O.reshape(pairs, 4, pairs, 4)
+    for i, row in enumerate(_PARTICLE_HOLE_FIBER):
+        for j, (k, sign) in enumerate(row):
+            np.multiply(planes[k], sign, out=fibers[:, i, :, j])
     return O, edge_gap, 2 * m
 
 
@@ -262,9 +374,7 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
         raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
     check_memory(h.dim)
     O, edge_gap, m = _complex_structure(h, gap_tol)
-    AO = h.matmul(O)  # A is exactly antisymmetric, so OA = (AO)^T
-    commutator = _transpose_residual(AO, np.subtract)
-    del AO
+    commutator = _commutator_residual(h, O)
     proj = BasisProjection(O, h.geometry, copies=h.copies)
     try:
         residual = proj.validate()

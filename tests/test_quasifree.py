@@ -13,7 +13,8 @@ from artifact import (ComputationError, build_disk_lattice,
 from artifact import _util, models, quasifree
 from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
-from artifact.quasifree import BasisProjection, _antisymmetrize, _pfaffian, _transpose_residual
+from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
+                                _transpose_residual)
 from dense_oracle import (dense_A_structure, dense_basis_projection, dense_gram,
                           dense_ground_projection)
 
@@ -215,8 +216,9 @@ def test_projection_peak_stays_below_its_memory_estimate():
     finally:
         tracemalloc.stop()
     assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
-    # no transposed dim x dim buffer in the projection's tail (it was 3.0)
-    assert peak < 2.5 * 8 * h.dim**2
+    # no dim x dim buffer in the projection's tail, which runs over slabs of
+    # _TILE rows: O and two slabs, 0.64 of an array at dim 804 (measured 1.68)
+    assert peak < 1.8 * 8 * h.dim**2
 
 
 TILE_SIZES = [1, 2, 255, 256, 257, 773]
@@ -240,6 +242,32 @@ def test_tiled_transpose_residuals_are_the_dense_ones(n):
     for X in (M, near):
         assert _transpose_residual(X, np.add) == float(np.max(np.abs(X + X.T)))
         assert _transpose_residual(X, np.subtract) == float(np.max(np.abs(X - X.T)))
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+def test_slab_commutator_residual_is_the_dense_one(n):
+    # max |A O - (A O)^T| over slabs of rows, each read from its columns on
+    # the diagonal's right, for an O of any symmetry
+    rng = np.random.default_rng(n + 2)
+    M = rng.standard_normal((n, n))
+    A, O = M - M.T, rng.standard_normal((n, n))
+    AO = A @ O
+    dense = float(np.max(np.abs(AO - AO.T)))
+    assert _commutator_residual(QuadraticHamiltonian(A, None), O) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 256, 258, 774])
+def test_slab_square_residual_is_the_dense_one(n):
+    # validate squares over slabs: O[I] O[i0:]^T for an exactly antisymmetric
+    # O, O[I] O otherwise; both within rounding of the dense residual
+    rng = np.random.default_rng(n + 3)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    O = Q @ np.kron(np.eye(n // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ Q.T
+    _antisymmetrize(O)
+    near = O + 1e-14 * rng.standard_normal((n, n))
+    for X, dense in ((O, O @ O.T - np.eye(n)), (near, near @ near + np.eye(n))):
+        assert abs(BasisProjection(X).validate() - max(float(np.max(np.abs(dense))),
+                                                       _transpose_residual(X, np.add))) <= 1e-15
 
 
 NAN_SPOTS = [(0, 0), (0, 447), (447, 0), (300, 300), (260, 5), (5, 260), (447, 447)]
@@ -292,9 +320,13 @@ def test_local_matmul_is_the_product(case):
     full = np.random.default_rng(3).standard_normal((n, n))
     X = full[:, n // 3:]  # not contiguous, as the columns V[:, k:] of eigh
     assert not X.flags.c_contiguous
+    h = QuadraticHamiltonian(A, None)
     for Y in (X, A, full):
         bound = 1e-14 * (np.abs(A) @ np.abs(Y))
-        assert np.all(np.abs(QuadraticHamiltonian(A, None).matmul(Y) - A @ Y) <= bound)
+        assert np.all(np.abs(h.matmul(Y) - A @ Y) <= bound)
+        # rows=I gives A[I] @ Y, for I aligned with the blocks or cutting them
+        for rows in (slice(0, 256), slice(5, 200), slice(256, n), slice(n, n)):
+            assert np.all(np.abs(h.matmul(Y, rows=rows) - (A @ Y)[rows]) <= bound[rows])
 
 
 @pytest.mark.parametrize("case", ["qwz", "pip", "trivial", "zero", "dense", "far_corner",
@@ -424,7 +456,8 @@ CLUSTER_CASES = {"split_pair": {0: 1e-10}, "zero_pair": {0: 0.0}, "mixed": {0: 0
 
 @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
 def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
-    # a charge-conserving A never reaches the real path: its one eigh of H
+    # a charge-conserving A without the particle-hole symmetry (trivial)
+    # never reaches the real path: its one eigh of H
     # leaves an exact zero mode empty and a split pair's positive member
     # empty, the real path's filling; the mixed cluster the real path refuses
     h = _trivial_with_fibers(CLUSTER_CASES[case])
@@ -503,8 +536,9 @@ def test_charge_structure_is_read_from_the_entries():
 
 
 def test_charge_path_peak_stays_below_its_measured_value():
-    # O, G, G^+ and S = G G^+: tracemalloc measured 2.00 dim x dim arrays at
-    # dim 804, 1816 and 3216 (LAPACK's buffers in the eigh are not traced)
+    # qwz takes the particle-hole half: O, the four planes it is read from
+    # and the blocks of A'; tracemalloc measured 1.37 dim x dim arrays at
+    # dim 804 and 1.31 at 1816 (LAPACK's buffers in the eigh are not traced)
     h = build_qwz(1.0, _disk(8.0, 4))
     tracemalloc.start()
     try:
@@ -512,7 +546,137 @@ def test_charge_path_peak_stays_below_its_measured_value():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.1 * 8 * h.dim**2
+    assert peak < 1.4 * 8 * h.dim**2
+
+
+# ---------------------------------------------------------------------------
+# the particle-hole half against the complex eigh
+
+
+def _complex_eigh_projection(h, gap_tol, monkeypatch):
+    """ground_projection with the particle-hole half switched off: the one
+    complex eigh of H that every charge-conserving A took before."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quasifree, "_particle_hole_form", lambda H: None)
+        return ground_projection(h, gap_tol)
+
+
+PARTICLE_HOLE_CASES = {
+    "qwz_u1_r12": (lambda: build_qwz(1.0, _disk(12.0, 4)), 1e-4, 0),
+    "qwz_u-1_r8": (lambda: build_qwz(-1.0, _disk(8.0, 4)), 1e-4, 0),
+    "qwz_u1.8_r10": (lambda: build_qwz(1.8, _disk(10.0, 4)), 1e-4, 0),
+    "qwz_u2.5_r8": (lambda: build_qwz(2.5, _disk(8.0, 4)), 1e-4, 0),
+    "qwz_stack3_r6": (lambda: stack_copies(build_qwz(1.0, _disk(6.0, 4)), 3), 1e-4, 0),
+    "split4_r12": (lambda: build_qwz(1.0, _disk(12.0, 4)), 0.05, 4),
+    "split12_r8": (lambda: build_qwz(1.0, _disk(8.0, 4)), 0.2, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
+def test_particle_hole_half_matches_the_complex_eigh(case, monkeypatch):
+    # every qwz disk and stack has the particle-hole symmetry and takes the
+    # real eigh of dim/2; the complex eigh of H, split clusters included,
+    # licenses it
+    build, gap_tol, zero_modes = PARTICLE_HOLE_CASES[case]
+    h = build()
+    assert quasifree._particle_hole_form(h.charge_hamiltonian()) is not None
+    P = ground_projection(h, gap_tol)
+    ref = _complex_eigh_projection(h, gap_tol, monkeypatch)
+    O = P.O
+    assert P.health["zero_modes"] == ref.health["zero_modes"] == zero_modes * h.copies
+    assert float(np.max(np.abs(O - ref.O))) <= 1e-13
+    assert P.health["edge_gap"] == pytest.approx(ref.health["edge_gap"], rel=1e-10)
+    assert P.health["projection_residual"] <= 1e-12
+    assert np.array_equal(O, -O.T)
+    assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
+    assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
+    part = make_good_partition(h.geometry.apex)
+    assert abs(chern_number(P, part) - chern_number(ref, part)) <= 1e-12
+
+
+def _qwz_with_decoupled_sites(onsite):
+    """qwz R=6 with each site s of `onsite` cut from its neighbours and given
+    the on-site block onsite[s] sigma_z: still charge-conserving and
+    particle-hole symmetric, with H's pair +-onsite[s] at the site (an exact
+    zero pair for 0)."""
+    h = build_qwz(1.0, _disk(6.0, 4))
+    A = h.dense()
+    for s, eps in onsite.items():
+        A[4 * s:4 * s + 4, :] = 0.0
+        A[:, 4 * s:4 * s + 4] = 0.0
+        A[4 * s, 4 * s + 1], A[4 * s + 1, 4 * s] = eps, -eps
+        A[4 * s + 2, 4 * s + 3], A[4 * s + 3, 4 * s + 2] = -eps, eps
+    return QuadraticHamiltonian(A, h.geometry)
+
+
+@pytest.mark.parametrize("case", ["zero_pair", "mixed"])
+def test_exact_zeros_leave_the_half_for_the_complex_eigh(case, monkeypatch):
+    # the half is tried, but a cluster holding an exact zero (and the mixed
+    # one, which the real path may refuse) is filled by the complex eigh's
+    # rule, byte for byte
+    onsite = {0: 0.0} if case == "zero_pair" else {0: 1e-10, 1: 0.0}
+    h = _qwz_with_decoupled_sites(onsite)
+    assert quasifree._particle_hole_form(h.charge_hamiltonian()) is not None
+    ref = _complex_eigh_projection(h, 1e-8, monkeypatch)
+    real_structure, halves = quasifree._real_structure, []
+
+    def spied(half, gap_tol):
+        halves.append(half.dim)
+        return real_structure(half, gap_tol)
+
+    monkeypatch.setattr(quasifree, "_real_structure", spied)
+    P = ground_projection(h, 1e-8)
+    assert halves == [h.dim // 2]
+    assert P.O.tobytes() == ref.O.tobytes()
+    assert P.health == ref.health
+    assert P.health["zero_modes"] == 4 * len(onsite)
+    assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
+
+
+def _qwz_with_chemical_potential():
+    """qwz R=6 with mu I added to H: the charge form survives, the
+    particle-hole symmetry does not."""
+    h = build_qwz(1.0, _disk(6.0, 4))
+    A = h.dense()
+    A[0::2, 1::2] += 0.1 * np.eye(h.dim // 2)
+    A[1::2, 0::2] -= 0.1 * np.eye(h.dim // 2)
+    return QuadraticHamiltonian(A, h.geometry)
+
+
+def test_only_a_particle_hole_symmetric_H_takes_the_half(monkeypatch):
+    # the symmetry is read from H's entries: trivial (H = I) and a chemical
+    # potential break it, pip and a perturbed fiber have no H at all
+    def no_half(*args):
+        raise AssertionError("an H without the symmetry took the particle-hole half")
+
+    monkeypatch.setattr(quasifree, "_particle_hole_structure", no_half)
+    for h in (build_trivial(_disk(6.0, 2)), build_trivial(_disk(5.0, 4)),
+              _qwz_with_chemical_potential()):
+        H = h.charge_hamiltonian()
+        assert H is not None and quasifree._particle_hole_form(H) is None
+        ground_projection(h, 1e-4)
+    for h in (_pip_r8(), _perturbed_qwz()):
+        assert h.charge_hamiltonian() is None
+        ground_projection(h, 1e-4)
+    odd = np.zeros((3, 3), dtype=complex)  # an odd H has no pairs of orbitals
+    assert quasifree._particle_hole_form(odd) is None
+
+
+def test_qwz_parity_run_takes_no_complex_eigh_of_dim_half(tmp_path, monkeypatch):
+    # qwz R=6 (dim 448): one real eigh of A'^T A' at dim/2 = 224. The one
+    # complex eigh left is the window's small problem i Vc^T A' Vc, which
+    # holds the disk's few edge modes below a tenth of the largest |lambda|
+    eigh, calls = np.linalg.eigh, []
+
+    def spied(a, *args, **kwargs):
+        calls.append((a.shape[0], np.iscomplexobj(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spied)
+    assert main(["parity", "--radius", "6", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls[0] == (224, False)
+    assert all(size <= 16 for size, is_complex in calls[1:] if is_complex)
+    assert all(size == 224 or is_complex for size, is_complex in calls)
 
 
 def _four_zero_modes(h):
