@@ -7,8 +7,11 @@ from one real eigh of size dim/2 when A conserves charge (no pairing) and
 its charge Hamiltonian has the particle-hole symmetry (every qwz disk),
 from one complex eigh of size dim/2 for any other charge-conserving A, and
 from one real eigh of size dim otherwise; every path fills a near-zero
-cluster halfway (open disks of chiral models carry edge modes). Its checks
-run over slabs of rows, so no second dim x dim array is held. It stores O:
+cluster halfway (open disks of chiral models carry edge modes). O is
+accepted only with its certificate (O^T = -O, O^2 = -I, [A, O] = 0), which
+runs where O is determined: on the particle-hole half at dim/2, whose
+residual bounds the full one, and on the full O otherwise. Its checks run
+over slabs of rows, so no second dim x dim array is held. It stores O:
 the spectral projector P = (I - iO)/2 is built only when `.matrix` is read
 (by oracles and tests).
 Moments of Majorana generators in the state are evaluated from O two ways:
@@ -18,6 +21,7 @@ path (`pfaffian_expectation`).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +72,7 @@ class BasisProjection:
         no dim x dim buffer is held, and their maxima are reduced by numpy,
         so a NaN gives NaN."""
         O = self.O
-        antisym = _transpose_residual(O, np.add)
-        if not antisym <= _RESIDUAL_TOL:
-            raise ComputationError(f"projection is not Hermitian: "
-                                   f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
+        antisym = _hermitian_residual(O)
         n, worst = O.shape[0], np.zeros(())
         for i0 in range(0, n, _TILE):
             if antisym == 0.0:
@@ -144,6 +145,15 @@ def _transpose_residual(M: np.ndarray, op) -> float:
     return float(worst)
 
 
+def _hermitian_residual(O: np.ndarray) -> float:
+    """max |O + O^T| (P Hermitian), refused above _RESIDUAL_TOL."""
+    antisym = _transpose_residual(O, np.add)
+    if not antisym <= _RESIDUAL_TOL:
+        raise ComputationError(f"projection is not Hermitian: "
+                               f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
+    return antisym
+
+
 def _commutator_residual(h: QuadraticHamiltonian, O: np.ndarray) -> float:
     """max |A O - (A O)^T|, which is [A, O] for an antisymmetric O (A is
     exactly antisymmetric, so O A = (A O)^T), with no dim x dim buffer. The
@@ -163,25 +173,51 @@ def _commutator_residual(h: QuadraticHamiltonian, O: np.ndarray) -> float:
     return float(worst)
 
 
+@contextmanager
+def _refused_as_gapless():
+    """A refusal of the checks inside is reported as gapless."""
+    try:
+        yield
+    except ComputationError as exc:
+        raise ComputationError(f"gapless: {exc}") from None
+
+
+def _certify(h: QuadraticHamiltonian, O: np.ndarray) -> float:
+    """The certificate of O = -i sign(iA) for h's A: the largest residual of
+    O^T = -O and O^2 = -I (BasisProjection.validate) and of [A, O] = 0
+    (_commutator_residual), which certifies that P commutes with H. Any of
+    them above _RESIDUAL_TOL is refused as gapless, naming the first."""
+    with _refused_as_gapless():
+        residual = BasisProjection(O).validate()
+        commutator = _commutator_residual(h, O)
+        if not commutator <= _RESIDUAL_TOL:
+            raise ComputationError(f"[A, O] residual {commutator:.2g} > {_RESIDUAL_TOL:.2g}")
+    return max(residual, commutator)
+
+
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
-    halfway; returns (O, edge gap min|lambda|, cluster size m). An A that
-    commutes with the charge rotation takes _charge_structure, cluster or
-    not; every other A takes _real_structure."""
-    return _charge_structure(h, gap_tol) or _real_structure(h, gap_tol)
+    halfway; returns (O, edge gap min|lambda|, cluster size m, residual).
+    An A that commutes with the charge rotation takes _charge_structure,
+    cluster or not; every other A takes _real_structure. The residual is
+    the certificate of the particle-hole half, which certifies O where it
+    is determined, and None for an O that is still to be certified against
+    A (_certify)."""
+    return _charge_structure(h, gap_tol) or (*_real_structure(h, gap_tol), None)
 
 
 def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """(O, min|lambda|, m) from the complex H of A = -iH
+    """(O, min|lambda|, m, residual) from the complex H of A = -iH
     (h.charge_hamiltonian()), or None when A has no such H.
 
     An H with the particle-hole symmetry (_particle_hole_form; every qwz
     disk and stack) is solved in its real form: _real_structure on the real
     antisymmetric A' of size dim/2, one real eigh of A'^T A', and O read
     off O' = -i sign(iA') fiber by fiber (_particle_hole_structure). Its
-    lambdas are H's, so m counts H's cluster twice, as below. A cluster
-    holding an exact zero, or one the real path refuses, takes the complex
-    eigh below instead, whose filling rule is the charge path's.
+    lambdas are H's, so m counts H's cluster twice, as below, and O is
+    certified through O' (the residual). A cluster holding an exact zero,
+    or one the real path refuses, takes the complex eigh below instead,
+    whose filling rule is the charge path's.
 
     Every other H takes one complex eigh, sign(H) = I - 2 G G^+, G the
     occupied eigenvectors. Each lambda of H is a pair +-lambda of iA, so the
@@ -189,7 +225,8 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     real path's rule: a split pair keeps its negative member; an exact zero
     mode (_EXACT_ZERO) stays empty, which commutes with the charge rotation.
     O is the real form of -i sign(H), O[0::2, 0::2] = O[1::2, 1::2] = Im and
-    O[0::2, 1::2] = -O[1::2, 0::2] = Re, antisymmetrized over tile pairs."""
+    O[0::2, 1::2] = -O[1::2, 0::2] = Re, antisymmetrized over tile pairs;
+    its residual is None, as it is certified at full size."""
     H = h.charge_hamiltonian()
     if H is None:
         return None
@@ -224,7 +261,7 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     np.negative(S.real, out=O[1::2, 0::2])
     del S
     _antisymmetrize(O)
-    return O, edge_gap, 2 * m
+    return O, edge_gap, 2 * m, None
 
 
 def _particle_hole_form(H: np.ndarray) -> np.ndarray | None:
@@ -263,8 +300,8 @@ _PARTICLE_HOLE_FIBER = (((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)),
 
 
 def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
-    """(O, min|lambda|, m) of the charge Hamiltonian whose real form
-    (_particle_hole_form) is `half`, or None when its cluster holds an
+    """(O, min|lambda|, m, residual) of the charge Hamiltonian whose real
+    form (_particle_hole_form) is `half`, or None when its cluster holds an
     exact zero (edge gap <= _EXACT_ZERO) or is refused by _real_structure.
 
     O' = -i sign(iA') of size n comes from _real_structure, and -i sign(H)
@@ -272,26 +309,37 @@ def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
     planes O'00 = O'[0::2, 0::2], ... at (p, q) (_PARTICLE_HOLE_FIBER), with
     four n/2-square temporaries and no complex array. O' is exactly
     antisymmetric, so O is too, and it commutes with the charge rotation
-    exactly."""
+    exactly.
+
+    O is certified where it is determined: _certify(half, O') at size n,
+    before O' is freed and O allocated, a refusal of which is final (no
+    complex eigh follows). The fiber map T: O' -> O is R(W . W^+), a
+    *-homomorphism with T(I) = I, and A = T(A') up to the one rounding of
+    _particle_hole_form, so O O^T - I = T(O' O'^T - I) and [A, O] =
+    T([A', O']); each entry of T(X) is +-(x1 +- x2)/2 for two entries of X,
+    so the half's residual bounds the full one. The one step it cannot see,
+    that the assembled O is antisymmetric, is checked over tile pairs."""
     try:
         O_half, edge_gap, m = _real_structure(half, gap_tol)
     except ComputationError:
         return None
     if not edge_gap > _EXACT_ZERO:
         return None
+    residual = _certify(half, O_half)
     p00, p01 = O_half[0::2, 0::2], O_half[0::2, 1::2]
     p10, p11 = O_half[1::2, 0::2], O_half[1::2, 1::2]
-    planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)
+    planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)  # twice s, a, d, b
     del p00, p01, p10, p11, O_half  # O' is freed before O is allocated
-    for plane in planes:
-        plane *= 0.5
     pairs = len(planes[0])
     O = np.empty((4 * pairs, 4 * pairs))
     fibers = O.reshape(pairs, 4, pairs, 4)
     for i, row in enumerate(_PARTICLE_HOLE_FIBER):
         for j, (k, sign) in enumerate(row):
-            np.multiply(planes[k], sign, out=fibers[:, i, :, j])
-    return O, edge_gap, 2 * m
+            np.multiply(planes[k], 0.5 * sign, out=fibers[:, i, :, j])
+    del planes, fibers  # freed before O's tiles are checked
+    with _refused_as_gapless():
+        residual = max(residual, _hermitian_residual(O))
+    return O, edge_gap, 2 * m, residual
 
 
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
@@ -363,8 +411,11 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     halfway, choosing members compatibly with entrywise conjugation so that
     P + JPJ = I survives (see _complex_structure). The result is refused as
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
-    (1e-12); the last certifies that P commutes with H. A gap_tol that is
-    not a finite number >= 0 is refused before any eigh.
+    (1e-12); the last certifies that P commutes with H (_certify). An O
+    read off the particle-hole half was certified there, through O' and A'
+    at dim/2, whose residual bounds O's (_particle_hole_structure); every
+    other O is certified here against A. A gap_tol that is not a finite
+    number >= 0 is refused before any eigh.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
@@ -373,18 +424,12 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     if not 0.0 <= gap_tol < np.inf:
         raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
     check_memory(h.dim)
-    O, edge_gap, m = _complex_structure(h, gap_tol)
-    commutator = _commutator_residual(h, O)
-    proj = BasisProjection(O, h.geometry, copies=h.copies)
-    try:
-        residual = proj.validate()
-    except ComputationError as exc:
-        raise ComputationError(f"gapless: {exc}") from None
-    if not commutator <= _RESIDUAL_TOL:
-        raise ComputationError(f"gapless: [A, O] residual {commutator:.2g} > {_RESIDUAL_TOL:.2g}")
-    proj.health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
-                   "projection_residual": max(residual, commutator)}
-    return proj
+    O, edge_gap, m, residual = _complex_structure(h, gap_tol)
+    if residual is None:
+        residual = _certify(h, O)
+    health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
+              "projection_residual": residual}
+    return BasisProjection(O, h.geometry, health, h.copies)
 
 
 def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
@@ -490,6 +535,6 @@ def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
         raise ComputationError("dim_K must be even")
     while True:
         A = rng.standard_normal((dim, dim))
-        O, edge_gap, _ = _complex_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
+        O, edge_gap, _, _ = _complex_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
         if edge_gap > 1e-6:
             return BasisProjection(O)

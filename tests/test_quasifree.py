@@ -166,14 +166,14 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
     real_structure = quasifree._complex_structure
 
     def rotated(A, gap_tol):
-        O, edge_gap, m = real_structure(A, gap_tol)
+        O, edge_gap, m, residual = real_structure(A, gap_tol)
         R = np.eye(O.shape[0])
         c, s = np.cos(0.3), np.sin(0.3)
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         O = R @ O @ R.T
         O = (O - O.T) / 2
         BasisProjection(O).validate()
-        return O, edge_gap, m
+        return O, edge_gap, m, residual
 
     monkeypatch.setattr(quasifree, "_complex_structure", rotated)
     with pytest.raises(ComputationError, match="gapless"):
@@ -216,9 +216,11 @@ def test_projection_peak_stays_below_its_memory_estimate():
     finally:
         tracemalloc.stop()
     assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
-    # no dim x dim buffer in the projection's tail, which runs over slabs of
-    # _TILE rows: O and two slabs, 0.64 of an array at dim 804 (measured 1.68)
-    assert peak < 1.8 * 8 * h.dim**2
+    # qwz is certified on its particle-hole half, before O is allocated, so
+    # the projection's peak is the structure step's: O, the four planes it
+    # is read from and A''s blocks (measured 1.37; 1.68 while the tail
+    # certified O at dim, over two slabs of _TILE rows)
+    assert peak < 1.4 * 8 * h.dim**2
 
 
 TILE_SIZES = [1, 2, 255, 256, 257, 773]
@@ -286,7 +288,7 @@ def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
         BasisProjection(O).validate()
     h = build_qwz(1.0, P.geometry)
-    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (O, 0.5, 0))
+    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (O, 0.5, 0, None))
     monkeypatch.setattr(BasisProjection, "validate", lambda self: 0.0)
     with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual nan"):
         ground_projection(h, 1e-4)
@@ -412,7 +414,7 @@ def test_charge_path_matches_the_real_path(case):
     # generic real path licenses it
     build, gap_tol = CHARGE_CASES[case]
     h = build()
-    O, edge_gap, m = quasifree._charge_structure(h, gap_tol)
+    O, edge_gap, m, _ = quasifree._charge_structure(h, gap_tol)
     O_real, edge_gap_real, m_real = quasifree._real_structure(h, gap_tol)
     assert m == m_real == 0
     assert np.array_equal(O, -O.T)
@@ -631,6 +633,135 @@ def test_exact_zeros_leave_the_half_for_the_complex_eigh(case, monkeypatch):
     assert P.health == ref.health
     assert P.health["zero_modes"] == 4 * len(onsite)
     assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
+
+
+@pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
+def test_half_certificate_bounds_the_full_one(case):
+    # O = T(O') and A = T(A') under the fiber map T, a *-homomorphism whose
+    # entries are +-(x1 +- x2)/2: the residual certified on (A', O') at dim/2
+    # bounds the full one, up to rounding, and the O it passes is the O that
+    # the full certificate would have taken
+    build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
+    h = build()
+    P = ground_projection(h, gap_tol)
+    O, _, _, half = quasifree._complex_structure(h, gap_tol)
+    assert half == P.health["projection_residual"] <= 1e-12
+    full = quasifree._certify(h, O)
+    assert full == max(_commutator_residual(h, P.O), BasisProjection(P.O).validate())
+    assert half >= full - 1e-15
+    assert np.array_equal(P.O, O)
+
+
+def _qwz_r8():
+    return build_qwz(1.0, _disk(8.0, 4))
+
+
+def _rotated(O):
+    """O rotated between two modes: O^2 = -I survives, [A, O] = 0 does not."""
+    R = np.eye(len(O))
+    c, s = np.cos(0.3), np.sin(0.3)
+    R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
+    O = R @ O @ R.T
+    _antisymmetrize(O)
+    BasisProjection(O).validate()
+    return O
+
+
+def _with_nan(spot):
+    def inject(O):
+        O = O.copy()
+        O[spot] = np.nan
+        return O
+    return inject
+
+
+# the half of qwz R=8 has n = 402: its corners, its diagonal, and tiles off
+# the diagonal on both sides of it
+HALF_NAN_SPOTS = [(0, 0), (0, 401), (401, 0), (300, 300), (260, 5), (5, 260), (401, 401)]
+
+HALF_REFUSALS = {"rotated": (_rotated, r"gapless: \[A, O\] residual"),
+                 "scaled": (lambda O: O * 1.01, "gapless: projection is not idempotent"),
+                 **{f"nan{spot}": (_with_nan(spot), "gapless: projection is not Hermitian: nan")
+                    for spot in HALF_NAN_SPOTS}}
+
+
+@pytest.mark.parametrize("case", list(HALF_REFUSALS))
+def test_a_bad_half_is_refused_not_rediagonalized(case, monkeypatch):
+    # a bad O' is refused by its own certificate at dim/2, with the message
+    # of the full one; the complex eigh of H never runs
+    corrupt, message = HALF_REFUSALS[case]
+    h = _qwz_r8()
+    real_structure, eigh, halves, complex_sizes = quasifree._real_structure, np.linalg.eigh, [], []
+
+    def corrupted(half, gap_tol):
+        halves.append(half.dim)
+        O, edge_gap, m = real_structure(half, gap_tol)
+        return corrupt(O), edge_gap, m
+
+    def spied(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            complex_sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(quasifree, "_real_structure", corrupted)
+    monkeypatch.setattr(np.linalg, "eigh", spied)
+    with pytest.raises(ComputationError, match=message):
+        ground_projection(h, 1e-4)
+    assert halves == [h.dim // 2]
+    assert h.dim // 2 not in complex_sizes
+
+
+def test_an_asymmetric_assembly_of_O_is_refused(monkeypatch):
+    # the half's certificate cannot see how O is assembled from O': a fiber
+    # table with one sign flipped passes it, and O's own tile check refuses
+    h = _qwz_r8()
+    fiber = [list(row) for row in quasifree._PARTICLE_HOLE_FIBER]
+    fiber[0][1] = (1, -1.0)
+    monkeypatch.setattr(quasifree, "_PARTICLE_HOLE_FIBER", fiber)
+    with pytest.raises(ComputationError, match="gapless: projection is not Hermitian"):
+        ground_projection(h, 1e-4)
+
+
+def _certified_sizes(monkeypatch):
+    """Spies that record the dim of each ground projection and the size of
+    each O that _commutator_residual and BasisProjection.validate read."""
+    dims, commutators, squares = [], [], []
+    complex_structure, commutator, validate = (quasifree._complex_structure,
+                                               quasifree._commutator_residual,
+                                               BasisProjection.validate)
+
+    def structure(h, gap_tol):
+        dims.append(h.dim)
+        return complex_structure(h, gap_tol)
+
+    def spied_commutator(h, O):
+        commutators.append(len(O))
+        return commutator(h, O)
+
+    def spied_validate(self):
+        squares.append(len(self.O))
+        return validate(self)
+
+    monkeypatch.setattr(quasifree, "_complex_structure", structure)
+    monkeypatch.setattr(quasifree, "_commutator_residual", spied_commutator)
+    monkeypatch.setattr(BasisProjection, "validate", spied_validate)
+    return dims, commutators, squares
+
+
+@pytest.mark.parametrize("family,task", [("qwz", "parity"), ("qwz", "twist"),
+                                         ("pip", "chern"), ("trivial", "twist")])
+def test_certificate_runs_where_O_is_determined(family, task, tmp_path, monkeypatch):
+    # the certificate runs where O is determined: at dim/2 on the particle-
+    # hole half (every qwz run), at dim for pip (the real path) and trivial
+    # (the complex eigh of H)
+    dims, commutators, squares = _certified_sizes(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
+    argv = [task, "--config", str(cfg), "--radius", "6", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert dims and set(dims) == {dims[0]}
+    size = dims[0] // 2 if family == "qwz" else dims[0]
+    assert commutators == squares == [size] * len(dims)
 
 
 def _qwz_with_chemical_potential():
