@@ -61,20 +61,19 @@ def available_memory() -> int | None:
 #: measures 2.0 at dim 804 and 1816. The charge path
 #: (quasifree._charge_structure, an A with no pairing) of a particle-hole
 #: symmetric H (every qwz disk) runs the real path at dim/2, each of its
-#: arrays a quarter of one here, and then holds O and four (dim/4)^2
-#: planes: its peak RSS, measured the same way, is 3.37 at dim 804, 2.27 at
-#: 1816 and 2.01 at 3216, and tracemalloc measures 1.37, 1.31 and 1.29
-#: (O, the planes and the blocks of A'; the whole projection is certified
-#: on the half before O is allocated, so its peak is the same 1.37 at dim
-#: 804, 1.68 while two slabs of a tail at dim certified O). Any other
+#: arrays a quarter of one here, and keeps the half's O' as the
+#: projection's factor: O is never allocated. tracemalloc measures 0.79 at
+#: dim 804 and 0.76 at 1816 (the eigh at dim/2 and the blocks of A');
+#: the peak RSS, measured the same way before O was dropped, was
+#: 3.37 at dim 804, 2.27 at 1816 and 2.01 at 3216, and it is set by the
+#: eigh, not by O. Any other
 #: charge-conserving A peaks in a complex eigh of size dim/2 at about 2.5:
 #: H, LAPACK's copy and workspace (1.5) and the eigenvectors U, each
 #: complex (dim/2)^2 array half a real one (measured on qwz disks: peak RSS
 #: 3.83 at dim 804, 2.88 at 1816, 2.73 at 3216; tracemalloc 2.00). The
 #: estimate stays at the real path's 6, which any input can reach. Tests
-#: pin the traced peaks of the projection (below 1.4 at dim 804), of the
-#: charge path (below 1.4 at dim 804) and of the model build (0.56 at dim
-#: 804) below it
+#: pin the traced peaks of the projection and of the charge path (below
+#: 0.85 at dim 804) and of the model build (0.56 at dim 804) below it
 _WORKING_ARRAYS = 6
 
 

@@ -73,10 +73,12 @@ def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction:
     return windowed_site_ids(partition, geom, core_fraction), geom
 
 
-def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
-    """Indices of the three cores in P's single-copy space."""
+def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float,
+                  per_site: int | None = None):
+    """Indices of the three cores in P's single-copy space, or in a space of
+    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber)."""
     ids, geom = core_regions(P, partition, core_fraction)
-    block_geom = geom.with_majorana_count(geom.majorana_count // P.copies)
+    block_geom = geom.with_majorana_count(geom.majorana_count // (per_site or P.copies))
     return [np.where(region_mask(r, block_geom))[0] for r in ids]
 
 
@@ -104,12 +106,14 @@ def chern_number_with_residual(P: BasisProjection, partition: ConicalPartition,
     on the real O in real arithmetic. For antisymmetric O the two traces are
     exact negatives, so the residual (3 pi/2)|t_012 + t_021| measures how
     badly the projection is broken. A stack kron(P, I_N) contributes N times
-    the single-copy traces.
+    the single-copy traces, and O = T(O'), a two-copy stack of O' in a
+    site-local frame, twice O''s: the traces run on P's factor.
     """
-    i0, i1, i2 = _core_indices(P, partition, core_fraction)
-    t012 = _triple_trace(P.O, i0, i1, i2)
-    t021 = _triple_trace(P.O, i0, i2, i1)
-    scale = 0.5 * np.pi * JUNCTION_MULTIPLICITY * P.copies
+    multiplicity = P.copies * P.fiber
+    i0, i1, i2 = _core_indices(P, partition, core_fraction, multiplicity)
+    t012 = _triple_trace(P.factor, i0, i1, i2)
+    t021 = _triple_trace(P.factor, i0, i2, i1)
+    scale = 0.5 * np.pi * JUNCTION_MULTIPLICITY * multiplicity
     nu = scale * (t021 - t012)
     residual = scale * abs(t012 + t021)
     if not residual <= ANOMALY_TOL:

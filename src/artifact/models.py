@@ -429,9 +429,10 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     one wrapping to row 0); no eigenproblem is solved.
 
     Orientation is the package convention anchor: qwz at u = 1 returns +1.
-    A grid whose arrays would not fit in the available memory is refused
-    up front.
+    kgrid is taken through as_integer. A grid whose arrays would not fit in
+    the available memory is refused up front.
     """
+    kgrid = as_integer(kgrid, "kgrid")
     if kgrid < 50:
         raise ConfigError("kgrid must be >= 50")
     check_memory(kgrid, _TKNN_WORKING_ARRAYS, "tknn oracle")

@@ -7,13 +7,12 @@ from one real eigh of size dim/2 when A conserves charge (no pairing) and
 its charge Hamiltonian has the particle-hole symmetry (every qwz disk),
 from one complex eigh of size dim/2 for any other charge-conserving A, and
 from one real eigh of size dim otherwise; every path fills a near-zero
-cluster halfway (open disks of chiral models carry edge modes). O is
-accepted only with its certificate (O^T = -O, O^2 = -I, [A, O] = 0), which
-runs where O is determined: on the particle-hole half at dim/2, whose
-residual bounds the full one, and on the full O otherwise. Its checks run
-over slabs of rows, so no second dim x dim array is held. It stores O:
-the spectral projector P = (I - iO)/2 is built only when `.matrix` is read
-(by oracles and tests).
+cluster halfway (open disks of chiral models carry edge modes). On the
+first path O is a two-copy stack of the half's O', which the projection
+keeps as its factor, as it keeps the single copy of a stack. The factor is
+accepted only with its certificate (O^T = -O, O^2 = -I, [A, O] = 0), run
+over slabs of rows against the Hamiltonian it was solved from. O and
+P = (I - iO)/2 are built only when `.O` or `.matrix` is read.
 Moments of Majorana generators in the state are evaluated from O two ways:
 a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
 path (`pfaffian_expectation`).
@@ -21,7 +20,6 @@ path (`pfaffian_expectation`).
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,15 +43,22 @@ _RESIDUAL_TOL = 1e-12
 @dataclass
 class BasisProjection:
     """Projection P = kron((I - iO)/2, I_copies) onto a ground sector, kept
-    as the real antisymmetric single-copy O; the complex stacked P is built
-    only when `.matrix` is read. Built from a Hamiltonian it also carries the
+    as its real antisymmetric factor: the single-copy O (fiber 1), or the
+    O' of its particle-hole half, with O = T(O') (fiber 2, _particle_hole_O).
+    `.O` and the complex stacked P (`.matrix`) are built on every read.
+    Built from a Hamiltonian it also carries the
     health numbers of its own decomposition (edge_gap, zero_modes,
     projection_residual); a random one (random_covariance) is the two-point
     operator of a random pure Gaussian state."""
-    O: np.ndarray
+    factor: np.ndarray
     geometry: object = None  # LatticeGeometry when built from a lattice model
     health: dict = field(default_factory=dict)
     copies: int = 1
+    fiber: int = 1
+
+    @property
+    def O(self) -> np.ndarray:
+        return self.factor if self.fiber == 1 else _particle_hole_O(self.factor)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -64,15 +69,19 @@ class BasisProjection:
     def validate(self) -> float:
         """Check O^T = -O (P Hermitian), over tile pairs, and O^2 = -I (P
         idempotent), each to _RESIDUAL_TOL; return the larger residual.
-        P + JPJ = I holds by construction, and kron with I_N preserves each
-        residual, so the single-copy O is checked. An exactly antisymmetric
-        O (as ground_projection's) has -O^2 = O O^T, which is symmetric: the
-        slab of rows I is O[I] O[i0:]^T, the columns from the slab's first
-        row on. Otherwise the slab is O[I] O. The slabs have _TILE rows, so
-        no dim x dim buffer is held, and their maxima are reduced by numpy,
-        so a NaN gives NaN."""
-        O = self.O
-        antisym = _hermitian_residual(O)
+        P + JPJ = I holds by construction, and kron with I_N and T preserve
+        or bound each residual (_particle_hole_O), so the factor is checked.
+        An exactly antisymmetric one (as ground_projection's) has
+        -O^2 = O O^T, which is symmetric: the slab of rows I is
+        O[I] O[i0:]^T, the columns from the slab's first row on. Otherwise
+        the slab is O[I] O. The slabs have _TILE rows, so no second
+        factor-size array is held, and their maxima are reduced by numpy, so
+        a NaN gives NaN."""
+        O = self.factor
+        antisym = _transpose_residual(O, np.add)
+        if not antisym <= _RESIDUAL_TOL:
+            raise ComputationError(f"projection is not Hermitian: "
+                                   f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
         n, worst = O.shape[0], np.zeros(())
         for i0 in range(0, n, _TILE):
             if antisym == 0.0:
@@ -91,7 +100,7 @@ class BasisProjection:
 
     @property
     def dim_K(self) -> int:
-        return self.O.shape[0] * self.copies
+        return self.factor.shape[0] * self.fiber * self.copies
 
 
 def _canonical_basis(N: np.ndarray) -> np.ndarray:
@@ -136,22 +145,19 @@ def _antisymmetrize(O: np.ndarray) -> None:
 def _transpose_residual(M: np.ndarray, op) -> float:
     """max |op(M, M^T)| for op np.add or np.subtract, over pairs of tiles
     (the residual is symmetric, so the tiles above the diagonal see every
-    entry), with no dim x dim buffer. The maxima are reduced by numpy, so a
-    NaN anywhere in M gives NaN."""
-    worst = np.zeros(())
+    entry), all in one tile buffer: the transposed tile is copied into its
+    leading entries (contiguous, at the edges too) and op(M[I, J], it)
+    written over it, so numpy buffers one operand at most. The maxima are
+    reduced by numpy, so a NaN anywhere in M gives NaN."""
+    side = min(_TILE, M.shape[0])
+    buffer, worst = np.empty(side * side, dtype=M.dtype), np.zeros(())
     for I, J in _tile_pairs(M.shape[0]):
-        tile = op(M[I, J], M[J, I].T)
+        upper = M[I, J]
+        tile = buffer[:upper.size].reshape(upper.shape)
+        np.copyto(tile, M[J, I].T)
+        op(upper, tile, out=tile)
         worst = np.maximum(worst, np.max(np.abs(tile, out=tile)))
     return float(worst)
-
-
-def _hermitian_residual(O: np.ndarray) -> float:
-    """max |O + O^T| (P Hermitian), refused above _RESIDUAL_TOL."""
-    antisym = _transpose_residual(O, np.add)
-    if not antisym <= _RESIDUAL_TOL:
-        raise ComputationError(f"projection is not Hermitian: "
-                               f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
-    return antisym
 
 
 def _commutator_residual(h: QuadraticHamiltonian, O: np.ndarray) -> float:
@@ -173,60 +179,50 @@ def _commutator_residual(h: QuadraticHamiltonian, O: np.ndarray) -> float:
     return float(worst)
 
 
-@contextmanager
-def _refused_as_gapless():
-    """A refusal of the checks inside is reported as gapless."""
-    try:
-        yield
-    except ComputationError as exc:
-        raise ComputationError(f"gapless: {exc}") from None
-
-
 def _certify(h: QuadraticHamiltonian, O: np.ndarray) -> float:
     """The certificate of O = -i sign(iA) for h's A: the largest residual of
     O^T = -O and O^2 = -I (BasisProjection.validate) and of [A, O] = 0
     (_commutator_residual), which certifies that P commutes with H. Any of
     them above _RESIDUAL_TOL is refused as gapless, naming the first."""
-    with _refused_as_gapless():
+    try:
         residual = BasisProjection(O).validate()
         commutator = _commutator_residual(h, O)
         if not commutator <= _RESIDUAL_TOL:
             raise ComputationError(f"[A, O] residual {commutator:.2g} > {_RESIDUAL_TOL:.2g}")
+    except ComputationError as exc:
+        raise ComputationError(f"gapless: {exc}") from None
     return max(residual, commutator)
 
 
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """O = -i sign(iA) for h's real antisymmetric A, near-zero cluster filled
-    halfway; returns (O, edge gap min|lambda|, cluster size m, residual).
-    An A that commutes with the charge rotation takes _charge_structure,
-    cluster or not; every other A takes _real_structure. The residual is
-    the certificate of the particle-hole half, which certifies O where it
-    is determined, and None for an O that is still to be certified against
-    A (_certify)."""
-    return _charge_structure(h, gap_tol) or (*_real_structure(h, gap_tol), None)
+    """(solved, (O, edge gap min|lambda|, cluster size m)): O = -i sign(iA)
+    for the A of the Hamiltonian `solved`, near-zero cluster filled halfway;
+    `solved` is h, or its particle-hole half of dim h.dim/2. An A that
+    commutes with the charge rotation takes _charge_structure, cluster or
+    not; every other A takes _real_structure."""
+    return _charge_structure(h, gap_tol) or (h, _real_structure(h, gap_tol))
 
 
 def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """(O, min|lambda|, m, residual) from the complex H of A = -iH
+    """(solved, (O, min|lambda|, m)) from the complex H of A = -iH
     (h.charge_hamiltonian()), or None when A has no such H.
 
     An H with the particle-hole symmetry (_particle_hole_form; every qwz
     disk and stack) is solved in its real form: _real_structure on the real
-    antisymmetric A' of size dim/2, one real eigh of A'^T A', and O read
-    off O' = -i sign(iA') fiber by fiber (_particle_hole_structure). Its
-    lambdas are H's, so m counts H's cluster twice, as below, and O is
-    certified through O' (the residual). A cluster holding an exact zero,
-    or one the real path refuses, takes the complex eigh below instead,
-    whose filling rule is the charge path's.
+    antisymmetric A' of size dim/2 (_particle_hole_structure), one real
+    eigh of A'^T A', and `solved` is A''s Hamiltonian, whose O' is h's
+    factor. Its lambdas are H's, so m counts H's cluster twice. A cluster
+    holding an exact zero, or one the real path refuses, takes the complex
+    eigh below instead, whose filling rule is the charge path's.
 
     Every other H takes one complex eigh, sign(H) = I - 2 G G^+, G the
-    occupied eigenvectors. Each lambda of H is a pair +-lambda of iA, so the
-    cluster |lambda| <= gap_tol (m twice its size) is filled halfway, by the
-    real path's rule: a split pair keeps its negative member; an exact zero
-    mode (_EXACT_ZERO) stays empty, which commutes with the charge rotation.
-    O is the real form of -i sign(H), O[0::2, 0::2] = O[1::2, 1::2] = Im and
-    O[0::2, 1::2] = -O[1::2, 0::2] = Re, antisymmetrized over tile pairs;
-    its residual is None, as it is certified at full size."""
+    occupied eigenvectors, and `solved` is h. Each lambda of H is a pair
+    +-lambda of iA, so the cluster |lambda| <= gap_tol (m twice its size)
+    is filled halfway, by the real path's rule: a split pair keeps its
+    negative member; an exact zero mode (_EXACT_ZERO) stays empty, which
+    commutes with the charge rotation. O is the real form of -i sign(H),
+    O[0::2, 0::2] = O[1::2, 1::2] = Im and O[0::2, 1::2] = -O[1::2, 0::2]
+    = Re, antisymmetrized over tile pairs."""
     H = h.charge_hamiltonian()
     if H is None:
         return None
@@ -237,7 +233,7 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
         del A_half
         found = _particle_hole_structure(half, gap_tol)
         if found is not None:
-            return found
+            return half, found
         H = h.charge_hamiltonian()
     lam, U = np.linalg.eigh(H)  # ascending
     del H
@@ -261,7 +257,7 @@ def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
     np.negative(S.real, out=O[1::2, 0::2])
     del S
     _antisymmetrize(O)
-    return O, edge_gap, 2 * m, None
+    return h, (O, edge_gap, 2 * m)
 
 
 def _particle_hole_form(H: np.ndarray) -> np.ndarray | None:
@@ -299,47 +295,43 @@ _PARTICLE_HOLE_FIBER = (((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)),
                         ((3, -1.0), (2, 1.0), (1, 1.0), (0, 1.0)))
 
 
-def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
-    """(O, min|lambda|, m, residual) of the charge Hamiltonian whose real
-    form (_particle_hole_form) is `half`, or None when its cluster holds an
-    exact zero (edge gap <= _EXACT_ZERO) or is refused by _real_structure.
+def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
+    """O = T(O') of size 2n, the real form of -i sign(H) = W O' W^+: each
+    4 x 4 fiber of O at the pairs (p, q) is read from the planes
+    O'00 = O'[0::2, 0::2], ... at (p, q) (_PARTICLE_HOLE_FIBER), with four
+    n/2-square temporaries. An exactly antisymmetric O' gives an exactly
+    antisymmetric O, which commutes with the charge rotation exactly.
 
-    O' = -i sign(iA') of size n comes from _real_structure, and -i sign(H)
-    = W O' W^+: each 4 x 4 fiber of O at the pairs (p, q) is read from the
-    planes O'00 = O'[0::2, 0::2], ... at (p, q) (_PARTICLE_HOLE_FIBER), with
-    four n/2-square temporaries and no complex array. O' is exactly
-    antisymmetric, so O is too, and it commutes with the charge rotation
-    exactly.
-
-    O is certified where it is determined: _certify(half, O') at size n,
-    before O' is freed and O allocated, a refusal of which is final (no
-    complex eigh follows). The fiber map T: O' -> O is R(W . W^+), a
-    *-homomorphism with T(I) = I, and A = T(A') up to the one rounding of
-    _particle_hole_form, so O O^T - I = T(O' O'^T - I) and [A, O] =
-    T([A', O']); each entry of T(X) is +-(x1 +- x2)/2 for two entries of X,
-    so the half's residual bounds the full one. The one step it cannot see,
-    that the assembled O is antisymmetric, is checked over tile pairs."""
-    try:
-        O_half, edge_gap, m = _real_structure(half, gap_tol)
-    except ComputationError:
-        return None
-    if not edge_gap > _EXACT_ZERO:
-        return None
-    residual = _certify(half, O_half)
+    T is R(W . W^+): on each site it is X -> Q (X kron I_2) Q^T for one
+    fixed orthogonal 4 x 4 Q, so O is a two-copy stack of O' in a site-local
+    frame, and every triple trace of O between site regions is twice that
+    of O'. T is a *-homomorphism with T(I) = I, and A = T(A') up to the one
+    rounding of _particle_hole_form, so O O^T - I = T(O' O'^T - I) and
+    [A, O] = T([A', O']); each entry of T(X) is +-(x1 +- x2)/2 for two
+    entries of X, so the half's certificate bounds the full one."""
     p00, p01 = O_half[0::2, 0::2], O_half[0::2, 1::2]
     p10, p11 = O_half[1::2, 0::2], O_half[1::2, 1::2]
     planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)  # twice s, a, d, b
-    del p00, p01, p10, p11, O_half  # O' is freed before O is allocated
     pairs = len(planes[0])
     O = np.empty((4 * pairs, 4 * pairs))
     fibers = O.reshape(pairs, 4, pairs, 4)
     for i, row in enumerate(_PARTICLE_HOLE_FIBER):
         for j, (k, sign) in enumerate(row):
             np.multiply(planes[k], 0.5 * sign, out=fibers[:, i, :, j])
-    del planes, fibers  # freed before O's tiles are checked
-    with _refused_as_gapless():
-        residual = max(residual, _hermitian_residual(O))
-    return O, edge_gap, 2 * m, residual
+    return O
+
+
+def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
+    """(O', min|lambda|, m) of the charge Hamiltonian whose real form
+    (_particle_hole_form) is `half`, or None when its cluster holds an
+    exact zero (edge gap <= _EXACT_ZERO) or is refused by _real_structure."""
+    try:
+        O_half, edge_gap, m = _real_structure(half, gap_tol)
+    except ComputationError:
+        return None
+    if not edge_gap > _EXACT_ZERO:
+        return None
+    return O_half, edge_gap, 2 * m
 
 
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
@@ -411,11 +403,12 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     halfway, choosing members compatibly with entrywise conjugation so that
     P + JPJ = I survives (see _complex_structure). The result is refused as
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
-    (1e-12); the last certifies that P commutes with H (_certify). An O
-    read off the particle-hole half was certified there, through O' and A'
-    at dim/2, whose residual bounds O's (_particle_hole_structure); every
-    other O is certified here against A. A gap_tol that is not a finite
-    number >= 0 is refused before any eigh.
+    (1e-12); the last certifies that P commutes with H (_certify). The one
+    certificate runs against the Hamiltonian that O was solved from: the
+    particle-hole half at dim/2 (every qwz disk and stack), whose O' the
+    result keeps as its factor (fiber 2) and whose residual bounds O's
+    (_particle_hole_O), or h itself (fiber 1). A gap_tol that is not a
+    finite number >= 0 is refused before any eigh.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
@@ -424,12 +417,10 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     if not 0.0 <= gap_tol < np.inf:
         raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
     check_memory(h.dim)
-    O, edge_gap, m, residual = _complex_structure(h, gap_tol)
-    if residual is None:
-        residual = _certify(h, O)
+    solved, (O, edge_gap, m) = _complex_structure(h, gap_tol)
     health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
-              "projection_residual": residual}
-    return BasisProjection(O, h.geometry, health, h.copies)
+              "projection_residual": _certify(solved, O)}
+    return BasisProjection(O, h.geometry, health, h.copies, h.dim // solved.dim)
 
 
 def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
@@ -437,7 +428,8 @@ def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
     F^T P F = (F^T F - i F^T O F)/2. On a stack P = kron(P1, I_N) this is
     the sum of that form over the rows F_c of each copy c."""
     F = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    return sum(Fc.T @ Fc - 1j * (Fc.T @ (S.O @ Fc))
+    O = S.O
+    return sum(Fc.T @ Fc - 1j * (Fc.T @ (O @ Fc))
                for Fc in (F[c::S.copies] for c in range(S.copies))) / 2
 
 
@@ -526,15 +518,17 @@ def _pfaffian(M: np.ndarray) -> complex:
 
 def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
     """Pure random covariance (ground state of a random gapped quadratic H).
-    dim is taken through as_integer and refused below 2 or odd, before any
-    draw."""
+    dim is taken through as_integer and refused below 2, odd or too large
+    for memory (check_memory), before any draw."""
     dim = as_integer(dim, "dim_K")
     if dim < 2:
         raise ComputationError(f"dim_K must be >= 2, not {dim}")
     if dim % 2 == 1:
         raise ComputationError("dim_K must be even")
+    check_memory(dim)
     while True:
         A = rng.standard_normal((dim, dim))
-        O, edge_gap, _, _ = _complex_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
+        # a random A has no charge structure: _complex_structure would take this path
+        O, edge_gap, _ = _real_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
         if edge_gap > 1e-6:
             return BasisProjection(O)

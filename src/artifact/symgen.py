@@ -37,7 +37,7 @@ class FluxGenerator:
     def check_factors(self, P: BasisProjection):
         """The generator acts on P's space: its block on P's single-copy
         space, its charge on P's copies."""
-        if self.block.shape != P.O.shape or self.charge.shape != (P.copies, P.copies):
+        if self.block.shape != (P.dim_K // P.copies,) * 2 or self.charge.shape != (P.copies,) * 2:
             raise ComputationError("dimension mismatch")
 
 
@@ -86,7 +86,8 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     result carries `region`, or g's region when none is given.
     """
     g.check_factors(P)
-    Qt = P.O @ g.block @ P.O
+    O = P.O
+    Qt = O @ g.block @ O
     np.subtract(g.block, Qt, out=Qt)
     Qt += Qt.conj().T  # (B - OBO)/2, Hermitized
     Qt *= 0.25
@@ -101,7 +102,8 @@ def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> Flux
         raise ComputationError("dimension mismatch")
     block_geometry = geometry.with_majorana_count(geometry.majorana_count // P.copies)
     mask = region_mask(region, block_geometry).astype(float)
-    Qt = mask[:, None] * P.O + P.O * mask[None, :]
+    O = P.O
+    Qt = mask[:, None] * O + O * mask[None, :]
     return FluxGenerator(0.5j * Qt, np.eye(P.copies), region)
 
 

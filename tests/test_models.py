@@ -148,6 +148,9 @@ def test_tknn_peak_stays_below_its_estimate(kgrid):
 def test_tknn_small_grid_rejected():
     with pytest.raises(ConfigError):
         tknn_chern("qwz", {"u": 1.0}, kgrid=10)
+    for kgrid in (200.5, 120.0):  # refused, never truncated
+        with pytest.raises(ComputationError, match="kgrid must be an integer"):
+            tknn_chern("qwz", {"u": 1.0}, kgrid)
 
 
 def test_tknn_gapless_rejected():

@@ -10,7 +10,7 @@ from artifact import (ComputationError, build_disk_lattice,
                       build_pip, build_qwz, build_trivial, chern_number,
                       ground_projection, make_good_partition, pfaffian_expectation,
                       random_covariance, stack_copies, wick_expectation)
-from artifact import _util, models, quasifree
+from artifact import _util, cli, models, quasifree
 from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
@@ -130,17 +130,17 @@ def test_nan_projection_refused(trivial_projection):
     O = P.O.copy()
     O[0, 1] = np.nan
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
-        dataclasses.replace(P, O=O).validate()
+        dataclasses.replace(P, factor=O).validate()
     O = np.full_like(P.O, np.nan)
     with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
-        chern_number(dataclasses.replace(P, O=O), make_good_partition(P.geometry.apex))
+        chern_number(dataclasses.replace(P, factor=O), make_good_partition(P.geometry.apex))
 
 
 def test_validate_squares_an_exactly_antisymmetric_structure_by_syrk(qwz_r6):
-    # ground_projection's O is exactly antisymmetric, so validate takes
-    # O O^T - I (a syrk): the residual of O^2 + I up to rounding
+    # ground_projection's factor is exactly antisymmetric, so validate takes
+    # O O^T - I (a syrk) on it: the residual of O^2 + I up to rounding
     P, _ = qwz_r6
-    O = P.O
+    O = P.factor
     assert np.array_equal(O, -O.T)
     square = float(np.max(np.abs(O @ O + np.eye(len(O)))))
     assert P.validate() <= 1e-12
@@ -166,14 +166,14 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
     real_structure = quasifree._complex_structure
 
     def rotated(A, gap_tol):
-        O, edge_gap, m, residual = real_structure(A, gap_tol)
+        solved, (O, edge_gap, m) = real_structure(A, gap_tol)
         R = np.eye(O.shape[0])
         c, s = np.cos(0.3), np.sin(0.3)
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         O = R @ O @ R.T
         O = (O - O.T) / 2
         BasisProjection(O).validate()
-        return O, edge_gap, m, residual
+        return solved, (O, edge_gap, m)
 
     monkeypatch.setattr(quasifree, "_complex_structure", rotated)
     with pytest.raises(ComputationError, match="gapless"):
@@ -216,11 +216,10 @@ def test_projection_peak_stays_below_its_memory_estimate():
     finally:
         tracemalloc.stop()
     assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
-    # qwz is certified on its particle-hole half, before O is allocated, so
-    # the projection's peak is the structure step's: O, the four planes it
-    # is read from and A''s blocks (measured 1.37; 1.68 while the tail
-    # certified O at dim, over two slabs of _TILE rows)
-    assert peak < 1.4 * 8 * h.dim**2
+    # qwz keeps its particle-hole half's O' as the factor and never
+    # allocates O, so the projection's peak is the real path's at dim/2
+    # (measured 0.79; 1.37 while O and its planes were assembled)
+    assert peak < 0.85 * 8 * h.dim**2
 
 
 TILE_SIZES = [1, 2, 255, 256, 257, 773]
@@ -244,6 +243,20 @@ def test_tiled_transpose_residuals_are_the_dense_ones(n):
     for X in (M, near):
         assert _transpose_residual(X, np.add) == float(np.max(np.abs(X + X.T)))
         assert _transpose_residual(X, np.subtract) == float(np.max(np.abs(X - X.T)))
+
+
+def test_transpose_residual_reuses_one_tile():
+    # every tile pair, edge tiles included, is written into one _TILE^2
+    # buffer: measured 1.13 tiles at dim 804 (2.25 with a tile per pair)
+    M = np.random.default_rng(0).standard_normal((804, 804))
+    for op in (np.add, np.subtract):
+        tracemalloc.start()
+        try:
+            _transpose_residual(M, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * quasifree._TILE**2
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
@@ -288,7 +301,7 @@ def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
         BasisProjection(O).validate()
     h = build_qwz(1.0, P.geometry)
-    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (O, 0.5, 0, None))
+    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (h, (O, 0.5, 0)))
     monkeypatch.setattr(BasisProjection, "validate", lambda self: 0.0)
     with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual nan"):
         ground_projection(h, 1e-4)
@@ -414,7 +427,8 @@ def test_charge_path_matches_the_real_path(case):
     # generic real path licenses it
     build, gap_tol = CHARGE_CASES[case]
     h = build()
-    O, edge_gap, m, _ = quasifree._charge_structure(h, gap_tol)
+    solved, (O, edge_gap, m) = quasifree._charge_structure(h, gap_tol)
+    O = BasisProjection(O, fiber=h.dim // solved.dim).O
     O_real, edge_gap_real, m_real = quasifree._real_structure(h, gap_tol)
     assert m == m_real == 0
     assert np.array_equal(O, -O.T)
@@ -538,9 +552,10 @@ def test_charge_structure_is_read_from_the_entries():
 
 
 def test_charge_path_peak_stays_below_its_measured_value():
-    # qwz takes the particle-hole half: O, the four planes it is read from
-    # and the blocks of A'; tracemalloc measured 1.37 dim x dim arrays at
-    # dim 804 and 1.31 at 1816 (LAPACK's buffers in the eigh are not traced)
+    # qwz takes the particle-hole half and returns its O', never O: the real
+    # path's arrays at dim/2 and the blocks of A'; tracemalloc measured 0.79
+    # dim x dim arrays at dim 804 and 0.76 at 1816 (LAPACK's buffers in the
+    # eigh are not traced; 1.37 and 1.31 while O and its planes were built)
     h = build_qwz(1.0, _disk(8.0, 4))
     tracemalloc.start()
     try:
@@ -548,7 +563,7 @@ def test_charge_path_peak_stays_below_its_measured_value():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.4 * 8 * h.dim**2
+    assert peak < 0.85 * 8 * h.dim**2
 
 
 # ---------------------------------------------------------------------------
@@ -639,17 +654,61 @@ def test_exact_zeros_leave_the_half_for_the_complex_eigh(case, monkeypatch):
 def test_half_certificate_bounds_the_full_one(case):
     # O = T(O') and A = T(A') under the fiber map T, a *-homomorphism whose
     # entries are +-(x1 +- x2)/2: the residual certified on (A', O') at dim/2
-    # bounds the full one, up to rounding, and the O it passes is the O that
-    # the full certificate would have taken
+    # bounds the full one, up to rounding
     build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
     h = build()
     P = ground_projection(h, gap_tol)
-    O, _, _, half = quasifree._complex_structure(h, gap_tol)
+    solved, (O_half, _, _) = quasifree._complex_structure(h, gap_tol)
+    assert P.fiber == 2 and solved.dim == h.dim // 2
+    assert np.array_equal(P.factor, O_half)
+    half = quasifree._certify(solved, O_half)
     assert half == P.health["projection_residual"] <= 1e-12
+    O = P.O
     full = quasifree._certify(h, O)
-    assert full == max(_commutator_residual(h, P.O), BasisProjection(P.O).validate())
+    assert full == max(_commutator_residual(h, O), BasisProjection(O).validate())
     assert half >= full - 1e-15
-    assert np.array_equal(P.O, O)
+
+
+@pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
+def test_the_half_factor_gives_the_assembled_O_s_nu(case):
+    # O = T(O') is a two-copy stack of O' in a site-local frame, so the
+    # triple traces on the factor, at two Majoranas per site and scaled by
+    # copies * fiber, are those of the assembled O
+    build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
+    h = build()
+    P = ground_projection(h, gap_tol)
+    assert P.fiber == 2 and len(P.factor) == h.dim // 2
+    assert P.dim_K == h.dim * h.copies
+    part = make_good_partition(h.geometry.apex)
+    full = BasisProjection(P.O, P.geometry, copies=P.copies)
+    assert abs(chern_number(P, part) - chern_number(full, part)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,task,fiber", [("qwz", "parity", 2), ("qwz", "twist", 2),
+                                               ("pip", "chern", 1)])
+def test_cli_runs_read_only_the_factor(family, task, fiber, tmp_path, monkeypatch):
+    # a qwz run keeps the half's O' and never assembles O; pip keeps its
+    # full O as a fiber-1 factor
+    projections, reads = [], []
+    assembled, project = BasisProjection.O, cli.ground_projection
+
+    def spied_O(self):
+        reads.append(self.fiber)
+        return assembled.fget(self)
+
+    def spied_projection(h, gap_tol):
+        projections.append(project(h, gap_tol))
+        return projections[-1]
+
+    monkeypatch.setattr(BasisProjection, "O", property(spied_O))
+    monkeypatch.setattr(cli, "ground_projection", spied_projection)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
+    argv = [task, "--config", str(cfg), "--radius", "6", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    (P,) = projections
+    assert P.fiber == fiber and len(P.factor) * fiber * P.copies == P.dim_K
+    assert reads == []
 
 
 def _qwz_r8():
@@ -711,17 +770,6 @@ def test_a_bad_half_is_refused_not_rediagonalized(case, monkeypatch):
     assert h.dim // 2 not in complex_sizes
 
 
-def test_an_asymmetric_assembly_of_O_is_refused(monkeypatch):
-    # the half's certificate cannot see how O is assembled from O': a fiber
-    # table with one sign flipped passes it, and O's own tile check refuses
-    h = _qwz_r8()
-    fiber = [list(row) for row in quasifree._PARTICLE_HOLE_FIBER]
-    fiber[0][1] = (1, -1.0)
-    monkeypatch.setattr(quasifree, "_PARTICLE_HOLE_FIBER", fiber)
-    with pytest.raises(ComputationError, match="gapless: projection is not Hermitian"):
-        ground_projection(h, 1e-4)
-
-
 def _certified_sizes(monkeypatch):
     """Spies that record the dim of each ground projection and the size of
     each O that _commutator_residual and BasisProjection.validate read."""
@@ -739,7 +787,7 @@ def _certified_sizes(monkeypatch):
         return commutator(h, O)
 
     def spied_validate(self):
-        squares.append(len(self.O))
+        squares.append(len(self.factor))
         return validate(self)
 
     monkeypatch.setattr(quasifree, "_complex_structure", structure)
@@ -881,6 +929,16 @@ def test_production_never_builds_a_dense_a(trivial_projection, tmp_path, monkeyp
         ground_projection(h, gap_tol)
     random_covariance(40, np.random.default_rng(0)).validate()
     assert main(["parity", "--radius", "6", "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_oversize_random_covariance_refused_before_any_draw(monkeypatch):
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} was called before the memory guard")
+
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**5)
+    with pytest.raises(ComputationError, match=r"projection needs ~\S+ GB, 0\.0001 GB available"):
+        random_covariance(1000, NoDraws())
 
 
 def test_covariance_of_projection_is_valid(trivial_projection):
