@@ -58,15 +58,14 @@ def available_memory() -> int | None:
 #: checks of the tail run over slabs of 256 rows. Peak RSS above the
 #: imported interpreter, model build included, measured 5.26 at dim 1816
 #: and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's buffers,
-#: measures 2.0 at dim 804 and 1816. The charge path
-#: (quasifree._charge_structure, an A with no pairing) of a particle-hole
-#: symmetric H (every qwz disk) runs the real path at dim/2, each of its
+#: measures 2.0 at dim 804 and 1816. An A with no pairing whose charge
+#: Hamiltonian is particle-hole symmetric (quasifree._complex_structure;
+#: every qwz disk) runs the real path at dim/2, each of its
 #: arrays a quarter of one here, and keeps the half's O' as the
 #: projection's factor: O is never allocated. tracemalloc measures 0.79 at
 #: dim 804 and 0.76 at 1816 (the eigh at dim/2 and the blocks of A');
-#: the peak RSS, measured the same way before O was dropped, was
-#: 3.37 at dim 804, 2.27 at 1816 and 2.01 at 3216, and it is set by the
-#: eigh, not by O. Any other
+#: the peak RSS, set by the eigh, measures 2.4 at dim 804, 1.64 at 1816
+#: and 1.45 at 3216. Any other
 #: charge-conserving A peaks in a complex eigh of size dim/2 at about 2.5:
 #: H, LAPACK's copy and workspace (1.5) and the eigenvectors U, each
 #: complex (dim/2)^2 array half a real one (measured on qwz disks: peak RSS

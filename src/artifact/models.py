@@ -395,13 +395,16 @@ def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
     so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
-    The result keeps the factors (H's blocks and the copy count)."""
+    The result keeps the factors (H's blocks and the copy count); a
+    geometry-less H gives a geometry-less stack."""
     copies = as_integer(copies, "copies")
     if copies < 1:
         raise ComputationError("copies must be >= 1")
     if copies == 1:
         return h
-    geom = h.geometry.with_majorana_count(h.geometry.majorana_count * copies)
+    geom = h.geometry
+    if geom is not None:
+        geom = geom.with_majorana_count(geom.majorana_count * copies)
     return QuadraticHamiltonian._of_blocks(h.blocks, h.dim, geom, h.copies * copies, h.bulk_gap)
 
 

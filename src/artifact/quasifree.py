@@ -6,13 +6,15 @@ the real complex structure O = -i sign(H) of that sector in real arithmetic:
 from one real eigh of size dim/2 when A conserves charge (no pairing) and
 its charge Hamiltonian has the particle-hole symmetry (every qwz disk),
 from one complex eigh of size dim/2 for any other charge-conserving A, and
-from one real eigh of size dim otherwise; every path fills a near-zero
-cluster halfway (open disks of chiral models carry edge modes). On the
-first path O is a two-copy stack of the half's O', which the projection
-keeps as its factor, as it keeps the single copy of a stack. The factor is
-accepted only with its certificate (O^T = -O, O^2 = -I, [A, O] = 0), run
-over slabs of rows against the Hamiltonian it was solved from. O and
-P = (I - iO)/2 are built only when `.O` or `.matrix` is read.
+from one real eigh of size dim otherwise. `_complex_structure` alone picks
+the path, from A's entries, and no path falls back to another; each fills
+a near-zero cluster halfway, mode by mode (open disks of chiral models
+carry edge modes). On the first path O is a two-copy stack of the half's
+O', which the projection keeps as its factor, as it keeps the single copy
+of a stack. The factor is accepted only with its certificate (O^T = -O,
+O^2 = -I, [A, O] = 0), run over slabs of rows against the Hamiltonian it
+was solved from. O and P = (I - iO)/2 are built only when `.O` or
+`.matrix` is read.
 Moments of Majorana generators in the state are evaluated from O two ways:
 a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
 path (`pfaffian_expectation`).
@@ -196,45 +198,37 @@ def _certify(h: QuadraticHamiltonian, O: np.ndarray) -> float:
 
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """(solved, (O, edge gap min|lambda|, cluster size m)): O = -i sign(iA)
-    for the A of the Hamiltonian `solved`, near-zero cluster filled halfway;
-    `solved` is h, or its particle-hole half of dim h.dim/2. An A that
-    commutes with the charge rotation takes _charge_structure, cluster or
-    not; every other A takes _real_structure."""
-    return _charge_structure(h, gap_tol) or (h, _real_structure(h, gap_tol))
+    for the A of the Hamiltonian `solved`, near-zero cluster filled halfway.
+    The one place a path is chosen, from the entries of A:
 
+    An A without the charge structure (h.charge_hamiltonian() is None:
+    pairing or a broken fiber) takes _real_structure on A itself, and
+    `solved` is h.
 
-def _charge_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """(solved, (O, min|lambda|, m)) from the complex H of A = -iH
-    (h.charge_hamiltonian()), or None when A has no such H.
-
-    An H with the particle-hole symmetry (_particle_hole_form; every qwz
-    disk and stack) is solved in its real form: _real_structure on the real
-    antisymmetric A' of size dim/2 (_particle_hole_structure), one real
-    eigh of A'^T A', and `solved` is A''s Hamiltonian, whose O' is h's
-    factor. Its lambdas are H's, so m counts H's cluster twice. A cluster
-    holding an exact zero, or one the real path refuses, takes the complex
-    eigh below instead, whose filling rule is the charge path's.
+    An A = -iH whose H has the particle-hole symmetry (_particle_hole_form;
+    every qwz disk and stack) takes _real_structure on the real
+    antisymmetric A' of size dim/2, one real eigh of A'^T A', and `solved`
+    is A''s Hamiltonian, whose O' is h's factor. Its lambdas are H's, so m
+    counts H's cluster twice.
 
     Every other H takes one complex eigh, sign(H) = I - 2 G G^+, G the
     occupied eigenvectors, and `solved` is h. Each lambda of H is a pair
     +-lambda of iA, so the cluster |lambda| <= gap_tol (m twice its size)
-    is filled halfway, by the real path's rule: a split pair keeps its
-    negative member; an exact zero mode (_EXACT_ZERO) stays empty, which
-    commutes with the charge rotation. O is the real form of -i sign(H),
+    is filled halfway: a split pair keeps its negative member; an exact
+    zero mode (_EXACT_ZERO) stays empty, which commutes with the charge
+    rotation. O is the real form of -i sign(H),
     O[0::2, 0::2] = O[1::2, 1::2] = Im and O[0::2, 1::2] = -O[1::2, 0::2]
     = Re, antisymmetrized over tile pairs."""
     H = h.charge_hamiltonian()
     if H is None:
-        return None
+        return h, _real_structure(h, gap_tol)
     A_half = _particle_hole_form(H)
     if A_half is not None:
         del H  # freed before A' is checked and split into its blocks
         half = QuadraticHamiltonian(A_half, None)
         del A_half
-        found = _particle_hole_structure(half, gap_tol)
-        if found is not None:
-            return half, found
-        H = h.charge_hamiltonian()
+        O_half, edge_gap, m = _real_structure(half, gap_tol)
+        return half, (O_half, edge_gap, 2 * m)
     lam, U = np.linalg.eigh(H)  # ascending
     del H
     edge_gap = float(np.min(np.abs(lam)))
@@ -321,19 +315,6 @@ def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
     return O
 
 
-def _particle_hole_structure(half: QuadraticHamiltonian, gap_tol: float):
-    """(O', min|lambda|, m) of the charge Hamiltonian whose real form
-    (_particle_hole_form) is `half`, or None when its cluster holds an
-    exact zero (edge gap <= _EXACT_ZERO) or is refused by _real_structure."""
-    try:
-        O_half, edge_gap, m = _real_structure(half, gap_tol)
-    except ComputationError:
-        return None
-    if not edge_gap > _EXACT_ZERO:
-        return None
-    return O_half, edge_gap, 2 * m
-
-
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) in real arithmetic, for any real antisymmetric A,
     near-zero cluster filled halfway. Returns (O, edge gap, cluster size m).
@@ -347,9 +328,12 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     Hermitian problem i Vc^T A Vc, with A Vc = h.matmul(Vc), resolves their
     lambdas at full accuracy, which squaring does not. A is read only
     through its blocks: no dense A is formed. Within the window,
-    |lambda| <= gap_tol is the cluster: exact zero modes are paired from a
-    real orthonormal null basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T;
-    split +-epsilon pairs keep their negative member, as every other mode.
+    |lambda| <= gap_tol is the cluster, filled mode by mode: its exact zero
+    modes (|lambda| <= _EXACT_ZERO) are paired from a real orthonormal null
+    basis (a_k, b_k) -> O_c = sum a_k b_k^T - b_k a_k^T; every other member
+    is one of a split +-epsilon pair and keeps its negative member, as every
+    mode outside the cluster does. An odd or total cluster, or split members
+    not half negative, are refused as unresolvable.
     O is antisymmetrized in place over pairs of tiles (_antisymmetrize).
     """
     dim = h.dim
@@ -374,20 +358,22 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
         m = int(np.count_nonzero(cluster))
         if m % 2 or m >= dim:
             raise ComputationError("unresolvable zero modes")
+        zero = cluster & (np.abs(mu) <= _EXACT_ZERO)
+        split = cluster & ~zero
+        if 2 * np.count_nonzero(split & (mu < 0)) != np.count_nonzero(split):
+            raise ComputationError("unresolvable zero modes")
         s = np.sign(mu)
-        if m and float(np.max(np.abs(mu[cluster]))) <= _EXACT_ZERO:
-            s[cluster] = 0.0
+        if zero.any():
+            s[zero] = 0.0
             import scipy.linalg
 
-            Uz = U[:, cluster]
+            Uz = U[:, zero]
             null = scipy.linalg.orth(np.hstack([Uz.real, Uz.imag]))
-            if null.shape[1] != m:
+            if null.shape[1] != Uz.shape[1]:
                 raise ComputationError("unresolvable zero modes")
             N = _canonical_basis(Vc @ null)
             Oz = N[:, 0::2] @ N[:, 1::2].T
             O += Oz - Oz.T
-        elif np.count_nonzero(cluster & (mu < 0)) != m // 2:
-            raise ComputationError("unresolvable zero modes")
         Ow = (-1j * (U * s) @ U.conj().T).real  # -i sign(i Vc^T A Vc)
         O += Vc @ Ow @ Vc.T
     _antisymmetrize(O)

@@ -97,12 +97,15 @@ def dense_real_space_K(geometry, onsite, hops, pairs) -> np.ndarray:
 def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
     """Spectral projector onto the lambda < 0 eigenvectors of h.matrix.
 
-    Exact zero modes are paired from the canonical real orthonormal null
-    basis (the pairing is a choice, shared with the real path,
-    artifact.quasifree._real_structure, so the two can be compared
-    entrywise; the charge path leaves the exact zero modes of its H empty,
-    which is the same choice on a zero pair in one site's fiber); split
-    +-epsilon pairs keep their negative member.
+    A cluster of exact zero modes is paired from the canonical real
+    orthonormal null basis (the pairing is a choice, shared with the real
+    path, artifact.quasifree._real_structure, so the two can be compared
+    entrywise; the complex eigh of a charge Hamiltonian H leaves the exact
+    zero modes of H empty, which is the same choice on a zero pair in one
+    site's fiber); a cluster of split +-epsilon pairs keeps their negative
+    members. The oracle fills a cluster all or nothing: it treats a cluster
+    holding both kinds as split, so a mixed cluster, which production fills
+    mode by mode, is checked against the complex eigh instead.
     """
     H = h.matrix
     dim = H.shape[0]

@@ -427,7 +427,7 @@ def test_charge_path_matches_the_real_path(case):
     # generic real path licenses it
     build, gap_tol = CHARGE_CASES[case]
     h = build()
-    solved, (O, edge_gap, m) = quasifree._charge_structure(h, gap_tol)
+    solved, (O, edge_gap, m) = quasifree._complex_structure(h, gap_tol)
     O = BasisProjection(O, fiber=h.dim // solved.dim).O
     O_real, edge_gap_real, m_real = quasifree._real_structure(h, gap_tol)
     assert m == m_real == 0
@@ -460,7 +460,7 @@ def test_fallback_is_the_real_path_bit_for_bit(case):
     # an A without the charge structure is the one input the real path takes
     h = FALLBACK_CASES[case]()
     assert h.charge_hamiltonian() is None
-    assert quasifree._charge_structure(h, 1e-4) is None
+    assert quasifree._complex_structure(h, 1e-4)[0] is h
     O, edge_gap, m = quasifree._real_structure(h, 1e-4)
     P = ground_projection(h, 1e-4)
     assert P.O.tobytes() == O.tobytes()
@@ -473,17 +473,13 @@ CLUSTER_CASES = {"split_pair": {0: 1e-10}, "zero_pair": {0: 0.0}, "mixed": {0: 0
 @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
 def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
     # a charge-conserving A without the particle-hole symmetry (trivial)
-    # never reaches the real path: its one eigh of H
-    # leaves an exact zero mode empty and a split pair's positive member
-    # empty, the real path's filling; the mixed cluster the real path refuses
+    # never reaches the real path: its one eigh of H leaves an exact zero
+    # mode empty and a split pair's positive member empty; the real path,
+    # which fills its cluster mode by mode, agrees
     h = _trivial_with_fibers(CLUSTER_CASES[case])
     assert h.charge_hamiltonian() is not None
-    if case == "mixed":
-        with pytest.raises(ComputationError, match="unresolvable zero modes"):
-            quasifree._real_structure(h, 1e-8)
-    else:
-        O_real, _, m_real = quasifree._real_structure(h, 1e-8)
-        assert m_real == 2
+    O_real, _, m_real = quasifree._real_structure(h, 1e-8)
+    assert m_real == 2 * len(CLUSTER_CASES[case])
     eigh, shapes = np.linalg.eigh, []
 
     def counted(a, *args, **kwargs):
@@ -504,11 +500,12 @@ def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
     assert P.health["zero_modes"] == 2 * len(CLUSTER_CASES[case])
     if case == "split_pair":
         assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)
-        assert float(np.max(np.abs(O - O_real))) <= 1e-15
     else:
         assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
     if case == "zero_pair":  # equal entry for entry; a zero's sign may differ
         assert np.array_equal(O, O_real)
+    else:
+        assert float(np.max(np.abs(O - O_real))) <= 1e-15
     # each cluster fiber (y >= 0) is left empty, so O reads eps there
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for s in CLUSTER_CASES[case]:
@@ -555,11 +552,11 @@ def test_charge_path_peak_stays_below_its_measured_value():
     # qwz takes the particle-hole half and returns its O', never O: the real
     # path's arrays at dim/2 and the blocks of A'; tracemalloc measured 0.79
     # dim x dim arrays at dim 804 and 0.76 at 1816 (LAPACK's buffers in the
-    # eigh are not traced; 1.37 and 1.31 while O and its planes were built)
+    # eigh are not traced)
     h = build_qwz(1.0, _disk(8.0, 4))
     tracemalloc.start()
     try:
-        assert quasifree._charge_structure(h, 1e-4) is not None
+        assert quasifree._complex_structure(h, 1e-4)[0].dim == h.dim // 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -627,27 +624,60 @@ def _qwz_with_decoupled_sites(onsite):
 
 
 @pytest.mark.parametrize("case", ["zero_pair", "mixed"])
-def test_exact_zeros_leave_the_half_for_the_complex_eigh(case, monkeypatch):
-    # the half is tried, but a cluster holding an exact zero (and the mixed
-    # one, which the real path may refuse) is filled by the complex eigh's
-    # rule, byte for byte
+def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
+    # a cluster holding an exact zero, alone or beside a split pair, is
+    # filled mode by mode on the half: one real eigh at dim/2 and the small
+    # window problem, no complex eigh of dim/2. The exact zeros of H are
+    # paired from the half's null basis where the complex eigh leaves them
+    # empty, so the two agree outside the fibers of those sites
     onsite = {0: 0.0} if case == "zero_pair" else {0: 1e-10, 1: 0.0}
     h = _qwz_with_decoupled_sites(onsite)
     assert quasifree._particle_hole_form(h.charge_hamiltonian()) is not None
     ref = _complex_eigh_projection(h, 1e-8, monkeypatch)
-    real_structure, halves = quasifree._real_structure, []
+    real_structure, eigh, halves, calls = quasifree._real_structure, np.linalg.eigh, [], []
 
-    def spied(half, gap_tol):
+    def spied_structure(half, gap_tol):
         halves.append(half.dim)
         return real_structure(half, gap_tol)
 
-    monkeypatch.setattr(quasifree, "_real_structure", spied)
+    def spied_eigh(a, *args, **kwargs):
+        calls.append((len(a), np.iscomplexobj(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(quasifree, "_real_structure", spied_structure)
+    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
     P = ground_projection(h, 1e-8)
     assert halves == [h.dim // 2]
-    assert P.O.tobytes() == ref.O.tobytes()
+    assert calls[0] == (h.dim // 2, False)
+    assert all(size < h.dim // 8 for size, _ in calls[1:])
+    O = P.O
+    diff = np.abs(O - ref.O)
+    for s in (s for s, eps in onsite.items() if eps == 0.0):
+        diff[4 * s:4 * s + 4, 4 * s:4 * s + 4] = 0.0
+    assert float(np.max(diff)) <= 1e-13
+    assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
+    assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
+    assert P.health["projection_residual"] <= 1e-12
     assert P.health == ref.health
     assert P.health["zero_modes"] == 4 * len(onsite)
     assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
+    part = make_good_partition(h.geometry.apex)
+    assert abs(chern_number(P, part) - chern_number(ref, part)) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [1e-13, -1e-13])
+def test_exact_zeros_are_cluster_members_only(y):
+    # at gap_tol = 0 (random_covariance's) the cluster is empty: a 1e-13
+    # pair below _EXACT_ZERO is a mode like any other and takes its sign,
+    # which for y < 0 is not the null basis's pairing
+    h = _trivial_with_fibers({0: y})
+    O, edge_gap, m = quasifree._real_structure(h, 0.0)
+    assert m == 0 and edge_gap == pytest.approx(abs(y), rel=1e-3)
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert float(np.max(np.abs(O[0:2, 0:2] - np.sign(y) * eps))) <= 1e-15
+    P = ground_projection(h, 0.0)  # the complex eigh of H
+    assert P.health["zero_modes"] == 0
+    assert float(np.max(np.abs(O - P.O))) <= 1e-15
 
 
 @pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
@@ -825,18 +855,23 @@ def _qwz_with_chemical_potential():
 def test_only_a_particle_hole_symmetric_H_takes_the_half(monkeypatch):
     # the symmetry is read from H's entries: trivial (H = I) and a chemical
     # potential break it, pip and a perturbed fiber have no H at all
-    def no_half(*args):
-        raise AssertionError("an H without the symmetry took the particle-hole half")
+    real_structure, solved = quasifree._real_structure, []
 
-    monkeypatch.setattr(quasifree, "_particle_hole_structure", no_half)
+    def spied(h, gap_tol):
+        solved.append(h.dim)
+        return real_structure(h, gap_tol)
+
+    monkeypatch.setattr(quasifree, "_real_structure", spied)
     for h in (build_trivial(_disk(6.0, 2)), build_trivial(_disk(5.0, 4)),
               _qwz_with_chemical_potential()):
         H = h.charge_hamiltonian()
         assert H is not None and quasifree._particle_hole_form(H) is None
         ground_projection(h, 1e-4)
+        assert solved == []  # the complex eigh of H, no half
     for h in (_pip_r8(), _perturbed_qwz()):
         assert h.charge_hamiltonian() is None
         ground_projection(h, 1e-4)
+        assert solved.pop() == h.dim  # A itself, not a half
     odd = np.zeros((3, 3), dtype=complex)  # an odd H has no pairs of orbitals
     assert quasifree._particle_hole_form(odd) is None
 

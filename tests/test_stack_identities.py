@@ -84,6 +84,20 @@ def test_twist_sigma_is_nu_times_copy_factor(stack):
         assert abs(sigma - hall_sigma(proj, *_dressed_pair(proj, part, N), part)) <= 1e-10
 
 
+@pytest.mark.parametrize("family", ["pip", "qwz"])
+def test_a_geometry_less_stack_projects_as_kron(family):
+    # a Hamiltonian built from a bare A has no geometry (the particle-hole
+    # half is one); its stack keeps none and projects as kron(P1, I_3)
+    disk = build_disk_lattice("square", 4.0, majorana_count=2 if family == "pip" else 4)
+    block = build_pip(-1.0, 0.5, disk) if family == "pip" else build_qwz(1.0, disk)
+    h = QuadraticHamiltonian(block.dense(), None)
+    h3 = stack_copies(h, 3)
+    assert h3.geometry is None and h3.copies == 3
+    P1, P3 = ground_projection(h, 1e-4), ground_projection(h3, 1e-4)
+    assert P3.geometry is None and P3.copies == 3
+    assert np.array_equal(P3.matrix, np.kron(P1.matrix, np.eye(3)))
+
+
 def test_stack_health_counts_every_copy():
     # two exact zero modes per copy: the stacked cluster is N times the block's
     h = build_trivial(build_disk_lattice("square", 4.0, majorana_count=2))
