@@ -47,14 +47,16 @@ ANOMALY_TOL = 1e-6
 
 DEFAULT_NU_ROUND_TOL = 0.1
 
-#: block-size float64 arrays exchange_phase_bch holds at its peak (complex
-#: arrays count twice), two arrays above the largest measured peak, rounded
-#: up. At block dims 448 and 804 (alpha 0.1 and 2.5), tracemalloc gives 6.3
-#: and 5.5 on the Mercator-series path and 8.0 on the Cayley-transform path;
-#: the peak RSS above the pre-call level, in a fresh process with BLAS and
-#: LAPACK warmed up, is 8.2 and 6.4 on the series path and 14.3 and 13.7 on
-#: the Cayley path, whose eigh holds K (in E's buffer), LAPACK's copy of it,
-#: two workspaces and the eigenvectors beside V0 and X
+#: float64 arrays of the generators' factor size exchange_phase_bch holds at
+#: its peak (complex arrays count twice), two arrays above the largest
+#: measured peak, rounded up. At model-basis dims 448 and 804 (alpha 0.1 and
+#: 2.5), tracemalloc gives 6.3 and 5.5 on the Mercator-series path and 8.0 on
+#: the Cayley-transform path; the peak RSS above the pre-call level, in a
+#: fresh process with BLAS and LAPACK warmed up, is 8.2 and 6.4 on the series
+#: path and 14.3 and 13.7 on the Cayley path, whose eigh holds K (in E's
+#: buffer), LAPACK's copy of it, two workspaces and the eigenvectors beside
+#: V0 and X. At the particle-hole half's dims 224 and 402, tracemalloc gives
+#: 7.7 and 6.6 on the series path and 8.0 on the Cayley path
 _BCH_WORKING_ARRAYS = 17
 
 #: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
@@ -136,6 +138,21 @@ def _anchored_trace(Oa: np.ndarray, anchor, Xa: np.ndarray) -> complex:
     return 0.5 * np.trace(Xa[anchor, :]) - 0.5j * np.einsum("ij,ji->", Oa, Xa, optimize=True)
 
 
+def _shared_fiber(g0: FluxGenerator, g1: FluxGenerator) -> int:
+    """The fiber both generators are kept on; different fibers are refused."""
+    if g0.fiber != g1.fiber:
+        raise ComputationError("dimension mismatch")
+    return g0.fiber
+
+
+def _anchor_rows(P: BasisProjection, fiber: int, partition: ConicalPartition,
+                 core_fraction: float):
+    """The third core's indices in the basis of generators kept on `fiber`,
+    and the rows there of P.factor when that is P's fiber, of P.O otherwise."""
+    anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
+    return anchor, (P.factor if fiber == P.fiber else P.O)[anchor, :]
+
+
 def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
                              partition: ConicalPartition,
                              core_fraction: float = DEFAULT_CORE_FRACTION):
@@ -145,16 +162,19 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     carrying neither generator) and scaled by the junction multiplicity.
     With P = kron(P1, I_N) and Qa = kron(Ba, qa) the trace factors into
     Tr(q0 q1) times the same trace of the blocks. Identical generators give
-    two identical traces and so exactly zero.
+    two identical traces and so exactly zero. Generators kept on the
+    particle-hole half (fiber 2) are traced there against O': T maps the
+    half's site masks to the model's and doubles every trace (chern_number).
     """
     g0.check_factors(P)
     g1.check_factors(P)
-    anchor = _core_indices(P, partition, core_fraction)[2]
-    Oa, Q0, Q1 = P.O[anchor, :], g0.block, g1.block
+    fiber = _shared_fiber(g0, g1)
+    anchor, Oa = _anchor_rows(P, fiber, partition, core_fraction)
+    Q0, Q1 = g0.factor, g1.factor
     t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
     t_rev = _anchored_trace(Oa, anchor, Q1 @ Q0[:, anchor])
     copy_trace = np.trace(g0.charge @ g1.charge)
-    val = 2j * np.pi * JUNCTION_MULTIPLICITY * copy_trace * (t_fwd - t_rev)
+    val = 2j * np.pi * JUNCTION_MULTIPLICITY * fiber * copy_trace * (t_fwd - t_rev)
     sigma = float(val.real)
     residual = abs(float(val.imag))
     if not residual <= ANOMALY_TOL:
@@ -308,16 +328,21 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     sector -j is read off the sector j instead of being computed. A job
     whose block-size working set would not fit in the available memory is
     refused up front.
+    Generators kept on the particle-hole half (fiber 2) run all of this on
+    their factors at dim/2: log C = T(log C'), so phi is twice the half's,
+    and |E|_F is scaled to |T(E')|_F so the skip and branch rules are the
+    model's. The generators are validated before a zero angle returns 1.
     """
-    if alpha0 == 0.0 or alpha1 == 0.0:
-        return complex(1.0)
     g0.check_factors(P)
     g1.check_factors(P)
     if not np.array_equal(g0.charge, g1.charge):
         raise ComputationError("generators carry different charges")
-    check_memory(g0.block.shape[0], _BCH_WORKING_ARRAYS, "flux commutator")
-    lam0, V0 = np.linalg.eigh(g0.block)
-    lam1, V1 = np.linalg.eigh(g1.block)
+    fiber = _shared_fiber(g0, g1)
+    if alpha0 == 0.0 or alpha1 == 0.0:
+        return complex(1.0)
+    check_memory(len(g0.factor), _BCH_WORKING_ARRAYS, "flux commutator")
+    lam0, V0 = np.linalg.eigh(g0.factor)
+    lam1, V1 = np.linalg.eigh(g1.factor)
     X = V0.conj().T @ V1
     del V1
     js = np.linalg.eigvalsh(g0.charge)
@@ -329,15 +354,15 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     for j in js:
         E = _sector_commutator(X, np.exp(1j * alpha0 * j * lam0),
                                np.exp(1j * alpha1 * j * lam1))
-        norm = float(np.linalg.norm(E))
+        norm = float(np.linalg.norm(E)) * np.sqrt(fiber)
         if not np.isfinite(norm):
             raise ComputationError("flux commutator is not finite")
         if norm < 1e-13:
             continue
         L = None if norm < _SERIES_RADIUS else _log_near_identity(E)  # Cayley; may refuse
         if anchor is None:
-            anchor = _core_indices(P, partition, core_fraction)[2]
-            Oa, Va = P.O[anchor, :], V0[anchor, :]
+            anchor, Oa = _anchor_rows(P, fiber, partition, core_fraction)
+            Va = V0[anchor, :]
         cols = _log_series(E, Va.conj().T) if L is None else L @ Va.conj().T
         del E, L
         Lc = _times(V0, cols)  # L[:, a]
@@ -345,7 +370,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         t = _anchored_trace(Oa, anchor, Lc).imag
         if mirrored:  # the sector -j
             t += _anchored_trace(Oa, anchor, Lc.conj()).imag
-        phi += 0.5 * JUNCTION_MULTIPLICITY * t
+        phi += 0.5 * JUNCTION_MULTIPLICITY * fiber * t
     return complex(np.exp(1j * phi))
 
 

@@ -6,8 +6,10 @@ fastest, so every generator is a FluxGenerator, the Kronecker pair
 kron(block, charge): a copy-space charge q lifted to the sites of a region X
 is kron(diag(mask_X), q), and a generic dense generator is the N = 1 case
 with charge [[1]]. Every generator here is read off the projection's real
-single-copy O, never off the complex P = (I - iO)/2; a real charge dresses
-to a real block.
+factor, never off the complex P = (I - iO)/2; a real charge dresses to a
+real block. On a qwz projection the factor is the particle-hole half O',
+O = T(O') (quasifree._particle_hole_O), and T maps the half's site masks to
+the model's exactly: lifted charges and parity generators live there too.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import quasifree
 from ._util import ComputationError, as_integer
 from .geometry import LatticeGeometry, region_mask
 from .quasifree import BasisProjection
@@ -25,19 +28,31 @@ from .quasifree import BasisProjection
 class FluxGenerator:
     """Generator Qtilde = kron(block, charge) on the stacked space, copy index
     fastest. A generic dense generator is the N = 1 case, charge [[1]], where
-    Qtilde is the block itself."""
-    block: np.ndarray
+    Qtilde is the block itself. As in BasisProjection, the block is kept as
+    its factor: itself (fiber 1) or the particle-hole half's B' with block
+    T(B') (fiber 2), built on every read."""
+    factor: np.ndarray
     charge: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
     region: Optional[object] = None
+    fiber: int = 1
+
+    @property
+    def block(self) -> np.ndarray:
+        if self.fiber == 1:
+            return self.factor
+        T, B = quasifree._particle_hole_O, self.factor
+        return T(B) if np.isrealobj(B) else T(B.real) + 1j * T(B.imag)
 
     @property
     def Qtilde(self) -> np.ndarray:
         return np.kron(self.block, self.charge)
 
     def check_factors(self, P: BasisProjection):
-        """The generator acts on P's space: its block on P's single-copy
-        space, its charge on P's copies."""
-        if self.block.shape != (P.dim_K // P.copies,) * 2 or self.charge.shape != (P.copies,) * 2:
+        """The generator acts on P's space: its factor on P's single-copy
+        space in the model's basis (fiber 1) or in P's factor's (fiber
+        P.fiber), its charge on P's copies."""
+        if (self.fiber not in (1, P.fiber) or self.charge.shape != (P.copies,) * 2
+                or self.factor.shape != (P.dim_K // (P.copies * self.fiber),) * 2):
             raise ComputationError("dimension mismatch")
 
 
@@ -81,39 +96,55 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     For P = kron(P1, I_N) and Q = kron(B, q) the result is kron(D, q) with D
     the dressed B, so only the block is dressed. With P1 = (I - iO)/2 the
     dressed block is (B - OBO)/2: real for a real B, so its
-    eigendecomposition runs in real arithmetic. Commutes with P by
-    construction; the block is re-Hermitized to absorb rounding noise. The
-    result carries `region`, or g's region when none is given.
+    eigendecomposition runs in real arithmetic; a diagonal B takes one
+    product (O * b) @ O. Commutes with P by construction; the block is
+    re-Hermitized to absorb rounding noise. The result carries `region`, or
+    g's region when none is given. On a particle-hole half (P.fiber 2) a real
+    diagonal B constant on each 4 x 4 fiber of T (every lift_charge block,
+    read from the entries) is T(diag(b[::2])) exactly, and is dressed on the
+    factor and kept there; any other model-basis B is dressed against P.O.
     """
     g.check_factors(P)
-    O = P.O
-    Qt = O @ g.block @ O
-    np.subtract(g.block, Qt, out=Qt)
+    B, fiber = g.factor, g.fiber
+    b = np.diagonal(B)
+    if np.count_nonzero(B) != np.count_nonzero(b):
+        b = None
+    elif fiber < P.fiber and np.isrealobj(b) and (b.reshape(-1, 4) == b[::4, None]).all():
+        b, fiber = b[::2], P.fiber
+    O = P.factor if fiber == P.fiber else P.O
+    if b is None:
+        Qt = O @ B @ O
+        np.subtract(B, Qt, out=Qt)
+    else:
+        Qt = (O * -b) @ O
+        Qt.flat[::len(b) + 1] += b
     Qt += Qt.conj().T  # (B - OBO)/2, Hermitized
     Qt *= 0.25
-    return FluxGenerator(Qt, g.charge, g.region if region is None else region)
+    return FluxGenerator(Qt, g.charge, g.region if region is None else region, fiber)
 
 
 def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> FluxGenerator:
     """Symmetrized region parity (Pi T + T Pi)/2 with T = 1 - 2P, which
     simplifies to Pi - Pi P - P Pi = (i/2)(Pi O + O Pi) and commutes with P
-    identically. On a stack it acts alike on every copy: kron(block, I_N)."""
+    identically. On a stack it acts alike on every copy: kron(block, I_N).
+    It is built on P's factor and kept there: on a particle-hole half the
+    region's mask Pi' has T(Pi') = Pi, so the block is T of that factor."""
     if geometry.dim_K != P.dim_K:
         raise ComputationError("dimension mismatch")
-    block_geometry = geometry.with_majorana_count(geometry.majorana_count // P.copies)
-    mask = region_mask(region, block_geometry).astype(float)
-    O = P.O
+    per_site = geometry.majorana_count // (P.copies * P.fiber)
+    mask = region_mask(region, geometry.with_majorana_count(per_site)).astype(float)
+    O = P.factor
     Qt = mask[:, None] * O + O * mask[None, :]
-    return FluxGenerator(0.5j * Qt, np.eye(P.copies), region)
+    return FluxGenerator(0.5j * Qt, np.eye(P.copies), region, P.fiber)
 
 
 def flux_unitary(g: FluxGenerator, alpha: float) -> np.ndarray:
     """exp(i alpha Qtilde) through the Hermitian eigendecompositions of the
     block and the charge: with B = V diag(lam) V^+ and c = W diag(j) W^+,
     Qtilde = X diag(lam_a j_b) X^+ for X = kron(V, W) (exactly unitary up to
-    rounding; no series)."""
+    rounding; no series). The block is read in the model's basis."""
     if alpha == 0.0:
-        return np.eye(g.block.shape[0] * g.charge.shape[0], dtype=complex)
+        return np.eye(len(g.factor) * g.fiber * len(g.charge), dtype=complex)
     lam, V = np.linalg.eigh(g.block)
     js, W = np.linalg.eigh(g.charge)
     X = np.kron(V, W)

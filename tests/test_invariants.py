@@ -250,6 +250,19 @@ def test_bch_zero_flux_short_circuit(qwz_stack3_r6_generators):
     assert exchange_phase_bch(P, g0, g1, 0.3, 0.0, part) == 1.0 + 0j
 
 
+@pytest.mark.parametrize("alphas", [(0.0, 0.1), (0.1, 0.0), (0.1, 0.1)])
+def test_bch_validates_generators_before_a_zero_angle(qwz_r6, alphas):
+    # a zero angle returns 1 only for generators that act on P's space
+    P, part = qwz_r6
+    g = FluxGenerator(np.eye(6))
+    with pytest.raises(ComputationError, match="dimension mismatch"):
+        exchange_phase_bch(P, g, g, *alphas, part)
+    B = np.eye(P.dim_K)
+    with pytest.raises(ComputationError, match="different charges"):
+        exchange_phase_bch(P, FluxGenerator(B), FluxGenerator(B, 2 * np.ones((1, 1))),
+                           *alphas, part)
+
+
 def _synthetic_projection():
     # the two short-circuits below never read P beyond its dimension
     return BasisProjection(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
@@ -382,19 +395,36 @@ def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alph
         assert peak < 9 * array
 
 
-def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
-    # block dim 448: the estimate of _BCH_WORKING_ARRAYS arrays is above the budget
+@pytest.mark.parametrize("alpha", [0.1, 2.5])
+def test_bch_peak_on_the_half_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alpha):
+    # the generators are kept on the particle-hole half, and the guard counts
+    # arrays of the factor's size: the run must need less than that estimate
     P, part, g0, g1 = qwz_stack3_r6_generators
-    need = _BCH_WORKING_ARRAYS * 8 * 448**2 / 1e9
-    assert need > 0.01
+    array = 8 * len(g0.factor) ** 2
+    tracemalloc.start()
+    try:
+        exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * array < _BCH_WORKING_ARRAYS * array
+
+
+def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
+    # the generators are kept on the particle-hole half, factor dim 224: the
+    # estimate of _BCH_WORKING_ARRAYS arrays of that size is above the budget
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    assert g0.fiber == 2 and len(g0.factor) == 224
+    need = _BCH_WORKING_ARRAYS * 8 * 224**2 / 1e9
+    assert need > 0.001
 
     def no_eigh(*args):
         raise AssertionError("the flux commutator ran before the memory guard")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(_util, "available_memory", lambda: 10**7)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
     with pytest.raises(ComputationError,
-                       match=re.escape(f"flux commutator needs ~{need:.2g} GB, 0.01 GB available")):
+                       match=re.escape(f"flux commutator needs ~{need:.2g} GB, 0.001 GB available")):
         exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
 
 
@@ -402,9 +432,9 @@ def test_bch_refuses_a_non_finite_commutator(qwz_stack3_r6_generators):
     # a NaN in a block reaches E; its norm is refused before the branch, on
     # the series and the Cayley path alike, not left to the Cayley eigh
     P, part, g0, g1 = qwz_stack3_r6_generators
-    block = g1.block.copy()
+    block = g1.factor.copy()
     block[3, 5] = block[5, 3] = np.nan
-    poisoned = FluxGenerator(block, g1.charge)
+    poisoned = FluxGenerator(block, g1.charge, fiber=g1.fiber)
     for alpha in (0.1, 2.5):
         with pytest.raises(ComputationError, match="flux commutator is not finite"):
             exchange_phase_bch(P, g0, poisoned, alpha, alpha, part)
@@ -515,8 +545,8 @@ def test_bch_series_runs_on_the_anchor_only(qwz_stack3_r6_generators, monkeypatc
     sigma = hall_sigma(P, g0, g1, part)
     assert abs(exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
                - exchange_phase_closed(sigma, 0.1, 0.1)) <= 1e-4
-    anchor = invariants._core_indices(P, part, 0.7)[2]
-    assert series == [(g0.block.shape[0], len(anchor))]
+    anchor = invariants._core_indices(P, part, 0.7, P.copies * P.fiber)[2]
+    assert series == [(len(g0.factor), len(anchor))]
     with pytest.raises(Formed):
         exchange_phase_bch(P, g0, g1, 2.5, 2.5, part)
 

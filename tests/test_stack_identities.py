@@ -7,6 +7,8 @@ single-copy block. Each test compares that path with the dense generic one:
 the complex eigh of the materialized stack (tests/dense_oracle.py) and dense
 N = 1 generators built from kron(diag(mask), q).
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       chern_number, core_regions, cyclic_charge, dress_charge,
                       exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
                       lift_charge, make_good_partition, stack_copies, twist_statistics)
+from artifact import ComputationError, invariants, quasifree
 from artifact.models import QuadraticHamiltonian
+from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 from dense_oracle import dense_basis_projection, dense_ground_projection
 
@@ -111,3 +115,105 @@ def test_stack_health_counts_every_copy():
     assert P3.health["edge_gap"] == P1.health["edge_gap"]
     assert P3.health["projection_residual"] == P1.health["projection_residual"]
     assert np.array_equal(P3.matrix, np.kron(P1.matrix, np.eye(3)))
+
+
+#: (u, radius, copies) of qwz stacks kept on their particle-hole half (fiber
+#: 2), compared with the same projection assembled in the model's basis
+HALF_CASES = {
+    "u1_r6_n3": (1.0, 6.0, 3), "u1_r4_n5": (1.0, 4.0, 5),
+    "um1_r6_n3": (-1.0, 6.0, 3), "u1.8_r6_n3": (1.8, 6.0, 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(HALF_CASES))
+def half_stack(request):
+    u, radius, N = HALF_CASES[request.param]
+    geom = build_disk_lattice("square", radius, majorana_count=4)
+    P = ground_projection(stack_copies(build_qwz(u, geom), N), 1e-4)
+    assert P.fiber == 2
+    return N, make_good_partition(geom.apex), P, dataclasses.replace(P, factor=P.O, fiber=1)
+
+
+# alpha 0.1 takes the Mercator series; at 1.4 a sector of every case has
+# |E|_F in [0.5, 0.71), the Cayley eigh, where the half's own |E'|_F, a factor
+# sqrt(2) smaller, would take the series
+@pytest.mark.parametrize("alpha", [0.1, 1.4])
+def test_half_generators_match_the_assembled_O(half_stack, alpha, monkeypatch):
+    # the flux pipeline on the half against the generic one on the assembled
+    # O: dressed lifted charges, sigma, flux unitaries and exchange phases
+    N, part, P, full = half_stack
+    g0, g1 = _dressed_pair(P, part, N)
+    d0, d1 = _dressed_pair(full, part, N)
+    assert (g0.fiber, g1.fiber, d0.fiber) == (2, 2, 1)
+    assert len(g0.factor) * 2 == len(d0.factor)
+    assert float(np.max(np.abs(g0.Qtilde - d0.Qtilde))) <= 1e-12
+    assert abs(hall_sigma(P, g0, g1, part) - hall_sigma(full, d0, d1, part)) <= 1e-12
+    U = flux_unitary(g1, alpha)
+    assert float(np.max(np.abs(U - flux_unitary(d1, alpha)))) <= 1e-12
+    cayley, log = [], invariants._log_near_identity
+    monkeypatch.setattr(invariants, "_log_near_identity",
+                        lambda E: cayley.append(len(E)) or log(E))
+    bch = exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+    assert abs(bch - exchange_phase_bch(full, d0, d1, alpha, alpha, part)) <= 1e-12
+    # both take the same branch in every sector: the half's norm is scaled
+    # to the model's
+    k = len(cayley) // 2
+    assert cayley == [len(g0.factor)] * k + [len(d0.factor)] * k
+    assert (k > 0) == (alpha == 1.4)
+
+
+def test_half_pipeline_never_assembles_O(half_stack, monkeypatch):
+    # lift -> dress -> hall_sigma -> exchange_phase_bch on a qwz stack never
+    # builds O = T(O'), and no eigh is larger than the factor
+    N, part, P, _ = half_stack
+    assembled, sizes = [], []
+    T, eigh = quasifree._particle_hole_O, np.linalg.eigh
+    monkeypatch.setattr(quasifree, "_particle_hole_O",
+                        lambda X: assembled.append(X.shape) or T(X))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    g0, g1 = _dressed_pair(P, part, N)
+    hall_sigma(P, g0, g1, part)
+    for alpha in (0.1, 1.4):
+        exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+    assert assembled == []
+    assert sizes and max(sizes) == len(P.factor) == P.dim_K // (2 * N)
+
+
+def test_generators_of_different_fibers_are_refused(half_stack):
+    N, part, P, full = half_stack
+    g0, g1 = _dressed_pair(P, part, N)
+    d0, d1 = _dressed_pair(full, part, N)
+    for a, b in ((g0, d1), (d0, g1)):
+        with pytest.raises(ComputationError, match="dimension mismatch"):
+            hall_sigma(P, a, b, part)
+        with pytest.raises(ComputationError, match="dimension mismatch"):
+            exchange_phase_bch(P, a, b, 0.1, 0.1, part)
+    # a generator on the half does not act on a fiber-1 projection
+    for call in (lambda: dress_charge(full, g0), lambda: hall_sigma(full, g0, g1, part),
+                 lambda: exchange_phase_bch(full, g0, g1, 0.1, 0.1, part)):
+        with pytest.raises(ComputationError, match="dimension mismatch"):
+            call()
+    # two model-basis generators run the generic path on the half's P.O
+    assert abs(hall_sigma(P, d0, d1, part) - hall_sigma(full, d0, d1, part)) <= 1e-12
+
+
+def test_a_dense_block_on_a_half_projection_dresses_through_O(half_stack, monkeypatch):
+    # a dense block, or a diagonal one that is not constant on T's 4 x 4
+    # fibers, is dressed in the model's basis against P.O
+    N, _, P, full = half_stack
+    reads, assembled = [], BasisProjection.O
+
+    def spied_O(self):
+        reads.append(self.fiber)
+        return assembled.fget(self)
+
+    monkeypatch.setattr(BasisProjection, "O", property(spied_O))
+    rng = np.random.default_rng(3)
+    n = len(full.factor)
+    G = rng.standard_normal((n, n))
+    for B in ((G + G.T) / 2, np.diag(rng.standard_normal(n))):
+        g = dress_charge(P, FluxGenerator(B, cyclic_charge(N)))
+        assert g.fiber == 1
+        want = dress_charge(full, FluxGenerator(B, cyclic_charge(N)))
+        assert float(np.max(np.abs(g.factor - want.factor))) <= 1e-12
+    assert reads == [2, 2]

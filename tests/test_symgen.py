@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from artifact import (ComputationError, build_disk_lattice, cyclic_charge,
                       dress_charge, flux_unitary, lift_charge, parity_charge,
-                      random_covariance, windowed_site_ids)
+                      random_covariance, region_mask, windowed_site_ids)
 from artifact.symgen import FluxGenerator
 
 
@@ -96,6 +96,35 @@ def test_dress_is_identity_on_commuting_input():
     assert float(np.max(np.abs(dress_charge(P, FluxGenerator(Qc)).Qtilde - Qc))) <= 1e-12
 
 
+@pytest.mark.parametrize("field", [float, complex])
+def test_a_diagonal_block_dresses_as_the_dense_product(field):
+    # a diagonal block dresses with one product (O * b) @ O, entry for entry
+    # the dense (B - O B O)/2, Hermitized
+    rng = np.random.default_rng(11)
+    P = _random_projection(16, 12)
+    b = rng.standard_normal(16).astype(field)
+    if field is complex:
+        b += 1j * rng.standard_normal(16)
+    B, O = np.diag(b), P.O
+    want = B - O @ B @ O
+    want = (want + want.conj().T) / 4
+    g = dress_charge(P, FluxGenerator(B))
+    assert g.fiber == 1 and np.iscomplexobj(g.factor) == (field is complex)
+    assert float(np.max(np.abs(g.factor - want))) <= 1e-14
+
+
+def test_lifted_charge_dresses_on_the_half(qwz_r6):
+    # a lifted site mask is T of the half's: it is dressed on the factor and
+    # kept there, and reads back in the model's basis as the dense dressing
+    P, part = qwz_r6
+    ids = windowed_site_ids(part, P.geometry, 0.7)
+    g = dress_charge(P, lift_charge(np.ones((1, 1)), P.geometry, ids[0]))
+    assert g.fiber == 2 and g.factor.shape == P.factor.shape
+    B, O = np.diag(region_mask(ids[0], P.geometry).astype(float)), P.O
+    want = B - O @ B @ O
+    assert float(np.max(np.abs(g.block - (want + want.T) / 4))) <= 1e-14
+
+
 def test_dress_is_linear():
     P = _random_projection(10, 7)
     rng = np.random.default_rng(8)
@@ -124,6 +153,15 @@ def test_parity_charge_full_region_is_reflection(qwz_r6):
     assert float(np.max(np.abs(g.Qtilde - T))) <= 1e-12
     comm = P.matrix @ g.Qtilde - g.Qtilde @ P.matrix
     assert float(np.max(np.abs(comm))) <= 1e-10
+
+
+def test_parity_charge_is_built_on_the_half(qwz_r6):
+    P, part = qwz_r6
+    ids = windowed_site_ids(part, P.geometry, 0.7)
+    g = parity_charge(P, ids[0], P.geometry)
+    assert g.fiber == 2 and g.factor.shape == P.factor.shape
+    Pi, O = np.diag(region_mask(ids[0], P.geometry).astype(float)), P.O
+    assert float(np.max(np.abs(g.Qtilde - 0.5j * (Pi @ O + O @ Pi)))) <= 1e-15
 
 
 def test_parity_charge_empty_region_is_zero(qwz_r6):
