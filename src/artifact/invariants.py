@@ -48,15 +48,12 @@ ANOMALY_TOL = 1e-6
 DEFAULT_NU_ROUND_TOL = 0.1
 
 #: float64 arrays of the generators' factor size exchange_phase_bch holds at
-#: its peak (complex arrays count twice), two arrays above the largest
-#: measured peak, rounded up. At model-basis dims 448 and 804 (alpha 0.1 and
-#: 2.5), tracemalloc gives 6.3 and 5.5 on the Mercator-series path and 8.0 on
-#: the Cayley-transform path; the peak RSS above the pre-call level, in a
-#: fresh process with BLAS and LAPACK warmed up, is 8.2 and 6.4 on the series
-#: path and 14.3 and 13.7 on the Cayley path, whose eigh holds K (in E's
-#: buffer), LAPACK's copy of it, two workspaces and the eigenvectors beside
-#: V0 and X. At the particle-hole half's dims 224 and 402, tracemalloc gives
-#: 7.7 and 6.6 on the series path and 8.0 on the Cayley path
+#: its peak (complex arrays count twice), above every measured peak: at
+#: factor dims 224 and 402 (alpha 0.1 and 2.5), tracemalloc gives 6.3 and 5.3
+#: on the Mercator-series path and 8.0 on the Cayley path, and the peak RSS
+#: above the pre-call level (fresh process, BLAS and LAPACK warmed up, 2
+#: cores) 12.8 and 7.6, and 16.7 and 14.7; the Cayley eigh holds K (in E's
+#: buffer), LAPACK's copy of it, two workspaces and the eigenvectors
 _BCH_WORKING_ARRAYS = 17
 
 #: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
@@ -145,14 +142,6 @@ def _shared_fiber(g0: FluxGenerator, g1: FluxGenerator) -> int:
     return g0.fiber
 
 
-def _anchor_rows(P: BasisProjection, fiber: int, partition: ConicalPartition,
-                 core_fraction: float):
-    """The third core's indices in the basis of generators kept on `fiber`,
-    and the rows there of P.factor when that is P's fiber, of P.O otherwise."""
-    anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
-    return anchor, (P.factor if fiber == P.fiber else P.O)[anchor, :]
-
-
 def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
                              partition: ConicalPartition,
                              core_fraction: float = DEFAULT_CORE_FRACTION):
@@ -162,15 +151,14 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     carrying neither generator) and scaled by the junction multiplicity.
     With P = kron(P1, I_N) and Qa = kron(Ba, qa) the trace factors into
     Tr(q0 q1) times the same trace of the blocks. Identical generators give
-    two identical traces and so exactly zero. Generators kept on the
-    particle-hole half (fiber 2) are traced there against O': T maps the
-    half's site masks to the model's and doubles every trace (chern_number).
+    two identical traces and so exactly zero. Generators on a particle-hole
+    half are traced there, against O', and T doubles each trace.
     """
     g0.check_factors(P)
     g1.check_factors(P)
     fiber = _shared_fiber(g0, g1)
-    anchor, Oa = _anchor_rows(P, fiber, partition, core_fraction)
-    Q0, Q1 = g0.factor, g1.factor
+    anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
+    Oa, Q0, Q1 = P.O_on(fiber)[anchor, :], g0.factor, g1.factor
     t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
     t_rev = _anchored_trace(Oa, anchor, Q1 @ Q0[:, anchor])
     copy_trace = np.trace(g0.charge @ g1.charge)
@@ -277,13 +265,15 @@ def _sector_commutator(X: np.ndarray, d0: np.ndarray, p: np.ndarray) -> np.ndarr
     n = X.shape[0]
     E = np.empty((n, n), dtype=complex)
     for c0 in range(0, n, _SECTOR_COLUMNS):
-        Y = _times(X, X[c0:c0 + _SECTOR_COLUMNS].conj().T * p.conj()[:, None])
+        Xc = X[c0:c0 + _SECTOR_COLUMNS].conj().T  # C-ordered below: no copy in _times
+        Y = _times(X, np.multiply(Xc, p.conj()[:, None], order="C"))
         Y *= d0.conj()[:, None]
         Y = _times(X, Y, adjoint=True)
         Y *= p[:, None]
         Y = _times(X, Y)
         Y *= d0[:, None]
         E[:, c0:c0 + _SECTOR_COLUMNS] = Y
+        del Y  # freed before the next block's products
     E.flat[::n + 1] -= 1.0
     return E
 
@@ -328,10 +318,8 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     sector -j is read off the sector j instead of being computed. A job
     whose block-size working set would not fit in the available memory is
     refused up front.
-    Generators kept on the particle-hole half (fiber 2) run all of this on
-    their factors at dim/2: log C = T(log C'), so phi is twice the half's,
-    and |E|_F is scaled to |T(E')|_F so the skip and branch rules are the
-    model's. The generators are validated before a zero angle returns 1.
+    On a particle-hole half all of this runs at dim/2: log C = T(log C'),
+    phi is twice the half's and |E|_F is scaled to the model's |T(E')|_F.
     """
     g0.check_factors(P)
     g1.check_factors(P)
@@ -361,8 +349,8 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
             continue
         L = None if norm < _SERIES_RADIUS else _log_near_identity(E)  # Cayley; may refuse
         if anchor is None:
-            anchor, Oa = _anchor_rows(P, fiber, partition, core_fraction)
-            Va = V0[anchor, :]
+            anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
+            Oa, Va = P.O_on(fiber)[anchor, :], V0[anchor, :]
         cols = _log_series(E, Va.conj().T) if L is None else L @ Va.conj().T
         del E, L
         Lc = _times(V0, cols)  # L[:, a]

@@ -62,6 +62,10 @@ class BasisProjection:
     def O(self) -> np.ndarray:
         return self.factor if self.fiber == 1 else _particle_hole_O(self.factor)
 
+    def O_on(self, fiber: int) -> np.ndarray:
+        """O for generators kept on `fiber`: the factor on P's own, else O."""
+        return self.factor if fiber == self.fiber else self.O
+
     @property
     def matrix(self) -> np.ndarray:
         P = self.O * -0.5j
@@ -307,7 +311,7 @@ def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
     p10, p11 = O_half[1::2, 0::2], O_half[1::2, 1::2]
     planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)  # twice s, a, d, b
     pairs = len(planes[0])
-    O = np.empty((4 * pairs, 4 * pairs))
+    O = np.empty((4 * pairs, 4 * pairs), dtype=planes[0].dtype)
     fibers = O.reshape(pairs, 4, pairs, 4)
     for i, row in enumerate(_PARTICLE_HOLE_FIBER):
         for j, (k, sign) in enumerate(row):

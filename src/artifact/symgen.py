@@ -6,10 +6,8 @@ fastest, so every generator is a FluxGenerator, the Kronecker pair
 kron(block, charge): a copy-space charge q lifted to the sites of a region X
 is kron(diag(mask_X), q), and a generic dense generator is the N = 1 case
 with charge [[1]]. Every generator here is read off the projection's real
-factor, never off the complex P = (I - iO)/2; a real charge dresses to a
-real block. On a qwz projection the factor is the particle-hole half O',
-O = T(O') (quasifree._particle_hole_O), and T maps the half's site masks to
-the model's exactly: lifted charges and parity generators live there too.
+factor (lifted charges and parity generators stay on a particle-hole half),
+never off the complex P = (I - iO)/2; a real charge dresses to a real block.
 """
 from __future__ import annotations
 
@@ -28,9 +26,8 @@ from .quasifree import BasisProjection
 class FluxGenerator:
     """Generator Qtilde = kron(block, charge) on the stacked space, copy index
     fastest. A generic dense generator is the N = 1 case, charge [[1]], where
-    Qtilde is the block itself. As in BasisProjection, the block is kept as
-    its factor: itself (fiber 1) or the particle-hole half's B' with block
-    T(B') (fiber 2), built on every read."""
+    Qtilde is the block itself. Like BasisProjection it keeps a factor: the
+    block (fiber 1) or a half's B', the block T(B') built on read (fiber 2)."""
     factor: np.ndarray
     charge: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
     region: Optional[object] = None
@@ -38,10 +35,7 @@ class FluxGenerator:
 
     @property
     def block(self) -> np.ndarray:
-        if self.fiber == 1:
-            return self.factor
-        T, B = quasifree._particle_hole_O, self.factor
-        return T(B) if np.isrealobj(B) else T(B.real) + 1j * T(B.imag)
+        return self.factor if self.fiber == 1 else quasifree._particle_hole_O(self.factor)
 
     @property
     def Qtilde(self) -> np.ndarray:
@@ -49,8 +43,7 @@ class FluxGenerator:
 
     def check_factors(self, P: BasisProjection):
         """The generator acts on P's space: its factor on P's single-copy
-        space in the model's basis (fiber 1) or in P's factor's (fiber
-        P.fiber), its charge on P's copies."""
+        space, in the model's basis or on P's fiber, its charge on P's copies."""
         if (self.fiber not in (1, P.fiber) or self.charge.shape != (P.copies,) * 2
                 or self.factor.shape != (P.dim_K // (P.copies * self.fiber),) * 2):
             raise ComputationError("dimension mismatch")
@@ -99,19 +92,16 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     eigendecomposition runs in real arithmetic; a diagonal B takes one
     product (O * b) @ O. Commutes with P by construction; the block is
     re-Hermitized to absorb rounding noise. The result carries `region`, or
-    g's region when none is given. On a particle-hole half (P.fiber 2) a real
-    diagonal B constant on each 4 x 4 fiber of T (every lift_charge block,
-    read from the entries) is T(diag(b[::2])) exactly, and is dressed on the
-    factor and kept there; any other model-basis B is dressed against P.O.
+    g's region when none is given. A lifted charge (real, diagonal, constant
+    on each site) is T(diag(b[::2])): on a half it is dressed on the half.
     """
     g.check_factors(P)
-    B, fiber = g.factor, g.fiber
-    b = np.diagonal(B)
+    B, fiber, b = g.factor, g.fiber, np.diagonal(g.factor)
     if np.count_nonzero(B) != np.count_nonzero(b):
         b = None
     elif fiber < P.fiber and np.isrealobj(b) and (b.reshape(-1, 4) == b[::4, None]).all():
         b, fiber = b[::2], P.fiber
-    O = P.factor if fiber == P.fiber else P.O
+    O = P.O_on(fiber)
     if b is None:
         Qt = O @ B @ O
         np.subtract(B, Qt, out=Qt)
@@ -126,9 +116,8 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
 def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> FluxGenerator:
     """Symmetrized region parity (Pi T + T Pi)/2 with T = 1 - 2P, which
     simplifies to Pi - Pi P - P Pi = (i/2)(Pi O + O Pi) and commutes with P
-    identically. On a stack it acts alike on every copy: kron(block, I_N).
-    It is built on P's factor and kept there: on a particle-hole half the
-    region's mask Pi' has T(Pi') = Pi, so the block is T of that factor."""
+    identically. On a stack it acts alike on every copy: kron(block, I_N),
+    kept on P's factor (a half's region mask has T(Pi') = Pi)."""
     if geometry.dim_K != P.dim_K:
         raise ComputationError("dimension mismatch")
     per_site = geometry.majorana_count // (P.copies * P.fiber)

@@ -379,7 +379,8 @@ def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators)
 @pytest.mark.parametrize("alpha", [0.1, 2.5])  # Mercator series; Cayley eigh (|C - I| = 0.63)
 def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alpha):
     # the guard refuses up front on the estimate of _BCH_WORKING_ARRAYS
-    # block-size float64 arrays, so the run itself must need less
+    # float64 arrays of the generators' factor size (the particle-hole
+    # half's, dim/2), so the run itself must need less
     P, part, g0, g1 = qwz_stack3_r6_generators
     tracemalloc.start()
     try:
@@ -387,27 +388,12 @@ def test_bch_peak_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alph
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    array = 8 * g0.block.shape[0] ** 2
+    array = 8 * len(g0.factor) ** 2
     assert peak < _BCH_WORKING_ARRAYS * array
     if alpha == 0.1:  # the series path holds E, V0 and X, and no W or W^+
         assert peak < 7 * array
     else:  # the Cayley path adds W and log C, and no copy of E or adjoint of W
         assert peak < 9 * array
-
-
-@pytest.mark.parametrize("alpha", [0.1, 2.5])
-def test_bch_peak_on_the_half_stays_below_its_memory_estimate(qwz_stack3_r6_generators, alpha):
-    # the generators are kept on the particle-hole half, and the guard counts
-    # arrays of the factor's size: the run must need less than that estimate
-    P, part, g0, g1 = qwz_stack3_r6_generators
-    array = 8 * len(g0.factor) ** 2
-    tracemalloc.start()
-    try:
-        exchange_phase_bch(P, g0, g1, alpha, alpha, part)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * array < _BCH_WORKING_ARRAYS * array
 
 
 def test_oversize_bch_refused_up_front(qwz_stack3_r6_generators, monkeypatch):
