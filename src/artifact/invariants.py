@@ -135,8 +135,12 @@ def _anchored_trace(Oa: np.ndarray, anchor, Xa: np.ndarray) -> complex:
     return 0.5 * np.trace(Xa[anchor, :]) - 0.5j * np.einsum("ij,ji->", Oa, Xa, optimize=True)
 
 
-def _shared_fiber(g0: FluxGenerator, g1: FluxGenerator) -> int:
-    """The fiber both generators are kept on; different fibers are refused."""
+def _shared_fiber(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator) -> int:
+    """The fiber both generators are kept on: the one check of a generator
+    pair. A generator that does not act on P's space (check_factors), or
+    two on different fibers, are refused."""
+    g0.check_factors(P)
+    g1.check_factors(P)
     if g0.fiber != g1.fiber:
         raise ComputationError("dimension mismatch")
     return g0.fiber
@@ -154,9 +158,7 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     two identical traces and so exactly zero. Generators on a particle-hole
     half are traced there, against O', and T doubles each trace.
     """
-    g0.check_factors(P)
-    g1.check_factors(P)
-    fiber = _shared_fiber(g0, g1)
+    fiber = _shared_fiber(P, g0, g1)
     anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
     Oa, Q0, Q1 = P.O_on(fiber)[anchor, :], g0.factor, g1.factor
     t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
@@ -321,11 +323,9 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     On a particle-hole half all of this runs at dim/2: log C = T(log C'),
     phi is twice the half's and |E|_F is scaled to the model's |T(E')|_F.
     """
-    g0.check_factors(P)
-    g1.check_factors(P)
     if not np.array_equal(g0.charge, g1.charge):
         raise ComputationError("generators carry different charges")
-    fiber = _shared_fiber(g0, g1)
+    fiber = _shared_fiber(P, g0, g1)
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
     check_memory(len(g0.factor), _BCH_WORKING_ARRAYS, "flux commutator")

@@ -57,10 +57,9 @@ def _charge_fibers(r0, r1, c0, c1, block):
     """(rows, cols, X, Y) of an envelope block whose 2 x 2 fibers all read
     x I + y eps: the block's span in units of fibers, its column span widened
     to whole fibers, and the planes X = A[0::2, 0::2], Y = A[0::2, 1::2] of
-    that span; None when the block cuts a fiber or one fiber breaks the
-    form exactly."""
-    if r0 % 2 or r1 % 2:
-        return None
+    that span; None when one fiber breaks the form exactly. The rows r0:r1
+    hold whole fibers: charge_hamiltonian refuses an odd dim first, and
+    every slab but the last has _ENVELOPE_ROWS (even) rows."""
     e0, e1 = c0 - c0 % 2, c1 + c1 % 2
     B = np.zeros((r1 - r0, e1 - e0))
     B[:, c0 - e0:c1 - e0] = block
@@ -88,8 +87,7 @@ class QuadraticHamiltonian:
     certified it (None for a matrix built by hand).
     """
 
-    def __init__(self, A: np.ndarray, geometry: LatticeGeometry, copies: int = 1,
-                 bulk_gap: float | None = None):
+    def __init__(self, A: np.ndarray, geometry: LatticeGeometry):
         if np.iscomplexobj(A):
             real_part = float(np.max(np.abs(A.real)))
             if not real_part <= 1e-12:
@@ -108,7 +106,7 @@ class QuadraticHamiltonian:
         self.blocks = tuple(_envelope(A[r0:r0 + _ENVELOPE_ROWS]
                                       for r0 in range(0, len(A), _ENVELOPE_ROWS)))
         self.dim = len(A)
-        self.geometry, self.copies, self.bulk_gap = geometry, copies, bulk_gap
+        self.geometry, self.copies, self.bulk_gap = geometry, 1, None
 
     @classmethod
     def _of_blocks(cls, blocks, dim: int, geometry: LatticeGeometry, copies: int = 1,

@@ -16,12 +16,12 @@ O^2 = -I, [A, O] = 0), run over slabs of rows against the Hamiltonian it
 was solved from. O and P = (I - iO)/2 are built only when `.O` or
 `.matrix` is read.
 Moments of Majorana generators in the state are evaluated from O two ways:
-a literal permutation-sum oracle (`wick_expectation`) and a Pfaffian fast
-path (`pfaffian_expectation`).
+an oracle that sums Wick's theorem over the perfect matchings of the list
+(`wick_expectation`) and a Pfaffian fast path (`pfaffian_expectation`).
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,13 +423,28 @@ def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
                for Fc in (F[c::S.copies] for c in range(S.copies))) / 2
 
 
-def wick_expectation(S: BasisProjection, vectors) -> complex:
-    """Moment of a product of Majorana generators by the permutation sum.
+def _matchings(items: tuple):
+    """The perfect matchings of `items` as (crossing sign, pairs): the first
+    item is paired with each later one in turn, the k items between them
+    each crossing the new pair or being paired among themselves, so the
+    sign gains (-1)^k. An odd tuple has none; the empty one has one."""
+    if not items:
+        yield 1, ()
+    for k, partner in enumerate(items[1:]):
+        rest = items[1:k + 1] + items[k + 2:]
+        for sign, pairs in _matchings(rest):
+            yield (-1) ** k * sign, ((items[0], partner),) + pairs
 
-    Odd lists vanish identically. Even lists of length 2n are summed over
-    pairings written as permutations s with s(1) < ... < s(n) and
-    s(j) < s(j+n), each weighted by sign(s), with the global prefactor
-    (-1)^(n(n-1)/2). Factorial cost: lists longer than 12 are refused.
+
+def wick_expectation(S: BasisProjection, vectors) -> complex:
+    """Moment of a product of Majorana generators by Wick's theorem: the sum
+    over the perfect matchings of the list of the products of their pair
+    expectations M[l, r] (l < r), each signed by the parity of its crossings
+    (_matchings). Each matching is exactly one permutation s with
+    s(1) < ... < s(n) and s(j) < s(j+n), pairing s(j) with s(j+n), and its
+    crossing sign is sign(s) (-1)^(n(n-1)/2): this is the direct permutation
+    sum over those s. Odd lists have no matching and vanish identically.
+    The sum has (2n - 1)!! terms: lists longer than 12 are refused.
     """
     vectors = list(vectors)
     if len(vectors) > _WICK_MAX:
@@ -438,35 +453,9 @@ def wick_expectation(S: BasisProjection, vectors) -> complex:
         return complex(0.0)
     if not vectors:
         return complex(1.0)
-    n = len(vectors) // 2
-    M = _pair_matrix(S, vectors)
-    total = 0.0 + 0.0j
-    indices = range(2 * n)
-    for left in itertools.combinations(indices, n):
-        rest = [i for i in indices if i not in left]
-        for right in itertools.permutations(rest):
-            if any(l > r for l, r in zip(left, right)):
-                continue
-            perm = list(left) + list(right)
-            total += _perm_sign(perm) * np.prod([M[l, r] for l, r in zip(left, right)])
-    pref = (-1) ** ((n * (n - 1)) // 2)
-    return complex(pref * total)
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    M = _pair_matrix(S, vectors).tolist()
+    return complex(sum(sign * math.prod(M[l][r] for l, r in pairs)
+                       for sign, pairs in _matchings(tuple(range(len(vectors))))))
 
 
 def pfaffian_expectation(S: BasisProjection, vectors) -> complex:

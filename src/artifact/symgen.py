@@ -128,13 +128,20 @@ def parity_charge(P: BasisProjection, region, geometry: LatticeGeometry) -> Flux
 
 
 def flux_unitary(g: FluxGenerator, alpha: float) -> np.ndarray:
-    """exp(i alpha Qtilde) through the Hermitian eigendecompositions of the
-    block and the charge: with B = V diag(lam) V^+ and c = W diag(j) W^+,
-    Qtilde = X diag(lam_a j_b) X^+ for X = kron(V, W) (exactly unitary up to
-    rounding; no series). The block is read in the model's basis."""
+    """exp(i alpha Qtilde) over the charge sectors: with c = sum_j j P_j,
+    exp(i alpha kron(B, c)) = sum_j kron(exp(i alpha j B), P_j), one term
+    per distinct eigenvalue j of the charge. Each exp(i alpha j B) comes
+    from the one Hermitian eigendecomposition of the generator's factor (no
+    series); on a particle-hole half it is T(exp(i alpha j B')), since T is
+    a unital homomorphism, so the block T(B') is never formed. The result
+    is exactly unitary up to rounding."""
     if alpha == 0.0:
         return np.eye(len(g.factor) * g.fiber * len(g.charge), dtype=complex)
-    lam, V = np.linalg.eigh(g.block)
+    lam, V = np.linalg.eigh(g.factor)
     js, W = np.linalg.eigh(g.charge)
-    X = np.kron(V, W)
-    return (X * np.exp(1j * alpha * np.kron(lam, js))) @ X.conj().T
+    U = np.zeros((len(V) * g.fiber * len(W),) * 2, dtype=complex)
+    for j in np.unique(js):
+        D = (V * np.exp(1j * alpha * j * lam)) @ V.conj().T
+        Wj = W[:, js == j]
+        U += np.kron(D if g.fiber == 1 else quasifree._particle_hole_O(D), Wj @ Wj.conj().T)
+    return U

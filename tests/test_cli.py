@@ -66,6 +66,12 @@ def test_malformed_config_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_rejected(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "list.json", [{"model": {"family": "qwz"}}])
+    assert main(["chern", "--config", cfg]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_small_radius_rejected(capsys):
     assert main(["chern", "--radius", "3"]) == 2
     assert "radius" in capsys.readouterr().err
@@ -100,11 +106,14 @@ NAN, INF = float("nan"), float("inf")
     ("chern", {"geometry": {"boundary_angles": [0, 0, 1]}}, [], "geometry.boundary_angles"),
     ("sweep", {"model": {"family": "trivial"}, "geometry": {"gap_halfwidth": -0.1}},
      ["--radii", "4,5"], "geometry.gap_halfwidth"),
+    ("chern", {"numerics": {"core_fraction": 1.5}}, [], "numerics.core_fraction"),
+    ("sweep", None, ["--radii", "4,x"], "radii must be numbers"),
 ], ids=["apex-nan", "radius-inf", "u-nan", "u-inf", "mu-nan", "kgrid-nan",
         "angles-scalar", "apex-short", "core-fraction-string", "gap-tol-nan",
         "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf",
         "gap-tol-negative", "round-tol-negative", "halfwidth-negative",
-        "angles-degenerate", "sweep-halfwidth-negative"])
+        "angles-degenerate", "sweep-halfwidth-negative", "core-fraction-above-one",
+        "sweep-radius-x"])
 def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
     if payload is not None:
         argv = ["--config", _write_cfg(tmp_path, "bad.json", payload)] + argv
@@ -244,6 +253,14 @@ def test_report_carries_projection_health(capsys):
     # qwz at u = 1: |E(k)| >= 1, with equality at k = (pi, 0), (0, pi), (pi, pi)
     assert diag["bulk_gap"] == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= diag["projection_residual"] <= 1e-12
+
+
+def test_explicit_gap_tol_is_the_one_used(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "tol.json", {"model": {"family": "trivial"},
+                                            "geometry": {"radius": 5.0},
+                                            "numerics": {"gap_tol": 1e-3}})
+    assert main(["chern", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["indices"]["diagnostics"]["gap_used"] == 1e-3
 
 
 def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):

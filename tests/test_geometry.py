@@ -33,6 +33,12 @@ def test_tiny_radius_is_empty():
         build_disk_lattice("square", 0.1)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_nonpositive_radius_is_empty(radius):
+    with pytest.raises(ComputationError, match="empty lattice"):
+        build_disk_lattice("square", radius)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ComputationError):
         build_disk_lattice("hex", 6.0)

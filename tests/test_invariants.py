@@ -160,6 +160,17 @@ def test_identical_generators_give_exact_zero(qwz_stack3_r6_generators):
     assert hall_sigma(P, g0, g0, part) == 0.0
 
 
+def test_non_hermitian_generators_are_refused(qwz_r6):
+    # real generators on the half that are not symmetric give Tr(P[Q0, Q1])
+    # an imaginary part
+    P, part = qwz_r6
+    assert P.fiber == 2
+    rng = np.random.default_rng(5)
+    g0, g1 = (FluxGenerator(rng.standard_normal(P.factor.shape), fiber=2) for _ in range(2))
+    with pytest.raises(ComputationError, match="non-Hermitian anomaly"):
+        invariants.hall_sigma_with_residual(P, g0, g1, part)
+
+
 def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
     base = hall_sigma(P, g0, g1, part)

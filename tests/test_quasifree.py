@@ -68,6 +68,15 @@ def test_zero_hamiltonian_unresolvable(trivial_projection):
         ground_projection(h0, 1e-8)
 
 
+def test_real_path_refuses_a_total_cluster():
+    # a paired model takes the real path, where a gap_tol above the whole
+    # spectrum makes every mode a cluster member
+    h = build_pip(-1.0, 0.5, build_disk_lattice("square", 4.0, majorana_count=2))
+    assert h.charge_hamiltonian() is None
+    with pytest.raises(ComputationError, match="unresolvable zero modes"):
+        ground_projection(h, 100.0)
+
+
 def test_exact_zero_pair_resolved(trivial_projection):
     _, h = trivial_projection
     K = h.matrix.copy()
@@ -1011,6 +1020,15 @@ def test_stacked_moments_match_the_dense_kron_projection():
     vs = [rng.standard_normal(18) + 1j * rng.standard_normal(18) for _ in range(4)]
     assert abs(wick_expectation(S, vs[:2]) - vs[0] @ S.matrix @ vs[1]) <= 1e-12
     assert abs(pfaffian_expectation(S, vs) - wick_expectation(S, vs)) <= 1e-10
+
+
+def test_four_vector_wick_sum_is_the_three_pairings():
+    rng = np.random.default_rng(4)
+    S = random_covariance(8, rng)
+    vs = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(4)]
+    M = quasifree._pair_matrix(S, vs)
+    want = M[0, 1] * M[2, 3] - M[0, 2] * M[1, 3] + M[0, 3] * M[1, 2]
+    assert abs(wick_expectation(S, vs) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_car_relation():

@@ -11,11 +11,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       chern_number, core_regions, cyclic_charge, dress_charge,
                       exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
-                      lift_charge, make_good_partition, stack_copies, twist_statistics)
+                      lift_charge, make_good_partition, parity_charge, stack_copies,
+                      twist_statistics)
 from artifact import ComputationError, invariants, quasifree
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import BasisProjection
@@ -177,6 +179,31 @@ def test_half_pipeline_never_assembles_O(half_stack, monkeypatch):
         exchange_phase_bch(P, g0, g1, alpha, alpha, part)
     assert assembled == []
     assert sizes and max(sizes) == len(P.factor) == P.dim_K // (2 * N)
+
+
+def test_flux_unitary_eigh_stays_at_the_factor(half_stack, monkeypatch):
+    # the unitary of a generator on the half is summed over its charge
+    # sectors from the eigh of the half's block, never of T(B')
+    N, part, P, _ = half_stack
+    g0, _ = _dressed_pair(P, part, N)
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    flux_unitary(g0, 0.7)
+    assert max(sizes) == len(g0.factor) == P.dim_K // (2 * N)
+
+
+def test_flux_unitaries_on_the_half_are_exponentials():
+    # a dressed lifted cyclic charge and a parity generator (charge I_N),
+    # both kept on the half, against scipy's expm of the dense Qtilde
+    u, radius, N = HALF_CASES["u1_r4_n5"]
+    geom = build_disk_lattice("square", radius, majorana_count=4)
+    part = make_good_partition(geom.apex)
+    P = ground_projection(stack_copies(build_qwz(u, geom), N), 1e-4)
+    ids, _ = core_regions(P, part, 0.7)
+    for g in (_dressed_pair(P, part, N)[0], parity_charge(P, ids[0], P.geometry)):
+        assert g.fiber == 2 and len(g.charge) == N
+        want = scipy.linalg.expm(0.7j * g.Qtilde)
+        assert float(np.max(np.abs(flux_unitary(g, 0.7) - want))) <= 1e-12
 
 
 def test_generators_of_different_fibers_are_refused(half_stack):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +165,12 @@ def test_parity_charge_is_built_on_the_half(qwz_r6):
     assert float(np.max(np.abs(g.Qtilde - 0.5j * (Pi @ O + O @ Pi)))) <= 1e-15
 
 
+def test_parity_charge_refuses_a_geometry_of_another_dimension(qwz_r6):
+    P, _ = qwz_r6
+    with pytest.raises(ComputationError, match="dimension mismatch"):
+        parity_charge(P, [0], P.geometry.with_majorana_count(2))
+
+
 def test_parity_charge_empty_region_is_zero(qwz_r6):
     P, _ = qwz_r6
     g = parity_charge(P, [], P.geometry)
@@ -203,3 +210,13 @@ def test_flux_unitary_properties():
     comm = U @ P.matrix - P.matrix @ U
     assert float(np.max(np.abs(comm))) <= 1e-10
 
+
+def test_flux_unitary_of_a_complex_generator_is_its_exponential():
+    # a complex fiber-1 block with a charge of three distinct eigenvalues:
+    # the sum over charge sectors against scipy's expm of the dense Qtilde
+    rng = np.random.default_rng(15)
+    Q = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = FluxGenerator((Q + Q.conj().T) / 2, (c + c.conj().T) / 2)
+    want = scipy.linalg.expm(0.7j * g.Qtilde)
+    assert float(np.max(np.abs(flux_unitary(g, 0.7) - want))) <= 1e-12
