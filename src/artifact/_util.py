@@ -48,31 +48,28 @@ def available_memory() -> int | None:
     return min(avail) if avail else None
 
 
-#: dim x dim float64 arrays ground_projection holds at its peak. On the real
-#: path (quasifree._real_structure on an A without the charge structure:
-#: pairing or a broken fiber) that is the eigh: S = A^T A, LAPACK's copy of
-#: it and its workspace (two arrays), and the eigenvectors V. A itself is
-#: held as its row envelope blocks (0.16 of an array at dim 1816, 0.11 at
-#: 3216), and S is summed from them (h.gram), so no dense A is formed.
-#: After the eigh: V and F = G G^T, then F and O = A F in V's buffer; the
-#: checks of the tail run over slabs of 256 rows. Peak RSS above the
-#: imported interpreter, model build included, measured 5.26 at dim 1816
-#: and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's buffers,
-#: measures 2.0 at dim 804 and 1816. An A with no pairing whose charge
-#: Hamiltonian is particle-hole symmetric (quasifree._complex_structure;
-#: every qwz disk) runs the real path at dim/2, each of its
-#: arrays a quarter of one here, and keeps the half's O' as the
-#: projection's factor: O is never allocated. tracemalloc measures 0.79 at
-#: dim 804 and 0.76 at 1816 (the eigh at dim/2 and the blocks of A');
-#: the peak RSS, set by the eigh, measures 2.4 at dim 804, 1.64 at 1816
-#: and 1.45 at 3216. Any other
-#: charge-conserving A peaks in a complex eigh of size dim/2 at about 2.5:
-#: H, LAPACK's copy and workspace (1.5) and the eigenvectors U, each
-#: complex (dim/2)^2 array half a real one (measured on qwz disks: peak RSS
-#: 3.83 at dim 804, 2.88 at 1816, 2.73 at 3216; tracemalloc 2.00). The
-#: estimate stays at the real path's 6, which any input can reach. Tests
-#: pin the traced peaks of the projection and of the charge path (below
-#: 0.85 at dim 804) and of the model build (0.56 at dim 804) below it
+#: dim x dim float64 arrays ground_projection holds at its peak. When A is
+#: solved on itself (quasifree._real_structure; pip, or any A of one group
+#: without the particle-hole half) that is the eigh: S = A^T A, LAPACK's
+#: copy of it and its workspace (two arrays), and the eigenvectors V. A
+#: itself is held as its row envelope blocks (0.16 of an array at dim 1816,
+#: 0.11 at 3216), and S is summed from them (h.gram), so no dense A is
+#: formed. After the eigh: V and F = G G^T, then F and O = A F in V's
+#: buffer; the checks of the tail run over slabs of 256 rows. Peak RSS
+#: above the imported interpreter, model build included, measured 5.26 at
+#: dim 1816 and 5.17 at dim 3216; tracemalloc, which does not see LAPACK's
+#: buffers, measures 2.0 at dim 804 and 1816. The particle-hole half
+#: (every qwz disk) runs the same solver at dim/2, each of its arrays a
+#: quarter of one here, reads A''s blocks from A's without a dense H or A',
+#: and keeps the half's O' as the projection's factor: O is never
+#: allocated. tracemalloc measures 0.71 at dim 804 and 0.56 at 1816; the
+#: peak RSS, set by the eigh, measured 2.4 at dim 804, 1.64 at 1816 and
+#: 1.45 at 3216. A block-diagonal A (trivial) holds the zeroed factor and
+#: one diagonal group's arrays at a time: tracemalloc measures 1.09 at dim
+#: 804 and 1.02 at 1816. The estimate stays at the solver's 6 at dim, which
+#: any input can reach. Tests pin the traced peaks of the projection (below
+#: 0.85 on the half and 1.15 on the groups, at dim 804) and of the model
+#: build (0.56 at dim 804) below it
 _WORKING_ARRAYS = 6
 
 

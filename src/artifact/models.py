@@ -56,11 +56,15 @@ def _envelope(slabs):
 def _charge_fibers(r0, r1, c0, c1, block):
     """(rows, cols, X, Y) of an envelope block whose 2 x 2 fibers all read
     x I + y eps: the block's span in units of fibers, its column span widened
-    to whole fibers, and the planes X = A[0::2, 0::2], Y = A[0::2, 1::2] of
-    that span; None when one fiber breaks the form exactly. The rows r0:r1
-    hold whole fibers: charge_hamiltonian refuses an odd dim first, and
-    every slab but the last has _ENVELOPE_ROWS (even) rows."""
-    e0, e1 = c0 - c0 % 2, c1 + c1 % 2
+    to whole pairs of fibers (4 columns), and the planes X = A[0::2, 0::2],
+    Y = A[0::2, 1::2] of that span; None when one fiber breaks the form
+    exactly. Under the form, A is the real form of -iH for the complex
+    Hermitian H = Y + iX of size dim/2 on the pairs (gamma_{a,1},
+    gamma_{a,2}): a Hamiltonian with no pairing term (_bond_fibers with
+    D = 0 gives x = Im h_ab, y = Re h_ab). The rows r0:r1 hold whole pairs
+    of fibers when 4 divides dim, which the caller requires: every slab but
+    the last has _ENVELOPE_ROWS rows."""
+    e0, e1 = c0 - c0 % 4, c1 + -c1 % 4
     B = np.zeros((r1 - r0, e1 - e0))
     B[:, c0 - e0:c1 - e0] = block
     X, Y = B[0::2, 0::2], B[0::2, 1::2]
@@ -143,26 +147,6 @@ class QuadraticHamiltonian:
         for *_, c0, c1, block in self.blocks:
             S[c0:c1, c0:c1] += block.T @ block
         return S
-
-    def charge_hamiltonian(self) -> np.ndarray | None:
-        """The complex Hermitian H of size dim/2 with A = -iH under the
-        complex structure of the pairs (gamma_{a,1}, gamma_{a,2}), or None.
-
-        A commutes with the charge rotation exactly when every 2 x 2 fiber
-        A[2a:2a+2, 2b:2b+2] has the form x I + y eps, eps = [[0, 1],
-        [-1, 0]]: a Hamiltonian with no pairing term (_bond_fibers with
-        D = 0 gives x = Im h_ab, y = Re h_ab). Then H = Y + iX, the hopping
-        matrix itself, and O = -i sign(iA) is the real form of -i sign(H).
-        The structure is read from the blocks' entries, never assumed from
-        a family: None is returned at the first block with a fiber that
-        breaks it exactly, and for an odd dim, before H is allocated."""
-        if self.dim % 2 or not all(_charge_fibers(*b) for b in self.blocks):
-            return None
-        H = np.zeros((self.dim // 2, self.dim // 2), dtype=complex)
-        for block in self.blocks:
-            rows, cols, X, Y = _charge_fibers(*block)
-            H[rows, cols].real, H[rows, cols].imag = Y, X
-        return H
 
     def dense(self) -> np.ndarray:
         """The single-copy A as a dense dim x dim array."""

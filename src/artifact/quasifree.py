@@ -2,18 +2,20 @@
 
 The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
 is the span of its negative-energy eigenvectors. `ground_projection` computes
-the real complex structure O = -i sign(H) of that sector in real arithmetic:
-from one real eigh of size dim/2 when A conserves charge (no pairing) and
-its charge Hamiltonian has the particle-hole symmetry (every qwz disk),
-from one complex eigh of size dim/2 for any other charge-conserving A, and
-from one real eigh of size dim otherwise. `_complex_structure` alone picks
-the path, from A's entries, and no path falls back to another; each fills
-a near-zero cluster halfway, mode by mode (open disks of chiral models
-carry edge modes). On the first path O is a two-copy stack of the half's
+the real complex structure O = -i sign(H) of that sector in real arithmetic,
+by one structure solver (`_real_structure`: one real eigh of A^T A and a
+small window problem) applied to one of three reductions of A, which
+`_complex_structure` alone picks from A's entries: the diagonal groups of
+a block-diagonal A (trivial), each solved on its own; the particle-hole
+half of size dim/2 when A conserves charge (no pairing) and its charge
+Hamiltonian has the particle-hole symmetry (every qwz disk), read block to
+block from A; and A itself otherwise. No reduction falls back to another;
+each fills a near-zero cluster halfway, mode by mode (open disks of chiral
+models carry edge modes). On the half O is a two-copy stack of the half's
 O', which the projection keeps as its factor, as it keeps the single copy
 of a stack. The factor is accepted only with its certificate (O^T = -O,
-O^2 = -I, [A, O] = 0), run over slabs of rows against the Hamiltonian it
-was solved from. O and P = (I - iO)/2 are built only when `.O` or
+O^2 = -I, [A, O] = 0), run over slabs of rows against the Hamiltonian each
+piece was solved from. O and P = (I - iO)/2 are built only when `.O` or
 `.matrix` is read.
 Moments of Majorana generators in the state are evaluated from O two ways:
 an oracle that sums Wick's theorem over the perfect matchings of the list
@@ -21,13 +23,14 @@ an oracle that sums Wick's theorem over the perfect matchings of the list
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import ComputationError, as_integer, check_memory
-from .models import QuadraticHamiltonian
+from .models import QuadraticHamiltonian, _charge_fibers, _envelope
 
 _WICK_MAX = 12
 
@@ -35,7 +38,7 @@ _WICK_MAX = 12
 #: small window problem: squaring A costs them accuracy, the window does not
 _WINDOW_FRACTION = 0.1
 
-#: |lambda| at or below this is an exact zero mode of the cluster (both paths)
+#: |lambda| at or below this is an exact zero mode of the cluster
 _EXACT_ZERO = 1e-12
 
 #: largest residual of O^T = -O, O^2 = -I and [A, O] = 0 a projection passes
@@ -201,87 +204,108 @@ def _certify(h: QuadraticHamiltonian, O: np.ndarray) -> float:
 
 
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
-    """(solved, (O, edge gap min|lambda|, cluster size m)): O = -i sign(iA)
-    for the A of the Hamiltonian `solved`, near-zero cluster filled halfway.
-    The one place a path is chosen, from the entries of A:
+    """(factor, fiber, (edge gap, cluster size m, residual)): O = -i sign(iA)
+    for h's A, near-zero cluster filled halfway, kept as the projection's
+    factor. The one place a reduction is chosen, from the entries of A;
+    each is solved by _real_structure and certified by _certify against
+    its own Hamiltonian, and none falls back to another:
 
-    An A without the charge structure (h.charge_hamiltonian() is None:
-    pairing or a broken fiber) takes _real_structure on A itself, and
-    `solved` is h.
+    An A of several diagonal groups (_diagonal_groups: trivial and its
+    stacks) is solved group by group, each O written into a zeroed
+    dim x dim factor. Its health is the smallest edge gap, the summed
+    cluster and the largest residual: A and O are block-diagonal alike, so
+    the groups' certificates are the whole one.
 
-    An A = -iH whose H has the particle-hole symmetry (_particle_hole_form;
-    every qwz disk and stack) takes _real_structure on the real
-    antisymmetric A' of size dim/2, one real eigh of A'^T A', and `solved`
-    is A''s Hamiltonian, whose O' is h's factor. Its lambdas are H's, so m
-    counts H's cluster twice.
+    One group whose A has the particle-hole half (_particle_hole_half;
+    every qwz disk and stack) is solved at dim/2 on the half's A', and the
+    half's O' is the factor (fiber 2). Its lambdas are H's, so m counts H's
+    cluster twice.
 
-    Every other H takes one complex eigh, sign(H) = I - 2 G G^+, G the
-    occupied eigenvectors, and `solved` is h. Each lambda of H is a pair
-    +-lambda of iA, so the cluster |lambda| <= gap_tol (m twice its size)
-    is filled halfway: a split pair keeps its negative member; an exact
-    zero mode (_EXACT_ZERO) stays empty, which commutes with the charge
-    rotation. O is the real form of -i sign(H),
-    O[0::2, 0::2] = O[1::2, 1::2] = Im and O[0::2, 1::2] = -O[1::2, 0::2]
-    = Re, antisymmetrized over tile pairs."""
-    H = h.charge_hamiltonian()
-    if H is None:
-        return h, _real_structure(h, gap_tol)
-    A_half = _particle_hole_form(H)
-    if A_half is not None:
-        del H  # freed before A' is checked and split into its blocks
-        half = QuadraticHamiltonian(A_half, None)
-        del A_half
-        O_half, edge_gap, m = _real_structure(half, gap_tol)
-        return half, (O_half, edge_gap, 2 * m)
-    lam, U = np.linalg.eigh(H)  # ascending
-    del H
-    edge_gap = float(np.min(np.abs(lam)))
-    m = int(np.count_nonzero(np.abs(lam) <= gap_tol))
-    if m == lam.size:
-        raise ComputationError("unresolvable zero modes")
-    # U is freed before O is allocated, and O before S: S is then freed
-    # above O, where the slabs of ground_projection's checks reuse its
-    # pages, and the eigh stays the peak RSS
-    G = U[:, :int(np.searchsorted(lam, -min(gap_tol, _EXACT_ZERO)))].copy()
-    del U
-    O = np.empty((h.dim, h.dim))
-    S = G @ G.conj().T
-    del G
-    S *= -2.0
-    S.flat[::S.shape[0] + 1] += 1.0  # sign(H)
-    O[0::2, 0::2] = S.imag
-    O[1::2, 1::2] = S.imag
-    O[0::2, 1::2] = S.real
-    np.negative(S.real, out=O[1::2, 0::2])
-    del S
-    _antisymmetrize(O)
-    return h, (O, edge_gap, 2 * m)
+    Any other A (pip, or a charge-conserving A without the particle-hole
+    relation) is solved on itself."""
+    groups = _diagonal_groups(h)
+    if len(groups) == 1:
+        solved = _particle_hole_half(h) or h
+        O, edge_gap, m = _real_structure(solved, gap_tol)
+        fiber = h.dim // solved.dim
+        return O, fiber, (edge_gap, fiber * m, _certify(solved, O))
+    O, health = np.zeros((h.dim, h.dim)), []
+    for r0, group in groups:
+        O_group, edge_gap, m = _real_structure(group, gap_tol)
+        health.append((edge_gap, m, _certify(group, O_group)))
+        O[r0:r0 + group.dim, r0:r0 + group.dim] = O_group
+    gaps, clusters, residuals = zip(*health)
+    return O, 1, (min(gaps), sum(clusters), max(residuals))
 
 
-def _particle_hole_form(H: np.ndarray) -> np.ndarray | None:
-    """The real antisymmetric A' of size n = len(H) with W^+ H W = iA', or
-    None when H lacks the particle-hole symmetry.
+def _diagonal_groups(h: QuadraticHamiltonian):
+    """[(r0, group)]: the diagonal blocks A[r0:r1, r0:r1] that A is the direct
+    sum of, at the resolution of h's envelope blocks, each as a Hamiltonian
+    of its own. The blocks are scanned in row order, and a group closes at
+    the row r1 where its last block ends once none of its blocks reaches a
+    column >= r1. A is exactly antisymmetric, so no later row reaches back
+    into it either: the forward reach is the whole check."""
+    groups, first, reach = [], 0, 0
+    for i, (_, end, _, c1, _) in enumerate(h.blocks):
+        reach = max(reach, c1)
+        if reach <= end:  # the group's rows and columns, counted from its first row
+            g0 = h.blocks[first][0]
+            groups.append((g0, QuadraticHamiltonian._of_blocks(tuple(
+                (r0 - g0, r1 - g0, *((c0 - g0, c1 - g0) if c1 > c0 else (0, 0)), block)
+                for r0, r1, c0, c1, block in h.blocks[first:i + 1]), end - g0, None)))
+            first = i + 1
+    return [(0, h)] if len(groups) == 1 else groups
+
+
+def _particle_hole_half(h: QuadraticHamiltonian) -> QuadraticHamiltonian | None:
+    """The Hamiltonian of the real antisymmetric A' of size n = dim/2 with
+    W^+ H W = iA', read block to block from h's A; None when A lacks the
+    charge form (_charge_fibers: pairing or a broken fiber) or its H = Y + iX
+    lacks the particle-hole symmetry.
 
     H has it when sigma_x conj(H) sigma_x = -H on every pair of orbitals
-    (2a, 2a + 1): H[0::2, 0::2] = -conj(H[1::2, 1::2]) and H[0::2, 1::2] =
-    -conj(H[1::2, 0::2]), entry for entry (class D: the qwz Bloch matrix
-    has sigma_x H(-k)* sigma_x = -H(k)). The symmetry is read from the
+    (2a, 2a + 1), entry for entry (class D: the qwz Bloch matrix has
+    sigma_x H(-k)* sigma_x = -H(k)). On the planes X00 = X[0::2, 0::2],
+    ... of X and Y that reads Y00 = -Y11, X00 = X11, Y01 = -Y10 and
+    X01 = X10, one 4 x 4 fiber of A at a time, so it is read from the
     entries, never assumed from a family. W = [[1, i], [1, -i]]/sqrt(2) on
-    each pair has W W^T = sigma_x, so W^+ H W is imaginary; its planes,
-    1/2 Im/Re of h00 +- h01 +- h10 +- h11, are under the symmetry sums of
-    two planes of h00 = H[0::2, 0::2] and h01 = H[0::2, 1::2], rounded
-    once."""
-    h00, h01 = H[0::2, 0::2], H[0::2, 1::2]
-    if not (np.array_equal(h00, -H[1::2, 1::2].conj())
-            and np.array_equal(h01, -H[1::2, 0::2].conj())):
+    each pair has W W^T = sigma_x, so W^+ H W is imaginary; its planes
+    are, under the symmetry, A'00 = X00 + X01, A'01 = Y00 - Y01,
+    A'10 = -(Y00 + Y01) and A'11 = X00 - X01, each rounded once, and each
+    block of A writes them over its own span into a slab of _ENVELOPE_ROWS
+    rows of A' (two blocks of A), which models._envelope turns into A''s
+    blocks: no dense H or A' is formed."""
+    n = h.dim // 2
+    slabs = (_half_slab(h.blocks[k:k + 2], n) for k in range(0, len(h.blocks), 2))
+    blocks = tuple(_envelope(itertools.takewhile(lambda slab: slab is not None, slabs)))
+    if h.dim % 4 or not blocks or blocks[-1][1] < n:  # no pairs, or a slab broke the form
         return None
-    A = np.empty(H.shape)
-    np.add(h00.imag, h01.imag, out=A[0::2, 0::2])
-    np.subtract(h00.real, h01.real, out=A[0::2, 1::2])
-    np.add(h00.real, h01.real, out=A[1::2, 0::2])
-    np.negative(A[1::2, 0::2], out=A[1::2, 0::2])
-    np.subtract(h00.imag, h01.imag, out=A[1::2, 1::2])
-    return A
+    return QuadraticHamiltonian._of_blocks(blocks, n, None)
+
+
+def _half_slab(blocks, n: int) -> np.ndarray | None:
+    """The rows of A' (n columns) that the envelope blocks `blocks` of A
+    hold, or None when one of their fibers breaks the charge form or the
+    particle-hole relation (_particle_hole_half). Each block writes A''s
+    planes over its own span; the blocks' planes are freed on return,
+    before models._envelope copies the slab's block."""
+    pair = [_charge_fibers(*block) for block in blocks]
+    if not all(pair) or not all(
+            np.array_equal(Y[0::2, 0::2], -Y[1::2, 1::2])
+            and np.array_equal(X[0::2, 0::2], X[1::2, 1::2])
+            and np.array_equal(Y[0::2, 1::2], -Y[1::2, 0::2])
+            and np.array_equal(X[0::2, 1::2], X[1::2, 0::2]) for _, _, X, Y in pair):
+        return None
+    first = pair[0][0].start
+    slab = np.zeros((pair[-1][0].stop - first, n))
+    for rows, cols, X, Y in pair:
+        A = slab[rows.start - first:rows.stop - first, cols]
+        X00, X01, Y00, Y01 = X[0::2, 0::2], X[0::2, 1::2], Y[0::2, 0::2], Y[0::2, 1::2]
+        A[0::2, 0::2] = X00 + X01
+        A[0::2, 1::2] = Y00 - Y01
+        A[1::2, 0::2] = -(Y00 + Y01)
+        A[1::2, 1::2] = X00 - X01
+    return slab
 
 
 #: the 4 x 4 fiber O[4p:4p + 4, 4q:4q + 4] of O = W O' W^+ in the real form,
@@ -304,7 +328,7 @@ def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
     fixed orthogonal 4 x 4 Q, so O is a two-copy stack of O' in a site-local
     frame, and every triple trace of O between site regions is twice that
     of O'. T is a *-homomorphism with T(I) = I, and A = T(A') up to the one
-    rounding of _particle_hole_form, so O O^T - I = T(O' O'^T - I) and
+    rounding of _particle_hole_half, so O O^T - I = T(O' O'^T - I) and
     [A, O] = T([A', O']); each entry of T(X) is +-(x1 +- x2)/2 for two
     entries of X, so the half's certificate bounds the full one."""
     p00, p01 = O_half[0::2, 0::2], O_half[0::2, 1::2]
@@ -391,14 +415,16 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     Eigenvalues with |lambda| <= gap_tol form the near-zero cluster. An empty
     cluster gives the plain lambda < 0 projector; a nonzero one is filled
     halfway, choosing members compatibly with entrywise conjugation so that
-    P + JPJ = I survives (see _complex_structure). The result is refused as
+    P + JPJ = I survives (see _real_structure). The result is refused as
     gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
-    (1e-12); the last certifies that P commutes with H (_certify). The one
-    certificate runs against the Hamiltonian that O was solved from: the
-    particle-hole half at dim/2 (every qwz disk and stack), whose O' the
-    result keeps as its factor (fiber 2) and whose residual bounds O's
-    (_particle_hole_O), or h itself (fiber 1). A gap_tol that is not a
-    finite number >= 0 is refused before any eigh.
+    (1e-12); the last certifies that P commutes with H (_certify). Each
+    certificate runs against the Hamiltonian its piece of O was solved
+    from (_complex_structure): each diagonal group of a block-diagonal A,
+    whose O's are written into one factor (fiber 1); the particle-hole half
+    at dim/2 (every qwz disk and stack), whose O' the result keeps as its
+    factor (fiber 2) and whose residual bounds O's (_particle_hole_O); or
+    h itself (fiber 1). A gap_tol that is not a finite number >= 0 is
+    refused before any eigh.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
@@ -407,10 +433,10 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     if not 0.0 <= gap_tol < np.inf:
         raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
     check_memory(h.dim)
-    solved, (O, edge_gap, m) = _complex_structure(h, gap_tol)
+    O, fiber, (edge_gap, m, residual) = _complex_structure(h, gap_tol)
     health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
-              "projection_residual": _certify(solved, O)}
-    return BasisProjection(O, h.geometry, health, h.copies, h.dim // solved.dim)
+              "projection_residual": residual}
+    return BasisProjection(O, h.geometry, health, h.copies, fiber)
 
 
 def _pair_matrix(S: BasisProjection, vectors) -> np.ndarray:
@@ -507,7 +533,8 @@ def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
     check_memory(dim)
     while True:
         A = rng.standard_normal((dim, dim))
-        # a random A has no charge structure: _complex_structure would take this path
+        # a random A is one group without the charge form: _complex_structure
+        # would solve it on itself, as here
         O, edge_gap, _ = _real_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
         if edge_gap > 1e-6:
             return BasisProjection(O)

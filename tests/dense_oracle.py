@@ -12,6 +12,11 @@ lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
 `artifact.quasifree.ground_projection`. `dense_basis_projection` stores such
 a complex P in the real form O = -2 Im P that the evaluators read.
+`dense_charge_structure` makes one complex eigh of the charge Hamiltonian
+H = Y + iX of size dim/2 that a charge-conserving A is the real form of,
+and writes the real form of -i sign(H); it is the oracle for the
+reductions of such an A (`artifact.quasifree._complex_structure`: the
+particle-hole half and the diagonal groups), which never form H.
 `dense_A_structure` is the real path with a dense A held throughout: the
 same products as `artifact.quasifree._real_structure`, taken over the
 row envelope that the constructor reads off the dense A (the square A^T A
@@ -100,12 +105,10 @@ def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
     A cluster of exact zero modes is paired from the canonical real
     orthonormal null basis (the pairing is a choice, shared with the real
     path, artifact.quasifree._real_structure, so the two can be compared
-    entrywise; the complex eigh of a charge Hamiltonian H leaves the exact
-    zero modes of H empty, which is the same choice on a zero pair in one
-    site's fiber); a cluster of split +-epsilon pairs keeps their negative
+    entrywise); a cluster of split +-epsilon pairs keeps their negative
     members. The oracle fills a cluster all or nothing: it treats a cluster
     holding both kinds as split, so a mixed cluster, which production fills
-    mode by mode, is checked against the complex eigh instead.
+    mode by mode, is checked outside the fibers of its exact zeros.
     """
     H = h.matrix
     dim = H.shape[0]
@@ -131,10 +134,33 @@ def dense_ground_projection(h, gap_tol: float) -> np.ndarray:
     return V @ V.conj().T
 
 
-def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
-    """O = -i sign(iA) from the dense real antisymmetric A, by the real
-    path's window rule and products; inputs with exact zero modes are
+def dense_charge_structure(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(O, lambda): the eigenvalues lambda of the charge Hamiltonian
+    H = Y + iX of the dense A, X = A[0::2, 0::2] and Y = A[0::2, 1::2], and
+    O = -i sign(iA), the real form of -i sign(H):
+    O[0::2, 0::2] = O[1::2, 1::2] = Im sign(H) and
+    O[0::2, 1::2] = -O[1::2, 0::2] = Re sign(H). Each lambda of H is a pair
+    +-lambda of iA, so a split pair keeps its negative member by the sign
+    alone. An A without the charge form, or with an exact zero mode, is
     refused."""
+    X, Y = A[0::2, 0::2], A[0::2, 1::2]
+    if not (np.array_equal(A[1::2, 1::2], X) and np.array_equal(A[1::2, 0::2], -Y)):
+        raise ComputationError("no charge form")
+    lam, U = np.linalg.eigh(Y + 1j * X)
+    if float(np.min(np.abs(lam))) <= 1e-12:
+        raise ComputationError("exact zero modes")
+    S = (U * np.sign(lam)) @ U.conj().T
+    O = np.empty(A.shape)
+    O[0::2, 0::2] = O[1::2, 1::2] = S.imag
+    O[0::2, 1::2] = S.real
+    O[1::2, 0::2] = -S.real
+    return (O - O.T) / 2, lam
+
+
+def dense_A_structure(A: np.ndarray, gap_tol: float) -> tuple[np.ndarray, float]:
+    """(O, edge gap min|lambda|): O = -i sign(iA) from the dense real
+    antisymmetric A, by the real path's window rule and products; inputs
+    with exact zero modes are refused."""
     dim = A.shape[0]
     blocks = QuadraticHamiltonian(A, None).blocks  # only their spans are read
 
@@ -151,15 +177,17 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> np.ndarray:
         k += 1
     G = V[:, k:] * w[k:] ** -0.25
     O = envelope_product(G @ G.T)
+    edge_gap = float(np.sqrt(max(w[0], 0.0)))
     if k:
         Vc = V[:, :k]
         mu, U = np.linalg.eigh(1j * (Vc.T @ envelope_product(Vc)))
-        if float(np.min(np.abs(mu))) <= 1e-12:
+        edge_gap = float(np.min(np.abs(mu)))
+        if edge_gap <= 1e-12:
             raise ComputationError("exact zero modes")
         O += Vc @ (-1j * (U * np.sign(mu)) @ U.conj().T).real @ Vc.T
     O -= O.T
     O *= 0.5
-    return O
+    return O, edge_gap
 
 
 def dense_gram(A: np.ndarray) -> np.ndarray:

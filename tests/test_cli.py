@@ -338,15 +338,24 @@ def _run_listing(code: str, roots=("scipy",)) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-def test_chern_run_leaves_scipy_unloaded():
+#: CLI family -> (radius, nu_rounded) of a small converged chern run
+CHERN_RUNS = {"qwz": ("6", 2), "pip": ("10", 1), "trivial": ("6", 0)}
+
+
+@pytest.mark.parametrize("family", sorted(CHERN_RUNS))
+def test_chern_run_leaves_scipy_unloaded(family, tmp_path):
     # scipy.linalg is imported only on the exact-zero branch of the
     # projection, and fractions (with decimal) only by the exact
-    # predictions, so a plain run pays for neither start-up
+    # predictions, so a plain run pays for neither start-up, whichever
+    # reduction solves it: the particle-hole half (qwz), A itself (pip) or
+    # its diagonal groups (trivial)
+    radius, nu = CHERN_RUNS[family]
+    cfg = _write_cfg(tmp_path, "cfg.json", {"model": {"family": family}})
     proc = _run_listing("import sys, artifact.cli\n"
-                        "rc = artifact.cli.main(['chern', '--radius', '6'])\n",
-                        roots=("scipy", "fractions"))
+                        f"rc = artifact.cli.main(['chern', '--config', {cfg!r}, "
+                        f"'--radius', {radius!r}])\n", roots=("scipy", "fractions"))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["indices"]["nu_rounded"] == 2
+    assert json.loads(proc.stdout)["indices"]["nu_rounded"] == nu
     assert proc.stderr.strip() == "[]"
 
 

@@ -15,8 +15,8 @@ from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
                                 _transpose_residual)
-from dense_oracle import (dense_A_structure, dense_basis_projection, dense_gram,
-                          dense_ground_projection)
+from dense_oracle import (dense_A_structure, dense_basis_projection, dense_charge_structure,
+                          dense_gram, dense_ground_projection)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_real_path_refuses_a_total_cluster():
     # a paired model takes the real path, where a gap_tol above the whole
     # spectrum makes every mode a cluster member
     h = build_pip(-1.0, 0.5, build_disk_lattice("square", 4.0, majorana_count=2))
-    assert h.charge_hamiltonian() is None
+    assert quasifree._particle_hole_half(h) is None
     with pytest.raises(ComputationError, match="unresolvable zero modes"):
         ground_projection(h, 100.0)
 
@@ -99,12 +99,12 @@ def test_selfdual_violating_input_reported_gapless(trivial_projection):
         ground_projection(QuadraticHamiltonian(K, h.geometry), 1e-8)
 
 
-def _trivial_with_fibers(fibers):
-    """trivial R=4 with the on-site fiber of each site s in `fibers` set to
-    y eps, eps = [[0, 1], [-1, 0]]: still x I + y eps, a zero pair for y = 0
-    and a split +-y pair otherwise. The model is on-site, so each fiber is a
-    mode of its own."""
-    h = build_trivial(build_disk_lattice("square", 4.0, majorana_count=2))
+def _trivial_with_fibers(fibers, radius=4.0):
+    """trivial (R=4 by default) with the on-site fiber of each site s in
+    `fibers` set to y eps, eps = [[0, 1], [-1, 0]]: still x I + y eps, a zero
+    pair for y = 0 and a split +-y pair otherwise. The model is on-site, so
+    each fiber is a mode of its own."""
+    h = build_trivial(build_disk_lattice("square", radius, majorana_count=2))
     A = h.dense()
     for s, y in fibers.items():
         A[2 * s:2 * s + 2, 2 * s:2 * s + 2] = [[0.0, y], [-y, 0.0]]
@@ -172,19 +172,19 @@ def test_structure_not_commuting_with_h_reported_gapless(trivial_projection, mon
     # rotating O between two sites keeps O^T = -O and O^2 = -I (validate
     # passes) but breaks [A, O] = 0, which only the commutator check sees
     _, h = trivial_projection
-    real_structure = quasifree._complex_structure
+    real_structure = quasifree._real_structure
 
     def rotated(A, gap_tol):
-        solved, (O, edge_gap, m) = real_structure(A, gap_tol)
+        O, edge_gap, m = real_structure(A, gap_tol)
         R = np.eye(O.shape[0])
         c, s = np.cos(0.3), np.sin(0.3)
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         O = R @ O @ R.T
         O = (O - O.T) / 2
         BasisProjection(O).validate()
-        return solved, (O, edge_gap, m)
+        return O, edge_gap, m
 
-    monkeypatch.setattr(quasifree, "_complex_structure", rotated)
+    monkeypatch.setattr(quasifree, "_real_structure", rotated)
     with pytest.raises(ComputationError, match="gapless"):
         ground_projection(h, 1e-8)
 
@@ -310,10 +310,9 @@ def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
         BasisProjection(O).validate()
     h = build_qwz(1.0, P.geometry)
-    monkeypatch.setattr(quasifree, "_complex_structure", lambda h, gap_tol: (h, (O, 0.5, 0)))
     monkeypatch.setattr(BasisProjection, "validate", lambda self: 0.0)
     with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual nan"):
-        ground_projection(h, 1e-4)
+        quasifree._certify(h, O)
 
 
 def _local_operator(case):
@@ -408,12 +407,13 @@ def test_structure_equals_the_dense_A_reference_bit_for_bit(case):
     # the one a dense A held throughout gives with the same products
     build, gap_tol = ORACLE_CASES[case]
     h = build()
-    assert np.array_equal(quasifree._real_structure(h, gap_tol)[0],
-                          dense_A_structure(h.dense(), gap_tol))
+    O, edge_gap, _ = quasifree._real_structure(h, gap_tol)
+    O_dense, edge_gap_dense = dense_A_structure(h.dense(), gap_tol)
+    assert np.array_equal(O, O_dense) and edge_gap == edge_gap_dense
 
 
 # ---------------------------------------------------------------------------
-# the charge path against the real path
+# the reductions of a charge-conserving A against the oracle's real path
 
 
 def _disk(radius, majoranas):
@@ -432,23 +432,111 @@ CHARGE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CHARGE_CASES))
 def test_charge_path_matches_the_real_path(case):
-    # production takes the charge path on every disk without pairing; the
-    # generic real path licenses it
+    # every disk without pairing is solved through a reduction (qwz on its
+    # particle-hole half, trivial group by group); the oracle's real path on
+    # the whole dense A, no reduction taken, licenses it
     build, gap_tol = CHARGE_CASES[case]
     h = build()
-    solved, (O, edge_gap, m) = quasifree._complex_structure(h, gap_tol)
-    O = BasisProjection(O, fiber=h.dim // solved.dim).O
-    O_real, edge_gap_real, m_real = quasifree._real_structure(h, gap_tol)
-    assert m == m_real == 0
+    P = ground_projection(h, gap_tol)
+    O = P.O
+    O_real, edge_gap_real = dense_A_structure(h.dense(), gap_tol)
+    assert P.health["zero_modes"] == 0
     assert np.array_equal(O, -O.T)
     assert float(np.max(np.abs(O - O_real))) <= 1e-13
-    assert edge_gap == pytest.approx(edge_gap_real, rel=1e-10)
-    P = ground_projection(h, gap_tol)
-    assert np.array_equal(P.O, O)
-    assert P.health["edge_gap"] == edge_gap and P.health["zero_modes"] == 0
+    assert P.health["edge_gap"] == pytest.approx(edge_gap_real, rel=1e-10)
     part = make_good_partition(h.geometry.apex)
     real = BasisProjection(O_real, h.geometry, copies=h.copies)
     assert abs(chern_number(P, part) - chern_number(real, part)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the diagonal groups of a block-diagonal A
+
+
+GROUP_CASES = {
+    "triv2_r12": (lambda: build_trivial(_disk(12.0, 2)), 8),
+    "triv6_r12": (lambda: build_trivial(_disk(12.0, 6)), 22),
+    "triv_stack3_r8": (lambda: stack_copies(build_trivial(_disk(8.0, 2)), 3), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_diagonal_groups_match_the_complex_eigh(case, monkeypatch):
+    # trivial is one group per 128 rows (its orbitals are decoupled 2 x 2
+    # fibers, at any Majorana count a site): each group is solved and
+    # certified on its own, and the health is the smallest edge gap, the
+    # summed cluster and the largest residual. The oracle's complex eigh of
+    # H on the whole A licenses the assembled O
+    build, groups = GROUP_CASES[case]
+    h = build()
+    assert len(quasifree._diagonal_groups(h)) == groups
+    residuals, certify = [], quasifree._certify
+
+    def spied(group, O):
+        residuals.append(certify(group, O))
+        return residuals[-1]
+
+    monkeypatch.setattr(quasifree, "_certify", spied)
+    P = ground_projection(h, 1e-8)
+    assert len(residuals) == groups and P.fiber == 1
+    O_ref, lam = dense_charge_structure(h.dense())
+    assert float(np.max(np.abs(P.O - O_ref))) <= 1e-13
+    assert P.health == {"edge_gap": pytest.approx(float(np.min(np.abs(lam))), rel=1e-10),
+                        "zero_modes": 0, "projection_residual": max(residuals)}
+    assert P.health["projection_residual"] <= 1e-12
+
+
+def test_each_group_fills_its_own_cluster():
+    # two groups of trivial R=6 (rows 0:128 and 128:224): a split +-1e-10
+    # pair in the first keeps its negative member, an exact zero fiber in the
+    # second is paired from its group's null basis; both read eps, as
+    # trivial's own fibers do, so O is the oracle's for plain trivial
+    h = _trivial_with_fibers({0: 1e-10, 100: 0.0}, radius=6.0)
+    assert [(r0, g.dim) for r0, g in quasifree._diagonal_groups(h)] == [(0, 128), (128, 96)]
+    P = ground_projection(h, 1e-8)
+    assert P.health["zero_modes"] == 4
+    assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
+    assert P.health["projection_residual"] <= 1e-12
+    plain = build_trivial(_disk(6.0, 2))
+    O_ref = dense_basis_projection(dense_ground_projection(plain, 1e-8), None).O
+    assert float(np.max(np.abs(P.O - O_ref))) <= 1e-15
+
+
+def test_a_bond_across_a_block_edge_makes_one_group():
+    # trivial R=6 with one bond between rows 127 and 128, which breaks the
+    # charge form: the two blocks are one group, solved on A itself, byte
+    # for byte the real path on the whole A
+    h = _trivial_with_fibers({}, radius=6.0)
+    assert len(quasifree._diagonal_groups(h)) == 2
+    A = h.dense()
+    A[127, 128], A[128, 127] = 0.3, -0.3
+    h = QuadraticHamiltonian(A, h.geometry)
+    assert quasifree._diagonal_groups(h) == [(0, h)]
+    assert quasifree._particle_hole_half(h) is None
+    P = ground_projection(h, 1e-8)
+    assert P.factor.tobytes() == quasifree._real_structure(h, 1e-8)[0].tobytes()
+
+
+def _with_zero_rows(rows, dim):
+    """A dim x dim A with trivial's fibers on its first `rows` rows and
+    columns, zero from row `rows` on."""
+    A = np.zeros((dim, dim))
+    A[:rows, :rows] = np.kron(np.eye(rows // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return QuadraticHamiltonian(A, None)
+
+
+@pytest.mark.parametrize("case", ["odd", "total"])
+def test_a_group_with_an_unresolvable_cluster_is_refused(case):
+    # each group fills its own cluster, so a group whose cluster is odd (the
+    # one zero row of an odd A) or fills it (a zero block of 96 rows) is
+    # refused as unresolvable. Solved whole, the zero block is a cluster of
+    # 96 of 224 modes, which the real path pairs from its null basis
+    h = _with_zero_rows(128, 129) if case == "odd" else _with_zero_rows(128, 224)
+    assert len(quasifree._diagonal_groups(h)) == 2
+    with pytest.raises(ComputationError, match="unresolvable zero modes"):
+        ground_projection(h, 1e-8)
+    if case == "total":
+        assert quasifree._real_structure(h, 1e-8)[2] == 96
 
 
 def _perturbed_qwz():
@@ -466,10 +554,10 @@ FALLBACK_CASES = {"pip_r8": _pip_r8, "perturbed_qwz_r6": _perturbed_qwz}
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_fallback_is_the_real_path_bit_for_bit(case):
-    # an A without the charge structure is the one input the real path takes
+    # an A of one group without the charge structure is solved on itself
     h = FALLBACK_CASES[case]()
-    assert h.charge_hamiltonian() is None
-    assert quasifree._complex_structure(h, 1e-4)[0] is h
+    assert quasifree._particle_hole_half(h) is None
+    assert quasifree._diagonal_groups(h) == [(0, h)]
     O, edge_gap, m = quasifree._real_structure(h, 1e-4)
     P = ground_projection(h, 1e-4)
     assert P.O.tobytes() == O.tobytes()
@@ -481,107 +569,125 @@ CLUSTER_CASES = {"split_pair": {0: 1e-10}, "zero_pair": {0: 0.0}, "mixed": {0: 0
 
 @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
 def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
-    # a charge-conserving A without the particle-hole symmetry (trivial)
-    # never reaches the real path: its one eigh of H leaves an exact zero
-    # mode empty and a split pair's positive member empty; the real path,
-    # which fills its cluster mode by mode, agrees
-    h = _trivial_with_fibers(CLUSTER_CASES[case])
-    assert h.charge_hamiltonian() is not None
-    O_real, _, m_real = quasifree._real_structure(h, 1e-8)
-    assert m_real == 2 * len(CLUSTER_CASES[case])
-    eigh, shapes = np.linalg.eigh, []
+    # a charge-conserving A without the particle-hole symmetry (trivial R=4,
+    # one diagonal group) is solved on itself: one real eigh of A^T A, and
+    # the window's small problem fills the cluster mode by mode. An exact
+    # zero pair is paired from the canonical null basis, which on a zero
+    # fiber reads eps, as trivial's own fiber (y = 1) does; a split pair's
+    # negative member reads eps too. So O is the oracle's O of the same
+    # input with its exact zero fibers set back to trivial's
+    fibers = CLUSTER_CASES[case]
+    h = _trivial_with_fibers(fibers)
+    assert quasifree._particle_hole_half(h) is None
+    assert quasifree._diagonal_groups(h) == [(0, h)]
+    eigh, calls = np.linalg.eigh, []
 
     def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
+        calls.append((len(a), np.iscomplexobj(a)))
         return eigh(a, *args, **kwargs)
 
-    def no_real_path(*args):
-        raise AssertionError("a charge-conserving A reached the real path")
-
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(quasifree, "_real_structure", no_real_path)
     P = ground_projection(h, 1e-8)
-    assert shapes == [(h.dim // 2, h.dim // 2)]
+    monkeypatch.undo()
+    assert calls[0] == (h.dim, False)
+    assert all(is_complex and size < h.dim // 8 for size, is_complex in calls[1:])
     O = P.O
     assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
     assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
     assert P.health["projection_residual"] <= 1e-12
-    assert P.health["zero_modes"] == 2 * len(CLUSTER_CASES[case])
+    assert P.health["zero_modes"] == 2 * len(fibers)
     if case == "split_pair":
         assert P.health["edge_gap"] == pytest.approx(1e-10, rel=1e-6)
     else:
         assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
-    if case == "zero_pair":  # equal entry for entry; a zero's sign may differ
-        assert np.array_equal(O, O_real)
-    else:
-        assert float(np.max(np.abs(O - O_real))) <= 1e-15
-    # each cluster fiber (y >= 0) is left empty, so O reads eps there
+    ref = _trivial_with_fibers({s: y for s, y in fibers.items() if y != 0.0})
+    O_ref = dense_basis_projection(dense_ground_projection(ref, 1e-8), None).O
+    assert float(np.max(np.abs(O - O_ref))) <= 1e-15
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for s in CLUSTER_CASES[case]:
+    for s in fibers:
         assert float(np.max(np.abs(O[2 * s:2 * s + 2, 2 * s:2 * s + 2] - eps))) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["qwz", "trivial6", "qwz_stack3"])
 def test_charge_hamiltonian_is_A_on_the_pairs(case):
-    # A = -iH on z_a = gamma_{a,1} + i gamma_{a,2}: the real form of -iH,
-    # entry for entry
+    # the planes X, Y that _charge_fibers reads off each block make the
+    # charge Hamiltonian H = Y + iX: Hermitian, and A is the real form of
+    # -iH on z_a = gamma_{a,1} + i gamma_{a,2}, entry for entry
     if case == "qwz":
         h = build_qwz(1.0, _disk(6.0, 4))
     elif case == "trivial6":
         h = build_trivial(_disk(5.0, 6))
     else:
         h = stack_copies(build_qwz(-1.0, _disk(4.0, 4)), 3)
-    H, A = h.charge_hamiltonian(), h.dense()
-    assert H.shape == (h.dim // 2, h.dim // 2)
+    H = np.zeros((h.dim // 2, h.dim // 2), dtype=complex)
+    for block in h.blocks:
+        rows, cols, X, Y = models._charge_fibers(*block)
+        H[rows, cols] = Y + 1j * X
+    A = h.dense()
     assert np.array_equal(H, H.conj().T)
     assert np.array_equal(A[0::2, 0::2], H.imag) and np.array_equal(A[1::2, 1::2], H.imag)
     assert np.array_equal(A[0::2, 1::2], H.real) and np.array_equal(A[1::2, 0::2], -H.real)
 
 
 def test_charge_structure_is_read_from_the_entries():
-    # pairing, one broken fiber, a fiber cut at an odd column and an odd
-    # dimension all give None; a far coupling of the right form does not
-    assert _pip_r8().charge_hamiltonian() is None
-    assert _perturbed_qwz().charge_hamiltonian() is None
+    # pairing, one broken fiber, a fiber cut at an odd column and a
+    # dimension that is not a whole number of orbital pairs all give no
+    # half; a far coupling of the right form is read into the planes
+    assert quasifree._particle_hole_half(_pip_r8()) is None
+    assert quasifree._particle_hole_half(_perturbed_qwz()) is None
     far = build_trivial(_disk(4.0, 2)).dense()
     far[0:2, -2:] = [[0.25, 0.5], [-0.5, 0.25]]  # x I + y eps, x = 0.25, y = 0.5
     far[-2:, 0:2] = -far[0:2, -2:].T
-    H = QuadraticHamiltonian(far, None).charge_hamiltonian()
-    assert H[0, -1] == 0.5 + 0.25j and H[-1, 0] == 0.5 - 0.25j
+    h = QuadraticHamiltonian(far, None)
+    _, cols, X, Y = models._charge_fibers(*h.blocks[0])
+    last = h.dim // 2 - 1 - cols.start  # the last pair's column in the planes
+    assert (X[0, last], Y[0, last]) == (0.25, 0.5)
+    _, cols, X, Y = models._charge_fibers(*h.blocks[-1])
+    assert cols.start == 0 and (X[-1, 0], Y[-1, 0]) == (-0.25, 0.5)
     odd = np.zeros((260, 260))
     odd[0, 131], odd[131, 0] = 1.0, -1.0
     h = QuadraticHamiltonian(odd, None)
-    assert h.blocks[0][2:4] == (131, 132)  # read on the widened span 130:132
-    assert h.charge_hamiltonian() is None
+    assert h.blocks[0][2:4] == (131, 132)  # read on the widened span 128:132
+    assert models._charge_fibers(*h.blocks[0]) is None
+    assert quasifree._particle_hole_half(h) is None
     J = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert QuadraticHamiltonian(J, None).charge_hamiltonian() is None
+    assert quasifree._particle_hole_half(QuadraticHamiltonian(J, None)) is None
+    six = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])  # x I + y eps, 3 orbitals
+    assert quasifree._particle_hole_half(QuadraticHamiltonian(six, None)) is None
 
 
 def test_charge_path_peak_stays_below_its_measured_value():
-    # qwz takes the particle-hole half and returns its O', never O: the real
-    # path's arrays at dim/2 and the blocks of A'; tracemalloc measured 0.79
-    # dim x dim arrays at dim 804 and 0.76 at 1816 (LAPACK's buffers in the
-    # eigh are not traced)
+    # qwz takes the particle-hole half, read from A's blocks without a dense
+    # H or A', and returns its O', never O: the real path's arrays at dim/2
+    # and the blocks of A'; tracemalloc measured 0.71 dim x dim arrays at
+    # dim 804 and 0.56 at 1816 (LAPACK's buffers in the eigh are not traced)
     h = build_qwz(1.0, _disk(8.0, 4))
     tracemalloc.start()
     try:
-        assert quasifree._complex_structure(h, 1e-4)[0].dim == h.dim // 2
+        assert quasifree._complex_structure(h, 1e-4)[1] == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.85 * 8 * h.dim**2
 
 
+def test_diagonal_groups_peak_stays_below_its_measured_value():
+    # a block-diagonal A holds its zeroed dim x dim factor and one group's
+    # arrays at a time: tracemalloc measured 1.09 arrays at dim 804 and 1.02
+    # at 1816
+    h = build_trivial(_disk(8.0, 4))
+    assert len(quasifree._diagonal_groups(h)) == 7
+    tracemalloc.start()
+    try:
+        ground_projection(h, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 8 * h.dim**2
+
+
 # ---------------------------------------------------------------------------
-# the particle-hole half against the complex eigh
-
-
-def _complex_eigh_projection(h, gap_tol, monkeypatch):
-    """ground_projection with the particle-hole half switched off: the one
-    complex eigh of H that every charge-conserving A took before."""
-    with monkeypatch.context() as patch:
-        patch.setattr(quasifree, "_particle_hole_form", lambda H: None)
-        return ground_projection(h, gap_tol)
+# the particle-hole half against the complex eigh of H (the oracle)
 
 
 PARTICLE_HOLE_CASES = {
@@ -596,24 +702,26 @@ PARTICLE_HOLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
-def test_particle_hole_half_matches_the_complex_eigh(case, monkeypatch):
+def test_particle_hole_half_matches_the_complex_eigh(case):
     # every qwz disk and stack has the particle-hole symmetry and takes the
-    # real eigh of dim/2; the complex eigh of H, split clusters included,
-    # licenses it
+    # real eigh of dim/2; the oracle's complex eigh of H (dense_oracle,
+    # size dim/2), split clusters included, licenses it
     build, gap_tol, zero_modes = PARTICLE_HOLE_CASES[case]
     h = build()
-    assert quasifree._particle_hole_form(h.charge_hamiltonian()) is not None
+    assert quasifree._particle_hole_half(h).dim == h.dim // 2
     P = ground_projection(h, gap_tol)
-    ref = _complex_eigh_projection(h, gap_tol, monkeypatch)
+    O_ref, lam = dense_charge_structure(h.dense())
     O = P.O
-    assert P.health["zero_modes"] == ref.health["zero_modes"] == zero_modes * h.copies
-    assert float(np.max(np.abs(O - ref.O))) <= 1e-13
-    assert P.health["edge_gap"] == pytest.approx(ref.health["edge_gap"], rel=1e-10)
+    assert P.health["zero_modes"] == 2 * np.count_nonzero(np.abs(lam) <= gap_tol) * h.copies
+    assert P.health["zero_modes"] == zero_modes * h.copies
+    assert float(np.max(np.abs(O - O_ref))) <= 1e-13
+    assert P.health["edge_gap"] == pytest.approx(float(np.min(np.abs(lam))), rel=1e-10)
     assert P.health["projection_residual"] <= 1e-12
     assert np.array_equal(O, -O.T)
     assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
     assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
     part = make_good_partition(h.geometry.apex)
+    ref = BasisProjection(O_ref, h.geometry, copies=h.copies)
     assert abs(chern_number(P, part) - chern_number(ref, part)) <= 1e-12
 
 
@@ -637,12 +745,14 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     # a cluster holding an exact zero, alone or beside a split pair, is
     # filled mode by mode on the half: one real eigh at dim/2 and the small
     # window problem, no complex eigh of dim/2. The exact zeros of H are
-    # paired from the half's null basis where the complex eigh leaves them
-    # empty, so the two agree outside the fibers of those sites
+    # paired from the half's null basis; each sits on a decoupled site, so
+    # outside those sites' fibers O is the oracle's for the same input with
+    # each zero site gapped (on-site 1 sigma_z)
     onsite = {0: 0.0} if case == "zero_pair" else {0: 1e-10, 1: 0.0}
     h = _qwz_with_decoupled_sites(onsite)
-    assert quasifree._particle_hole_form(h.charge_hamiltonian()) is not None
-    ref = _complex_eigh_projection(h, 1e-8, monkeypatch)
+    assert quasifree._particle_hole_half(h).dim == h.dim // 2
+    gapped = _qwz_with_decoupled_sites({s: eps or 1.0 for s, eps in onsite.items()})
+    O_ref, _ = dense_charge_structure(gapped.dense())
     real_structure, eigh, halves, calls = quasifree._real_structure, np.linalg.eigh, [], []
 
     def spied_structure(half, gap_tol):
@@ -660,17 +770,17 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     assert calls[0] == (h.dim // 2, False)
     assert all(size < h.dim // 8 for size, _ in calls[1:])
     O = P.O
-    diff = np.abs(O - ref.O)
+    diff = np.abs(O - O_ref)
     for s in (s for s, eps in onsite.items() if eps == 0.0):
         diff[4 * s:4 * s + 4, 4 * s:4 * s + 4] = 0.0
     assert float(np.max(diff)) <= 1e-13
     assert np.array_equal(O[0::2, 0::2], O[1::2, 1::2])  # [O, charge] = 0 exactly
     assert np.array_equal(O[0::2, 1::2], -O[1::2, 0::2])
     assert P.health["projection_residual"] <= 1e-12
-    assert P.health == ref.health
     assert P.health["zero_modes"] == 4 * len(onsite)
     assert P.health["edge_gap"] <= quasifree._EXACT_ZERO
     part = make_good_partition(h.geometry.apex)
+    ref = BasisProjection(O_ref, h.geometry)
     assert abs(chern_number(P, part) - chern_number(ref, part)) <= 1e-12
 
 
@@ -684,9 +794,10 @@ def test_exact_zeros_are_cluster_members_only(y):
     assert m == 0 and edge_gap == pytest.approx(abs(y), rel=1e-3)
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert float(np.max(np.abs(O[0:2, 0:2] - np.sign(y) * eps))) <= 1e-15
-    P = ground_projection(h, 0.0)  # the complex eigh of H
+    P = ground_projection(h, 0.0)
     assert P.health["zero_modes"] == 0
-    assert float(np.max(np.abs(O - P.O))) <= 1e-15
+    O_ref = dense_basis_projection(dense_ground_projection(h, 0.0), None).O
+    assert float(np.max(np.abs(O_ref - P.O))) <= 1e-15
 
 
 @pytest.mark.parametrize("case", sorted(PARTICLE_HOLE_CASES))
@@ -697,11 +808,12 @@ def test_half_certificate_bounds_the_full_one(case):
     build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
     h = build()
     P = ground_projection(h, gap_tol)
-    solved, (O_half, _, _) = quasifree._complex_structure(h, gap_tol)
-    assert P.fiber == 2 and solved.dim == h.dim // 2
+    O_half, fiber, (_, _, residual) = quasifree._complex_structure(h, gap_tol)
+    solved = quasifree._particle_hole_half(h)
+    assert P.fiber == fiber == 2 and solved.dim == h.dim // 2
     assert np.array_equal(P.factor, O_half)
     half = quasifree._certify(solved, O_half)
-    assert half == P.health["projection_residual"] <= 1e-12
+    assert half == residual == P.health["projection_residual"] <= 1e-12
     O = P.O
     full = quasifree._certify(h, O)
     assert full == max(_commutator_residual(h, O), BasisProjection(O).validate())
@@ -786,7 +898,7 @@ HALF_REFUSALS = {"rotated": (_rotated, r"gapless: \[A, O\] residual"),
 @pytest.mark.parametrize("case", list(HALF_REFUSALS))
 def test_a_bad_half_is_refused_not_rediagonalized(case, monkeypatch):
     # a bad O' is refused by its own certificate at dim/2, with the message
-    # of the full one; the complex eigh of H never runs
+    # of the full one; no complex eigh of dim/2 runs
     corrupt, message = HALF_REFUSALS[case]
     h = _qwz_r8()
     real_structure, eigh, halves, complex_sizes = quasifree._real_structure, np.linalg.eigh, [], []
@@ -839,16 +951,16 @@ def _certified_sizes(monkeypatch):
                                          ("pip", "chern"), ("trivial", "twist")])
 def test_certificate_runs_where_O_is_determined(family, task, tmp_path, monkeypatch):
     # the certificate runs where O is determined: at dim/2 on the particle-
-    # hole half (every qwz run), at dim for pip (the real path) and trivial
-    # (the complex eigh of H)
+    # hole half (every qwz run), at dim for pip (A itself) and on each
+    # diagonal group for trivial (R=6, dim 224: rows 0:128 and 128:224)
     dims, commutators, squares = _certified_sizes(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
     argv = [task, "--config", str(cfg), "--radius", "6", "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     assert dims and set(dims) == {dims[0]}
-    size = dims[0] // 2 if family == "qwz" else dims[0]
-    assert commutators == squares == [size] * len(dims)
+    sizes = {"qwz": [dims[0] // 2], "pip": [dims[0]], "trivial": [128, dims[0] - 128]}[family]
+    assert commutators == squares == sizes * len(dims)
 
 
 def _qwz_with_chemical_potential():
@@ -862,8 +974,10 @@ def _qwz_with_chemical_potential():
 
 
 def test_only_a_particle_hole_symmetric_H_takes_the_half(monkeypatch):
-    # the symmetry is read from H's entries: trivial (H = I) and a chemical
-    # potential break it, pip and a perturbed fiber have no H at all
+    # the symmetry is read from A's planes: trivial (H = I) and a chemical
+    # potential break it, and pip and a perturbed fiber have no charge form
+    # at all. trivial is solved per diagonal group (one per 128 rows), each
+    # other input on A itself, and none on a half
     real_structure, solved = quasifree._real_structure, []
 
     def spied(h, gap_tol):
@@ -871,24 +985,29 @@ def test_only_a_particle_hole_symmetric_H_takes_the_half(monkeypatch):
         return real_structure(h, gap_tol)
 
     monkeypatch.setattr(quasifree, "_real_structure", spied)
-    for h in (build_trivial(_disk(6.0, 2)), build_trivial(_disk(5.0, 4)),
-              _qwz_with_chemical_potential()):
-        H = h.charge_hamiltonian()
-        assert H is not None and quasifree._particle_hole_form(H) is None
+    for h, sizes in ((build_trivial(_disk(6.0, 2)), [128, 96]),
+                     (build_trivial(_disk(5.0, 4)), [128, 128, 56]),
+                     (_qwz_with_chemical_potential(), [448]), (_pip_r8(), [402]),
+                     (_perturbed_qwz(), [448])):
+        assert quasifree._particle_hole_half(h) is None
         ground_projection(h, 1e-4)
-        assert solved == []  # the complex eigh of H, no half
-    for h in (_pip_r8(), _perturbed_qwz()):
-        assert h.charge_hamiltonian() is None
-        ground_projection(h, 1e-4)
-        assert solved.pop() == h.dim  # A itself, not a half
-    odd = np.zeros((3, 3), dtype=complex)  # an odd H has no pairs of orbitals
-    assert quasifree._particle_hole_form(odd) is None
+        assert solved == sizes and sum(sizes) == h.dim
+        solved.clear()
+    six = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])  # H of 3 orbitals: no pairs
+    assert quasifree._particle_hole_half(QuadraticHamiltonian(six, None)) is None
+
+
+#: CLI family -> (task, the real eighs of its run at R=6, its window's bound)
+EIGH_RUNS = {"qwz": ("parity", [224], 16), "pip": ("chern", [224], 20),
+             "trivial": ("parity", [128, 96], 0)}
 
 
 def test_qwz_parity_run_takes_no_complex_eigh_of_dim_half(tmp_path, monkeypatch):
-    # qwz R=6 (dim 448): one real eigh of A'^T A' at dim/2 = 224. The one
-    # complex eigh left is the window's small problem i Vc^T A' Vc, which
-    # holds the disk's few edge modes below a tenth of the largest |lambda|
+    # R=6 runs of every CLI family take one real eigh of A^T A per solved
+    # Hamiltonian: qwz (dim 448) at dim/2 = 224 on its half, pip at dim 224,
+    # trivial (dim 224) per diagonal group. The one complex eigh left is the
+    # window's small problem i Vc^T A Vc, which holds the disk's few edge
+    # modes below a tenth of the largest |lambda| (none on trivial)
     eigh, calls = np.linalg.eigh, []
 
     def spied(a, *args, **kwargs):
@@ -896,10 +1015,15 @@ def test_qwz_parity_run_takes_no_complex_eigh_of_dim_half(tmp_path, monkeypatch)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spied)
-    assert main(["parity", "--radius", "6", "--out", str(tmp_path / "report.json")]) == 0
-    assert calls[0] == (224, False)
-    assert all(size <= 16 for size, is_complex in calls[1:] if is_complex)
-    assert all(size == 224 or is_complex for size, is_complex in calls)
+    for family, (task, real_sizes, window) in EIGH_RUNS.items():
+        cfg = tmp_path / f"{family}.json"
+        cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
+        argv = [task, "--config", str(cfg), "--radius", "6", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert [size for size, is_complex in calls if not is_complex] == real_sizes
+        assert all(size <= window for size, is_complex in calls if is_complex)
+        assert calls[0] == (real_sizes[0], False)
+        calls.clear()
 
 
 def _four_zero_modes(h):
