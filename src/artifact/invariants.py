@@ -75,8 +75,14 @@ def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction:
 def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float,
                   per_site: int | None = None):
     """Indices of the three cores in P's single-copy space, or in a space of
-    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber)."""
+    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber).
+    A window that leaves a core without a site, or that holds every site of
+    the disk, where the traces cancel identically, is refused: either would
+    report 0 for any P."""
     ids, geom = core_regions(P, partition, core_fraction)
+    if 0 in (sizes := [len(r) for r in ids]) or sum(sizes) == len(geom.sites):
+        raise ComputationError(f"core_fraction {core_fraction} gives cores of {sizes} of "
+                               f"{len(geom.sites)} sites; an empty core or the whole disk reads 0")
     block_geom = geom.with_majorana_count(geom.majorana_count // (per_site or P.copies))
     return [np.where(region_mask(r, block_geom))[0] for r in ids]
 

@@ -53,26 +53,6 @@ def _envelope(slabs):
         r0 = r1
 
 
-def _charge_fibers(r0, r1, c0, c1, block):
-    """(rows, cols, X, Y) of an envelope block whose 2 x 2 fibers all read
-    x I + y eps: the block's span in units of fibers, its column span widened
-    to whole pairs of fibers (4 columns), and the planes X = A[0::2, 0::2],
-    Y = A[0::2, 1::2] of that span; None when one fiber breaks the form
-    exactly. Under the form, A is the real form of -iH for the complex
-    Hermitian H = Y + iX of size dim/2 on the pairs (gamma_{a,1},
-    gamma_{a,2}): a Hamiltonian with no pairing term (_bond_fibers with
-    D = 0 gives x = Im h_ab, y = Re h_ab). The rows r0:r1 hold whole pairs
-    of fibers when 4 divides dim, which the caller requires: every slab but
-    the last has _ENVELOPE_ROWS rows."""
-    e0, e1 = c0 - c0 % 4, c1 + -c1 % 4
-    B = np.zeros((r1 - r0, e1 - e0))
-    B[:, c0 - e0:c1 - e0] = block
-    X, Y = B[0::2, 0::2], B[0::2, 1::2]
-    if not (np.array_equal(B[1::2, 1::2], X) and np.array_equal(B[1::2, 0::2], -Y)):
-        return None
-    return slice(r0 // 2, r1 // 2), slice(e0 // 2, e1 // 2), X, Y
-
-
 class QuadraticHamiltonian:
     """H = kron(iA, I_copies) on the geometry: `copies` identical copies of
     the single-copy Hamiltonian iA, copy index fastest. A is kept as its row

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import ComputationError, as_integer, check_memory
-from .models import QuadraticHamiltonian, _charge_fibers, _envelope
+from .models import QuadraticHamiltonian, _envelope
 
 _WICK_MAX = 12
 
@@ -87,7 +87,7 @@ class BasisProjection:
         factor-size array is held, and their maxima are reduced by numpy, so
         a NaN gives NaN."""
         O = self.factor
-        antisym = _transpose_residual(O, np.add)
+        antisym = _transpose_residual(O)
         if not antisym <= _RESIDUAL_TOL:
             raise ComputationError(f"projection is not Hermitian: "
                                    f"{antisym:.2g} > {_RESIDUAL_TOL:.2g}")
@@ -151,20 +151,19 @@ def _antisymmetrize(O: np.ndarray) -> None:
     O *= 0.5
 
 
-def _transpose_residual(M: np.ndarray, op) -> float:
-    """max |op(M, M^T)| for op np.add or np.subtract, over pairs of tiles
-    (the residual is symmetric, so the tiles above the diagonal see every
-    entry), all in one tile buffer: the transposed tile is copied into its
-    leading entries (contiguous, at the edges too) and op(M[I, J], it)
-    written over it, so numpy buffers one operand at most. The maxima are
-    reduced by numpy, so a NaN anywhere in M gives NaN."""
+def _transpose_residual(M: np.ndarray) -> float:
+    """max |M + M^T| over pairs of tiles (the residual is symmetric, so the
+    tiles above the diagonal see every entry), all in one tile buffer: the
+    transposed tile is copied into its leading entries (contiguous, at the
+    edges too) and M[I, J] added onto it, so numpy buffers one operand at
+    most. The maxima are reduced by numpy, so a NaN anywhere in M gives NaN."""
     side = min(_TILE, M.shape[0])
     buffer, worst = np.empty(side * side, dtype=M.dtype), np.zeros(())
     for I, J in _tile_pairs(M.shape[0]):
         upper = M[I, J]
         tile = buffer[:upper.size].reshape(upper.shape)
         np.copyto(tile, M[J, I].T)
-        op(upper, tile, out=tile)
+        np.add(upper, tile, out=tile)
         worst = np.maximum(worst, np.max(np.abs(tile, out=tile)))
     return float(worst)
 
@@ -258,53 +257,38 @@ def _diagonal_groups(h: QuadraticHamiltonian):
 
 
 def _particle_hole_half(h: QuadraticHamiltonian) -> QuadraticHamiltonian | None:
-    """The Hamiltonian of the real antisymmetric A' of size n = dim/2 with
-    W^+ H W = iA', read block to block from h's A; None when A lacks the
-    charge form (_charge_fibers: pairing or a broken fiber) or its H = Y + iX
-    lacks the particle-hole symmetry.
-
-    H has it when sigma_x conj(H) sigma_x = -H on every pair of orbitals
-    (2a, 2a + 1), entry for entry (class D: the qwz Bloch matrix has
-    sigma_x H(-k)* sigma_x = -H(k)). On the planes X00 = X[0::2, 0::2],
-    ... of X and Y that reads Y00 = -Y11, X00 = X11, Y01 = -Y10 and
-    X01 = X10, one 4 x 4 fiber of A at a time, so it is read from the
-    entries, never assumed from a family. W = [[1, i], [1, -i]]/sqrt(2) on
-    each pair has W W^T = sigma_x, so W^+ H W is imaginary; its planes
-    are, under the symmetry, A'00 = X00 + X01, A'01 = Y00 - Y01,
-    A'10 = -(Y00 + Y01) and A'11 = X00 - X01, each rounded once, and each
-    block of A writes them over its own span into a slab of _ENVELOPE_ROWS
-    rows of A' (two blocks of A), which models._envelope turns into A''s
-    blocks: no dense H or A' is formed."""
+    """The Hamiltonian of the real antisymmetric A' of size dim/2 with
+    A = T(A') (_particle_hole_O), read block to block from h's A
+    (_half_slab); None when dim is not a whole number of orbital pairs or a
+    4 x 4 fiber of A breaks T's pattern (_fold). That pattern is a
+    charge-conserving H (no pairing) with the particle-hole symmetry of
+    class D, sigma_x conj(H) sigma_x = -H on every pair of orbitals (the
+    qwz Bloch matrix has sigma_x H(-k)* sigma_x = -H(k)): it is read from
+    the entries, never assumed from a family. The slabs of _ENVELOPE_ROWS
+    rows of A' (two blocks of A) become A''s blocks through
+    models._envelope: no dense H or A' is formed."""
+    if h.dim % 4:
+        return None
     n = h.dim // 2
     slabs = (_half_slab(h.blocks[k:k + 2], n) for k in range(0, len(h.blocks), 2))
     blocks = tuple(_envelope(itertools.takewhile(lambda slab: slab is not None, slabs)))
-    if h.dim % 4 or not blocks or blocks[-1][1] < n:  # no pairs, or a slab broke the form
-        return None
-    return QuadraticHamiltonian._of_blocks(blocks, n, None)
+    whole = blocks and blocks[-1][1] == n  # no slab broke the pattern
+    return QuadraticHamiltonian._of_blocks(blocks, n, None) if whole else None
 
 
 def _half_slab(blocks, n: int) -> np.ndarray | None:
     """The rows of A' (n columns) that the envelope blocks `blocks` of A
-    hold, or None when one of their fibers breaks the charge form or the
-    particle-hole relation (_particle_hole_half). Each block writes A''s
-    planes over its own span; the blocks' planes are freed on return,
-    before models._envelope copies the slab's block."""
-    pair = [_charge_fibers(*block) for block in blocks]
-    if not all(pair) or not all(
-            np.array_equal(Y[0::2, 0::2], -Y[1::2, 1::2])
-            and np.array_equal(X[0::2, 0::2], X[1::2, 1::2])
-            and np.array_equal(Y[0::2, 1::2], -Y[1::2, 0::2])
-            and np.array_equal(X[0::2, 1::2], X[1::2, 0::2]) for _, _, X, Y in pair):
-        return None
-    first = pair[0][0].start
-    slab = np.zeros((pair[-1][0].stop - first, n))
-    for rows, cols, X, Y in pair:
-        A = slab[rows.start - first:rows.stop - first, cols]
-        X00, X01, Y00, Y01 = X[0::2, 0::2], X[0::2, 1::2], Y[0::2, 0::2], Y[0::2, 1::2]
-        A[0::2, 0::2] = X00 + X01
-        A[0::2, 1::2] = Y00 - Y01
-        A[1::2, 0::2] = -(Y00 + Y01)
-        A[1::2, 1::2] = X00 - X01
+    hold, or None when a fiber of one breaks T's pattern: each block, its
+    columns widened to whole fibers, is folded (_fold) into its span of the
+    slab, one padded block at a time."""
+    r0 = blocks[0][0]
+    slab = np.zeros(((blocks[-1][1] - r0) // 2, n))
+    for b0, b1, c0, c1, block in blocks:
+        e0, e1 = c0 - c0 % 4, c1 + -c1 % 4
+        B = np.zeros((b1 - b0, e1 - e0))
+        B[:, c0 - e0:c1 - e0] = block
+        if _fold(B, slab[(b0 - r0) // 2:(b1 - r0) // 2, e0 // 2:e1 // 2]) is None:
+            return None
     return slab
 
 
@@ -336,11 +320,41 @@ def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
     planes = (p00 + p11, p01 - p10, p00 - p11, p01 + p10)  # twice s, a, d, b
     pairs = len(planes[0])
     O = np.empty((4 * pairs, 4 * pairs), dtype=planes[0].dtype)
-    fibers = O.reshape(pairs, 4, pairs, 4)
-    for i, row in enumerate(_PARTICLE_HOLE_FIBER):
-        for j, (k, sign) in enumerate(row):
-            np.multiply(planes[k], 0.5 * sign, out=fibers[:, i, :, j])
+    _write_fibers(planes, 0.5, O.reshape(pairs, 4, pairs, 4).transpose(1, 3, 0, 2))
     return O
+
+
+def _write_fibers(planes, scale: float, fibers: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """fibers[i, j] = scale * sign * planes[k] for each entry (i, j) = (k, sign)
+    of the rows `rows` of _PARTICLE_HOLE_FIBER, the planes being
+    (s, a, d, b): T's one statement, which _particle_hole_O writes through
+    and _fold checks against. `fibers` is indexed [i, j, p, q] by fiber
+    entry (i counted from the first row written) and pairs."""
+    for i, row in enumerate(_PARTICLE_HOLE_FIBER[rows]):
+        for j, (k, sign) in enumerate(row):
+            np.multiply(planes[k], scale * sign, out=fibers[i, j])
+    return fibers
+
+
+def _fold(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
+    """B' with B = T(B'), the inverse of _particle_hole_O for a B of whole
+    4 x 4 fibers (any number of pairs of rows and of columns, real or
+    complex), written into `out` when given (_half_slab's slab); None when
+    a fiber breaks _PARTICLE_HOLE_FIBER. Row 0 of each fiber holds the
+    planes s, a, d, b at columns 0-3 (b negated), and rows 1-3 must equal
+    the table's rows written from them (_write_fibers), exactly.
+    B'[2p + x, 2q + y] is plane xy at the pairs (p, q): B'00 = s + d,
+    B'01 = a + b, B'10 = -(a - b) and B'11 = s - d, each rounded once
+    (b - a would differ from -(a - b) in the sign of zeros)."""
+    fibers = B.reshape(B.shape[0] // 4, 4, B.shape[1] // 4, 4).transpose(1, 3, 0, 2)
+    s, a, d, b = planes = [sign * f for f, (_, sign) in zip(fibers[0], _PARTICLE_HOLE_FIBER[0])]
+    rows = _write_fibers(planes, 1.0, np.empty((3,) + fibers.shape[1:], B.dtype), slice(1, None))
+    if not np.array_equal(rows, fibers[1:]):
+        return None
+    out = np.empty((2 * len(s), 2 * s.shape[1]), B.dtype) if out is None else out
+    out.reshape(len(s), 2, s.shape[1], 2).transpose(1, 3, 0, 2)[...] = [[s + d, a + b],
+                                                                         [-(a - b), s - d]]
+    return out
 
 
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):

@@ -92,15 +92,13 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     eigendecomposition runs in real arithmetic; a diagonal B takes one
     product (O * b) @ O. Commutes with P by construction; the block is
     re-Hermitized to absorb rounding noise. The result carries `region`, or
-    g's region when none is given. A lifted charge (real, diagonal, constant
-    on each site) is T(diag(b[::2])): on a half it is dressed on the half.
+    g's region when none is given. A fiber-1 block B = T(B') (_fold; every
+    lifted charge) is dressed as B' on P's particle-hole half.
     """
     g.check_factors(P)
-    B, fiber, b = g.factor, g.fiber, np.diagonal(g.factor)
-    if np.count_nonzero(B) != np.count_nonzero(b):
-        b = None
-    elif fiber < P.fiber and np.isrealobj(b) and (b.reshape(-1, 4) == b[::4, None]).all():
-        b, fiber = b[::2], P.fiber
+    half = quasifree._fold(g.factor) if g.fiber < P.fiber else None
+    B, fiber = (g.factor, g.fiber) if half is None else (half, P.fiber)
+    b = np.diagonal(B) if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) else None
     O = P.O_on(fiber)
     if b is None:
         Qt = O @ B @ O

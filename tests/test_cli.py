@@ -122,6 +122,20 @@ def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
     assert err.startswith("config error:") and key in err
 
 
+@pytest.mark.parametrize("task", ["chern", "twist"])
+@pytest.mark.parametrize("core_fraction, sizes", [(0.05, [1, 0, 0]), (1.0, [70, 65, 66])])
+def test_a_core_window_that_cannot_carry_the_index_exits_three(tmp_path, capsys, task,
+                                                               core_fraction, sizes):
+    # qwz R=8 (201 sites): 0.05 leaves two cores empty and 1.0 takes every
+    # site; either window reads nu = 0 (to 3e-15) whatever the projection
+    cfg = _write_cfg(tmp_path, "cfg.json", {"numerics": {"core_fraction": core_fraction}})
+    assert main([task, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"computation error: core_fraction {core_fraction} gives cores of "
+                            f"{sizes} of 201 sites; an empty core or the whole disk reads 0\n")
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"geometry": {"family": "hex"}}, "geometry.family must be 'square', not 'hex'"),
     ({"model": {"family": "hex"}}, "unknown model family 'hex'"),

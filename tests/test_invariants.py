@@ -224,6 +224,21 @@ def test_missing_geometry_is_refused(qwz_r6):
         chern_number(P, part)
 
 
+@pytest.mark.parametrize("core_fraction, sizes", [(0.05, [1, 0, 0]), (1.0, [40, 36, 36])])
+def test_a_core_window_that_cannot_carry_the_index_is_refused(qwz_stack3_r6_generators,
+                                                              core_fraction, sizes):
+    # chern, hall and bch share _core_indices: an empty core, or cores that
+    # hold the whole disk (112 sites at R=6), where the traces cancel
+    # identically, would give 0
+    P, part, g0, g1 = qwz_stack3_r6_generators
+    message = re.escape(f"core_fraction {core_fraction} gives cores of {sizes} of 112 sites")
+    for call in (lambda: chern_number(P, part, core_fraction),
+                 lambda: hall_sigma(P, g0, g1, part, core_fraction),
+                 lambda: exchange_phase_bch(P, g0, g1, 0.1, 0.1, part, core_fraction)):
+        with pytest.raises(ComputationError, match=message):
+            call()
+
+
 def test_unconverged_random_state_is_refused():
     # frozen seed: a generic gapped antisymmetric generator whose windowed
     # invariant sits far from every integer

@@ -250,22 +250,20 @@ def test_tiled_transpose_residuals_are_the_dense_ones(n):
     M = rng.standard_normal((n, n))
     near = M - M.T + 1e-14 * rng.standard_normal((n, n))  # nearly antisymmetric
     for X in (M, near):
-        assert _transpose_residual(X, np.add) == float(np.max(np.abs(X + X.T)))
-        assert _transpose_residual(X, np.subtract) == float(np.max(np.abs(X - X.T)))
+        assert _transpose_residual(X) == float(np.max(np.abs(X + X.T)))
 
 
 def test_transpose_residual_reuses_one_tile():
     # every tile pair, edge tiles included, is written into one _TILE^2
     # buffer: measured 1.13 tiles at dim 804 (2.25 with a tile per pair)
     M = np.random.default_rng(0).standard_normal((804, 804))
-    for op in (np.add, np.subtract):
-        tracemalloc.start()
-        try:
-            _transpose_residual(M, op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * 8 * quasifree._TILE**2
+    tracemalloc.start()
+    try:
+        _transpose_residual(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * quasifree._TILE**2
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
@@ -291,7 +289,7 @@ def test_slab_square_residual_is_the_dense_one(n):
     near = O + 1e-14 * rng.standard_normal((n, n))
     for X, dense in ((O, O @ O.T - np.eye(n)), (near, near @ near + np.eye(n))):
         assert abs(BasisProjection(X).validate() - max(float(np.max(np.abs(dense))),
-                                                       _transpose_residual(X, np.add))) <= 1e-15
+                                                       _transpose_residual(X))) <= 1e-15
 
 
 NAN_SPOTS = [(0, 0), (0, 447), (447, 0), (300, 300), (260, 5), (5, 260), (447, 447)]
@@ -305,8 +303,7 @@ def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
     O = P.O.copy()
     assert O.shape == (448, 448)
     O[spot] = np.nan
-    for op in (np.add, np.subtract):
-        assert np.isnan(_transpose_residual(O, op))
+    assert np.isnan(_transpose_residual(O))
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
         BasisProjection(O).validate()
     h = build_qwz(1.0, P.geometry)
@@ -608,47 +605,49 @@ def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
         assert float(np.max(np.abs(O[2 * s:2 * s + 2, 2 * s:2 * s + 2] - eps))) <= 1e-15
 
 
-@pytest.mark.parametrize("case", ["qwz", "trivial6", "qwz_stack3"])
-def test_charge_hamiltonian_is_A_on_the_pairs(case):
-    # the planes X, Y that _charge_fibers reads off each block make the
-    # charge Hamiltonian H = Y + iX: Hermitian, and A is the real form of
-    # -iH on z_a = gamma_{a,1} + i gamma_{a,2}, entry for entry
-    if case == "qwz":
-        h = build_qwz(1.0, _disk(6.0, 4))
-    elif case == "trivial6":
-        h = build_trivial(_disk(5.0, 6))
-    else:
-        h = stack_copies(build_qwz(-1.0, _disk(4.0, 4)), 3)
-    H = np.zeros((h.dim // 2, h.dim // 2), dtype=complex)
-    for block in h.blocks:
-        rows, cols, X, Y = models._charge_fibers(*block)
-        H[rows, cols] = Y + 1j * X
-    A = h.dense()
-    assert np.array_equal(H, H.conj().T)
-    assert np.array_equal(A[0::2, 0::2], H.imag) and np.array_equal(A[1::2, 1::2], H.imag)
-    assert np.array_equal(A[0::2, 1::2], H.real) and np.array_equal(A[1::2, 0::2], -H.real)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fold_inverts_the_fiber_map(dtype):
+    # _fold reads B' back from B = T(B'), each plane from two entries of a
+    # fiber, so to a few ulp of B'
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((10, 10)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.standard_normal((10, 10))
+    folded = quasifree._fold(quasifree._particle_hole_O(X))
+    assert folded.dtype == X.dtype and folded.shape == X.shape
+    assert float(np.max(np.abs(folded - X))) <= 4 * np.finfo(float).eps * float(np.max(np.abs(X)))
+
+
+@pytest.mark.parametrize("entry", range(16))
+def test_fold_refuses_any_broken_fiber_entry(entry):
+    # each of a fiber's 16 entries is tied to three others by
+    # _PARTICLE_HOLE_FIBER, so moving any one of them breaks the pattern
+    B = quasifree._particle_hole_O(np.random.default_rng(22).standard_normal((8, 8)))
+    assert quasifree._fold(B) is not None
+    i, j = divmod(entry, 4)
+    B[4 + i, 8 + j] += 0.5  # fiber (1, 2)
+    assert quasifree._fold(B) is None
 
 
 def test_charge_structure_is_read_from_the_entries():
     # pairing, one broken fiber, a fiber cut at an odd column and a
     # dimension that is not a whole number of orbital pairs all give no
-    # half; a far coupling of the right form is read into the planes
+    # half; a far coupling in the particle-hole form is read into A'
     assert quasifree._particle_hole_half(_pip_r8()) is None
     assert quasifree._particle_hole_half(_perturbed_qwz()) is None
-    far = build_trivial(_disk(4.0, 2)).dense()
-    far[0:2, -2:] = [[0.25, 0.5], [-0.5, 0.25]]  # x I + y eps, x = 0.25, y = 0.5
+    h = build_qwz(1.0, _disk(4.0, 4))
+    n = h.dim // 2
+    far = np.zeros((n, n))
+    far[0:2, -2:] = [[0.25, 0.5], [-0.75, 1.0]]  # pairs 0 and n/2 - 1, dyadic: T is exact
     far[-2:, 0:2] = -far[0:2, -2:].T
-    h = QuadraticHamiltonian(far, None)
-    _, cols, X, Y = models._charge_fibers(*h.blocks[0])
-    last = h.dim // 2 - 1 - cols.start  # the last pair's column in the planes
-    assert (X[0, last], Y[0, last]) == (0.25, 0.5)
-    _, cols, X, Y = models._charge_fibers(*h.blocks[-1])
-    assert cols.start == 0 and (X[-1, 0], Y[-1, 0]) == (-0.25, 0.5)
+    coupled = QuadraticHamiltonian(h.dense() + quasifree._particle_hole_O(far), None)
+    assert coupled.blocks[0][3] == h.dim  # the first block reaches the last column
+    half = quasifree._particle_hole_half(coupled)
+    assert np.array_equal(half.dense(), quasifree._particle_hole_half(h).dense() + far)
     odd = np.zeros((260, 260))
     odd[0, 131], odd[131, 0] = 1.0, -1.0
     h = QuadraticHamiltonian(odd, None)
     assert h.blocks[0][2:4] == (131, 132)  # read on the widened span 128:132
-    assert models._charge_fibers(*h.blocks[0]) is None
     assert quasifree._particle_hole_half(h) is None
     J = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert quasifree._particle_hole_half(QuadraticHamiltonian(J, None)) is None

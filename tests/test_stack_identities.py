@@ -76,8 +76,10 @@ def test_factored_traces_match_dense_generators(stack):
     assert abs(hall_sigma(P, g0, g1, part) - hall_sigma(dense, d0, d1, part)) <= 1e-10
     bch = exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
     assert abs(bch - exchange_phase_bch(dense, d0, d1, 0.1, 0.1, part)) <= 1e-10
-    U = flux_unitary(g0, 0.1)  # dense, from the block's and the charge's eigh
-    assert float(np.max(np.abs(U - flux_unitary(d0, 0.1)))) <= 1e-10
+    # flux_unitary(g0) against flux_unitary(d0) follows from the Qtilde
+    # agreement above and the expm pins of both generator kinds
+    # (test_flux_unitaries_on_the_half_are_exponentials,
+    # test_symgen.py::test_flux_unitary_of_a_complex_generator_is_its_exponential)
 
 
 def test_twist_sigma_is_nu_times_copy_factor(stack):

@@ -212,11 +212,16 @@ def test_flux_unitary_properties():
 
 
 def test_flux_unitary_of_a_complex_generator_is_its_exponential():
-    # a complex fiber-1 block with a charge of three distinct eigenvalues:
-    # the sum over charge sectors against scipy's expm of the dense Qtilde
+    # fiber-1 blocks: a complex one with a charge of three distinct
+    # eigenvalues and with [[1]] (a dense N = 1 generator), and a real one
+    # with the cyclic charge (a lifted charge of a fiber-1 stack): the sum
+    # over charge sectors against scipy's expm of the dense Qtilde
     rng = np.random.default_rng(15)
     Q = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    g = FluxGenerator((Q + Q.conj().T) / 2, (c + c.conj().T) / 2)
-    want = scipy.linalg.expm(0.7j * g.Qtilde)
-    assert float(np.max(np.abs(flux_unitary(g, 0.7) - want))) <= 1e-12
+    B = (Q + Q.conj().T) / 2
+    for block, charge in ((B, (c + c.conj().T) / 2), (B, np.ones((1, 1))),
+                          (B.real, cyclic_charge(5))):
+        g = FluxGenerator(block, charge)
+        want = scipy.linalg.expm(0.7j * g.Qtilde)
+        assert float(np.max(np.abs(flux_unitary(g, 0.7) - want))) <= 1e-12
