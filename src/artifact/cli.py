@@ -37,7 +37,8 @@ from . import models
 from ._util import ArtifactError, ComputationError, ConfigError, check_memory
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import chern_number_with_residual, parity_from_nu, round_nu, twist_from_nu
+from .invariants import (_core_sites, chern_number_with_residual, parity_from_nu, round_nu,
+                         twist_from_nu)
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
@@ -175,10 +176,13 @@ def build_model(cfg: dict, copies: int = 1):
     radius, majoranas = float(g["radius"]), FAMILIES[family][0]
     # the unit squares around the disk's sites cover the disk of radius
     # R - 1/sqrt(2), so it has at least that many sites: an oversize radius
-    # is refused before any lattice array is allocated
-    check_memory(int(np.pi * max(radius - 0.5**0.5, 0.0) ** 2) * majoranas)
+    # is refused before any lattice array is allocated, on one array of that
+    # dim, the least any projection path holds
+    check_memory(int(np.pi * max(radius - 0.5**0.5, 0.0) ** 2) * majoranas, 1)
     geometry = build_disk_lattice(g["family"], radius, tuple(g["apex_offset"]),
                                   majorana_count=majoranas)
+    # windows that cannot carry the index are refused before the build
+    _core_sites(build_partition(cfg), geometry, float(cfg["numerics"]["core_fraction"]))
     # looked up on every call, so a builder rebound in `models` is the one used
     build = getattr(models, f"build_{family}")
     h = build(geometry=geometry, **_model_parameters(cfg))

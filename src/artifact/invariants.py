@@ -69,20 +69,28 @@ def core_regions(P: BasisProjection, partition: ConicalPartition, core_fraction:
     geom = P.geometry
     if geom is None:
         raise ComputationError("projection carries no geometry")
-    return windowed_site_ids(partition, geom, core_fraction), geom
+    return _core_sites(partition, geom, core_fraction), geom
+
+
+def _core_sites(partition: ConicalPartition, geom, core_fraction: float):
+    """The site ids of the three cores (windowed_site_ids). A window that
+    leaves a core without a site, or that holds every site of the disk,
+    where the traces cancel identically, is refused: either would report 0
+    for any projection. It depends only on the lattice and the partition,
+    so the CLI checks it before the model build (cli.build_model)."""
+    ids = windowed_site_ids(partition, geom, core_fraction)
+    if 0 in (sizes := [len(r) for r in ids]) or sum(sizes) == len(geom.sites):
+        raise ComputationError(f"core_fraction {core_fraction} gives cores of {sizes} of "
+                               f"{len(geom.sites)} sites; an empty core or the whole disk reads 0")
+    return ids
 
 
 def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float,
                   per_site: int | None = None):
     """Indices of the three cores in P's single-copy space, or in a space of
-    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber).
-    A window that leaves a core without a site, or that holds every site of
-    the disk, where the traces cancel identically, is refused: either would
-    report 0 for any P."""
+    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber);
+    windows that cannot carry the index are refused (_core_sites)."""
     ids, geom = core_regions(P, partition, core_fraction)
-    if 0 in (sizes := [len(r) for r in ids]) or sum(sizes) == len(geom.sites):
-        raise ComputationError(f"core_fraction {core_fraction} gives cores of {sizes} of "
-                               f"{len(geom.sites)} sites; an empty core or the whole disk reads 0")
     block_geom = geom.with_majorana_count(geom.majorana_count // (per_site or P.copies))
     return [np.where(region_mask(r, block_geom))[0] for r in ids]
 

@@ -316,14 +316,15 @@ def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
 
 def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> QuadraticHamiltonian:
     """The body of every builder: the Majorana-count check, the memory guard
-    (before anything is allocated), the bulk-gap certificate, the real-space
+    (before anything is allocated, on one dim x dim array: the least any
+    projection path holds), the bulk-gap certificate, the real-space
     assembly of `blocks(**params)` (on-site, hopping and pairing blocks) and
     the construction. `trivial` takes any even Majorana count, and its
     spectrum is exactly {+-1}, so its bulk gap is 1."""
     count = FAMILIES[family_tag][0]
     if family_tag != "trivial" and geometry.majorana_count != count:
         raise ComputationError(f"{family_tag} needs majorana_count = {count}")
-    check_memory(geometry.dim_K)
+    check_memory(geometry.dim_K, 1)
     gap = 1.0 if family_tag == "trivial" else _check_gapped(family_tag, params)
     envelope = tuple(_real_space_blocks(geometry, *blocks(**params)))
     if not all(np.isfinite(block).all() for *_, block in envelope):

@@ -228,6 +228,7 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
         O, edge_gap, m = _real_structure(solved, gap_tol)
         fiber = h.dim // solved.dim
         return O, fiber, (edge_gap, fiber * m, _certify(solved, O))
+    check_memory(h.dim, 1)  # the zeroed factor; each group's solver checks its own
     O, health = np.zeros((h.dim, h.dim)), []
     for r0, group in groups:
         O_group, edge_gap, m = _real_structure(group, gap_tol)
@@ -377,8 +378,12 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     mode outside the cluster does. An odd or total cluster, or split members
     not half negative, are refused as unresolvable.
     O is antisymmetrized in place over pairs of tiles (_antisymmetrize).
+    The projection's memory need is checked here, before the eigh, at the
+    size n = h.dim decomposed (_util._WORKING_ARRAYS n x n arrays): dim for
+    pip, dim/2 for the particle-hole half, each group's size for trivial.
     """
     dim = h.dim
+    check_memory(dim)
     w, V = np.linalg.eigh(h.gram())  # ascending; each lambda^2 twice
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
     k = int(np.searchsorted(w, tau2, side="right"))
@@ -438,7 +443,9 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     at dim/2 (every qwz disk and stack), whose O' the result keeps as its
     factor (fiber 2) and whose residual bounds O's (_particle_hole_O); or
     h itself (fiber 1). A gap_tol that is not a finite number >= 0 is
-    refused before any eigh.
+    refused before any eigh, and so is a job that does not fit in memory:
+    the structure solver checks the matrix it decomposes (_real_structure),
+    and the groups' factor is checked before it is allocated.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.
@@ -446,7 +453,6 @@ def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisPr
     """
     if not 0.0 <= gap_tol < np.inf:
         raise ComputationError(f"gap_tol must be a finite number >= 0, not {gap_tol}")
-    check_memory(h.dim)
     O, fiber, (edge_gap, m, residual) = _complex_structure(h, gap_tol)
     health = {"edge_gap": edge_gap, "zero_modes": m * h.copies,
               "projection_residual": residual}

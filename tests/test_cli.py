@@ -136,6 +136,28 @@ def test_a_core_window_that_cannot_carry_the_index_exits_three(tmp_path, capsys,
                             f"{sizes} of 201 sites; an empty core or the whole disk reads 0\n")
 
 
+@pytest.mark.parametrize("core_fraction, sizes", [(0.05, [1, 0, 0]), (1.0, [70, 65, 66])])
+def test_a_core_window_is_refused_before_the_build(tmp_path, capsys, monkeypatch,
+                                                   core_fraction, sizes):
+    # the windows depend only on the lattice and the partition; a sweep
+    # row that refuses one still reads ERROR
+    from artifact import models
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built before the core windows were checked")
+
+    monkeypatch.setattr(models, "build_qwz", no_build)
+    cfg = _write_cfg(tmp_path, "cfg.json", {"numerics": {"core_fraction": core_fraction}})
+    message = (f"core_fraction {core_fraction} gives cores of {sizes} of 201 sites; "
+               "an empty core or the whole disk reads 0")
+    assert main(["chern", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"computation error: {message}\n"
+    assert main(["sweep", "--config", cfg, "--radii", "8,10"]) == 0
+    _, r8, r10 = capsys.readouterr().out.strip().split("\n")
+    assert r8.startswith(f"8,ERROR: {message},")
+    assert r10.startswith(f"10,ERROR: core_fraction {core_fraction} gives cores of ")
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"geometry": {"family": "hex"}}, "geometry.family must be 'square', not 'hex'"),
     ({"model": {"family": "hex"}}, "unknown model family 'hex'"),
@@ -286,8 +308,11 @@ def test_oversize_job_exits_three(trivial_cfg, capsys, monkeypatch):
 
 
 def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
-    # qwz radius 4: block dim 204, stack dim 612; the budget lies between
-    # the block's estimate 6 * 8 * 204^2 B (2.0 MB) and the stack's (18 MB)
+    # qwz radius 4: block dim 204, solved as its particle-hole half at 102;
+    # stack dim 612. The first budget lies between the half's estimate
+    # 6 * 8 * 102^2 B (0.50 MB) and the least the stack would hold (one
+    # 612^2 array, 3.0 MB); the second between the pre-build check's one
+    # 204^2 array (0.33 MB) and the half's estimate
     import numpy as np
     from artifact import _util
 
@@ -295,28 +320,95 @@ def test_stack_memory_guard_uses_block_dimension(capsys, monkeypatch):
         raise AssertionError("the twist path built a Kronecker product")
 
     monkeypatch.setattr(np, "kron", no_stacked_operator)
-    monkeypatch.setattr(_util, "available_memory", lambda: 5 * 10**6)
+    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
     assert main(["twist", "--copies", "3", "--radius", "4"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert abs(blob["indices"]["sigma"] - 2.0) <= 0.3
-    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
+    monkeypatch.setattr(_util, "available_memory", lambda: 4 * 10**5)
     assert main(["twist", "--copies", "3", "--radius", "4"]) == 3
-    block_need = _util._WORKING_ARRAYS * 8 * 204**2 / 1e9
-    assert f"projection needs ~{block_need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
+    half_need = _util._WORKING_ARRAYS * 8 * 102**2 / 1e9
+    assert f"projection needs ~{half_need:.2g} GB, 0.0004 GB available" in capsys.readouterr().err
 
 
 def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
-    # qwz radius 4: dim 204, estimate 6 * 8 * 204^2 B (2.0 MB) above the budget
+    # qwz radius 4: dim 204; the budget lies below the pre-build check's one
+    # 204^2 array (0.33 MB) and above the pre-lattice check's one array at
+    # the disk's lower bound of 136 (0.15 MB)
     from artifact import _util, models
 
     def no_build(*args):
         raise AssertionError("the model build ran before the memory guard")
 
     monkeypatch.setattr(models, "_real_space_blocks", no_build)
-    monkeypatch.setattr(_util, "available_memory", lambda: 10**6)
+    monkeypatch.setattr(_util, "available_memory", lambda: 2.5 * 10**5)
     assert main(["chern", "--radius", "4"]) == 3
-    need = _util._WORKING_ARRAYS * 8 * 204**2 / 1e9
-    assert f"projection needs ~{need:.2g} GB, 0.001 GB available" in capsys.readouterr().err
+    need = 8 * 204**2 / 1e9
+    assert f"projection needs ~{need:.2g} GB, 0.00025 GB available" in capsys.readouterr().err
+
+
+def _eigh_spy(monkeypatch):
+    """Count the calls of np.linalg.eigh, which still runs."""
+    import numpy as np
+
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family, radius, n", [
+    ("pip", 4, 102),      # solved on A, at dim 102
+    ("qwz", 6, 224),      # the particle-hole half of dim 448
+    ("trivial", 6, 128),  # the first of the groups [128, 96] of dim 224
+])
+def test_each_path_is_refused_at_its_solver_estimate(tmp_path, capsys, monkeypatch,
+                                                     family, radius, n):
+    # below the solver's estimate at the size n it decomposes, the job is
+    # refused before any eigh; at the estimate it runs (every earlier check
+    # charges less)
+    from artifact import _util
+    cfg = _write_cfg(tmp_path, "cfg.json", {"model": {"family": family}})
+    argv = ["chern", "--config", cfg, "--radius", str(radius)]
+    need = _util._WORKING_ARRAYS * 8 * n**2
+    calls = _eigh_spy(monkeypatch)
+    monkeypatch.setattr(_util, "available_memory", lambda: need - 1)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"computation error: projection needs "
+                                       f"~{need / 1e9:.2g} GB, {(need - 1) / 1e9:.2g} GB available\n")
+    assert not calls
+    monkeypatch.setattr(_util, "available_memory", lambda: need)
+    assert main(argv) == 0
+    assert calls
+
+
+def test_the_early_checks_charge_no_more_than_the_solver(tmp_path, monkeypatch):
+    # the pre-lattice (cli) and pre-build (models) checks are lower bounds
+    # of the path each family takes, so they never refuse a job it can run
+    from artifact import _util, cli, models, quasifree
+
+    needs = []
+
+    def spy(module):
+        def check(dim, arrays=_util._WORKING_ARRAYS, stage="projection"):
+            needs.append((module, arrays * 8 * dim * dim))
+            return _util.check_memory(dim, arrays, stage)
+        return check
+
+    for module in (cli, models, quasifree):
+        monkeypatch.setattr(module, "check_memory", spy(module))
+    for family in ("qwz", "pip", "trivial"):
+        cfg = _write_cfg(tmp_path, f"{family}.json", {"model": {"family": family}})
+        for radius in ("4", "6", "8"):
+            needs.clear()
+            assert main(["chern", "--config", cfg, "--radius", radius]) == 0
+            (lattice, pre_lattice), (build, pre_build), *solver = needs
+            assert (lattice, build) == (cli, models)
+            assert solver and {module for module, _ in solver} == {quasifree}
+            assert pre_lattice <= pre_build <= max(need for _, need in solver)
 
 
 @pytest.mark.parametrize("family", ["qwz", "trivial"])

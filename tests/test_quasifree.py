@@ -199,6 +199,26 @@ def test_oversize_job_refused_up_front(trivial_projection, monkeypatch):
     ground_projection(h, 1e-8)
 
 
+@pytest.mark.parametrize("radius, need", [
+    (8.0, 8 * 402**2),                         # the zeroed factor of dim 402
+    (6.0, _util._WORKING_ARRAYS * 8 * 128**2),  # the first group of [128, 96]
+])
+def test_diagonal_groups_are_refused_at_their_larger_need(monkeypatch, radius, need):
+    # a trivial disk's groups path holds its dim x dim factor (one array)
+    # and, one group at a time, the solver's arrays at the group's size;
+    # the larger of the two refuses it before any eigh
+    h = build_trivial(build_disk_lattice("square", radius, majorana_count=2))
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+    monkeypatch.setattr(_util, "available_memory", lambda: need - 1)
+    with pytest.raises(ComputationError, match=f"projection needs ~{need / 1e9:.2g} GB, "):
+        ground_projection(h, 1e-8)
+    assert not calls
+    monkeypatch.setattr(_util, "available_memory", lambda: need)
+    ground_projection(h, 1e-8).validate()
+    assert calls
+
+
 @pytest.mark.parametrize("gap_tol", [np.nan, -1.0, np.inf])
 def test_bad_gap_tol_refused_before_any_eigh(trivial_projection, gap_tol, monkeypatch):
     # a NaN window would be the whole space, a negative one wider than asked,
