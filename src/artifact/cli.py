@@ -37,8 +37,8 @@ from . import models
 from ._util import ArtifactError, ComputationError, ConfigError, check_memory
 from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
                        build_disk_lattice, make_good_partition)
-from .invariants import (_core_sites, chern_number_with_residual, parity_from_nu, round_nu,
-                         twist_from_nu)
+from .invariants import (DEFAULT_CORE_FRACTION, DEFAULT_NU_ROUND_TOL, _core_sites,
+                         chern_number_with_residual, parity_from_nu, round_nu, twist_from_nu)
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
                         wick_expectation)
@@ -47,16 +47,14 @@ from .symgen import FluxGenerator, cyclic_charge, dress_charge, flux_unitary
 DEFAULT_CONFIG = {
     "model": {"family": "qwz", "u": 1.0, "mu": -1.0, "delta": 0.5},
     "geometry": {
-        "family": "square",
         "radius": 8.0,
         "apex_offset": list(DEFAULT_APEX_OFFSET),
         "boundary_angles": list(DEFAULT_BOUNDARY_ANGLES),
-        "gap_halfwidth": 0.15,
     },
     "numerics": {
-        "gap_tol": None,  # per-family default: 1e-8 for trivial, 1e-4 for disks
-        "core_fraction": 0.7,
-        "nu_round_tol": 0.1,
+        "gap_tol": 1e-4,
+        "core_fraction": DEFAULT_CORE_FRACTION,
+        "nu_round_tol": DEFAULT_NU_ROUND_TOL,
         "kgrid": 200,
     },
     "copies": 3,
@@ -111,7 +109,7 @@ def _check_numbers(cfg: dict, defaults: dict, prefix: str = ""):
     """Refuse a numeric setting that is not a finite real number, reading the
     schema off the defaults: where the default is a number the value must be
     one, an int where the default is an int; where it is a list of numbers
-    the value must list as many; a None default also admits None."""
+    the value must list as many."""
     for key, default in defaults.items():
         name, value = prefix + key, cfg[key]
         if isinstance(default, dict):
@@ -120,9 +118,7 @@ def _check_numbers(cfg: dict, defaults: dict, prefix: str = ""):
             if not (isinstance(value, list) and len(value) == len(default)
                     and all(_is_number(v) for v in value)):
                 raise ConfigError(f"{name} must list {len(default)} finite numbers")
-        elif default is None or _is_number(default):
-            if value is None and default is None:
-                continue
+        elif _is_number(default):
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
             if isinstance(default, int) and not isinstance(value, int):
@@ -136,34 +132,22 @@ def validate_config(cfg: dict, task: str):
         raise ConfigError(f"unknown model family {family!r}")
     if task == "oracle-tknn":  # the momentum-space oracle builds no disk
         return
-    lattice = cfg["geometry"]["family"]
-    if lattice != "square":
-        raise ConfigError(f"geometry.family must be 'square', not {lattice!r}")
     if cfg["geometry"]["radius"] < 4:
         raise ConfigError("geometry.radius must be a number >= 4")
     try:
         build_partition(cfg)
     except ComputationError as exc:
-        raise ConfigError(f"geometry.boundary_angles and geometry.gap_halfwidth "
-                          f"give a {exc}") from None
+        raise ConfigError(f"geometry.boundary_angles give a {exc}") from None
     cf = cfg["numerics"]["core_fraction"]
     if not 0.0 < cf <= 1.0:
         raise ConfigError("numerics.core_fraction must be in (0, 1]")
     for key in ("gap_tol", "nu_round_tol"):
-        tol = cfg["numerics"][key]
-        if tol is not None and tol < 0:
+        if cfg["numerics"][key] < 0:
             raise ConfigError(f"numerics.{key} must be >= 0")
     if task == "twist":
         copies = cfg["copies"]
         if copies < 1 or copies % 2 == 0:
             raise ConfigError("copies must be odd")
-
-
-def _gap_tol(cfg: dict) -> float:
-    tol = cfg["numerics"]["gap_tol"]
-    if tol is not None:
-        return float(tol)
-    return 1e-8 if cfg["model"]["family"] == "trivial" else 1e-4
 
 
 def _model_parameters(cfg: dict) -> dict:
@@ -179,7 +163,7 @@ def build_model(cfg: dict, copies: int = 1):
     # is refused before any lattice array is allocated, on one array of that
     # dim, the least any projection path holds
     check_memory(int(np.pi * max(radius - 0.5**0.5, 0.0) ** 2) * majoranas, 1)
-    geometry = build_disk_lattice(g["family"], radius, tuple(g["apex_offset"]),
+    geometry = build_disk_lattice("square", radius, tuple(g["apex_offset"]),
                                   majorana_count=majoranas)
     # windows that cannot carry the index are refused before the build
     _core_sites(build_partition(cfg), geometry, float(cfg["numerics"]["core_fraction"]))
@@ -196,8 +180,7 @@ def build_partition(cfg: dict):
     offset (build_disk_lattice)."""
     g = cfg["geometry"]
     return make_good_partition(tuple(g["apex_offset"]),
-                               tuple(float(a) for a in g["boundary_angles"]),
-                               gap_halfwidth=float(g["gap_halfwidth"]))
+                               tuple(float(a) for a in g["boundary_angles"]))
 
 
 def _phase(z: complex | None) -> dict | None:
@@ -212,7 +195,7 @@ def compute_report(cfg: dict, task: str) -> dict:
     the seven index keys, null where the task does not compute one, and the
     run's diagnostics."""
     copies = cfg["copies"] if task == "twist" else 1
-    gap_tol = _gap_tol(cfg)
+    gap_tol = float(cfg["numerics"]["gap_tol"])
     h = build_model(cfg, copies=copies)
     partition = build_partition(cfg)
     P = ground_projection(h, gap_tol)
@@ -286,7 +269,8 @@ def _sweep_row(row_cfg: dict):
         return (radius, f"{nu:.12g}", f"{nu / 2:.12g}", f"{err_nu:.12g}", wall_ms)
     except ArtifactError as exc:
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
-        return (radius, f"ERROR: {exc}", "", "", wall_ms)
+        # the message's commas would split the row, so they become semicolons
+        return (radius, "ERROR: " + str(exc).replace(",", ";"), "", "", wall_ms)
 
 
 def _map_in_workers(fn, jobs: int, *iterables) -> list:

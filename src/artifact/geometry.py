@@ -9,10 +9,9 @@ addresses K through the masks built here.
 Region conventions: a partition is an apex and three boundary angles,
 ordered counterclockwise; the boundary half-lines from the apex cut the
 plane into the cones 0, 1, 2, cone a being the sector
-[theta_a, theta_{a+1}). The thin gap sectors of half-width gap_halfwidth
-straddling the boundaries are only validated, never built, and carry no
-sites. Sites too close to a boundary half-line are rejected ("non-generic
-site") so membership is unambiguous.
+[theta_a, theta_{a+1}). Neighbouring boundaries lie more than
+MIN_BOUNDARY_SEPARATION apart. Sites too close to a boundary half-line are
+rejected ("non-generic site") so membership is unambiguous.
 """
 from __future__ import annotations
 
@@ -29,6 +28,11 @@ EPS_GENERIC = 1e-6
 
 DEFAULT_APEX_OFFSET = (0.2371, 0.1129)
 DEFAULT_BOUNDARY_ANGLES = (np.pi / 2, 7 * np.pi / 6, 11 * np.pi / 6)
+
+#: the least angle (radians) between neighbouring boundary half-lines: each
+#: boundary is straddled by a thin gap cone of half-width 0.15, and those of
+#: neighbouring boundaries may not overlap
+MIN_BOUNDARY_SEPARATION = 0.3
 
 #: side x side float64 arrays build_disk_lattice holds at its peak, side
 #: the longer edge of the radius's bounding box (the coordinate grids, the
@@ -103,25 +107,20 @@ def build_disk_lattice(family: str, radius: float,
 
 
 def make_good_partition(apex: tuple[float, float],
-                        boundary_angles=DEFAULT_BOUNDARY_ANGLES,
-                        gap_halfwidth: float = 0.15) -> ConicalPartition:
+                        boundary_angles=DEFAULT_BOUNDARY_ANGLES) -> ConicalPartition:
     """Three cones between consecutive boundary half-lines, counterclockwise.
 
-    Cone a is the full sector [theta_a, theta_{a+1}).
-    `gap_halfwidth` is the half-width of the thin gap sector straddling each
-    boundary; it must be positive and the gap sectors of neighbouring
-    boundaries may not overlap. No site is ever assigned to a gap sector.
-    A non-finite apex, angle or gap_halfwidth is refused.
+    Cone a is the full sector [theta_a, theta_{a+1}). A non-finite apex or
+    angle is refused, and so are neighbouring boundaries that lie
+    MIN_BOUNDARY_SEPARATION or less apart.
     """
     th = [float(a) % TWO_PI for a in boundary_angles]
-    if len(th) != 3 or not np.isfinite([*apex, *th, gap_halfwidth]).all():
+    if len(th) != 3 or not np.isfinite([*apex, *th]).all():
         raise ComputationError("degenerate partition")
     # strictly increasing within one turn, allowing wraparound of the start
     gaps = [(th[(i + 1) % 3] - th[i]) % TWO_PI for i in range(3)]
-    if not (all(0.0 < g < TWO_PI for g in gaps) and abs(sum(gaps) - TWO_PI) <= 1e-12):
-        raise ComputationError("degenerate partition")
-    if not gap_halfwidth > 0 or any(2 * gap_halfwidth >= g for g in gaps):
-        # an empty gap sector, or gap closures overlapping away from the apex
+    if not (all(MIN_BOUNDARY_SEPARATION < g < TWO_PI for g in gaps)
+            and abs(sum(gaps) - TWO_PI) <= 1e-12):
         raise ComputationError("degenerate partition")
     return ConicalPartition(apex, (th[0], th[1], th[2]))
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -96,30 +97,41 @@ NAN, INF = float("nan"), float("inf")
     ("chern", {"geometry": {"apex_offset": [1]}}, [], "geometry.apex_offset"),
     ("chern", {"numerics": {"core_fraction": "0.7"}}, [], "numerics.core_fraction"),
     ("chern", {"numerics": {"gap_tol": NAN}}, [], "numerics.gap_tol"),
+    ("chern", {"numerics": {"gap_tol": None}}, [], "numerics.gap_tol"),
     ("chern", {"numerics": {"nu_round_tol": NAN}}, [], "numerics.nu_round_tol"),
     ("oracle-tknn", {"numerics": {"kgrid": 60.7}}, [], "numerics.kgrid"),
     ("oracle-tknn", {"model": {"u": True}}, [], "model.u"),
     ("sweep", None, ["--radii", "4,inf"], "geometry.radius"),
     ("chern", {"numerics": {"gap_tol": -1}}, [], "numerics.gap_tol"),
     ("parity", {"numerics": {"nu_round_tol": -1}}, [], "numerics.nu_round_tol"),
-    ("chern", {"geometry": {"gap_halfwidth": -0.1}}, [], "geometry.gap_halfwidth"),
     ("chern", {"geometry": {"boundary_angles": [0, 0, 1]}}, [], "geometry.boundary_angles"),
-    ("sweep", {"model": {"family": "trivial"}, "geometry": {"gap_halfwidth": -0.1}},
-     ["--radii", "4,5"], "geometry.gap_halfwidth"),
     ("chern", {"numerics": {"core_fraction": 1.5}}, [], "numerics.core_fraction"),
     ("sweep", None, ["--radii", "4,x"], "radii must be numbers"),
 ], ids=["apex-nan", "radius-inf", "u-nan", "u-inf", "mu-nan", "kgrid-nan",
         "angles-scalar", "apex-short", "core-fraction-string", "gap-tol-nan",
-        "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf",
-        "gap-tol-negative", "round-tol-negative", "halfwidth-negative",
-        "angles-degenerate", "sweep-halfwidth-negative", "core-fraction-above-one",
-        "sweep-radius-x"])
+        "gap-tol-null", "round-tol-nan", "kgrid-fractional", "u-bool", "sweep-radius-inf",
+        "gap-tol-negative", "round-tol-negative", "angles-degenerate",
+        "core-fraction-above-one", "sweep-radius-x"])
 def test_bad_numbers_exit_two(tmp_path, capsys, command, payload, argv, key):
     if payload is not None:
         argv = ["--config", _write_cfg(tmp_path, "bad.json", payload)] + argv
     assert main([command] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("command, geometry, argv", [
+    ("chern", {"gap_halfwidth": 0.15}, []),
+    ("sweep", {"gap_halfwidth": -0.1}, ["--radii", "4,5"]),
+    ("oracle-tknn", {"family": "square"}, []),
+], ids=["halfwidth", "sweep-halfwidth", "oracle-family"])
+def test_a_removed_key_exits_two(tmp_path, capsys, command, geometry, argv):
+    # geometry.family and geometry.gap_halfwidth changed no number, so they
+    # left the schema: every task refuses them, at their old defaults too
+    cfg = _write_cfg(tmp_path, "old.json", {"geometry": geometry})
+    assert main([command, "--config", cfg] + argv) == 2
+    (key,) = geometry
+    assert capsys.readouterr().err == f"config error: unknown config keys: ['geometry.{key}']\n"
 
 
 @pytest.mark.parametrize("task", ["chern", "twist"])
@@ -153,13 +165,18 @@ def test_a_core_window_is_refused_before_the_build(tmp_path, capsys, monkeypatch
     assert main(["chern", "--config", cfg]) == 3
     assert capsys.readouterr().err == f"computation error: {message}\n"
     assert main(["sweep", "--config", cfg, "--radii", "8,10"]) == 0
-    _, r8, r10 = capsys.readouterr().out.strip().split("\n")
-    assert r8.startswith(f"8,ERROR: {message},")
+    lines = capsys.readouterr().out.strip().split("\n")
+    # the message's commas become semicolons, so both a CSV reader and a
+    # plain split see the header's five fields on every row
+    assert [len(row) for row in csv.reader(lines)] == [5, 5, 5]
+    assert [len(line.split(",")) for line in lines] == [5, 5, 5]
+    _, r8, r10 = lines
+    assert r8.startswith(f"8,ERROR: {message.replace(',', ';')},,,")
     assert r10.startswith(f"10,ERROR: core_fraction {core_fraction} gives cores of ")
 
 
 @pytest.mark.parametrize("payload, message", [
-    ({"geometry": {"family": "hex"}}, "geometry.family must be 'square', not 'hex'"),
+    ({"geometry": {"family": "hex"}}, "unknown config keys: ['geometry.family']"),
     ({"model": {"family": "hex"}}, "unknown model family 'hex'"),
     ({"model": {"family": ["qwz"]}}, "unknown model family ['qwz']"),
 ], ids=["lattice", "model", "model-list"])
@@ -514,9 +531,8 @@ def test_oracle_tknn_qwz(capsys):
     assert blob["oracle"]["parameters"] == {"u": 1.0}
 
 
-@pytest.mark.parametrize("geometry", [{"radius": 3.0}, {"gap_halfwidth": 3.0},
-                                      {"family": "hex"}],
-                         ids=["radius", "halfwidth", "lattice"])
+@pytest.mark.parametrize("geometry", [{"radius": 3.0}, {"boundary_angles": [0, 0, 1]}],
+                         ids=["radius", "angles-degenerate"])
 def test_oracle_tknn_ignores_the_disk_rules(tmp_path, capsys, geometry):
     # the momentum-space oracle builds no disk, so a geometry the disk tasks
     # refuse leaves it unchanged

@@ -108,26 +108,27 @@ def test_degenerate_angles_rejected():
         make_good_partition((0.2, 0.1), (0.0, 0.0, math.pi))
 
 
-@pytest.mark.parametrize("apex, angles, halfwidth", [
-    ((math.nan, 0.1), DEFAULT_BOUNDARY_ANGLES, 0.15),
-    ((0.2, math.inf), DEFAULT_BOUNDARY_ANGLES, 0.15),
-    ((0.2, 0.1), (math.nan, 7 * math.pi / 6, 11 * math.pi / 6), 0.15),
-    ((0.2, 0.1), (math.pi / 2, math.inf, 11 * math.pi / 6), 0.15),
-    ((0.2, 0.1), DEFAULT_BOUNDARY_ANGLES, math.inf),
-], ids=["apex-nan", "apex-inf", "angle-nan", "angle-inf", "halfwidth-inf"])
-def test_non_finite_partition_rejected(apex, angles, halfwidth):
+@pytest.mark.parametrize("apex, angles", [
+    ((math.nan, 0.1), DEFAULT_BOUNDARY_ANGLES),
+    ((0.2, math.inf), DEFAULT_BOUNDARY_ANGLES),
+    ((0.2, 0.1), (math.nan, 7 * math.pi / 6, 11 * math.pi / 6)),
+    ((0.2, 0.1), (math.pi / 2, math.inf, 11 * math.pi / 6)),
+], ids=["apex-nan", "apex-inf", "angle-nan", "angle-inf"])
+def test_non_finite_partition_rejected(apex, angles):
     # a NaN apex or angle once passed and gave a wrong nu (0.0 and 1.992
     # for the 1.998 of qwz at radius 6)
     with pytest.raises(ComputationError, match="degenerate partition"):
-        make_good_partition(apex, angles, halfwidth)
+        make_good_partition(apex, angles)
 
 
 def test_overlapping_gap_cones_rejected():
-    with pytest.raises(ComputationError, match="degenerate partition"):
-        make_good_partition((0.2, 0.1), (0.0, 0.2, math.pi), gap_halfwidth=0.15)
-    for empty in (0.0, -0.1, math.nan):  # no gap cone at all
+    # neighbouring boundaries need 0.3 rad between them, across the wrap too
+    for angles in [(0.0, 0.2, math.pi), (0.0, 0.29, math.pi), (0.2, math.pi, 2 * math.pi - 0.09)]:
         with pytest.raises(ComputationError, match="degenerate partition"):
-            make_good_partition((0.2, 0.1), gap_halfwidth=empty)
+            make_good_partition((0.2, 0.1), angles)
+    for angles in [(0.0, 0.31, math.pi), (0.2, math.pi, 2 * math.pi - 0.11)]:
+        part = make_good_partition((0.2, 0.1), angles)
+        assert part.boundary_angles == pytest.approx([a % (2 * math.pi) for a in angles])
 
 
 def in_cone(lo, hi, point) -> bool:

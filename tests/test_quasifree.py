@@ -235,6 +235,22 @@ def test_bad_gap_tol_refused_before_any_eigh(trivial_projection, gap_tol, monkey
         ground_projection(h, 0.0)
 
 
+@pytest.mark.parametrize("radius, majoranas, copies", [
+    (4.0, 2, 1), (4.0, 4, 1), (4.0, 2, 3), (5.0, 2, 1), (5.0, 4, 1), (5.0, 2, 3),
+    (6.0, 2, 1), (6.0, 6, 1), (6.0, 2, 3), (6.0, 2, 5), (8.0, 2, 1), (8.0, 4, 1),
+    (8.0, 2, 3), (12.0, 2, 1), (12.0, 6, 1), (24.0, 2, 1),
+])
+def test_trivial_projection_is_the_same_at_either_gap_tol(radius, majoranas, copies):
+    # trivial's spectrum is exactly +-1, so the CLI's one default, 1e-4, gives
+    # the projection that 1e-8 gives, bit for bit, stacks included
+    h = build_trivial(build_disk_lattice("square", radius, majorana_count=majoranas))
+    if copies > 1:
+        h = stack_copies(h, copies)
+    tight, default = ground_projection(h, 1e-8), ground_projection(h, 1e-4)
+    assert default.factor.tobytes() == tight.factor.tobytes()
+    assert default.health == tight.health
+
+
 def test_projection_peak_stays_below_its_memory_estimate():
     # the memory guard refuses up front on _WORKING_ARRAYS dim x dim arrays
     h = build_qwz(1.0, build_disk_lattice("square", 8.0, majorana_count=4))
