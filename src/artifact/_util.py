@@ -50,11 +50,15 @@ def available_memory() -> int | None:
 
 #: n x n float64 arrays the structure solver (quasifree._real_structure)
 #: holds at its peak for an A of size n, which it checks before its eigh:
-#: S = A^T A, LAPACK's copy of it and its workspace (two arrays), and the
-#: eigenvectors V. After the eigh: V and F = G G^T, then F and O = A F in V's
+#: S = A^T A, whose buffer then takes the eigenvectors V
+#: (quasifree._eigh_in_place), LAPACK's copy of S and its workspace (two
+#: arrays). After the eigh: V and F = G G^T, then F and O = A F in V's
 #: buffer. A is held as its row envelope blocks, and S is summed from them.
 #: Peak RSS above the imported interpreter, model build included, measured
-#: 5.26 at n = 1816 and 5.17 at 3216; tracemalloc, which does not see
+#: 4.49 at n = 1816 and 4.20 at 3206 (pip), and 5.95 at n = 908, 5.02 at
+#: 1608 and 4.51 at 3624 (the qwz half), where the OpenBLAS buffer and A's
+#: blocks weigh more arrays the smaller n is (5.47, 5.17, 6.85, 5.97 and
+#: 5.49 while the eigh allocated V); tracemalloc, which does not see
 #: LAPACK's buffers, measures 2.0 at n = 804 and 1816. n is the size solved:
 #: dim for pip, dim/2 for the particle-hole half (every qwz disk), each
 #: group's size for a block-diagonal A (trivial), whose dim x dim factor is

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._util import ComputationError, as_integer, check_memory
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
-from .quasifree import BasisProjection
+from .quasifree import BasisProjection, _eigh_in_place
 from .symgen import FluxGenerator
 
 if TYPE_CHECKING:  # fractions (and decimal through it) load only with the predictions
@@ -52,8 +52,9 @@ DEFAULT_NU_ROUND_TOL = 0.1
 #: factor dims 224 and 402 (alpha 0.1 and 2.5), tracemalloc gives 6.3 and 5.3
 #: on the Mercator-series path and 8.0 on the Cayley path, and the peak RSS
 #: above the pre-call level (fresh process, BLAS and LAPACK warmed up, 2
-#: cores) 12.8 and 7.6, and 16.7 and 14.7; the Cayley eigh holds K (in E's
-#: buffer), LAPACK's copy of it, two workspaces and the eigenvectors
+#: cores) 11.7-12.4 and 7.4-7.5, and 15.2-15.6 and 12.7-12.9 (17.2 and 14.9
+#: while the eigh allocated its eigenvectors); the Cayley eigh holds K, then
+#: its eigenvectors (in E's buffer), LAPACK's copy of K and two workspaces
 _BCH_WORKING_ARRAYS = 17
 
 #: bound on |E|_F, and so on |E|_2, below which log(I + E) is taken from the
@@ -232,10 +233,10 @@ def _log_near_identity(E: np.ndarray) -> np.ndarray:
     K = i(I - C)(I + C)^-1 = -i (I - 2 (I + C)^-1) is Hermitian, with C's
     eigenvectors and the eigenvalues kappa = tan(theta/2) for C's
     e^(i theta), so one eigh gives log C = W diag(2i arctan kappa) W^+.
-    I + C, then K, then W diag(2i arctan kappa) are formed in E's own
-    buffer, so E is overwritten. eigh reads only the lower triangle, so
-    only it is Hermitized, a block of columns at a time, and W^+ is a view
-    of W conjugated in place. C is normal, so
+    I + C, then K, then W (_eigh_in_place) are formed in E's own buffer, so
+    E is overwritten. eigh reads only the lower triangle, so only it is
+    Hermitized, a block of columns at a time. W diag(2i arctan kappa) is a
+    new array, and W^+ is a view of W conjugated in place. C is normal, so
     |C - I|_2 = max |e^(i theta) - 1| = max 2|kappa|/sqrt(1 + kappa^2)
     exactly. A singular I + C, or |C - I|_2 >= 1.88 (an eigenvalue within
     0.68 of -1), is a branch ambiguity.
@@ -252,11 +253,10 @@ def _log_near_identity(E: np.ndarray) -> np.ndarray:
     for c0 in range(0, n, _SECTOR_COLUMNS):
         c1 = c0 + _SECTOR_COLUMNS
         K[c0:, c0:c1] += K[c0:c1, c0:].conj().T
-    kappa, W = np.linalg.eigh(K)
-    del K
+    kappa, W = _eigh_in_place(K)  # K is dead: W takes E's buffer
     if float(np.max(2.0 * np.abs(kappa) / np.hypot(1.0, kappa))) >= 1.88:
         raise ComputationError("branch ambiguity; reduce alpha")
-    Ws = np.multiply(W, 2j * np.arctan(kappa), out=E)
+    Ws = W * (2j * np.arctan(kappa))
     return Ws @ np.conjugate(W, out=W).T  # W^+ as a view of W's own buffer
 
 
@@ -420,7 +420,11 @@ def parity_from_nu(nu: float, nu_round_tol: float):
     rounded."""
     nu_r = round_nu(nu, nu_round_tol)
     if nu_r is None:
-        raise ComputationError("unconverged")
+        nearest = float(np.rint(nu))
+        raise ComputationError(f"unconverged: nu = {nu:.6g} is {abs(nu - nearest):.3g} from "
+                               f"the nearest integer {nearest:.0f}, not within nu_round_tol = "
+                               f"{nu_round_tol:.3g}; a larger geometry.radius or "
+                               f"numerics.nu_round_tol may converge")
     if nu_r % 2:
         return -1, None
     return 1, exchange_phase_closed(nu / 2, np.pi, np.pi)

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._util import ComputationError, as_integer, check_memory
 from .models import QuadraticHamiltonian, _envelope
@@ -358,13 +359,35 @@ def _fold(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
     return out
 
 
+def _eigenvalues_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_in_place(S: np.ndarray):
+    """(w, V) = np.linalg.eigh(S), bit for bit, with the eigenvectors V
+    written into S's own buffer, so no eigenvector array is allocated. S is
+    overwritten: it may only be given a matrix that is dead after the call.
+    numpy's public eigh has no `out`, so this calls its gufunc (eigh_lo,
+    the lower triangle) as np.linalg.eigh does, with the same signature
+    from S's dtype (float64 or complex128) and the same error state, so
+    non-convergence still raises LinAlgError. The gufunc copies S into
+    LAPACK's buffer before it writes any output."""
+    w = np.empty(S.shape[0])
+    signature = "D->dD" if np.iscomplexobj(S) else "d->dd"
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(S, signature=signature, out=(w, S))
+
+
 def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     """O = -i sign(iA) in real arithmetic, for any real antisymmetric A,
     near-zero cluster filled halfway. Returns (O, edge gap, cluster size m).
 
-    One real eigh of A^T A = -A A (h.gram()) gives w = lambda^2 and a real
-    basis V. Modes with |lambda| above the window (gap_tol, or a tenth of
-    the largest |lambda|) give O = A V w^(-1/2) V^T = A F with F = G G^T and
+    One real eigh of S = A^T A = -A A (h.gram()) gives w = lambda^2 and a
+    real basis V, written into S's dead buffer (_eigh_in_place): the eigh
+    holds S (then V), LAPACK's copy of S and its workspace. Modes with
+    |lambda| above the window (gap_tol, or a tenth of the largest |lambda|)
+    give O = A V w^(-1/2) V^T = A F with F = G G^T and
     G = V w^(-1/4), scaled in V's own columns: F is one symmetric rank-k
     update, and A F runs over A's blocks (h.matmul) into V's dead buffer.
     The window's columns Vc span an invariant subspace of A; the small
@@ -384,7 +407,7 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     """
     dim = h.dim
     check_memory(dim)
-    w, V = np.linalg.eigh(h.gram())  # ascending; each lambda^2 twice
+    w, V = _eigh_in_place(h.gram())  # ascending; each lambda^2 twice
     tau2 = max(gap_tol**2, _WINDOW_FRACTION**2 * w[-1])
     k = int(np.searchsorted(w, tau2, side="right"))
     # never split the two copies of one lambda^2 between window and rest

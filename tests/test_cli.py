@@ -10,6 +10,7 @@ import pytest
 
 from artifact.cli import main
 from artifact.models import CONVENTION_TAG
+from eigh_spy import spy_eighs
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -363,20 +364,6 @@ def test_oversize_job_refused_before_the_build(capsys, monkeypatch):
     assert f"projection needs ~{need:.2g} GB, 0.00025 GB available" in capsys.readouterr().err
 
 
-def _eigh_spy(monkeypatch):
-    """Count the calls of np.linalg.eigh, which still runs."""
-    import numpy as np
-
-    calls, eigh = [], np.linalg.eigh
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    return calls
-
-
 @pytest.mark.parametrize("family, radius, n", [
     ("pip", 4, 102),      # solved on A, at dim 102
     ("qwz", 6, 224),      # the particle-hole half of dim 448
@@ -391,7 +378,7 @@ def test_each_path_is_refused_at_its_solver_estimate(tmp_path, capsys, monkeypat
     cfg = _write_cfg(tmp_path, "cfg.json", {"model": {"family": family}})
     argv = ["chern", "--config", cfg, "--radius", str(radius)]
     need = _util._WORKING_ARRAYS * 8 * n**2
-    calls = _eigh_spy(monkeypatch)
+    calls = spy_eighs(monkeypatch)
     monkeypatch.setattr(_util, "available_memory", lambda: need - 1)
     assert main(argv) == 3
     assert capsys.readouterr().err == (f"computation error: projection needs "
@@ -518,6 +505,19 @@ def test_gapless_parameters_exit_three(tmp_path, capsys):
                       "geometry": {"radius": 4.0}})
     assert main(["chern", "--config", cfg]) == 3
     assert "gapless parameters" in capsys.readouterr().err
+
+
+def test_an_unconverged_parity_names_nu_and_its_tolerance(tmp_path, capsys):
+    # pip at the default radius 8 reads nu 0.877, 0.123 from 1: the refusal
+    # says how far off nu is and what may converge it; R=12 converges
+    cfg = _write_cfg(tmp_path, "pip.json", {"model": {"family": "pip"}})
+    assert main(["parity", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "computation error: unconverged: nu = 0.877089 is 0.123 from the nearest integer 1, "
+        "not within nu_round_tol = 0.1; a larger geometry.radius or numerics.nu_round_tol "
+        "may converge\n")
+    assert main(["parity", "--config", cfg, "--radius", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["indices"]["z2"] == -1
 
 
 # ---------------------------------------------------------------------------

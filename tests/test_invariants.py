@@ -23,6 +23,7 @@ from artifact.invariants import (_BCH_WORKING_ARRAYS, _log_near_identity, _log_s
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
 from dense_oracle import dense_exchange_phase_bch, dense_sector_commutator
+from eigh_spy import spy_eighs
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +384,7 @@ def test_log_frobenius_rule_sends_small_spectral_norm_to_cayley(monkeypatch):
     X, C = _exp_i(0.4 * np.linspace(-1.0, 1.0, 12))
     E = C - np.eye(12)
     assert float(np.linalg.norm(E, 2)) < 0.5 <= float(np.linalg.norm(E))
-    calls = []
-    eigh = np.linalg.eigh
-
-    def spy(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    calls = spy_eighs(monkeypatch, lambda a: a.shape)
     assert float(np.max(np.abs(_log_near_identity(E) - 1j * X))) <= 1e-10
     assert calls == [(12, 12)]
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_re
                                 _transpose_residual)
 from dense_oracle import (dense_A_structure, dense_basis_projection, dense_charge_structure,
                           dense_gram, dense_ground_projection)
+from eigh_spy import spy_eighs
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +213,7 @@ def test_diagonal_groups_are_refused_at_their_larger_need(monkeypatch, radius, n
     # and, one group at a time, the solver's arrays at the group's size;
     # the larger of the two refuses it before any eigh
     h = build_trivial(build_disk_lattice("square", radius, majorana_count=2))
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+    calls = spy_eighs(monkeypatch)
     monkeypatch.setattr(_util, "available_memory", lambda: need - 1)
     with pytest.raises(ComputationError, match=f"projection needs ~{need / 1e9:.2g} GB, "):
         ground_projection(h, 1e-8)
@@ -263,8 +267,89 @@ def test_projection_peak_stays_below_its_memory_estimate():
     assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
     # qwz keeps its particle-hole half's O' as the factor and never
     # allocates O, so the projection's peak is the real path's at dim/2
-    # (measured 0.79; 1.37 while O and its planes were assembled)
+    # (measured 0.71; 1.37 while O and its planes were assembled)
     assert peak < 0.85 * 8 * h.dim**2
+
+
+def _eigh_inputs():
+    """name -> a symmetric or Hermitian matrix, each a corner of eigh."""
+    rng = np.random.default_rng(35)
+    X = rng.standard_normal((300, 300))
+    B = rng.standard_normal((200, 200))
+    Z = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    return {"symmetric": X + X.T,
+            "gram_of_antisymmetric": (B - B.T).T @ (B - B.T),  # every eigenvalue twice
+            "repeated_diagonal": np.diag([3.0, -1.0, 3.0, 0.5, -1.0, 3.0]),
+            "one_by_one": np.array([[-2.5]]),
+            "zero": np.zeros((4, 4)),
+            "hermitian": Z + Z.conj().T}
+
+
+@pytest.mark.parametrize("case", sorted(_eigh_inputs()))
+def test_eigh_in_place_is_numpy_s_eigh_in_the_input_s_buffer(case):
+    S = _eigh_inputs()[case]
+    w_ref, V_ref = np.linalg.eigh(S)
+    w, V = quasifree._eigh_in_place(S)
+    assert w.tobytes() == w_ref.tobytes() and w.dtype == w_ref.dtype
+    assert V.tobytes() == V_ref.tobytes() and V.dtype == V_ref.dtype
+    assert np.shares_memory(V, S)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_in_place_raises_numpy_s_error_when_lapack_does_not_converge(dtype):
+    S = np.full((4, 4), np.nan, dtype=dtype)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        np.linalg.eigh(S.copy())
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        quasifree._eigh_in_place(S)
+
+
+def test_eigh_in_place_allocates_no_eigenvector_array():
+    # tracemalloc sees numpy's arrays, not LAPACK's buffers: the helper
+    # allocates only w (measured 0.002 n x n arrays at n = 600), numpy's
+    # eigh a new eigenvector array besides (1.002)
+    n = 600
+    X = np.random.default_rng(36).standard_normal((n, n))
+    peaks = []
+    for eigh in (quasifree._eigh_in_place, np.linalg.eigh):
+        S = X + X.T
+        tracemalloc.start()
+        try:
+            eigh(S)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.1
+    assert peaks[1] >= 1.0
+
+
+_EIGH_PEAK_RSS = """
+import sys
+import numpy as np
+from artifact import quasifree
+n = int(sys.argv[1])
+eigh = np.linalg.eigh if sys.argv[2] == "numpy" else quasifree._eigh_in_place
+S = np.random.default_rng(37).standard_normal((n, n))
+S += S.T
+w, V = eigh(S)
+with open("/proc/self/status") as fh:  # this process's own peak, not its parent's
+    print(next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_eigh_in_place_peak_rss_is_an_array_below_numpy_s():
+    # two twin processes that differ only in the eigh: the helper's peak RSS
+    # holds S (then V), LAPACK's copy and its workspace, numpy's eigh the
+    # eigenvectors besides (measured 0.98 n x n arrays fewer at n = 1500, 0.995 at 1816)
+    n = 1500
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifree.__file__).resolve().parents[1]))
+    peaks = {}
+    for eigh in ("numpy", "in_place"):
+        proc = subprocess.run([sys.executable, "-c", _EIGH_PEAK_RSS, str(n), eigh], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks[eigh] = int(proc.stdout)
+    assert peaks["numpy"] - peaks["in_place"] >= 0.8 * 8 * n * n
 
 
 TILE_SIZES = [1, 2, 255, 256, 257, 773]
@@ -613,13 +698,7 @@ def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
     h = _trivial_with_fibers(fibers)
     assert quasifree._particle_hole_half(h) is None
     assert quasifree._diagonal_groups(h) == [(0, h)]
-    eigh, calls = np.linalg.eigh, []
-
-    def counted(a, *args, **kwargs):
-        calls.append((len(a), np.iscomplexobj(a)))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    calls = spy_eighs(monkeypatch, lambda a: (len(a), np.iscomplexobj(a)))
     P = ground_projection(h, 1e-8)
     monkeypatch.undo()
     assert calls[0] == (h.dim, False)
@@ -788,18 +867,14 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     assert quasifree._particle_hole_half(h).dim == h.dim // 2
     gapped = _qwz_with_decoupled_sites({s: eps or 1.0 for s, eps in onsite.items()})
     O_ref, _ = dense_charge_structure(gapped.dense())
-    real_structure, eigh, halves, calls = quasifree._real_structure, np.linalg.eigh, [], []
+    real_structure, halves = quasifree._real_structure, []
 
     def spied_structure(half, gap_tol):
         halves.append(half.dim)
         return real_structure(half, gap_tol)
 
-    def spied_eigh(a, *args, **kwargs):
-        calls.append((len(a), np.iscomplexobj(a)))
-        return eigh(a, *args, **kwargs)
-
     monkeypatch.setattr(quasifree, "_real_structure", spied_structure)
-    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    calls = spy_eighs(monkeypatch, lambda a: (len(a), np.iscomplexobj(a)))
     P = ground_projection(h, 1e-8)
     assert halves == [h.dim // 2]
     assert calls[0] == (h.dim // 2, False)
@@ -1043,13 +1118,7 @@ def test_qwz_parity_run_takes_no_complex_eigh_of_dim_half(tmp_path, monkeypatch)
     # trivial (dim 224) per diagonal group. The one complex eigh left is the
     # window's small problem i Vc^T A Vc, which holds the disk's few edge
     # modes below a tenth of the largest |lambda| (none on trivial)
-    eigh, calls = np.linalg.eigh, []
-
-    def spied(a, *args, **kwargs):
-        calls.append((a.shape[0], np.iscomplexobj(a)))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spied)
+    calls = spy_eighs(monkeypatch, lambda a: (a.shape[0], np.iscomplexobj(a)))
     for family, (task, real_sizes, window) in EIGH_RUNS.items():
         cfg = tmp_path / f"{family}.json"
         cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
