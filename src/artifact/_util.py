@@ -1,7 +1,20 @@
-"""Shared error types, the integer check and the memory guard."""
+"""Shared error types, the integer check, the memory guard, and the defaults
+the CLI's config shares with the library."""
 from __future__ import annotations
 
+import math
 import operator
+
+#: the disk's apex (geometry.build_disk_lattice) and the partition's boundary
+#: angles (geometry.make_good_partition), stated here so the CLI reads its
+#: defaults without loading geometry
+DEFAULT_APEX_OFFSET = (0.2371, 0.1129)
+DEFAULT_BOUNDARY_ANGLES = (math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
+
+#: the evaluation windows' share of the disk and the rounding tolerance of
+#: nu (invariants), stated here for the same reason
+DEFAULT_CORE_FRACTION = 0.7
+DEFAULT_NU_ROUND_TOL = 0.1
 
 
 class ArtifactError(Exception):

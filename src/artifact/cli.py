@@ -20,6 +20,13 @@ error. Reports are JSON with sorted keys; identical config and seed give
 byte-identical output (the sweep CSV's wall_ms column is the documented
 exception). This module alone knows the report format: compute_report
 returns the `indices` section exactly as it is printed.
+
+At load this module imports only `models`, `_util` and the standard library;
+each command imports the modules it runs where it runs them (geometry for
+the disk and its partition, quasifree and invariants for the indices,
+quasifree and symgen for the self-tests), so `oracle-tknn` compiles none of
+them. Sweep workers call `_sweep_row` directly, so no import may be left to
+`main`.
 """
 from __future__ import annotations
 
@@ -34,15 +41,10 @@ import time
 import numpy as np
 
 from . import models
-from ._util import ArtifactError, ComputationError, ConfigError, check_memory
-from .geometry import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES,
-                       build_disk_lattice, make_good_partition)
-from .invariants import (DEFAULT_CORE_FRACTION, DEFAULT_NU_ROUND_TOL, _core_sites,
-                         chern_number_with_residual, parity_from_nu, round_nu, twist_from_nu)
+from ._util import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES, DEFAULT_CORE_FRACTION,
+                    DEFAULT_NU_ROUND_TOL, ArtifactError, ComputationError, ConfigError,
+                    check_memory)
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
-from .quasifree import (ground_projection, pfaffian_expectation, random_covariance,
-                        wick_expectation)
-from .symgen import FluxGenerator, cyclic_charge, dress_charge, flux_unitary
 
 DEFAULT_CONFIG = {
     "model": {"family": "qwz", "u": 1.0, "mu": -1.0, "delta": 0.5},
@@ -155,6 +157,9 @@ def _model_parameters(cfg: dict) -> dict:
 
 
 def build_model(cfg: dict, copies: int = 1):
+    from .geometry import build_disk_lattice
+    from .invariants import _core_sites
+
     g = cfg["geometry"]
     family = cfg["model"]["family"]
     radius, majoranas = float(g["radius"]), FAMILIES[family][0]
@@ -178,6 +183,8 @@ def build_model(cfg: dict, copies: int = 1):
 def build_partition(cfg: dict):
     """The three cones around the disk's apex, which is the configured apex
     offset (build_disk_lattice)."""
+    from .geometry import make_good_partition
+
     g = cfg["geometry"]
     return make_good_partition(tuple(g["apex_offset"]),
                                tuple(float(a) for a in g["boundary_angles"]))
@@ -194,6 +201,9 @@ def compute_report(cfg: dict, task: str) -> dict:
     """The `indices` section of the task's report, exactly as it is printed:
     the seven index keys, null where the task does not compute one, and the
     run's diagnostics."""
+    from .invariants import chern_number_with_residual, parity_from_nu, round_nu, twist_from_nu
+    from .quasifree import ground_projection
+
     copies = cfg["copies"] if task == "twist" else 1
     gap_tol = float(cfg["numerics"]["gap_tol"])
     h = build_model(cfg, copies=copies)
@@ -348,6 +358,8 @@ def run_selftest(checks, seed: int, trials: int) -> int:
 
 def _wick_checks(rng):
     """Wick's theorem against the Pfaffian on a random covariance."""
+    from .quasifree import pfaffian_expectation, random_covariance, wick_expectation
+
     dim = int(rng.choice([4, 6, 8, 10, 12]))
     S = random_covariance(dim, rng)
     n_vec = int(rng.choice([2, 4, 6, 8]))
@@ -370,6 +382,9 @@ def _wick_checks(rng):
 
 def _algebraic_checks(rng):
     """Dressing, flux and charge identities on a random covariance."""
+    from .quasifree import random_covariance
+    from .symgen import FluxGenerator, cyclic_charge, dress_charge, flux_unitary
+
     dim = int(rng.choice([8, 10, 12, 14, 16]))
     P = random_covariance(dim, rng)
     Pm = (np.eye(dim) - 1j * P.O) / 2

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ComputationError, check_memory
+from ._util import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES, ComputationError,
+                    check_memory)
 
 TWO_PI = 2.0 * np.pi
 
 #: minimum Euclidean distance from any site to any partition boundary half-line
 EPS_GENERIC = 1e-6
-
-DEFAULT_APEX_OFFSET = (0.2371, 0.1129)
-DEFAULT_BOUNDARY_ANGLES = (np.pi / 2, 7 * np.pi / 6, 11 * np.pi / 6)
 
 #: the least angle (radians) between neighbouring boundary half-lines: each
 #: boundary is straddled by a thin gap cone of half-width 0.15, and those of

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._util import ComputationError, as_integer, check_memory
+from ._util import (DEFAULT_CORE_FRACTION, DEFAULT_NU_ROUND_TOL, ComputationError,
+                    as_integer, check_memory)
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection, _eigh_in_place
 from .symgen import FluxGenerator
@@ -40,12 +41,8 @@ if TYPE_CHECKING:  # fractions (and decimal through it) load only with the predi
 #: accounts for a third of the total
 JUNCTION_MULTIPLICITY = 3
 
-DEFAULT_CORE_FRACTION = 0.7
-
 #: residual above which a projection is considered broken
 ANOMALY_TOL = 1e-6
-
-DEFAULT_NU_ROUND_TOL = 0.1
 
 #: float64 arrays of the generators' factor size exchange_phase_bch holds at
 #: its peak (complex arrays count twice), above every measured peak: at

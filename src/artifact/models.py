@@ -14,11 +14,14 @@ two-band model at u = 1 gives nu = +2 = 2 * tknn_chern("qwz", {"u": 1}).
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._util import ComputationError, ConfigError, as_integer, check_memory
-from .geometry import LatticeGeometry
+
+if TYPE_CHECKING:
+    from .geometry import LatticeGeometry
 
 #: convention string embedded in reports (orientation + calibration anchors)
 CONVENTION_TAG = "nu(qwz,u=1)=+2; tknn(qwz,u=1)=+1; ccw-cones"

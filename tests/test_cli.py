@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import json
 import os
 import re
@@ -678,9 +680,9 @@ def test_selftest_algebraic_passes(capsys):
 
 
 def test_selftest_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    import artifact.cli as cli
+    from artifact import quasifree
 
-    monkeypatch.setattr(cli, "pfaffian_expectation", lambda S, vs: 1e3)
+    monkeypatch.setattr(quasifree, "pfaffian_expectation", lambda S, vs: 1e3)
     assert main(["selftest", "wick", "--trials", "5", "--seed", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -694,3 +696,80 @@ def test_selftest_failure_exits_one_with_counterexample(capsys, monkeypatch):
 def test_selftest_rejects_zero_trials(capsys):
     assert main(["selftest", "wick", "--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# package exports and the modules each command loads
+
+
+def _loaded(proc) -> set:
+    """The module names `_run_listing` printed last on stderr."""
+    return set(ast.literal_eval(proc.stderr.strip().splitlines()[-1]))
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = _run_listing("import sys, artifact\nrc = 0\n", roots=("artifact",))
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == {"artifact"}
+
+
+def test_oracle_run_loads_neither_disk_nor_projection_nor_index_modules():
+    # the momentum-space oracle builds no disk, so its process compiles only
+    # the CLI, the models and the shared helpers
+    proc = _run_listing("import sys, artifact.cli\n"
+                        "rc = artifact.cli.main(['oracle-tknn'])\n", roots=("artifact",))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["oracle"]["chern"] == 1
+    assert _loaded(proc) == {"artifact", "artifact._util", "artifact.cli", "artifact.models"}
+
+
+@pytest.mark.parametrize("argv", [["chern", "--radius", "6"], ["parity", "--radius", "6"],
+                                  ["twist", "--radius", "6"], ["sweep", "--radii", "4,5"]])
+def test_index_run_loads_every_module_the_span_tracer_wraps(argv, monkeypatch):
+    # perfbench's tracer looks each of these up in sys.modules once an
+    # untraced run of the workload has loaded them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    traced = {module for targets in spans.LAYERS.values() for module, _ in targets}
+    proc = _run_listing(f"import sys, artifact.cli\nrc = artifact.cli.main({argv!r})\n",
+                        roots=("artifact",))
+    assert proc.returncode == 0, proc.stderr
+    assert len(traced) == 6 and traced <= _loaded(proc)
+
+
+def test_every_export_is_its_defining_modules_own_object():
+    import artifact
+
+    for name in artifact.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"artifact.{artifact._EXPORTS[name]}")
+        value = getattr(artifact, name)
+        assert value is getattr(module, name), name
+        # the table names the module that defines it, not one that imports it
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_an_export_follows_a_rebinding_in_its_module(monkeypatch):
+    import artifact
+    from artifact import quasifree
+
+    spy = object()
+    monkeypatch.setattr(quasifree, "ground_projection", spy)
+    assert artifact.ground_projection is spy
+
+
+def test_package_dir_and_star_import_cover_every_export():
+    import artifact
+
+    assert set(artifact.__all__) <= set(dir(artifact))
+    namespace = {}
+    exec("from artifact import *", namespace)
+    assert set(artifact.__all__) <= set(namespace)
+
+
+def test_unknown_package_attribute_raises_naming_it():
+    import artifact
+
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        artifact.no_such_name

@@ -14,7 +14,7 @@ from artifact import (ComputationError, build_disk_lattice,
                       build_pip, build_qwz, build_trivial, chern_number,
                       ground_projection, make_good_partition, pfaffian_expectation,
                       random_covariance, stack_copies, wick_expectation)
-from artifact import _util, cli, models, quasifree
+from artifact import _util, models, quasifree
 from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
@@ -951,7 +951,7 @@ def test_cli_runs_read_only_the_factor(family, task, fiber, tmp_path, monkeypatc
     # a qwz run keeps the half's O' and never assembles O; pip keeps its
     # full O as a fiber-1 factor
     projections, reads = [], []
-    assembled, project = BasisProjection.O, cli.ground_projection
+    assembled, project = BasisProjection.O, quasifree.ground_projection
 
     def spied_O(self):
         reads.append(self.fiber)
@@ -962,7 +962,7 @@ def test_cli_runs_read_only_the_factor(family, task, fiber, tmp_path, monkeypatc
         return projections[-1]
 
     monkeypatch.setattr(BasisProjection, "O", property(spied_O))
-    monkeypatch.setattr(cli, "ground_projection", spied_projection)
+    monkeypatch.setattr(quasifree, "ground_projection", spied_projection)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"model": {{"family": "{family}"}}}}')
     argv = [task, "--config", str(cfg), "--radius", "6", "--out", str(tmp_path / "report.json")]
