@@ -149,7 +149,7 @@ def validate_config(cfg: dict, task: str):
     if task == "twist":
         copies = cfg["copies"]
         if copies < 1 or copies % 2 == 0:
-            raise ConfigError("copies must be odd")
+            raise ConfigError(f"copies must be odd and positive, not {copies}")
 
 
 def _model_parameters(cfg: dict) -> dict:

@@ -172,7 +172,7 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     """
     fiber = _shared_fiber(P, g0, g1)
     anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
-    Oa, Q0, Q1 = P.O_on(fiber)[anchor, :], g0.factor, g1.factor
+    Oa, Q0, Q1 = P.O_on(fiber)[anchor, :], g0.square, g1.square
     t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
     t_rev = _anchored_trace(Oa, anchor, Q1 @ Q0[:, anchor])
     copy_trace = np.trace(g0.charge @ g1.charge)
@@ -340,8 +340,8 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
     check_memory(len(g0.factor), _BCH_WORKING_ARRAYS, "flux commutator")
-    lam0, V0 = np.linalg.eigh(g0.factor)
-    lam1, V1 = np.linalg.eigh(g1.factor)
+    lam0, V0 = np.linalg.eigh(g0.square)
+    lam1, V1 = np.linalg.eigh(g1.square)
     X = V0.conj().T @ V1
     del V1
     js = np.linalg.eigvalsh(g0.charge)

@@ -42,17 +42,21 @@ _ENVELOPE_ROWS = 128
 
 def _envelope(slabs):
     """The row envelope blocks of a matrix given as its consecutive slabs of
-    rows: yields (r0, r1, c0, c1, block) per slab, the slab being rows r0:r1,
-    exactly zero outside columns c0:c1 (NaN counts as nonzero; c0 == c1 == 0
-    for a zero slab), and `block` an owned copy of its columns c0:c1. The
-    envelope is read from the entries, never assumed from a geometry, so a
-    far coupling widens its block and a dense matrix gives full blocks."""
+    rows, each a pair (c, S): S holds the slab's columns from column c on,
+    and the matrix is zero outside them. Yields (r0, r1, c0, c1, block) per
+    slab, the slab being rows r0:r1, exactly zero outside columns c0:c1 (NaN
+    counts as nonzero; c0 == c1 == 0 for a zero slab), and `block` an owned
+    copy of its columns c0:c1. The envelope is read from the entries, never
+    assumed from a geometry or from S's span, so a far coupling widens its
+    block, a dense matrix gives full blocks, and a slab given at any width
+    that holds its entries gives the same block."""
     r0 = 0
-    for slab in slabs:
+    for c, slab in slabs:
         r1 = r0 + slab.shape[0]
         cols = np.flatnonzero((slab != 0).any(axis=0))
         c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-        yield r0, r1, c0, c1, slab[:, c0:c1].copy()
+        block = slab[:, c0:c1].copy()
+        yield r0, r1, *((c + c0, c + c1) if cols.size else (0, 0)), block
         r0 = r1
 
 
@@ -90,7 +94,7 @@ class QuadraticHamiltonian:
         if symmetric_part > 0.0:
             A = A - A.T
             A *= 0.5  # exactly antisymmetric
-        self.blocks = tuple(_envelope(A[r0:r0 + _ENVELOPE_ROWS]
+        self.blocks = tuple(_envelope((0, A[r0:r0 + _ENVELOPE_ROWS])
                                       for r0 in range(0, len(A), _ENVELOPE_ROWS)))
         self.dim = len(A)
         self.geometry, self.copies, self.bulk_gap = geometry, 1, None
@@ -299,8 +303,10 @@ def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
     """The row envelope blocks (r0, r1, c0, c1, A[r0:r1, c0:c1]) of the real
     antisymmetric A of size dim_K that the bonds of _bond_fibers make: each
     slab of _ENVELOPE_ROWS rows of A is assembled from the bonds of the sites
-    that hold it and handed to _envelope, one at a time, so no dense A is
-    formed."""
+    that hold it, over the sites its bonds reach only (a band of a few
+    lattice rows, not dim_K columns), and handed to _envelope with that
+    span's first column, one at a time, so no dense A and no full-width row
+    is formed."""
     ns, m = len(geometry.sites), geometry.majorana_count
     bonds = list(_bond_fibers(geometry, onsite, hops, pairs))
 
@@ -308,11 +314,14 @@ def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
         for r0 in range(0, ns * m, _ENVELOPE_ROWS):
             r1 = min(r0 + _ENVELOPE_ROWS, ns * m)
             s0, s1 = r0 // m, -(-r1 // m)  # the sites holding rows r0:r1
-            slab = np.zeros((s1 - s0, m, ns, m))
-            for F, rows, cols in bonds:
-                inside = (rows >= s0) & (rows < s1)
-                slab[rows[inside] - s0, :, cols[inside], :] += F
-            yield slab.reshape(-1, ns * m)[r0 - s0 * m:r1 - s0 * m]
+            held = [(F, rows[i] - s0, cols[i]) for F, rows, cols in bonds
+                    for i in [(rows >= s0) & (rows < s1)] if i.any()]
+            t0 = min((int(cols[0]) for *_, cols in held), default=0)  # cols ascend
+            t1 = max((int(cols[-1]) + 1 for *_, cols in held), default=t0)
+            slab = np.zeros((s1 - s0, m, t1 - t0, m))
+            for F, rows, cols in held:
+                slab[rows, :, cols - t0, :] += F
+            yield t0 * m, slab.reshape(-1, (t1 - t0) * m)[r0 - s0 * m:r1 - s0 * m]
 
     return _envelope(slabs())
 

@@ -261,37 +261,43 @@ def _diagonal_groups(h: QuadraticHamiltonian):
 def _particle_hole_half(h: QuadraticHamiltonian) -> QuadraticHamiltonian | None:
     """The Hamiltonian of the real antisymmetric A' of size dim/2 with
     A = T(A') (_particle_hole_O), read block to block from h's A
-    (_half_slab); None when dim is not a whole number of orbital pairs or a
-    4 x 4 fiber of A breaks T's pattern (_fold). That pattern is a
-    charge-conserving H (no pairing) with the particle-hole symmetry of
-    class D, sigma_x conj(H) sigma_x = -H on every pair of orbitals (the
-    qwz Bloch matrix has sigma_x H(-k)* sigma_x = -H(k)): it is read from
-    the entries, never assumed from a family. The slabs of _ENVELOPE_ROWS
-    rows of A' (two blocks of A) become A''s blocks through
-    models._envelope: no dense H or A' is formed."""
+    (_half_slab); None when dim is not a whole number of orbital pairs or
+    at the first 4 x 4 fiber of A that breaks T's pattern (_fold). That
+    pattern is a charge-conserving H (no pairing) with the particle-hole
+    symmetry of class D, sigma_x conj(H) sigma_x = -H on every pair of
+    orbitals (the qwz Bloch matrix has sigma_x H(-k)* sigma_x = -H(k)): it
+    is read from the entries, never assumed from a family. Each pair of A's
+    blocks is folded into a slab of _ENVELOPE_ROWS rows of A' that spans
+    only their folded columns, which models._envelope trims to A''s block:
+    no dense H or A' and no full-width row of A' is formed."""
     if h.dim % 4:
         return None
     n = h.dim // 2
-    slabs = (_half_slab(h.blocks[k:k + 2], n) for k in range(0, len(h.blocks), 2))
+    slabs = (_half_slab(h.blocks[k:k + 2]) for k in range(0, len(h.blocks), 2))
     blocks = tuple(_envelope(itertools.takewhile(lambda slab: slab is not None, slabs)))
     whole = blocks and blocks[-1][1] == n  # no slab broke the pattern
     return QuadraticHamiltonian._of_blocks(blocks, n, None) if whole else None
 
 
-def _half_slab(blocks, n: int) -> np.ndarray | None:
-    """The rows of A' (n columns) that the envelope blocks `blocks` of A
-    hold, or None when a fiber of one breaks T's pattern: each block, its
-    columns widened to whole fibers, is folded (_fold) into its span of the
-    slab, one padded block at a time."""
+def _half_slab(blocks):
+    """(c, S): the rows of A' that the envelope blocks `blocks` of A hold,
+    S being their columns from c on, or None when a fiber of one breaks T's
+    pattern. Each block, its columns widened to whole fibers, is folded
+    (_fold) into its span of the slab, one padded block at a time; the slab
+    spans the blocks' widened columns, halved, and nothing more."""
     r0 = blocks[0][0]
-    slab = np.zeros(((blocks[-1][1] - r0) // 2, n))
-    for b0, b1, c0, c1, block in blocks:
-        e0, e1 = c0 - c0 % 4, c1 + -c1 % 4
-        B = np.zeros((b1 - b0, e1 - e0))
-        B[:, c0 - e0:c1 - e0] = block
-        if _fold(B, slab[(b0 - r0) // 2:(b1 - r0) // 2, e0 // 2:e1 // 2]) is None:
+    spans = [(c0 - c0 % 4, c1 + -c1 % 4) for *_, c0, c1, _ in blocks]
+    e0 = min((f0 for f0, f1 in spans if f1 > f0), default=0)
+    e1 = max(f1 for _, f1 in spans)
+    slab = np.zeros(((blocks[-1][1] - r0) // 2, (e1 - e0) // 2))
+    for (b0, b1, c0, c1, block), (f0, f1) in zip(blocks, spans):
+        if f1 == f0:
+            continue  # a zero block
+        B = np.zeros((b1 - b0, f1 - f0))
+        B[:, c0 - f0:c1 - f0] = block
+        if _fold(B, slab[(b0 - r0) // 2:(b1 - r0) // 2, (f0 - e0) // 2:(f1 - e0) // 2]) is None:
             return None
-    return slab
+    return e0 // 2, slab
 
 
 #: the 4 x 4 fiber O[4p:4p + 4, 4q:4q + 4] of O = W O' W^+ in the real form,

@@ -27,25 +27,34 @@ class FluxGenerator:
     """Generator Qtilde = kron(block, charge) on the stacked space, copy index
     fastest. A generic dense generator is the N = 1 case, charge [[1]], where
     Qtilde is the block itself. Like BasisProjection it keeps a factor: the
-    block (fiber 1) or a half's B', the block T(B') built on read (fiber 2)."""
+    block (fiber 1), a lifted charge's site mask, the 1-D diagonal of its
+    fiber-1 block (lift_charge), or a half's B', the block T(B') built on
+    read (fiber 2). `square` (the factor as a matrix: diag(mask) for a
+    mask), `.block` and `.Qtilde` are built on every read."""
     factor: np.ndarray
     charge: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
     region: Optional[object] = None
     fiber: int = 1
 
     @property
+    def square(self) -> np.ndarray:
+        return np.diag(self.factor) if self.factor.ndim == 1 else self.factor
+
+    @property
     def block(self) -> np.ndarray:
-        return self.factor if self.fiber == 1 else quasifree._particle_hole_O(self.factor)
+        return self.square if self.fiber == 1 else quasifree._particle_hole_O(self.square)
 
     @property
     def Qtilde(self) -> np.ndarray:
         return np.kron(self.block, self.charge)
 
     def check_factors(self, P: BasisProjection):
-        """The generator acts on P's space: its factor on P's single-copy
-        space, in the model's basis or on P's fiber, its charge on P's copies."""
+        """The generator acts on P's space: its factor (a matrix or a mask)
+        on P's single-copy space, in the model's basis or on P's fiber, its
+        charge on P's copies."""
+        n = P.dim_K // (P.copies * self.fiber)
         if (self.fiber not in (1, P.fiber) or self.charge.shape != (P.copies,) * 2
-                or self.factor.shape != (P.dim_K // (P.copies * self.fiber),) * 2):
+                or self.factor.shape not in ((n, n), (n,))):
             raise ComputationError("dimension mismatch")
 
 
@@ -75,12 +84,13 @@ def cyclic_charge(N: int) -> np.ndarray:
 def lift_charge(q: np.ndarray, geometry: LatticeGeometry, region) -> FluxGenerator:
     """Charge acting as q on the copy index of every Majorana mode of every
     site in the region, zero elsewhere: the undressed generator
-    kron(diag(mask), q).
+    kron(diag(mask), q), kept as the mask itself (dim_K floats, not dim_K^2);
+    diag(mask) is built only when `.square`, `.block` or `.Qtilde` is read.
 
     `geometry` is the single-copy geometry; the dense operator lives on the
     stacked space of dimension dim_K * copies.
     """
-    return FluxGenerator(np.diag(region_mask(region, geometry).astype(float)), q, region)
+    return FluxGenerator(region_mask(region, geometry).astype(float), q, region)
 
 
 def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGenerator:
@@ -92,13 +102,23 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     eigendecomposition runs in real arithmetic; a diagonal B takes one
     product (O * b) @ O. Commutes with P by construction; the block is
     re-Hermitized to absorb rounding noise. The result carries `region`, or
-    g's region when none is given. A fiber-1 block B = T(B') (_fold; every
-    lifted charge) is dressed as B' on P's particle-hole half.
+    g's region when none is given. A fiber-1 block B = T(B') (_fold) is
+    dressed as B' on P's particle-hole half. A mask b (lift_charge) is
+    dressed as the diagonal B = diag(b) without forming it: on the half
+    when b is constant on each 4-fiber, as diag(b) = T(diag(b')) with b'
+    that value on each orbital of the pair (every lifted charge of a
+    region of sites), else on fiber 1.
     """
     g.check_factors(P)
-    half = quasifree._fold(g.factor) if g.fiber < P.fiber else None
-    B, fiber = (g.factor, g.fiber) if half is None else (half, P.fiber)
-    b = np.diagonal(B) if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) else None
+    B, fiber = g.factor, g.fiber
+    if B.ndim == 1:
+        b = B
+        if fiber < P.fiber and (b.reshape(-1, 4) == b[0::4, None]).all():
+            b, fiber = np.repeat(b[0::4], 2), P.fiber
+    else:
+        half = quasifree._fold(B) if fiber < P.fiber else None
+        B, fiber = (B, fiber) if half is None else (half, P.fiber)
+        b = np.diagonal(B) if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) else None
     O = P.O_on(fiber)
     if b is None:
         Qt = O @ B @ O
@@ -135,7 +155,7 @@ def flux_unitary(g: FluxGenerator, alpha: float) -> np.ndarray:
     is exactly unitary up to rounding."""
     if alpha == 0.0:
         return np.eye(len(g.factor) * g.fiber * len(g.charge), dtype=complex)
-    lam, V = np.linalg.eigh(g.factor)
+    lam, V = np.linalg.eigh(g.square)
     js, W = np.linalg.eigh(g.charge)
     U = np.zeros((len(V) * g.fiber * len(W),) * 2, dtype=complex)
     for j in np.unique(js):

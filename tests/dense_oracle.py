@@ -7,6 +7,16 @@ then rotates every (c, c*) fiber of the complex Nambu blocks with one
 builders' A (`artifact.models._real_space_blocks`), which never forms h,
 D or a dense A: it applies the real fiber formulas to each bond's small
 blocks and scatters them into slabs of A's rows.
+`full_width_real_space_blocks` assembles each slab of `_ENVELOPE_ROWS`
+rows of A zeroed and scattered at the full dim_K width and trims it with
+`artifact.models._envelope`; it is the oracle for
+`artifact.models._real_space_blocks`, which zeroes and scatters each slab
+over the site columns its bonds reach only, and whose blocks
+(r0, r1, c0, c1) and bytes must be the oracle's. Likewise
+`full_width_particle_hole_half` folds each pair of A's blocks into a slab
+of the half's full n = dim/2 width; it is the oracle for
+`artifact.quasifree._particle_hole_half`, whose slabs span the pair's
+folded columns only.
 `dense_ground_projection` makes one complex eigh of H, keeps the
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
@@ -40,14 +50,17 @@ oracle checks that shortcut and the series independently.
 the whole W and W^+; it is the oracle for
 `artifact.invariants._sector_commutator`, which fills E from X alone, a
 block of columns at a time."""
+import itertools
+
 import numpy as np
 import scipy.linalg
 
 from artifact import BasisProjection, ComputationError, ConfigError
 from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
-from artifact.models import QuadraticHamiltonian, _bloch, _check_gapped
-from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis
+from artifact.models import (_ENVELOPE_ROWS, QuadraticHamiltonian, _bloch, _bond_fibers,
+                             _check_gapped, _envelope)
+from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis, _fold
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
 _omega = np.array([[1, 1], [-1j, 1j]], dtype=complex)
@@ -97,6 +110,52 @@ def dense_real_space_K(geometry, onsite, hops, pairs) -> np.ndarray:
     if resid > 1e-12:
         raise ComputationError("Hamiltonian violates JHJ = -H")
     return 1j * K.imag  # exact purely-imaginary storage
+
+
+def full_width_real_space_blocks(geometry, onsite, hops, pairs) -> tuple:
+    """The row envelope blocks of A from the bonds of _bond_fibers, each
+    slab of _ENVELOPE_ROWS rows zeroed and scattered over all dim_K columns
+    before _envelope trims it."""
+    ns, m = len(geometry.sites), geometry.majorana_count
+    bonds = list(_bond_fibers(geometry, onsite, hops, pairs))
+
+    def slabs():
+        for r0 in range(0, ns * m, _ENVELOPE_ROWS):
+            r1 = min(r0 + _ENVELOPE_ROWS, ns * m)
+            s0, s1 = r0 // m, -(-r1 // m)
+            slab = np.zeros((s1 - s0, m, ns, m))
+            for F, rows, cols in bonds:
+                inside = (rows >= s0) & (rows < s1)
+                slab[rows[inside] - s0, :, cols[inside], :] += F
+            yield 0, slab.reshape(-1, ns * m)[r0 - s0 * m:r1 - s0 * m]
+
+    return tuple(_envelope(slabs()))
+
+
+def full_width_particle_hole_half(h) -> tuple | None:
+    """The row envelope blocks of the half A' with A = T(A'), or None where
+    the half is refused: each pair of h's blocks is folded (_fold), block by
+    block and padded to whole fibers, into a zeroed slab of all n = dim/2
+    columns, and the slabs are read until the first that breaks T's
+    pattern."""
+    if h.dim % 4:
+        return None
+    n = h.dim // 2
+
+    def slab(blocks):
+        r0 = blocks[0][0]
+        S = np.zeros(((blocks[-1][1] - r0) // 2, n))
+        for b0, b1, c0, c1, block in blocks:
+            e0, e1 = c0 - c0 % 4, c1 + -c1 % 4
+            B = np.zeros((b1 - b0, e1 - e0))
+            B[:, c0 - e0:c1 - e0] = block
+            if _fold(B, S[(b0 - r0) // 2:(b1 - r0) // 2, e0 // 2:e1 // 2]) is None:
+                return None
+        return 0, S
+
+    slabs = (slab(h.blocks[k:k + 2]) for k in range(0, len(h.blocks), 2))
+    blocks = tuple(_envelope(itertools.takewhile(lambda s: s is not None, slabs)))
+    return blocks if blocks and blocks[-1][1] == n else None
 
 
 def dense_ground_projection(h, gap_tol: float) -> np.ndarray:

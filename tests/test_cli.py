@@ -86,6 +86,13 @@ def test_even_copies_rejected(trivial_cfg, capsys):
     assert "copies must be odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_nonpositive_copies_rejected(trivial_cfg, capsys, copies):
+    # -1 is odd: the refusal names positivity and the value
+    assert main(["twist", "--config", trivial_cfg, "--copies", copies]) == 2
+    assert f"copies must be odd and positive, not {copies}" in capsys.readouterr().err
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -10,8 +10,10 @@ from artifact import (ComputationError, ConfigError, build_disk_lattice, build_p
 from artifact.geometry import DEFAULT_APEX_OFFSET
 from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
                              _plaquette_phases, _qwz_blocks, _real_space_blocks)
+from artifact.quasifree import _particle_hole_half
 from dense_oracle import (bloch_matrices, dense_plaquette_phases, dense_real_space_K,
-                          dense_tknn_chern)
+                          dense_tknn_chern, full_width_particle_hole_half,
+                          full_width_real_space_blocks)
 from region_helpers import site_projector
 
 
@@ -322,12 +324,72 @@ def test_real_assembly_matches_dense_oracle(family, blocks, radius, apex):
     assert np.array_equal(1j * A, dense_real_space_K(geom, *blocks))
 
 
+def _same_blocks(got, want):
+    """The two envelopes have the same spans (Python ints) and blocks, byte
+    for byte."""
+    assert [block[:4] for block in got] == [block[:4] for block in want]
+    assert all(type(end) is int for block in got for end in block[:4])
+    for *_, block in got:
+        assert block.base is None and block.flags.c_contiguous
+    assert [(b.dtype, b.shape, b.tobytes()) for *_, b in got] == \
+        [(b.dtype, b.shape, b.tobytes()) for *_, b in want]
+
+
+#: (Majoranas per site, on-site, hopping and pairing blocks, apex offset, copies)
+NARROW_CASES = {
+    "qwz_u1": (4, _qwz_blocks(1.0), DEFAULT_APEX_OFFSET, 1),
+    "qwz_u-1.5": (4, _qwz_blocks(-1.5), DEFAULT_APEX_OFFSET, 1),
+    "qwz_shifted_apex": (4, _qwz_blocks(1.0), (2.2371, -1.8871), 1),
+    "qwz_stack3": (4, _qwz_blocks(1.0), DEFAULT_APEX_OFFSET, 3),
+    "pip_mu-1": (2, _pip_blocks(-1.0, 0.5), DEFAULT_APEX_OFFSET, 1),
+    "pip_mu0": (2, _pip_blocks(0.0, 0.5), DEFAULT_APEX_OFFSET, 1),  # a zero on-site fiber
+    "trivial2": (2, (np.eye(1), {}, {}), DEFAULT_APEX_OFFSET, 1),
+    "trivial6": (6, (np.eye(3), {}, {}), DEFAULT_APEX_OFFSET, 1),
+}
+
+
+@pytest.mark.parametrize("radius", [4.0, 6.5, 12.0])
+@pytest.mark.parametrize("case", sorted(NARROW_CASES))
+def test_narrow_slabs_give_the_full_width_blocks(case, radius):
+    # each slab of A is zeroed over the sites its bonds reach, and each slab
+    # of the half over its pair of blocks' folded columns; the full-width
+    # assembly and fold (dense_oracle) give the same spans and bytes, and
+    # the same refusal of the half (pip's pairing; trivial's fibers are not
+    # in T's pattern)
+    majoranas, blocks, apex, copies = NARROW_CASES[case]
+    geom = build_disk_lattice("square", radius, apex, majorana_count=majoranas)
+    envelope = tuple(_real_space_blocks(geom, *blocks))
+    _same_blocks(envelope, full_width_real_space_blocks(geom, *blocks))
+    h = stack_copies(QuadraticHamiltonian._of_blocks(envelope, geom.dim_K, geom), copies)
+    half, want = _particle_hole_half(h), full_width_particle_hole_half(h)
+    assert (half is None) == (want is None) != case.startswith("qwz")
+    if half is not None:
+        _same_blocks(half.blocks, want)
+
+
+def test_build_holds_no_full_width_slab():
+    # qwz R=16 (dim 3216): a slab of A is zeroed over the sites its bonds
+    # reach, a few lattice rows, so the build's traced peak above its own
+    # blocks stays below one full-width slab of 128 x dim floats: 0.12
+    # measured, 1.96 when each slab spanned every column
+    geom = build_disk_lattice("square", 16.0, majorana_count=4)
+    tracemalloc.start()
+    try:
+        h = build_qwz(1.0, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(block.nbytes for *_, block in h.blocks)
+    assert peak - held < models._ENVELOPE_ROWS * h.dim * 8
+
+
 def test_build_peak_stays_below_projection_estimate():
     # the memory guard runs before the build on the projection's estimate of
     # 6 real dim x dim arrays, so the build itself must need less. It holds
     # A's envelope blocks (0.28 arrays at dim 804) and one slab of rows being
-    # assembled (0.16), 0.56 arrays measured, so the bound also keeps every
-    # dense dim x dim array out, a dense A included
+    # assembled over the columns its bonds reach, 0.33 arrays measured, so
+    # the bound also keeps every dense dim x dim array out, a dense A
+    # included
     geom = build_disk_lattice("square", 8.0, majorana_count=4)
     tracemalloc.start()
     try:

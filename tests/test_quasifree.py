@@ -20,7 +20,7 @@ from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
                                 _transpose_residual)
 from dense_oracle import (dense_A_structure, dense_basis_projection, dense_charge_structure,
-                          dense_gram, dense_ground_projection)
+                          dense_gram, dense_ground_projection, full_width_particle_hole_half)
 from eigh_spy import spy_eighs
 
 
@@ -744,12 +744,18 @@ def test_fold_refuses_any_broken_fiber_entry(entry):
     assert quasifree._fold(B) is None
 
 
+def _refused(h):
+    """The half is refused, and so is it by the full-width fold."""
+    return quasifree._particle_hole_half(h) is None and full_width_particle_hole_half(h) is None
+
+
 def test_charge_structure_is_read_from_the_entries():
     # pairing, one broken fiber, a fiber cut at an odd column and a
     # dimension that is not a whole number of orbital pairs all give no
-    # half; a far coupling in the particle-hole form is read into A'
-    assert quasifree._particle_hole_half(_pip_r8()) is None
-    assert quasifree._particle_hole_half(_perturbed_qwz()) is None
+    # half; a far coupling in the particle-hole form is read into A', its
+    # slab spanning the far columns as the full-width fold's does
+    assert _refused(_pip_r8())
+    assert _refused(_perturbed_qwz())
     h = build_qwz(1.0, _disk(4.0, 4))
     n = h.dim // 2
     far = np.zeros((n, n))
@@ -759,15 +765,17 @@ def test_charge_structure_is_read_from_the_entries():
     assert coupled.blocks[0][3] == h.dim  # the first block reaches the last column
     half = quasifree._particle_hole_half(coupled)
     assert np.array_equal(half.dense(), quasifree._particle_hole_half(h).dense() + far)
+    assert [(*span, b.tobytes()) for *span, b in half.blocks] == \
+        [(*span, b.tobytes()) for *span, b in full_width_particle_hole_half(coupled)]
     odd = np.zeros((260, 260))
     odd[0, 131], odd[131, 0] = 1.0, -1.0
     h = QuadraticHamiltonian(odd, None)
     assert h.blocks[0][2:4] == (131, 132)  # read on the widened span 128:132
-    assert quasifree._particle_hole_half(h) is None
+    assert _refused(h)
     J = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert quasifree._particle_hole_half(QuadraticHamiltonian(J, None)) is None
+    assert _refused(QuadraticHamiltonian(J, None))
     six = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])  # x I + y eps, 3 orbitals
-    assert quasifree._particle_hole_half(QuadraticHamiltonian(six, None)) is None
+    assert _refused(QuadraticHamiltonian(six, None))
 
 
 def test_charge_path_peak_stays_below_its_measured_value():

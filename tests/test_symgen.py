@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (ComputationError, build_disk_lattice, cyclic_charge,
-                      dress_charge, flux_unitary, lift_charge, parity_charge,
-                      random_covariance, region_mask, windowed_site_ids)
+from artifact import (BasisProjection, ComputationError, build_disk_lattice, build_pip,
+                      build_qwz, core_regions, cyclic_charge, dress_charge,
+                      exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
+                      lift_charge, make_good_partition, parity_charge, random_covariance,
+                      region_mask, stack_copies, windowed_site_ids)
 from artifact.symgen import FluxGenerator
 
 
@@ -124,6 +128,73 @@ def test_lifted_charge_dresses_on_the_half(qwz_r6):
     B, O = np.diag(region_mask(ids[0], P.geometry).astype(float)), P.O
     want = B - O @ B @ O
     assert float(np.max(np.abs(g.block - (want + want.T) / 4))) <= 1e-14
+
+
+def test_lift_charge_keeps_the_mask(small_geometry):
+    # the lifted charge is its 1-D site mask; read as a matrix it is the
+    # generator of diag(mask), bit for bit
+    q = cyclic_charge(3)
+    region = list(range(0, len(small_geometry.sites), 3))
+    g = lift_charge(q, small_geometry, region)
+    mask = region_mask(region, small_geometry).astype(float)
+    assert g.factor.ndim == 1 and np.array_equal(g.factor, mask)
+    dense = FluxGenerator(np.diag(mask), q, region)
+    assert g.Qtilde.tobytes() == dense.Qtilde.tobytes()
+    assert flux_unitary(g, 0.7).tobytes() == flux_unitary(dense, 0.7).tobytes()
+
+
+@pytest.mark.parametrize("case, fiber", [("half", 2), ("fiber1", 1), ("not_by_fiber", 1)])
+def test_a_dressed_mask_is_the_dressed_diagonal_bit_for_bit(qwz_r6, case, fiber):
+    # a mask constant on each 4-fiber is dressed on the half, any other on
+    # fiber 1, and so is diag(mask), with the same products: the same bytes
+    P, part = qwz_r6
+    mask = region_mask(windowed_site_ids(part, P.geometry, 0.7)[0], P.geometry).astype(float)
+    if case == "fiber1":
+        P = BasisProjection(P.O, P.geometry)  # the same projection on fiber 1
+    elif case == "not_by_fiber":
+        mask[1] = 1.0 - mask[1]
+    g = dress_charge(P, FluxGenerator(mask))
+    want = dress_charge(P, FluxGenerator(np.diag(mask)))
+    assert g.fiber == want.fiber == fiber
+    assert g.factor.tobytes() == want.factor.tobytes()
+
+
+def test_mask_form_gives_the_diagonal_form_s_numbers():
+    # a fiber-1 stack (pip, three copies): hall_sigma and exchange_phase_bch
+    # take an undressed lifted charge as its mask and give the numbers of
+    # diag(mask)
+    geom = build_disk_lattice("square", 6.0, majorana_count=2)
+    part = make_good_partition(geom.apex)
+    P = ground_projection(stack_copies(build_pip(-1.0, 0.5, geom), 3), 1e-4)
+    ids, sgeom = core_regions(P, part, 0.7)
+    base = sgeom.with_majorana_count(2)
+    q = cyclic_charge(3)
+    g0 = dress_charge(P, lift_charge(q, base, ids[0]), ids[0])
+    mask = lift_charge(q, base, ids[1])
+    dense = FluxGenerator(np.diag(mask.factor), q, ids[1])
+    assert P.fiber == 1 and mask.factor.ndim == 1
+    assert hall_sigma(P, g0, mask, part) == hall_sigma(P, g0, dense, part) != 0.0
+    bch = exchange_phase_bch(P, g0, mask, 0.1, 0.1, part)
+    assert bch == exchange_phase_bch(P, g0, dense, 0.1, 0.1, part) != 1.0
+
+
+def test_lift_and_dress_peak_stays_near_the_dressed_factor():
+    # qwz R=12, three copies: the lifted charge stays a mask of dim_K floats
+    # and is dressed on the half (n = dim_K/2) with one product
+    # (O' * -b') @ O', so lift and dress hold two n x n arrays at their
+    # peak: 2.01 dressed factors measured, 10.0 when the lift stored
+    # diag(mask) and the dressing folded it
+    geom = build_disk_lattice("square", 12.0, majorana_count=4)
+    P = ground_projection(stack_copies(build_qwz(1.0, geom), 3), 1e-4)
+    ids, sgeom = core_regions(P, make_good_partition(geom.apex), 0.7)
+    base = sgeom.with_majorana_count(4)
+    tracemalloc.start()
+    try:
+        g = dress_charge(P, lift_charge(cyclic_charge(3), base, ids[0]), ids[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.fiber == 2 and peak <= 2.5 * g.factor.nbytes
 
 
 def test_dress_is_linear():
