@@ -174,10 +174,7 @@ def build_model(cfg: dict, copies: int = 1):
     _core_sites(build_partition(cfg), geometry, float(cfg["numerics"]["core_fraction"]))
     # looked up on every call, so a builder rebound in `models` is the one used
     build = getattr(models, f"build_{family}")
-    h = build(geometry=geometry, **_model_parameters(cfg))
-    if copies > 1:
-        h = stack_copies(h, copies)
-    return h
+    return stack_copies(build(geometry=geometry, **_model_parameters(cfg)), copies)
 
 
 def build_partition(cfg: dict):
@@ -480,9 +477,6 @@ def main(argv=None) -> int:
         return 2
     except ComputationError as exc:
         sys.stderr.write(f"computation error: {exc}\n")
-        return 3
-    except ArtifactError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 3
 
 

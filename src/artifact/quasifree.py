@@ -52,10 +52,9 @@ class BasisProjection:
     as its real antisymmetric factor: the single-copy O (fiber 1), or the
     O' of its particle-hole half, with O = T(O') (fiber 2, _particle_hole_O).
     `.O` and the complex stacked P (`.matrix`) are built on every read.
-    Built from a Hamiltonian it also carries the
-    health numbers of its own decomposition (edge_gap, zero_modes,
-    projection_residual); a random one (random_covariance) is the two-point
-    operator of a random pure Gaussian state."""
+    Built by ground_projection (random_covariance's random states too) it
+    also carries the health numbers of its own decomposition (edge_gap,
+    zero_modes, projection_residual)."""
     factor: np.ndarray
     geometry: object = None  # LatticeGeometry when built from a lattice model
     health: dict = field(default_factory=dict)
@@ -353,7 +352,14 @@ def _fold(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
     the table's rows written from them (_write_fibers), exactly.
     B'[2p + x, 2q + y] is plane xy at the pairs (p, q): B'00 = s + d,
     B'01 = a + b, B'10 = -(a - b) and B'11 = s - d, each rounded once
-    (b - a would differ from -(a - b) in the sign of zeros)."""
+    (b - a would differ from -(a - b) in the sign of zeros).
+    A 1-D B is the mask b of diag(b) (a lifted charge), folded to the mask
+    b' of diag(b'): T(diag(b')) is diag(b) exactly when b is constant on
+    each 4-fiber (a region of whole sites), b' being that value on both
+    orbitals of the pair; any other b (or a NaN) gives None."""
+    if B.ndim == 1:
+        b = B[0::4]
+        return np.repeat(b, 2) if (B.reshape(-1, 4) == b[:, None]).all() else None
     fibers = B.reshape(B.shape[0] // 4, 4, B.shape[1] // 4, 4).transpose(1, 3, 0, 2)
     s, a, d, b = planes = [sign * f for f, (_, sign) in zip(fibers[0], _PARTICLE_HOLE_FIBER[0])]
     rows = _write_fibers(planes, 1.0, np.empty((3,) + fibers.shape[1:], B.dtype), slice(1, None))
@@ -458,7 +464,9 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
 
 def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisProjection:
     """Spectral projector onto the negative-energy subspace of h = iA, as
-    its real complex structure O.
+    its real complex structure O: the one constructor of a certified
+    projection, for the lattice models and random_covariance's random states
+    alike.
 
     Eigenvalues with |lambda| <= gap_tol form the near-zero cluster. An empty
     cluster gives the plain lambda < 0 projector; a nonzero one is filled
@@ -518,14 +526,12 @@ def wick_expectation(S: BasisProjection, vectors) -> complex:
     (_matchings). Each matching is exactly one permutation s with
     s(1) < ... < s(n) and s(j) < s(j+n), pairing s(j) with s(j+n), and its
     crossing sign is sign(s) (-1)^(n(n-1)/2): this is the direct permutation
-    sum over those s. Odd lists have no matching and vanish identically.
-    The sum has (2n - 1)!! terms: lists longer than 12 are refused.
+    sum over those s. An odd list has no matching: its sum is empty, exactly
+    0j. The sum has (2n - 1)!! terms: lists longer than 12 are refused.
     """
     vectors = list(vectors)
     if len(vectors) > _WICK_MAX:
         raise ComputationError("oracle too large")
-    if len(vectors) % 2 == 1:
-        return complex(0.0)
     if not vectors:
         return complex(1.0)
     M = _pair_matrix(S, vectors).tolist()
@@ -571,19 +577,18 @@ def _pfaffian(M: np.ndarray) -> complex:
 
 
 def random_covariance(dim: int, rng: np.random.Generator) -> BasisProjection:
-    """Pure random covariance (ground state of a random gapped quadratic H).
-    dim is taken through as_integer and refused below 2, odd or too large
-    for memory (check_memory), before any draw."""
+    """The two-point operator of a random pure Gaussian state: the ground
+    projection of iA for one draw A - A^T, A of standard normal entries,
+    made by ground_projection at gap_tol 0, so it is certified and carries
+    its health like every other projection (a draw the certificate refuses
+    is refused as gapless, never redrawn). dim is taken through as_integer
+    and refused below 2, odd or too large for memory (check_memory), before
+    any draw."""
     dim = as_integer(dim, "dim_K")
     if dim < 2:
         raise ComputationError(f"dim_K must be >= 2, not {dim}")
     if dim % 2 == 1:
         raise ComputationError("dim_K must be even")
     check_memory(dim)
-    while True:
-        A = rng.standard_normal((dim, dim))
-        # a random A is one group without the charge form: _complex_structure
-        # would solve it on itself, as here
-        O, edge_gap, _ = _real_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
-        if edge_gap > 1e-6:
-            return BasisProjection(O)
+    A = rng.standard_normal((dim, dim))
+    return ground_projection(QuadraticHamiltonian(A - A.T, None), 0.0)

@@ -99,33 +99,27 @@ def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGener
     For P = kron(P1, I_N) and Q = kron(B, q) the result is kron(D, q) with D
     the dressed B, so only the block is dressed. With P1 = (I - iO)/2 the
     dressed block is (B - OBO)/2: real for a real B, so its
-    eigendecomposition runs in real arithmetic; a diagonal B takes one
-    product (O * b) @ O. Commutes with P by construction; the block is
-    re-Hermitized to absorb rounding noise. The result carries `region`, or
-    g's region when none is given. A fiber-1 block B = T(B') (_fold) is
-    dressed as B' on P's particle-hole half. A mask b (lift_charge) is
-    dressed as the diagonal B = diag(b) without forming it: on the half
-    when b is constant on each 4-fiber, as diag(b) = T(diag(b')) with b'
-    that value on each orbital of the pair (every lifted charge of a
-    region of sites), else on fiber 1.
+    eigendecomposition runs in real arithmetic. Commutes with P by
+    construction; the block is re-Hermitized to absorb rounding noise. The
+    result carries `region`, or g's region when none is given. A fiber-1
+    factor that folds onto P's particle-hole half (quasifree._fold: a
+    block B = T(B'), or a mask constant on each 4-fiber, as every lifted
+    charge of a region of sites is) is dressed there, else on fiber 1. A
+    mask b (lift_charge) is dressed as diag(b) without forming it, by the
+    one product (O * -b) @ O; a matrix by O @ B @ O.
     """
     g.check_factors(P)
     B, fiber = g.factor, g.fiber
-    if B.ndim == 1:
-        b = B
-        if fiber < P.fiber and (b.reshape(-1, 4) == b[0::4, None]).all():
-            b, fiber = np.repeat(b[0::4], 2), P.fiber
-    else:
-        half = quasifree._fold(B) if fiber < P.fiber else None
-        B, fiber = (B, fiber) if half is None else (half, P.fiber)
-        b = np.diagonal(B) if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) else None
+    half = quasifree._fold(B) if fiber < P.fiber else None
+    if half is not None:
+        B, fiber = half, P.fiber
     O = P.O_on(fiber)
-    if b is None:
+    if B.ndim == 1:
+        Qt = (O * -B) @ O
+        Qt.flat[::len(B) + 1] += B
+    else:
         Qt = O @ B @ O
         np.subtract(B, Qt, out=Qt)
-    else:
-        Qt = (O * -b) @ O
-        Qt.flat[::len(b) + 1] += b
     Qt += Qt.conj().T  # (B - OBO)/2, Hermitized
     Qt *= 0.25
     return FluxGenerator(Qt, g.charge, g.region if region is None else region, fiber)

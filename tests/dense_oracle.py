@@ -49,7 +49,14 @@ oracle checks that shortcut and the series independently.
 `dense_sector_commutator` forms one sector's E = (D0 W D0*) W^+ - I from
 the whole W and W^+; it is the oracle for
 `artifact.invariants._sector_commutator`, which fills E from X alone, a
-block of columns at a time."""
+block of columns at a time.
+`uncertified_random_factor` draws a random state's A as
+`artifact.quasifree.random_covariance` does and solves it with
+`_real_structure` alone, with no certificate, redrawing while the edge gap
+is at most 1e-6; it is the oracle for random_covariance, which takes the
+same draw through ground_projection and its certificate.
+`diagonal_dressing` dresses diag(b) by the one product (O * -b) @ O; it
+is the oracle for `artifact.symgen.dress_charge` on a mask."""
 import itertools
 
 import numpy as np
@@ -60,7 +67,7 @@ from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
 from artifact.models import (_ENVELOPE_ROWS, QuadraticHamiltonian, _bloch, _bond_fibers,
                              _check_gapped, _envelope)
-from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis, _fold
+from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis, _fold, _real_structure
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
 _omega = np.array([[1, 1], [-1j, 1j]], dtype=complex)
@@ -347,3 +354,23 @@ def dense_sector_commutator(X, d0, p) -> np.ndarray:
     E = W @ Wh
     E[np.diag_indices_from(E)] -= 1.0
     return E
+
+
+def uncertified_random_factor(dim: int, rng) -> np.ndarray:
+    """The factor O of the first draw A - A^T, A of standard normal entries,
+    whose _real_structure at gap_tol 0 has an edge gap above 1e-6, with no
+    certificate run on it."""
+    while True:
+        A = rng.standard_normal((dim, dim))
+        O, edge_gap, _ = _real_structure(QuadraticHamiltonian(A - A.T, None), 0.0)
+        if edge_gap > 1e-6:
+            return O
+
+
+def diagonal_dressing(O: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(diag(b) - O diag(b) O)/2, Hermitized, with diag(b) never formed."""
+    Qt = (O * -b) @ O
+    Qt.flat[::len(b) + 1] += b
+    Qt += Qt.conj().T
+    Qt *= 0.25
+    return Qt

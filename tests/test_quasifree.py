@@ -20,7 +20,8 @@ from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
                                 _transpose_residual)
 from dense_oracle import (dense_A_structure, dense_basis_projection, dense_charge_structure,
-                          dense_gram, dense_ground_projection, full_width_particle_hole_half)
+                          dense_gram, dense_ground_projection, full_width_particle_hole_half,
+                          uncertified_random_factor)
 from eigh_spy import spy_eighs
 
 
@@ -733,6 +734,19 @@ def test_fold_inverts_the_fiber_map(dtype):
     assert float(np.max(np.abs(folded - X))) <= 4 * np.finfo(float).eps * float(np.max(np.abs(X)))
 
 
+def test_fold_of_a_mask_is_the_mask_of_its_pairs():
+    # diag(b) = T(diag(b')) exactly when b is constant on each 4-fiber, b'
+    # being that value on both orbitals of the pair; one entry flipped or a
+    # NaN (which equals nothing) breaks a fiber
+    b = np.repeat([1.0, 0.0, 1.0, 0.5], 4)
+    assert quasifree._fold(b).tobytes() == np.repeat([1.0, 0.0, 1.0, 0.5], 2).tobytes()
+    flipped = b.copy()
+    flipped[6] = 1.0
+    assert quasifree._fold(flipped) is None
+    b[13] = np.nan
+    assert quasifree._fold(b) is None
+
+
 @pytest.mark.parametrize("entry", range(16))
 def test_fold_refuses_any_broken_fiber_entry(entry):
     # each of a fiber's 16 entries is tied to three others by
@@ -1219,6 +1233,24 @@ def test_oversize_random_covariance_refused_before_any_draw(monkeypatch):
     monkeypatch.setattr(_util, "available_memory", lambda: 10**5)
     with pytest.raises(ComputationError, match=r"projection needs ~\S+ GB, 0\.0001 GB available"):
         random_covariance(1000, NoDraws())
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10, 12, 16, 40])
+def test_random_covariance_is_the_uncertified_factor_certified(dim):
+    # the same draw through ground_projection: the uncertified solver's
+    # bytes (no draw redrawn), with the certificate's health attached
+    for seed in range(20):
+        S = random_covariance(dim, np.random.default_rng(seed))
+        want = uncertified_random_factor(dim, np.random.default_rng(seed))
+        assert S.factor.tobytes() == want.tobytes() and S.fiber == 1
+        assert S.health["projection_residual"] <= 1e-12
+        assert S.health["edge_gap"] > 1e-6 and S.health["zero_modes"] == 0
+
+
+def test_random_covariance_is_refused_by_a_failing_certificate(monkeypatch):
+    monkeypatch.setattr(quasifree, "_commutator_residual", lambda h, O: 1e-9)
+    with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual 1e-09"):
+        random_covariance(8, np.random.default_rng(0))
 
 
 def test_covariance_of_projection_is_valid(trivial_projection):

@@ -12,6 +12,7 @@ from artifact import (BasisProjection, ComputationError, build_disk_lattice, bui
                       lift_charge, make_good_partition, parity_charge, random_covariance,
                       region_mask, stack_copies, windowed_site_ids)
 from artifact.symgen import FluxGenerator
+from dense_oracle import diagonal_dressing
 
 
 def _random_projection(dim, seed):
@@ -103,8 +104,8 @@ def test_dress_is_identity_on_commuting_input():
 
 @pytest.mark.parametrize("field", [float, complex])
 def test_a_diagonal_block_dresses_as_the_dense_product(field):
-    # a diagonal block dresses with one product (O * b) @ O, entry for entry
-    # the dense (B - O B O)/2, Hermitized
+    # a diagonal block dresses as every block does, to the dense
+    # (B - O B O)/2, Hermitized, in its own field
     rng = np.random.default_rng(11)
     P = _random_projection(16, 12)
     b = rng.standard_normal(16).astype(field)
@@ -145,8 +146,10 @@ def test_lift_charge_keeps_the_mask(small_geometry):
 
 @pytest.mark.parametrize("case, fiber", [("half", 2), ("fiber1", 1), ("not_by_fiber", 1)])
 def test_a_dressed_mask_is_the_dressed_diagonal_bit_for_bit(qwz_r6, case, fiber):
-    # a mask constant on each 4-fiber is dressed on the half, any other on
-    # fiber 1, and so is diag(mask), with the same products: the same bytes
+    # a mask constant on each 4-fiber is dressed on the half as the mask of
+    # its orbital pairs, any other on fiber 1, by the diagonal product: the
+    # oracle's bytes. A dense diag(mask) is dressed by O @ B @ O on the same
+    # fiber, to within 1e-14
     P, part = qwz_r6
     mask = region_mask(windowed_site_ids(part, P.geometry, 0.7)[0], P.geometry).astype(float)
     if case == "fiber1":
@@ -154,9 +157,12 @@ def test_a_dressed_mask_is_the_dressed_diagonal_bit_for_bit(qwz_r6, case, fiber)
     elif case == "not_by_fiber":
         mask[1] = 1.0 - mask[1]
     g = dress_charge(P, FluxGenerator(mask))
-    want = dress_charge(P, FluxGenerator(np.diag(mask)))
-    assert g.fiber == want.fiber == fiber
-    assert g.factor.tobytes() == want.factor.tobytes()
+    b = np.repeat(mask[0::4], 2) if fiber == 2 else mask
+    assert g.fiber == fiber
+    assert g.factor.tobytes() == diagonal_dressing(P.O_on(fiber), b).tobytes()
+    dense = dress_charge(P, FluxGenerator(np.diag(mask)))
+    assert dense.fiber == fiber
+    assert float(np.max(np.abs(dense.factor - g.factor))) <= 1e-14
 
 
 def test_mask_form_gives_the_diagonal_form_s_numbers():
