@@ -31,7 +31,7 @@ from ._util import (DEFAULT_CORE_FRACTION, DEFAULT_NU_ROUND_TOL, ComputationErro
                     as_integer, check_memory)
 from .geometry import ConicalPartition, region_mask, windowed_site_ids
 from .quasifree import BasisProjection, _eigh_in_place
-from .symgen import FluxGenerator
+from .symgen import FluxGenerator, _matrix_factor
 
 if TYPE_CHECKING:  # fractions (and decimal through it) load only with the predictions
     from fractions import Fraction
@@ -83,13 +83,12 @@ def _core_sites(partition: ConicalPartition, geom, core_fraction: float):
     return ids
 
 
-def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float,
-                  per_site: int | None = None):
-    """Indices of the three cores in P's single-copy space, or in a space of
-    majorana_count // per_site Majoranas per site (P.factor's for copies * fiber);
-    windows that cannot carry the index are refused (_core_sites)."""
+def _core_indices(P: BasisProjection, partition: ConicalPartition, core_fraction: float):
+    """Indices of the three cores in the space of P's factor, of
+    majorana_count // (copies * fiber) Majoranas per site; windows that
+    cannot carry the index are refused (_core_sites)."""
     ids, geom = core_regions(P, partition, core_fraction)
-    block_geom = geom.with_majorana_count(geom.majorana_count // (per_site or P.copies))
+    block_geom = geom.with_majorana_count(geom.majorana_count // (P.copies * P.fiber))
     return [np.where(region_mask(r, block_geom))[0] for r in ids]
 
 
@@ -121,7 +120,7 @@ def chern_number_with_residual(P: BasisProjection, partition: ConicalPartition,
     site-local frame, twice O''s: the traces run on P's factor.
     """
     multiplicity = P.copies * P.fiber
-    i0, i1, i2 = _core_indices(P, partition, core_fraction, multiplicity)
+    i0, i1, i2 = _core_indices(P, partition, core_fraction)
     t012 = _triple_trace(P.factor, i0, i1, i2)
     t021 = _triple_trace(P.factor, i0, i2, i1)
     scale = 0.5 * np.pi * JUNCTION_MULTIPLICITY * multiplicity
@@ -147,15 +146,15 @@ def _anchored_trace(Oa: np.ndarray, anchor, Xa: np.ndarray) -> complex:
     return 0.5 * np.trace(Xa[anchor, :]) - 0.5j * np.einsum("ij,ji->", Oa, Xa, optimize=True)
 
 
-def _shared_fiber(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator) -> int:
-    """The fiber both generators are kept on: the one check of a generator
-    pair. A generator that does not act on P's space (check_factors), or
-    two on different fibers, are refused."""
-    g0.check_factors(P)
-    g1.check_factors(P)
-    if g0.fiber != g1.fiber:
-        raise ComputationError("dimension mismatch")
-    return g0.fiber
+def _check_pair(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator) -> None:
+    """The one check of a generator pair: both are matrices on P's fiber,
+    the size of P's factor, with charges on P's copies (dress_charge puts
+    them there). An undressed mask is refused (_matrix_factor), any other
+    generator off P's fiber or space as a dimension mismatch."""
+    for g in (g0, g1):
+        if (_matrix_factor(g).shape != P.factor.shape or g.fiber != P.fiber
+                or g.charge.shape != (P.copies,) * 2):
+            raise ComputationError("dimension mismatch")
 
 
 def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
@@ -167,16 +166,17 @@ def hall_sigma_with_residual(P: BasisProjection, g0: FluxGenerator, g1: FluxGene
     carrying neither generator) and scaled by the junction multiplicity.
     With P = kron(P1, I_N) and Qa = kron(Ba, qa) the trace factors into
     Tr(q0 q1) times the same trace of the blocks. Identical generators give
-    two identical traces and so exactly zero. Generators on a particle-hole
-    half are traced there, against O', and T doubles each trace.
+    two identical traces and so exactly zero. Both generators are matrices
+    on P's fiber (_check_pair), traced against P's factor: on a
+    particle-hole half against O', and T doubles each trace.
     """
-    fiber = _shared_fiber(P, g0, g1)
-    anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
-    Oa, Q0, Q1 = P.O_on(fiber)[anchor, :], g0.square, g1.square
+    _check_pair(P, g0, g1)
+    anchor = _core_indices(P, partition, core_fraction)[2]
+    Oa, Q0, Q1 = P.factor[anchor, :], g0.factor, g1.factor
     t_fwd = _anchored_trace(Oa, anchor, Q0 @ Q1[:, anchor])
     t_rev = _anchored_trace(Oa, anchor, Q1 @ Q0[:, anchor])
     copy_trace = np.trace(g0.charge @ g1.charge)
-    val = 2j * np.pi * JUNCTION_MULTIPLICITY * fiber * copy_trace * (t_fwd - t_rev)
+    val = 2j * np.pi * JUNCTION_MULTIPLICITY * P.fiber * copy_trace * (t_fwd - t_rev)
     sigma = float(val.real)
     residual = abs(float(val.imag))
     if not residual <= ANOMALY_TOL:
@@ -304,7 +304,8 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     by construction. Matches exchange_phase_closed to cubic order in the
     flux angles.
 
-    Both generators must carry the same charge c. In its eigenbasis,
+    Both generators must carry the same charge c, and be matrices on P's
+    fiber (_check_pair), traced against P's factor. In c's eigenbasis,
     Ua = exp(i alpha_a kron(Ba, c)) splits into the sectors
     exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
     the trace; the phase is exp(i sum_j phi_j). The j = 0 sector is the
@@ -336,12 +337,12 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     """
     if not np.array_equal(g0.charge, g1.charge):
         raise ComputationError("generators carry different charges")
-    fiber = _shared_fiber(P, g0, g1)
+    _check_pair(P, g0, g1)
     if alpha0 == 0.0 or alpha1 == 0.0:
         return complex(1.0)
     check_memory(len(g0.factor), _BCH_WORKING_ARRAYS, "flux commutator")
-    lam0, V0 = np.linalg.eigh(g0.square)
-    lam1, V1 = np.linalg.eigh(g1.square)
+    lam0, V0 = np.linalg.eigh(g0.factor)
+    lam1, V1 = np.linalg.eigh(g1.factor)
     X = V0.conj().T @ V1
     del V1
     js = np.linalg.eigvalsh(g0.charge)
@@ -353,15 +354,15 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     for j in js:
         E = _sector_commutator(X, np.exp(1j * alpha0 * j * lam0),
                                np.exp(1j * alpha1 * j * lam1))
-        norm = float(np.linalg.norm(E)) * np.sqrt(fiber)
+        norm = float(np.linalg.norm(E)) * np.sqrt(P.fiber)
         if not np.isfinite(norm):
             raise ComputationError("flux commutator is not finite")
         if norm < 1e-13:
             continue
         L = None if norm < _SERIES_RADIUS else _log_near_identity(E)  # Cayley; may refuse
         if anchor is None:
-            anchor = _core_indices(P, partition, core_fraction, P.copies * fiber)[2]
-            Oa, Va = P.O_on(fiber)[anchor, :], V0[anchor, :]
+            anchor = _core_indices(P, partition, core_fraction)[2]
+            Oa, Va = P.factor[anchor, :], V0[anchor, :]
         cols = _log_series(E, Va.conj().T) if L is None else L @ Va.conj().T
         del E, L
         Lc = _times(V0, cols)  # L[:, a]
@@ -369,7 +370,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         t = _anchored_trace(Oa, anchor, Lc).imag
         if mirrored:  # the sector -j
             t += _anchored_trace(Oa, anchor, Lc.conj()).imag
-        phi += 0.5 * JUNCTION_MULTIPLICITY * fiber * t
+        phi += 0.5 * JUNCTION_MULTIPLICITY * P.fiber * t
     return complex(np.exp(1j * phi))
 
 

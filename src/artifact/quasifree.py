@@ -52,9 +52,12 @@ class BasisProjection:
     as its real antisymmetric factor: the single-copy O (fiber 1), or the
     O' of its particle-hole half, with O = T(O') (fiber 2, _particle_hole_O).
     `.O` and the complex stacked P (`.matrix`) are built on every read.
-    Built by ground_projection (random_covariance's random states too) it
-    also carries the health numbers of its own decomposition (edge_gap,
-    zero_modes, projection_residual)."""
+    Every generator and trace of the flux functions reads the factor; the
+    fiber-1 view BasisProjection(P.O, P.geometry, copies=P.copies) is the
+    same projection kept in the model's basis, for generators that do not
+    fold onto the half. Built by ground_projection (random_covariance's
+    random states too) it also carries the health numbers of its own
+    decomposition (edge_gap, zero_modes, projection_residual)."""
     factor: np.ndarray
     geometry: object = None  # LatticeGeometry when built from a lattice model
     health: dict = field(default_factory=dict)
@@ -64,10 +67,6 @@ class BasisProjection:
     @property
     def O(self) -> np.ndarray:
         return self.factor if self.fiber == 1 else _particle_hole_O(self.factor)
-
-    def O_on(self, fiber: int) -> np.ndarray:
-        """O for generators kept on `fiber`: the factor on P's own, else O."""
-        return self.factor if fiber == self.fiber else self.O
 
     @property
     def matrix(self) -> np.ndarray:

@@ -76,6 +76,15 @@ def pip_stack3_r12():
 
 
 @pytest.fixture(scope="session")
+def pip_stack3_r6():
+    """A fiber-1 stack: pip does not conserve charge, so it has no
+    particle-hole half."""
+    geom = build_disk_lattice("square", 6.0, majorana_count=2)
+    P, _ = _timed_projection(stack_copies(build_pip(-1.0, 0.5, geom), 3), 1e-4)
+    return P, make_good_partition(geom.apex)
+
+
+@pytest.fixture(scope="session")
 def qwz_stack3_r6_generators():
     """Small stack plus its dressed cyclic generators, for the exchange-phase
     cross-checks (several unitaries and logs per test keep this radius low)."""

@@ -324,12 +324,14 @@ def dense_exchange_phase_bch(P, g0, g1, alpha0: float, alpha1: float, partition,
     per sector the unitaries Ua = exp(i alpha_a j Ba), E = U0 U1 U0* U1* - I,
     the full principal logarithm L of I + E by the Cayley transform, and
     phi_j the symmetrized anchored half-trace (Tr_a(P L) + Tr_a(L P))/2.
-    A sector with max|E| < 1e-13 is skipped."""
+    A sector with max|E| < 1e-13 is skipped. Everything runs in the
+    model's basis: the dense blocks against the fiber-1 view of P."""
     lam0, V0 = np.linalg.eigh(g0.block)
     lam1, V1 = np.linalg.eigh(g1.block)
     js = np.linalg.eigvalsh(g0.charge)
+    P = BasisProjection(P.O, P.geometry, copies=P.copies)
     anchor = _core_indices(P, partition, core_fraction)[2]
-    Oa = P.O[anchor, :]
+    Oa = P.factor[anchor, :]
     phi = 0.0
     for j in js[np.abs(js) > 1e-12 * np.max(np.abs(js))]:
         U0 = (V0 * np.exp(1j * alpha0 * j * lam0)) @ V0.conj().T

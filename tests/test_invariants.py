@@ -175,8 +175,8 @@ def test_non_hermitian_generators_are_refused(qwz_r6):
 def test_sigma_scales_quadratically(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
     base = hall_sigma(P, g0, g1, part)
-    half = FluxGenerator(0.5 * g0.block, g0.charge, g0.region)
-    third = FluxGenerator((1 / 3) * g1.block, g1.charge, g1.region)
+    half = FluxGenerator(0.5 * g0.factor, g0.charge, g0.region, g0.fiber)
+    third = FluxGenerator((1 / 3) * g1.factor, g1.charge, g1.region, g1.fiber)
     scaled = hall_sigma(P, half, third, part)
     assert abs(scaled - base / 6) <= 1e-12 * max(1.0, abs(base))
 
@@ -507,10 +507,12 @@ def test_bch_matches_the_dense_commutator(qwz_stack3_r6_generators, alpha):
 def test_bch_matches_the_dense_commutator_on_random_blocks(scale, field):
     # random Hermitian generators with the charge [[1]]: complex blocks make
     # the eigenvectors, and so X = V0^+ V1, complex; real blocks make X real,
-    # but a real charge has no sector -j to read off the sector j
+    # but a real charge has no sector -j to read off the sector j. They do
+    # not fold onto the qwz disk's half, so they run on its fiber-1 view
     geom = build_disk_lattice("square", 4.0, majorana_count=4)
     part = make_good_partition(geom.apex)
-    P = ground_projection(build_qwz(1.0, geom), 1e-4)
+    half = ground_projection(build_qwz(1.0, geom), 1e-4)
+    P = BasisProjection(half.O, half.geometry, copies=half.copies)
     rng = np.random.default_rng(5)
     n = P.O.shape[0]
 
@@ -551,7 +553,7 @@ def test_bch_series_runs_on_the_anchor_only(qwz_stack3_r6_generators, monkeypatc
     sigma = hall_sigma(P, g0, g1, part)
     assert abs(exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
                - exchange_phase_closed(sigma, 0.1, 0.1)) <= 1e-4
-    anchor = invariants._core_indices(P, part, 0.7, P.copies * P.fiber)[2]
+    anchor = invariants._core_indices(P, part, 0.7)[2]
     assert series == [(len(g0.factor), len(anchor))]
     with pytest.raises(Formed):
         exchange_phase_bch(P, g0, g1, 2.5, 2.5, part)

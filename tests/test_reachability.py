@@ -34,7 +34,7 @@ ALLOWED = {
                                  "perfbench/ import; the CLI imports its modules directly",
     # the flux construction of criteria 5 and 6
     ("invariants", "_anchored_trace"): _ACCEPTANCE,
-    ("invariants", "_shared_fiber"): _ACCEPTANCE,
+    ("invariants", "_check_pair"): _ACCEPTANCE,
     ("invariants", "hall_sigma_with_residual"): _ACCEPTANCE,
     ("invariants", "_log_series"): _ACCEPTANCE,
     ("invariants", "_times"): _ACCEPTANCE,
@@ -61,7 +61,8 @@ ALLOWED = {
     ("invariants", "_log_near_identity"): _BRANCH + " (exchange_phase_bch's Cayley log, "
                                                     "for a commutator outside the series radius)",
     ("quasifree", "_canonical_basis"): _BRANCH + " (exact zero modes at the Fermi level)",
-    ("quasifree", "_particle_hole_O"): _BRANCH + " (O of a particle-hole half, in the model's basis)",
+    ("quasifree", "_particle_hole_O"): "the dense views `.O`, `.matrix`, `.block` and "
+                                       "`flux_unitary` on a half",
     ("quasifree", "_eigenvalues_did_not_converge"): _ERROR,
 }
 

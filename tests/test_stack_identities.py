@@ -8,6 +8,7 @@ the complex eigh of the materialized stack (tests/dense_oracle.py) and dense
 N = 1 generators built from kron(diag(mask), q).
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import scipy.linalg
 
 from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       chern_number, core_regions, cyclic_charge, dress_charge,
-                      exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
+                      exchange_phase_bch, exchange_phase_closed, flux_unitary,
+                      ground_projection, hall_sigma,
                       lift_charge, make_good_partition, parity_charge, stack_copies,
                       twist_statistics)
 from artifact import ComputationError, invariants, quasifree
@@ -217,18 +219,22 @@ def test_generators_of_different_fibers_are_refused(half_stack):
             hall_sigma(P, a, b, part)
         with pytest.raises(ComputationError, match="dimension mismatch"):
             exchange_phase_bch(P, a, b, 0.1, 0.1, part)
-    # a generator on the half does not act on a fiber-1 projection
+    # a generator on the half does not act on a fiber-1 projection, nor two
+    # model-basis generators on the half
     for call in (lambda: dress_charge(full, g0), lambda: hall_sigma(full, g0, g1, part),
-                 lambda: exchange_phase_bch(full, g0, g1, 0.1, 0.1, part)):
+                 lambda: exchange_phase_bch(full, g0, g1, 0.1, 0.1, part),
+                 lambda: hall_sigma(P, d0, d1, part)):
         with pytest.raises(ComputationError, match="dimension mismatch"):
             call()
-    # two model-basis generators run the generic path on the half's P.O
-    assert abs(hall_sigma(P, d0, d1, part) - hall_sigma(full, d0, d1, part)) <= 1e-12
+    # two model-basis generators run the generic path on the fiber-1 view
+    view = BasisProjection(P.O, P.geometry, copies=P.copies)
+    assert abs(hall_sigma(view, d0, d1, part) - hall_sigma(full, d0, d1, part)) <= 1e-12
 
 
 def test_a_dense_block_on_a_half_projection_dresses_through_O(half_stack, monkeypatch):
     # a dense block, or a diagonal one that is not constant on T's 4 x 4
-    # fibers, is dressed in the model's basis against P.O
+    # fibers, is refused on the half and dressed in the model's basis on the
+    # fiber-1 view, against the one assembled P.O
     N, _, P, full = half_stack
     reads, assembled = [], BasisProjection.O
 
@@ -240,9 +246,39 @@ def test_a_dense_block_on_a_half_projection_dresses_through_O(half_stack, monkey
     rng = np.random.default_rng(3)
     n = len(full.factor)
     G = rng.standard_normal((n, n))
+    view = BasisProjection(P.O, P.geometry, copies=P.copies)
     for B in ((G + G.T) / 2, np.diag(rng.standard_normal(n))):
-        g = dress_charge(P, FluxGenerator(B, cyclic_charge(N)))
+        with pytest.raises(ComputationError,
+                           match=re.escape("BasisProjection(P.O, P.geometry, copies=P.copies)")):
+            dress_charge(P, FluxGenerator(B, cyclic_charge(N)))
+        g = dress_charge(view, FluxGenerator(B, cyclic_charge(N)))
         assert g.fiber == 1
         want = dress_charge(full, FluxGenerator(B, cyclic_charge(N)))
         assert float(np.max(np.abs(g.factor - want.factor))) <= 1e-12
-    assert reads == [2, 2]
+    assert reads == [2]
+
+
+@pytest.mark.parametrize("stack_fixture", ["qwz_stack3_r6_generators", "pip_stack3_r6"])
+def test_the_flux_pipeline_reads_only_the_factor(stack_fixture, request, monkeypatch):
+    # lift -> dress -> hall_sigma -> exchange_phase_bch -> parity_charge on a
+    # qwz half and on a pip fiber-1 stack (three copies, R=6) reads neither
+    # the assembled O nor T: every step takes P.factor. On the half a dense
+    # block that does not fold is refused before reading either
+    P, part = request.getfixturevalue(stack_fixture)[:2]
+    reads, assembled, T = [], BasisProjection.O, quasifree._particle_hole_O
+    monkeypatch.setattr(BasisProjection, "O",
+                        property(lambda self: reads.append("O") or assembled.fget(self)))
+    monkeypatch.setattr(quasifree, "_particle_hole_O", lambda X: reads.append("T") or T(X))
+    g0, g1 = _dressed_pair(P, part, 3)
+    sigma = hall_sigma(P, g0, g1, part)
+    bch = exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
+    ids, _ = core_regions(P, part, 0.7)
+    parity_charge(P, ids[0], P.geometry)
+    if P.fiber == 2:
+        n = P.dim_K // P.copies
+        G = np.random.default_rng(4).standard_normal((n, n))
+        with pytest.raises(ComputationError, match="fiber-1 view"):
+            dress_charge(P, FluxGenerator(G + G.T, cyclic_charge(3)))
+    assert reads == []
+    assert g0.fiber == g1.fiber == P.fiber == (2 if stack_fixture.startswith("qwz") else 1)
+    assert abs(bch - exchange_phase_closed(sigma, 0.1, 0.1)) <= 1e-4

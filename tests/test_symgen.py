@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (BasisProjection, ComputationError, build_disk_lattice, build_pip,
+from artifact import (BasisProjection, ComputationError, build_disk_lattice,
                       build_qwz, core_regions, cyclic_charge, dress_charge,
                       exchange_phase_bch, flux_unitary, ground_projection, hall_sigma,
                       lift_charge, make_good_partition, parity_charge, random_covariance,
@@ -133,7 +134,8 @@ def test_lifted_charge_dresses_on_the_half(qwz_r6):
 
 def test_lift_charge_keeps_the_mask(small_geometry):
     # the lifted charge is its 1-D site mask; read as a matrix it is the
-    # generator of diag(mask), bit for bit
+    # generator of diag(mask), bit for bit, and undressed it is no flux
+    # generator
     q = cyclic_charge(3)
     region = list(range(0, len(small_geometry.sites), 3))
     g = lift_charge(q, small_geometry, region)
@@ -141,47 +143,68 @@ def test_lift_charge_keeps_the_mask(small_geometry):
     assert g.factor.ndim == 1 and np.array_equal(g.factor, mask)
     dense = FluxGenerator(np.diag(mask), q, region)
     assert g.Qtilde.tobytes() == dense.Qtilde.tobytes()
-    assert flux_unitary(g, 0.7).tobytes() == flux_unitary(dense, 0.7).tobytes()
+    with pytest.raises(ComputationError, match="undressed mask.*dress_charge"):
+        flux_unitary(g, 0.7)
 
 
 @pytest.mark.parametrize("case, fiber", [("half", 2), ("fiber1", 1), ("not_by_fiber", 1)])
 def test_a_dressed_mask_is_the_dressed_diagonal_bit_for_bit(qwz_r6, case, fiber):
     # a mask constant on each 4-fiber is dressed on the half as the mask of
-    # its orbital pairs, any other on fiber 1, by the diagonal product: the
-    # oracle's bytes. A dense diag(mask) is dressed by O @ B @ O on the same
-    # fiber, to within 1e-14
+    # its orbital pairs, by the diagonal product: the oracle's bytes. Any
+    # other is refused on the half and dressed on its fiber-1 view. A dense
+    # diag(mask) is dressed by O @ B @ O on the same fiber, to within 1e-14
     P, part = qwz_r6
     mask = region_mask(windowed_site_ids(part, P.geometry, 0.7)[0], P.geometry).astype(float)
-    if case == "fiber1":
-        P = BasisProjection(P.O, P.geometry)  # the same projection on fiber 1
-    elif case == "not_by_fiber":
+    if case == "not_by_fiber":
         mask[1] = 1.0 - mask[1]
+        with pytest.raises(ComputationError,
+                           match=re.escape("BasisProjection(P.O, P.geometry, copies=P.copies)")):
+            dress_charge(P, FluxGenerator(mask))
+    if fiber == 1:
+        P = BasisProjection(P.O, P.geometry)  # the same projection on fiber 1
     g = dress_charge(P, FluxGenerator(mask))
     b = np.repeat(mask[0::4], 2) if fiber == 2 else mask
     assert g.fiber == fiber
-    assert g.factor.tobytes() == diagonal_dressing(P.O_on(fiber), b).tobytes()
+    assert g.factor.tobytes() == diagonal_dressing(P.factor, b).tobytes()
     dense = dress_charge(P, FluxGenerator(np.diag(mask)))
     assert dense.fiber == fiber
     assert float(np.max(np.abs(dense.factor - g.factor))) <= 1e-14
 
 
-def test_mask_form_gives_the_diagonal_form_s_numbers():
+def test_the_flux_functions_refuse_an_undressed_mask(qwz_stack3_r6_generators):
+    # hall_sigma, exchange_phase_bch and flux_unitary take a generator only as
+    # a matrix factor: a lifted mask is refused, naming dress_charge
+    P, part, g0, _ = qwz_stack3_r6_generators
+    ids, sgeom = core_regions(P, part, 0.7)
+    mask = lift_charge(cyclic_charge(3), sgeom.with_majorana_count(4), ids[1])
+    for call in (lambda: hall_sigma(P, g0, mask, part), lambda: hall_sigma(P, mask, g0, part),
+                 lambda: exchange_phase_bch(P, g0, mask, 0.1, 0.1, part),
+                 lambda: flux_unitary(mask, 0.1), lambda: flux_unitary(mask, 0.0)):
+        with pytest.raises(ComputationError, match="undressed mask.*dress_charge"):
+            call()
+
+
+def test_mask_form_gives_the_diagonal_form_s_numbers(pip_stack3_r6):
     # a fiber-1 stack (pip, three copies): hall_sigma and exchange_phase_bch
-    # take an undressed lifted charge as its mask and give the numbers of
-    # diag(mask)
-    geom = build_disk_lattice("square", 6.0, majorana_count=2)
-    part = make_good_partition(geom.apex)
-    P = ground_projection(stack_copies(build_pip(-1.0, 0.5, geom), 3), 1e-4)
+    # refuse an undressed lifted charge, naming dress_charge; dressed it
+    # gives the numbers of dressed diag(mask) to rounding
+    P, part = pip_stack3_r6
     ids, sgeom = core_regions(P, part, 0.7)
     base = sgeom.with_majorana_count(2)
     q = cyclic_charge(3)
     g0 = dress_charge(P, lift_charge(q, base, ids[0]), ids[0])
     mask = lift_charge(q, base, ids[1])
-    dense = FluxGenerator(np.diag(mask.factor), q, ids[1])
+    dense = dress_charge(P, FluxGenerator(np.diag(mask.factor), q, ids[1]))
     assert P.fiber == 1 and mask.factor.ndim == 1
-    assert hall_sigma(P, g0, mask, part) == hall_sigma(P, g0, dense, part) != 0.0
-    bch = exchange_phase_bch(P, g0, mask, 0.1, 0.1, part)
-    assert bch == exchange_phase_bch(P, g0, dense, 0.1, 0.1, part) != 1.0
+    for call in (lambda: hall_sigma(P, g0, mask, part),
+                 lambda: exchange_phase_bch(P, g0, mask, 0.1, 0.1, part)):
+        with pytest.raises(ComputationError, match="undressed mask.*dress_charge"):
+            call()
+    g1 = dress_charge(P, mask)
+    sigma = hall_sigma(P, g0, g1, part)
+    assert sigma != 0.0 and abs(sigma - hall_sigma(P, g0, dense, part)) <= 1e-12
+    bch = exchange_phase_bch(P, g0, g1, 0.1, 0.1, part)
+    assert bch != 1.0 and abs(bch - exchange_phase_bch(P, g0, dense, 0.1, 0.1, part)) <= 1e-12
 
 
 def test_lift_and_dress_peak_stays_near_the_dressed_factor():
