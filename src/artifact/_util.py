@@ -16,6 +16,11 @@ DEFAULT_BOUNDARY_ANGLES = (math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
 DEFAULT_CORE_FRACTION = 0.7
 DEFAULT_NU_ROUND_TOL = 0.1
 
+#: the near-zero window of the ground projection (quasifree) and the
+#: momentum grid of the tknn oracle (models), stated here for the same reason
+DEFAULT_GAP_TOL = 1e-4
+DEFAULT_KGRID = 200
+
 
 class ArtifactError(Exception):
     """Base class for all package errors."""

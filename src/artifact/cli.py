@@ -42,8 +42,8 @@ import numpy as np
 
 from . import models
 from ._util import (DEFAULT_APEX_OFFSET, DEFAULT_BOUNDARY_ANGLES, DEFAULT_CORE_FRACTION,
-                    DEFAULT_NU_ROUND_TOL, ArtifactError, ComputationError, ConfigError,
-                    check_memory)
+                    DEFAULT_GAP_TOL, DEFAULT_KGRID, DEFAULT_NU_ROUND_TOL, ArtifactError,
+                    ComputationError, ConfigError, check_memory)
 from .models import CONVENTION_TAG, FAMILIES, stack_copies, tknn_chern
 
 DEFAULT_CONFIG = {
@@ -54,10 +54,10 @@ DEFAULT_CONFIG = {
         "boundary_angles": list(DEFAULT_BOUNDARY_ANGLES),
     },
     "numerics": {
-        "gap_tol": 1e-4,
+        "gap_tol": DEFAULT_GAP_TOL,
         "core_fraction": DEFAULT_CORE_FRACTION,
         "nu_round_tol": DEFAULT_NU_ROUND_TOL,
-        "kgrid": 200,
+        "kgrid": DEFAULT_KGRID,
     },
     "copies": 3,
     "seed": 42,
@@ -93,7 +93,7 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
@@ -232,8 +232,11 @@ def compute_report(cfg: dict, task: str) -> dict:
 
 def _write(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -337,6 +340,8 @@ def run_selftest(checks, seed: int, trials: int) -> int:
     is printed."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     passed = set()
     for trial in range(trials):
@@ -392,13 +397,13 @@ def _algebraic_checks(rng):
     yield "parity_commutes", float(np.max(np.abs(Pm @ Qt - Qt @ Pm))) <= 1e-12, {}
     Q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q = (Q + Q.conj().T) / 2
-    g = dress_charge(P, FluxGenerator(Q))
+    g = dress_charge(P, FluxGenerator(Q))  # N = 1 on fiber 1: the factor is the generator
     yield ("dress_commutes",
-           float(np.max(np.abs(Pm @ g.Qtilde - g.Qtilde @ Pm))) <= 1e-12, {})
+           float(np.max(np.abs(Pm @ g.factor - g.factor @ Pm))) <= 1e-12, {})
     Qc = Pm @ Q @ Pm + (np.eye(dim) - Pm) @ Q @ (np.eye(dim) - Pm)
     Qc = (Qc + Qc.conj().T) / 2
     yield ("dress_fixed_point",
-           float(np.max(np.abs(dress_charge(P, FluxGenerator(Qc)).Qtilde - Qc))) <= 1e-12, {})
+           float(np.max(np.abs(dress_charge(P, FluxGenerator(Qc)).factor - Qc))) <= 1e-12, {})
     a, b = rng.uniform(-1, 1, size=2)
     Uab = flux_unitary(g, a) @ flux_unitary(g, b)
     yield ("flux_group_law",

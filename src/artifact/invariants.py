@@ -308,8 +308,10 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     fiber (_check_pair), traced against P's factor. In c's eigenbasis,
     Ua = exp(i alpha_a kron(Ba, c)) splits into the sectors
     exp(i alpha_a j Ba), one per eigenvalue j of c, and so do C, log C and
-    the trace; the phase is exp(i sum_j phi_j). The j = 0 sector is the
-    identity and is skipped, and so is any sector with |C - I|_F < 1e-13.
+    the trace; the phase is exp(i sum_j phi_j). Equal eigenvalues give equal
+    sectors, so each distinct j is solved once and its phi_j weighted by its
+    multiplicity (a parity charge, I_N, is one sector). The j = 0 sector is
+    the identity and is skipped, and so is any sector with |C - I|_F < 1e-13.
 
     Each sector works in the eigenbasis V0 of B0: there U0 is the diagonal
     D0 = exp(i alpha0 j lam0) and U1 is W = X exp(i alpha1 j lam1) X^+, with
@@ -351,7 +353,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
     if mirrored:
         js = js[js > 0]
     anchor, phi = None, 0.0
-    for j in js:
+    for j, count in zip(*np.unique(js, return_counts=True)):
         E = _sector_commutator(X, np.exp(1j * alpha0 * j * lam0),
                                np.exp(1j * alpha1 * j * lam1))
         norm = float(np.linalg.norm(E)) * np.sqrt(P.fiber)
@@ -370,7 +372,7 @@ def exchange_phase_bch(P: BasisProjection, g0: FluxGenerator, g1: FluxGenerator,
         t = _anchored_trace(Oa, anchor, Lc).imag
         if mirrored:  # the sector -j
             t += _anchored_trace(Oa, anchor, Lc.conj()).imag
-        phi += 0.5 * JUNCTION_MULTIPLICITY * P.fiber * t
+        phi += count * (0.5 * JUNCTION_MULTIPLICITY * P.fiber * t)
     return complex(np.exp(1j * phi))
 
 

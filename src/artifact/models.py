@@ -4,8 +4,9 @@ Builders assemble a number-conserving + pairing Hamiltonian on the disk,
 rotate it to the Majorana basis gamma_{a,1} = c_a + c*_a,
 gamma_{a,2} = -i(c_a - c*_a), and store the real antisymmetric A of
 H = iA (equivalently J H J = -H with J = entrywise conjugation). The matrix
-acts on K with index order (site, majorana index), site-major. The complex
-H is built only when `.matrix` is read (by oracles and tests).
+acts on K with index order (site, majorana index), site-major, and is kept
+as its row envelope blocks; the complex H is built only when `.matrix` is
+read (by perfbench's tracer and the tests).
 
 Sign conventions (calibrated once, recorded in every report):
 ground projection = lambda < 0 sector of the stored matrix; with it the
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._util import ComputationError, ConfigError, as_integer, check_memory
+from ._util import DEFAULT_KGRID, ComputationError, ConfigError, as_integer, check_memory
 
 if TYPE_CHECKING:
     from .geometry import LatticeGeometry
@@ -66,9 +67,9 @@ class QuadraticHamiltonian:
     envelope blocks (_envelope), `blocks` = ((r0, r1, c0, c1,
     A[r0:r1, c0:c1]), ...), so a nearest-neighbour A holds a band of floats
     and no dim x dim array. The computations read A through the blocks
-    (`matmul`, `gram`); the dense A (`dense()`) and the complex stacked H
-    (`.matrix`) are built only when read (by oracles and tests). `dim` is
-    the single-copy dimension.
+    (`matmul`, `gram`); only `.matrix`, the complex stacked H, writes the
+    blocks into a dense A, when read (by perfbench's tracer and the tests).
+    `dim` is the single-copy dimension.
 
     The constructor is where a matrix becomes A. It takes A itself or a
     complex iA; an iA with a real part breaks J H J = -H (no
@@ -135,16 +136,12 @@ class QuadraticHamiltonian:
             S[c0:c1, c0:c1] += block.T @ block
         return S
 
-    def dense(self) -> np.ndarray:
-        """The single-copy A as a dense dim x dim array."""
+    @property
+    def matrix(self) -> np.ndarray:
         A = np.zeros((self.dim, self.dim))
         for r0, r1, c0, c1, block in self.blocks:
             A[r0:r1, c0:c1] = block
-        return A
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return 1j * np.kron(self.dense(), np.eye(self.copies))
+        return 1j * np.kron(A, np.eye(self.copies))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,7 @@ _TKNN_STRIPS = 32
 _TKNN_WORKING_ARRAYS = 5
 
 
-def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
+def tknn_chern(family_tag: str, parameters: dict, kgrid: int = DEFAULT_KGRID) -> int:
     """Momentum-space Chern number of the negative-energy band by the
     plaquette field-strength algorithm of Fukui, Hatsugai and Suzuki; exact
     integer output. Both families' Bloch matrices are the traceless 2x2
@@ -407,7 +404,8 @@ def tknn_chern(family_tag: str, parameters: dict, kgrid: int = 200) -> int:
     one wrapping to row 0); no eigenproblem is solved.
 
     Orientation is the package convention anchor: qwz at u = 1 returns +1.
-    kgrid is taken through as_integer. A grid whose arrays would not fit in
+    kgrid (by default the config's numerics.kgrid, _util.DEFAULT_KGRID) is
+    taken through as_integer. A grid whose arrays would not fit in
     the available memory is refused up front.
     """
     kgrid = as_integer(kgrid, "kgrid")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ._util import ComputationError, as_integer, check_memory
+from ._util import DEFAULT_GAP_TOL, ComputationError, as_integer, check_memory
 from .models import QuadraticHamiltonian, _envelope
 
 _WICK_MAX = 12
@@ -461,27 +461,30 @@ def _real_structure(h: QuadraticHamiltonian, gap_tol: float):
     return O, edge_gap, m
 
 
-def ground_projection(h: QuadraticHamiltonian, gap_tol: float = 1e-8) -> BasisProjection:
+def ground_projection(h: QuadraticHamiltonian,
+                      gap_tol: float = DEFAULT_GAP_TOL) -> BasisProjection:
     """Spectral projector onto the negative-energy subspace of h = iA, as
     its real complex structure O: the one constructor of a certified
     projection, for the lattice models and random_covariance's random states
     alike.
 
-    Eigenvalues with |lambda| <= gap_tol form the near-zero cluster. An empty
-    cluster gives the plain lambda < 0 projector; a nonzero one is filled
-    halfway, choosing members compatibly with entrywise conjugation so that
-    P + JPJ = I survives (see _real_structure). The result is refused as
-    gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to _RESIDUAL_TOL
-    (1e-12); the last certifies that P commutes with H (_certify). Each
-    certificate runs against the Hamiltonian its piece of O was solved
-    from (_complex_structure): each diagonal group of a block-diagonal A,
-    whose O's are written into one factor (fiber 1); the particle-hole half
-    at dim/2 (every qwz disk and stack), whose O' the result keeps as its
-    factor (fiber 2) and whose residual bounds O's (_particle_hole_O); or
-    h itself (fiber 1). A gap_tol that is not a finite number >= 0 is
-    refused before any eigh, and so is a job that does not fit in memory:
-    the structure solver checks the matrix it decomposes (_real_structure),
-    and the groups' factor is checked before it is allocated.
+    Eigenvalues with |lambda| <= gap_tol (by default the config's
+    numerics.gap_tol, _util.DEFAULT_GAP_TOL) form the near-zero cluster. An
+    empty cluster gives the plain lambda < 0 projector; a nonzero one is
+    filled halfway, choosing members compatibly with entrywise conjugation
+    so that P + JPJ = I survives (see _real_structure). The result is
+    refused as gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to
+    _RESIDUAL_TOL (1e-12); the last certifies that P commutes with H
+    (_certify). Each certificate runs against the Hamiltonian its piece of O
+    was solved from (_complex_structure): each diagonal group of a
+    block-diagonal A, whose O's are written into one factor (fiber 1); the
+    particle-hole half at dim/2 (every qwz disk and stack), whose O' the
+    result keeps as its factor (fiber 2) and whose residual bounds O's
+    (_particle_hole_O); or h itself (fiber 1). A gap_tol that is not a
+    finite number >= 0 is refused before any eigh, and so is a job that does
+    not fit in memory: the structure solver checks the matrix it decomposes
+    (_real_structure), and the groups' factor is checked before it is
+    allocated.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.

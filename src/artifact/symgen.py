@@ -5,10 +5,13 @@ Stacked-space index order is (site, majorana index, copy) with the copy index
 fastest, so every generator is a FluxGenerator, the Kronecker pair
 kron(block, charge): a copy-space charge q lifted to the sites of a region X
 is kron(diag(mask_X), q), and a generic dense generator is the N = 1 case
-with charge [[1]]. Every generator here is read off the projection's real
-factor (lifted charges and parity generators stay on a particle-hole half),
-never off the complex P = (I - iO)/2; a real charge dresses to a real block.
-dress_charge is the one way onto the factor's fiber.
+with charge [[1]]. A generator is kept as its factor and its charge only;
+the dense block and kron(block, charge) are never formed here (the tests'
+dense oracle builds them). Every generator here is read off the
+projection's real factor (lifted charges and parity generators stay on a
+particle-hole half), never off the complex P = (I - iO)/2; a real charge
+dresses to a real block. dress_charge is the one way onto the factor's
+fiber.
 """
 from __future__ import annotations
 
@@ -28,26 +31,16 @@ class FluxGenerator:
     """Generator Qtilde = kron(block, charge) on the stacked space, copy index
     fastest. A generic dense generator is the N = 1 case, charge [[1]], where
     Qtilde is the block itself. Like BasisProjection it keeps a factor: the
-    block (fiber 1), or a half's B', the block T(B') built on read
-    (fiber 2). A lifted charge (lift_charge) keeps its fiber-1 site mask,
-    the 1-D diagonal of its block, until dress_charge puts it on a
-    projection's fiber: hall_sigma, exchange_phase_bch and flux_unitary
-    take a factor only as a matrix (_matrix_factor). `.block` and `.Qtilde`,
-    the dense views the oracles read (diag(mask) for a mask), are built on
-    every read."""
+    block (fiber 1), or a half's B', whose block is T(B') (fiber 2). A
+    lifted charge (lift_charge) keeps its fiber-1 site mask, the 1-D
+    diagonal of its block, until dress_charge puts it on a projection's
+    fiber: hall_sigma, exchange_phase_bch and flux_unitary take a factor
+    only as a matrix (_matrix_factor). Neither the block nor Qtilde is ever
+    formed: the computations read the factor."""
     factor: np.ndarray
     charge: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
     region: Optional[object] = None
     fiber: int = 1
-
-    @property
-    def block(self) -> np.ndarray:
-        B = np.diag(self.factor) if self.factor.ndim == 1 else self.factor
-        return B if self.fiber == 1 else quasifree._particle_hole_O(B)
-
-    @property
-    def Qtilde(self) -> np.ndarray:
-        return np.kron(self.block, self.charge)
 
 
 def _matrix_factor(g: FluxGenerator) -> np.ndarray:
@@ -85,8 +78,8 @@ def lift_charge(q: np.ndarray, geometry: LatticeGeometry, region) -> FluxGenerat
     """Charge acting as q on the copy index of every Majorana mode of every
     site in the region, zero elsewhere: the undressed generator
     kron(diag(mask), q), kept as the mask itself (dim_K floats, not dim_K^2);
-    diag(mask) is built only when `.block` or `.Qtilde` is read. The flux
-    functions take it once dress_charge has put it on a projection's fiber.
+    diag(mask) is never built. The flux functions take it once dress_charge
+    has put it on a projection's fiber.
 
     `geometry` is the single-copy geometry; the dense operator lives on the
     stacked space of dimension dim_K * copies.
@@ -95,7 +88,8 @@ def lift_charge(q: np.ndarray, geometry: LatticeGeometry, region) -> FluxGenerat
 
 
 def dress_charge(P: BasisProjection, g: FluxGenerator, region=None) -> FluxGenerator:
-    """Block-diagonal part of Q = g.Qtilde w.r.t. P: PQP + (1-P)Q(1-P).
+    """Block-diagonal part of Q = kron(B, q), g's generator, w.r.t. P:
+    PQP + (1-P)Q(1-P).
 
     For P = kron(P1, I_N) and Q = kron(B, q) the result is kron(D, q) with D
     the dressed B, so only the block is dressed. With P1 = (I - iO)/2 the

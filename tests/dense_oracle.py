@@ -56,7 +56,12 @@ block of columns at a time.
 is at most 1e-6; it is the oracle for random_covariance, which takes the
 same draw through ground_projection and its certificate.
 `diagonal_dressing` dresses diag(b) by the one product (O * -b) @ O; it
-is the oracle for `artifact.symgen.dress_charge` on a mask."""
+is the oracle for `artifact.symgen.dress_charge` on a mask.
+`dense_A`, `dense_block` and `dense_generator` are the dense views of the
+factored forms that production keeps: a Hamiltonian's single-copy A
+written from its row envelope blocks, and a FluxGenerator's block in the
+model's basis (diag(mask) for a lifted charge's mask, T(B') for a half's
+B') and its stacked generator kron(block, charge)."""
 import itertools
 
 import numpy as np
@@ -67,7 +72,8 @@ from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
 from artifact.models import (_ENVELOPE_ROWS, QuadraticHamiltonian, _bloch, _bond_fibers,
                              _check_gapped, _envelope)
-from artifact.quasifree import _WINDOW_FRACTION, _canonical_basis, _fold, _real_structure
+from artifact.quasifree import (_WINDOW_FRACTION, _canonical_basis, _fold, _particle_hole_O,
+                               _real_structure)
 
 # Majorana rotation per complex mode: rows (gamma_1, gamma_2), cols (c, c*)
 _omega = np.array([[1, 1], [-1j, 1j]], dtype=complex)
@@ -326,8 +332,8 @@ def dense_exchange_phase_bch(P, g0, g1, alpha0: float, alpha1: float, partition,
     phi_j the symmetrized anchored half-trace (Tr_a(P L) + Tr_a(L P))/2.
     A sector with max|E| < 1e-13 is skipped. Everything runs in the
     model's basis: the dense blocks against the fiber-1 view of P."""
-    lam0, V0 = np.linalg.eigh(g0.block)
-    lam1, V1 = np.linalg.eigh(g1.block)
+    lam0, V0 = np.linalg.eigh(dense_block(g0))
+    lam1, V1 = np.linalg.eigh(dense_block(g1))
     js = np.linalg.eigvalsh(g0.charge)
     P = BasisProjection(P.O, P.geometry, copies=P.copies)
     anchor = _core_indices(P, partition, core_fraction)[2]
@@ -376,3 +382,25 @@ def diagonal_dressing(O: np.ndarray, b: np.ndarray) -> np.ndarray:
     Qt += Qt.conj().T
     Qt *= 0.25
     return Qt
+
+
+def dense_A(h) -> np.ndarray:
+    """The single-copy A of h as a dense dim x dim array, written from its
+    row envelope blocks."""
+    A = np.zeros((h.dim, h.dim))
+    for r0, r1, c0, c1, block in h.blocks:
+        A[r0:r1, c0:c1] = block
+    return A
+
+
+def dense_block(g) -> np.ndarray:
+    """g's block in the model's basis: diag(mask) for a mask, and on fiber 2
+    T(B') for the half's B'."""
+    B = np.diag(g.factor) if g.factor.ndim == 1 else g.factor
+    return B if g.fiber == 1 else _particle_hole_O(B)
+
+
+def dense_generator(g) -> np.ndarray:
+    """g as the dense stacked generator kron(block, charge), copy index
+    fastest."""
+    return np.kron(dense_block(g), g.charge)

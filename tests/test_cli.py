@@ -1,6 +1,7 @@
 import ast
 import csv
 import importlib
+import inspect
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact.cli import main
+from artifact.cli import DEFAULT_CONFIG, main
 from artifact.models import CONVENTION_TAG
 from eigh_spy import spy_eighs
 
@@ -58,6 +59,15 @@ def test_non_object_section_rejected(tmp_path, capsys):
     assert "'numerics' must be a JSON object" in capsys.readouterr().err
 
 
+def test_the_library_defaults_are_the_configs():
+    from artifact.models import tknn_chern
+    from artifact.quasifree import ground_projection
+
+    numerics = DEFAULT_CONFIG["numerics"]
+    assert inspect.signature(ground_projection).parameters["gap_tol"].default == numerics["gap_tol"]
+    assert inspect.signature(tknn_chern).parameters["kgrid"].default == numerics["kgrid"]
+
+
 def test_missing_config_file(capsys):
     assert main(["chern", "--config", "/no/such/file.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -66,6 +76,13 @@ def test_missing_config_file(capsys):
 def test_malformed_config_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    assert main(["chern", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff")
     assert main(["chern", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
 
@@ -261,6 +278,16 @@ def test_out_flag_writes_file(trivial_cfg, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     blob = json.loads(out.read_text())
     assert blob["indices"]["nu_rounded"] == 0
+
+
+@pytest.mark.parametrize("command", ["chern", "oracle-tknn", "sweep"])
+def test_out_into_a_missing_directory_exits_two(trivial_cfg, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report.json"
+    argv = {"chern": ["--config", trivial_cfg], "oracle-tknn": [],
+            "sweep": ["--config", trivial_cfg, "--radii", "4,5"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(out) in captured.err and "cannot write" in captured.err
 
 
 def test_trivial_parity_run(trivial_cfg, capsys):
@@ -703,6 +730,12 @@ def test_selftest_failure_exits_one_with_counterexample(capsys, monkeypatch):
 def test_selftest_rejects_zero_trials(capsys):
     assert main(["selftest", "wick", "--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["wick", "algebraic"])
+def test_selftest_rejects_a_negative_seed(capsys, kind):
+    assert main(["selftest", kind, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

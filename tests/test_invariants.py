@@ -22,7 +22,7 @@ from artifact.invariants import (_BCH_WORKING_ARRAYS, _log_near_identity, _log_s
                                  _sector_commutator, parity_from_nu, round_nu)
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
-from dense_oracle import dense_exchange_phase_bch, dense_sector_commutator
+from dense_oracle import dense_block, dense_exchange_phase_bch, dense_sector_commutator
 from eigh_spy import spy_eighs
 
 
@@ -391,7 +391,7 @@ def test_log_frobenius_rule_sends_small_spectral_norm_to_cayley(monkeypatch):
 
 def test_bch_refuses_generators_with_different_charges(qwz_stack3_r6_generators):
     P, part, g0, g1 = qwz_stack3_r6_generators
-    doubled = FluxGenerator(g1.block, 2 * g1.charge, g1.region)
+    doubled = FluxGenerator(dense_block(g1), 2 * g1.charge, g1.region)
     with pytest.raises(ComputationError, match="different charges"):
         exchange_phase_bch(P, g0, doubled, 0.1, 0.1, part)
 
@@ -468,8 +468,8 @@ def test_sector_commutator_matches_the_whole_w_formula(n, complex_x):
 
 def test_sector_commutator_matches_on_the_stack_generators(qwz_stack3_r6_generators):
     _, _, g0, g1 = qwz_stack3_r6_generators
-    lam0, V0 = np.linalg.eigh(g0.block)
-    lam1, V1 = np.linalg.eigh(g1.block)
+    lam0, V0 = np.linalg.eigh(dense_block(g0))
+    lam1, V1 = np.linalg.eigh(dense_block(g1))
     X = V0.T @ V1
     for alpha in (0.1, 2.5):
         d0, p = np.exp(1j * alpha * lam0), np.exp(1j * alpha * lam1)
@@ -500,6 +500,30 @@ def test_bch_matches_the_dense_commutator(qwz_stack3_r6_generators, alpha):
     P, part, g0, g1 = qwz_stack3_r6_generators
     want = dense_exchange_phase_bch(P, g0, g1, alpha, alpha, part)
     assert abs(exchange_phase_bch(P, g0, g1, alpha, alpha, part) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("charge, sectors", [(np.eye(3), 1), (np.diag([1.0, 1.0, -2.0]), 2)])
+@pytest.mark.parametrize("alpha", [0.1, 2.5])  # series; Cayley eigh
+def test_bch_solves_each_distinct_charge_eigenvalue_once(qwz_stack3_r6_generators, monkeypatch,
+                                                         charge, sectors, alpha):
+    # equal eigenvalues of a real charge give equal sectors: the parity
+    # charge I_3 is one sector weighted 3, diag(1, 1, -2) two; the dense
+    # oracle solves every eigenvalue with its multiplicity
+    P, part, _, _ = qwz_stack3_r6_generators
+    ids, sgeom = core_regions(P, part, 0.7)
+    g0, g1 = (FluxGenerator(g.factor, charge, g.region, g.fiber)
+              for g in (parity_charge(P, ids[k], sgeom) for k in (0, 1)))
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return sector_commutator(*args)
+
+    sector_commutator = invariants._sector_commutator
+    monkeypatch.setattr(invariants, "_sector_commutator", spy)
+    got = exchange_phase_bch(P, g0, g1, alpha, alpha, part)
+    assert len(calls) == sectors
+    assert abs(got - dense_exchange_phase_bch(P, g0, g1, alpha, alpha, part)) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [0.1, 1.0])  # series; Cayley eigh

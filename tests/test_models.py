@@ -11,7 +11,7 @@ from artifact.geometry import DEFAULT_APEX_OFFSET
 from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
                              _plaquette_phases, _qwz_blocks, _real_space_blocks)
 from artifact.quasifree import _particle_hole_half
-from dense_oracle import (bloch_matrices, dense_plaquette_phases, dense_real_space_K,
+from dense_oracle import (bloch_matrices, dense_A, dense_plaquette_phases, dense_real_space_K,
                           dense_tknn_chern, full_width_particle_hole_half,
                           full_width_real_space_blocks)
 from region_helpers import site_projector
@@ -49,13 +49,13 @@ def test_far_corner_symmetric_part_refused():
     # the constructor checks |A + A^T| on the dense input; entries far outside
     # the stencil must be seen there and widen the envelope, not slip past it
     disk = build_disk_lattice("square", 6.0, majorana_count=4)  # several blocks
-    A = build_qwz(1.0, disk).dense()
+    A = dense_A(build_qwz(1.0, disk))
     for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
         A[0, -1], A[-1, 0] = corners
         with pytest.raises(ComputationError, match="not Hermitian"):
             QuadraticHamiltonian(A, disk)
     A[-1, 0] = -1e-6 + 1e-13  # within 1e-12: accepted, made exactly antisymmetric
-    B = QuadraticHamiltonian(A, disk).dense()
+    B = dense_A(QuadraticHamiltonian(A, disk))
     assert np.array_equal(B, -B.T)
     assert B[0, -1] == pytest.approx(1e-6 - 5e-14, abs=1e-20)
 
@@ -76,7 +76,7 @@ def test_trivial_block_is_the_onsite_kronecker_form(majoranas):
     g = build_disk_lattice("square", 4.0, majorana_count=majoranas)
     h = build_trivial(g)
     n = len(g.sites) * majoranas // 2
-    assert np.array_equal(h.dense(), np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.array_equal(dense_A(h), np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
     assert h.bulk_gap == 1.0
 
 
@@ -318,8 +318,8 @@ def test_real_assembly_matches_dense_oracle(family, blocks, radius, apex):
     geom = build_disk_lattice("square", float(radius), apex,
                               majorana_count=4 if family == "qwz" else 2)
     # the builders' assembly, read back dense
-    A = QuadraticHamiltonian._of_blocks(tuple(_real_space_blocks(geom, *blocks)),
-                                        geom.dim_K, geom).dense()
+    A = dense_A(QuadraticHamiltonian._of_blocks(tuple(_real_space_blocks(geom, *blocks)),
+                                                geom.dim_K, geom))
     assert A.shape == (geom.dim_K, geom.dim_K)
     assert np.array_equal(1j * A, dense_real_space_K(geom, *blocks))
 
@@ -417,9 +417,9 @@ def test_dense_on_read_is_the_assembled_A(family, majoranas):
         h, blocks = build_qwz(1.0, geom), _qwz_blocks(1.0)
     if family == "qwz_stack3":
         h = stack_copies(h, 3)
-        assert np.array_equal(h.matrix, 1j * np.kron(h.dense(), np.eye(3)))
+        assert np.array_equal(h.matrix, 1j * np.kron(dense_A(h), np.eye(3)))
     A = dense_real_space_K(geom, *blocks).imag
-    assert np.array_equal(h.dense(), A)
+    assert np.array_equal(dense_A(h), A)
     for (*span, block), (*again, block_again) in zip(
             h.blocks, QuadraticHamiltonian(A, geom).blocks, strict=True):
         assert span == again and np.array_equal(block, block_again)

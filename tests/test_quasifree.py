@@ -19,9 +19,9 @@ from artifact.cli import main
 from artifact.models import QuadraticHamiltonian
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
                                 _transpose_residual)
-from dense_oracle import (dense_A_structure, dense_basis_projection, dense_charge_structure,
-                          dense_gram, dense_ground_projection, full_width_particle_hole_half,
-                          uncertified_random_factor)
+from dense_oracle import (dense_A, dense_A_structure, dense_basis_projection,
+                          dense_charge_structure, dense_gram, dense_ground_projection,
+                          full_width_particle_hole_half, uncertified_random_factor)
 from eigh_spy import spy_eighs
 
 
@@ -63,7 +63,7 @@ def test_ground_state_is_stored_real(qwz_r6):
     for stored in (h, stack_copies(h, 3), QuadraticHamiltonian(h.matrix, h.geometry)):
         assert all(block.dtype == np.float64 for *_, block in stored.blocks)
     assert P.O.dtype == np.float64
-    assert np.array_equal(h.matrix, 1j * h.dense())
+    assert np.array_equal(h.matrix, 1j * dense_A(h))
     assert np.array_equal(P.matrix, (np.eye(P.dim_K) - 1j * P.O) / 2)
 
 
@@ -111,7 +111,7 @@ def _trivial_with_fibers(fibers, radius=4.0):
     pair for y = 0 and a split +-y pair otherwise. The model is on-site, so
     each fiber is a mode of its own."""
     h = build_trivial(build_disk_lattice("square", radius, majorana_count=2))
-    A = h.dense()
+    A = dense_A(h)
     for s, y in fibers.items():
         A[2 * s:2 * s + 2, 2 * s:2 * s + 2] = [[0.0, y], [-y, 0.0]]
     return QuadraticHamiltonian(A, h.geometry)
@@ -130,7 +130,7 @@ def test_non_finite_hamiltonian_refused(trivial_projection):
     # check sees it; every residual check would read NaN as passing
     _, h = trivial_projection
     for bad in (np.nan, np.inf):
-        A = h.dense()
+        A = dense_A(h)
         A[0, 1] = bad
         with pytest.raises(ComputationError, match="not finite"):
             QuadraticHamiltonian(A, h.geometry)
@@ -444,10 +444,10 @@ def _local_operator(case):
     majoranas = 2 if case in ("pip", "trivial") else 4
     geom = build_disk_lattice("square", 6.0, majorana_count=majoranas)
     if case == "trivial":
-        return build_trivial(geom).dense()
+        return dense_A(build_trivial(geom))
     if case == "pip":
-        return build_pip(-1.0, 0.5, geom).dense()
-    A = build_qwz(1.0, geom).dense()
+        return dense_A(build_pip(-1.0, 0.5, geom))
+    A = dense_A(build_qwz(1.0, geom))
     if case == "far_corner":
         # one coupling far outside the stencil: the envelope is read from A
         A[0, -1], A[-1, 0] = 1.0, -1.0
@@ -481,7 +481,7 @@ def test_band_limited_square_is_the_product_bit_for_bit(case):
         h = stack_copies(build_qwz(1.0, build_disk_lattice("square", 6.0, majorana_count=4)), 3)
     else:
         h = QuadraticHamiltonian(_local_operator(case), None)
-    A = h.dense()
+    A = dense_A(h)
     S = h.gram()
     assert np.array_equal(S, dense_gram(A))
     assert np.array_equal(S, S.T)
@@ -527,7 +527,7 @@ def test_structure_equals_the_dense_A_reference_bit_for_bit(case):
     build, gap_tol = ORACLE_CASES[case]
     h = build()
     O, edge_gap, _ = quasifree._real_structure(h, gap_tol)
-    O_dense, edge_gap_dense = dense_A_structure(h.dense(), gap_tol)
+    O_dense, edge_gap_dense = dense_A_structure(dense_A(h), gap_tol)
     assert np.array_equal(O, O_dense) and edge_gap == edge_gap_dense
 
 
@@ -558,7 +558,7 @@ def test_charge_path_matches_the_real_path(case):
     h = build()
     P = ground_projection(h, gap_tol)
     O = P.O
-    O_real, edge_gap_real = dense_A_structure(h.dense(), gap_tol)
+    O_real, edge_gap_real = dense_A_structure(dense_A(h), gap_tol)
     assert P.health["zero_modes"] == 0
     assert np.array_equal(O, -O.T)
     assert float(np.max(np.abs(O - O_real))) <= 1e-13
@@ -598,7 +598,7 @@ def test_diagonal_groups_match_the_complex_eigh(case, monkeypatch):
     monkeypatch.setattr(quasifree, "_certify", spied)
     P = ground_projection(h, 1e-8)
     assert len(residuals) == groups and P.fiber == 1
-    O_ref, lam = dense_charge_structure(h.dense())
+    O_ref, lam = dense_charge_structure(dense_A(h))
     assert float(np.max(np.abs(P.O - O_ref))) <= 1e-13
     assert P.health == {"edge_gap": pytest.approx(float(np.min(np.abs(lam))), rel=1e-10),
                         "zero_modes": 0, "projection_residual": max(residuals)}
@@ -627,7 +627,7 @@ def test_a_bond_across_a_block_edge_makes_one_group():
     # for byte the real path on the whole A
     h = _trivial_with_fibers({}, radius=6.0)
     assert len(quasifree._diagonal_groups(h)) == 2
-    A = h.dense()
+    A = dense_A(h)
     A[127, 128], A[128, 127] = 0.3, -0.3
     h = QuadraticHamiltonian(A, h.geometry)
     assert quasifree._diagonal_groups(h) == [(0, h)]
@@ -662,7 +662,7 @@ def _perturbed_qwz():
     """qwz R=6 with one hopping entry moved: fiber (0, 1) no longer reads
     x I + y eps."""
     h = build_qwz(1.0, _disk(6.0, 4))
-    A = h.dense()
+    A = dense_A(h)
     A[0, 3] += 1e-3
     A[3, 0] -= 1e-3
     return QuadraticHamiltonian(A, h.geometry)
@@ -775,10 +775,10 @@ def test_charge_structure_is_read_from_the_entries():
     far = np.zeros((n, n))
     far[0:2, -2:] = [[0.25, 0.5], [-0.75, 1.0]]  # pairs 0 and n/2 - 1, dyadic: T is exact
     far[-2:, 0:2] = -far[0:2, -2:].T
-    coupled = QuadraticHamiltonian(h.dense() + quasifree._particle_hole_O(far), None)
+    coupled = QuadraticHamiltonian(dense_A(h) + quasifree._particle_hole_O(far), None)
     assert coupled.blocks[0][3] == h.dim  # the first block reaches the last column
     half = quasifree._particle_hole_half(coupled)
-    assert np.array_equal(half.dense(), quasifree._particle_hole_half(h).dense() + far)
+    assert np.array_equal(dense_A(half), dense_A(quasifree._particle_hole_half(h)) + far)
     assert [(*span, b.tobytes()) for *span, b in half.blocks] == \
         [(*span, b.tobytes()) for *span, b in full_width_particle_hole_half(coupled)]
     odd = np.zeros((260, 260))
@@ -846,7 +846,7 @@ def test_particle_hole_half_matches_the_complex_eigh(case):
     h = build()
     assert quasifree._particle_hole_half(h).dim == h.dim // 2
     P = ground_projection(h, gap_tol)
-    O_ref, lam = dense_charge_structure(h.dense())
+    O_ref, lam = dense_charge_structure(dense_A(h))
     O = P.O
     assert P.health["zero_modes"] == 2 * np.count_nonzero(np.abs(lam) <= gap_tol) * h.copies
     assert P.health["zero_modes"] == zero_modes * h.copies
@@ -867,7 +867,7 @@ def _qwz_with_decoupled_sites(onsite):
     particle-hole symmetric, with H's pair +-onsite[s] at the site (an exact
     zero pair for 0)."""
     h = build_qwz(1.0, _disk(6.0, 4))
-    A = h.dense()
+    A = dense_A(h)
     for s, eps in onsite.items():
         A[4 * s:4 * s + 4, :] = 0.0
         A[:, 4 * s:4 * s + 4] = 0.0
@@ -888,7 +888,7 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     h = _qwz_with_decoupled_sites(onsite)
     assert quasifree._particle_hole_half(h).dim == h.dim // 2
     gapped = _qwz_with_decoupled_sites({s: eps or 1.0 for s, eps in onsite.items()})
-    O_ref, _ = dense_charge_structure(gapped.dense())
+    O_ref, _ = dense_charge_structure(dense_A(gapped))
     real_structure, halves = quasifree._real_structure, []
 
     def spied_structure(half, gap_tol):
@@ -1099,7 +1099,7 @@ def _qwz_with_chemical_potential():
     """qwz R=6 with mu I added to H: the charge form survives, the
     particle-hole symmetry does not."""
     h = build_qwz(1.0, _disk(6.0, 4))
-    A = h.dense()
+    A = dense_A(h)
     A[0::2, 1::2] += 0.1 * np.eye(h.dim // 2)
     A[1::2, 0::2] -= 0.1 * np.eye(h.dim // 2)
     return QuadraticHamiltonian(A, h.geometry)
@@ -1218,7 +1218,7 @@ def test_production_never_builds_a_dense_a(trivial_projection, tmp_path, monkeyp
     def no_dense(self):
         raise AssertionError("a dense A was built")
 
-    monkeypatch.setattr(QuadraticHamiltonian, "dense", no_dense)
+    monkeypatch.setattr(QuadraticHamiltonian, "matrix", property(no_dense))
     for h, gap_tol in inputs:
         ground_projection(h, gap_tol)
     random_covariance(40, np.random.default_rng(0)).validate()

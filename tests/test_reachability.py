@@ -54,15 +54,13 @@ ALLOWED = {
     ("invariants", "FreeFermionPrediction.omega_N"): _ACCEPTANCE,
     ("invariants", "FreeFermionPrediction.z8"): _ACCEPTANCE,
     ("invariants", "cocycle_exponent"): _ACCEPTANCE,
-    ("models", "QuadraticHamiltonian.dense"): _PERFBENCH,
     ("models", "QuadraticHamiltonian.matrix"): _PERFBENCH,
     ("quasifree", "BasisProjection.matrix"): _PERFBENCH,
     ("cli", "_map_in_workers"): _PERFBENCH + " (sweep --jobs 2)",
     ("invariants", "_log_near_identity"): _BRANCH + " (exchange_phase_bch's Cayley log, "
                                                     "for a commutator outside the series radius)",
     ("quasifree", "_canonical_basis"): _BRANCH + " (exact zero modes at the Fermi level)",
-    ("quasifree", "_particle_hole_O"): "the dense views `.O`, `.matrix`, `.block` and "
-                                       "`flux_unitary` on a half",
+    ("quasifree", "_particle_hole_O"): "`.O`, `.matrix` and `flux_unitary` on a half",
     ("quasifree", "_eigenvalues_did_not_converge"): _ERROR,
 }
 
