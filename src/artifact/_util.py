@@ -73,11 +73,14 @@ def available_memory() -> int | None:
 #: arrays). After the eigh: V and F = G G^T, then F and O = A F in V's
 #: buffer. A is held as its row envelope blocks, and S is summed from them.
 #: Peak RSS above the imported interpreter, model build included, measured
-#: 4.49 at n = 1816 and 4.20 at 3206 (pip), and 5.95 at n = 908, 5.02 at
-#: 1608 and 4.51 at 3624 (the qwz half), where the OpenBLAS buffer and A's
-#: blocks weigh more arrays the smaller n is (5.47, 5.17, 6.85, 5.97 and
-#: 5.49 while the eigh allocated V); tracemalloc, which does not see
-#: LAPACK's buffers, measures 2.0 at n = 804 and 1816. n is the size solved:
+#: 4.49 at n = 1816 and 4.20 at 3206 (pip, where the OpenBLAS buffer and A's
+#: blocks weigh more arrays the smaller n is; 5.47 and 5.17 while the eigh
+#: allocated V), and 5.14 at n = 908, 4.47 at 1608 and 4.18 at 3624 (the
+#: qwz half, which a qwz build folds A's blocks into without holding them,
+#: so only the OpenBLAS buffer weighs more the smaller n is; 5.65, 4.87 and
+#: 4.42 on the same host while the build held A's blocks); tracemalloc,
+#: which does not see LAPACK's buffers, measures 2.0 at n = 804 and 1816.
+#: n is the size solved:
 #: dim for pip, dim/2 for the particle-hole half (every qwz disk), each
 #: group's size for a block-diagonal A (trivial), whose dim x dim factor is
 #: checked as one array. That one array at dim is the least any path

@@ -16,10 +16,12 @@ one merge that refuses unknown keys, before the config is validated. The
 model families come from models.FAMILIES.
 
 Exit codes: 0 ok, 1 selftest failure, 2 usage/config error, 3 computation
-error. Reports are JSON with sorted keys; identical config and seed give
-byte-identical output (the sweep CSV's wall_ms column is the documented
-exception). This module alone knows the report format: compute_report
-returns the `indices` section exactly as it is printed.
+error. An --out path in a missing directory, or one that is a directory,
+exits 2 before anything is computed. Reports are JSON with sorted keys;
+identical config and seed give byte-identical output (the sweep CSV's
+wall_ms column is the documented exception). This module alone knows the
+report format: compute_report returns the `indices` section exactly as it
+is printed.
 
 At load this module imports only `models`, `_util` and the standard library;
 each command imports the modules it runs where it runs them (geometry for
@@ -32,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -228,6 +232,22 @@ def compute_report(cfg: dict, task: str) -> dict:
         z2, z8 = parity_from_nu(nu, nu_round_tol)
         report.update(z2=z2, z8=_phase(z8))
     return report
+
+
+def _check_out(out_path: str | None):
+    """Refuse, before anything is computed, an --out path that _write
+    could not open: one whose directory is missing (or not a directory),
+    or one that is a directory, with _write's message. The file itself is
+    neither created nor truncated, so a run that fails later leaves none."""
+    if not out_path:
+        return
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
 
 
 def _write(text: str, out_path: str | None):
@@ -468,6 +488,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return run_selftest(_SELFTESTS[args.kind], args.seed, args.trials)
         cfg = _resolve(args)
+        _check_out(args.out)
         if args.command == "oracle-tknn":
             return run_oracle(cfg, args.out)
         if args.command == "sweep":

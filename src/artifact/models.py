@@ -5,8 +5,12 @@ rotate it to the Majorana basis gamma_{a,1} = c_a + c*_a,
 gamma_{a,2} = -i(c_a - c*_a), and store the real antisymmetric A of
 H = iA (equivalently J H J = -H with J = entrywise conjugation). The matrix
 acts on K with index order (site, majorana index), site-major, and is kept
-as its row envelope blocks; the complex H is built only when `.matrix` is
-read (by perfbench's tracer and the tests).
+as the row envelope blocks of its factor: A itself, or the half A' of size
+dim/2 with A = T(A') when A conserves charge with the particle-hole symmetry
+(every qwz disk). A builder folds each pair of A's blocks into the half as
+it assembles them, so no dim-size block of a qwz disk is ever allocated;
+the complex H is built only when `.matrix` is read (by perfbench's tracer
+and the tests).
 
 Sign conventions (calibrated once, recorded in every report):
 ground projection = lambda < 0 sector of the stored matrix; with it the
@@ -63,20 +67,25 @@ def _envelope(slabs):
 
 class QuadraticHamiltonian:
     """H = kron(iA, I_copies) on the geometry: `copies` identical copies of
-    the single-copy Hamiltonian iA, copy index fastest. A is kept as its row
-    envelope blocks (_envelope), `blocks` = ((r0, r1, c0, c1,
-    A[r0:r1, c0:c1]), ...), so a nearest-neighbour A holds a band of floats
-    and no dim x dim array. The computations read A through the blocks
-    (`matmul`, `gram`); only `.matrix`, the complex stacked H, writes the
-    blocks into a dense A, when read (by perfbench's tracer and the tests).
-    `dim` is the single-copy dimension.
+    the single-copy Hamiltonian iA, copy index fastest. A is kept as its
+    factor, the way BasisProjection keeps O: A itself (fiber 1) or the real
+    antisymmetric A' of its particle-hole half, with A = T(A') (fiber 2,
+    quasifree._particle_hole_O), each as its row envelope blocks
+    (_envelope), `blocks` = ((r0, r1, c0, c1, factor[r0:r1, c0:c1]), ...),
+    so a nearest-neighbour A holds a band of floats and no dim x dim array.
+    `dim` is the factor's size: the single-copy dimension is dim * fiber.
+    The computations read the factor through the blocks (`matmul`, `gram`);
+    only `.matrix`, the complex stacked H, writes the blocks into a dense A
+    (T(A') on fiber 2), when read (by perfbench's tracer and the tests).
 
     The constructor is where a matrix becomes A. It takes A itself or a
     complex iA; an iA with a real part breaks J H J = -H (no
     conjugation-compatible filling of the ground state exists) and is
     refused as gapless, and an A with a symmetric part as not Hermitian.
-    `bulk_gap` is the periodic model's smallest |E(k)| when a builder
-    certified it (None for a matrix built by hand).
+    Its blocks are then kept at the half when every pair of them folds
+    (_factor), as a builder's are. `bulk_gap` is the periodic model's
+    smallest |E(k)| when a builder certified it (None for a matrix built by
+    hand).
     """
 
     def __init__(self, A: np.ndarray, geometry: LatticeGeometry):
@@ -95,24 +104,26 @@ class QuadraticHamiltonian:
         if symmetric_part > 0.0:
             A = A - A.T
             A *= 0.5  # exactly antisymmetric
-        self.blocks = tuple(_envelope((0, A[r0:r0 + _ENVELOPE_ROWS])
-                                      for r0 in range(0, len(A), _ENVELOPE_ROWS)))
-        self.dim = len(A)
+        envelope = tuple(_envelope((0, A[r0:r0 + _ENVELOPE_ROWS])
+                                   for r0 in range(0, len(A), _ENVELOPE_ROWS)))
+        self.blocks, self.fiber = _factor(lambda: envelope, len(A))
+        self.dim = len(A) // self.fiber
         self.geometry, self.copies, self.bulk_gap = geometry, 1, None
 
     @classmethod
     def _of_blocks(cls, blocks, dim: int, geometry: LatticeGeometry, copies: int = 1,
-                   bulk_gap: float | None = None) -> "QuadraticHamiltonian":
-        """The Hamiltonian kept as `blocks`, the row envelope blocks of an A
-        the caller has already checked (the builders, stack_copies)."""
+                   bulk_gap: float | None = None, fiber: int = 1) -> "QuadraticHamiltonian":
+        """The Hamiltonian kept as `blocks`, the row envelope blocks of a
+        factor of size `dim` that the caller has already checked (the
+        builders, stack_copies, the diagonal groups of a projection)."""
         h = cls.__new__(cls)
-        h.blocks, h.dim = blocks, dim
+        h.blocks, h.dim, h.fiber = blocks, dim, fiber
         h.geometry, h.copies, h.bulk_gap = geometry, copies, bulk_gap
         return h
 
     def matmul(self, X: np.ndarray, out: np.ndarray | None = None,
                rows: slice = slice(0, None)) -> np.ndarray:
-        """A[rows] @ X for the single-copy A (all of A by default, `rows` a
+        """A[rows] @ X for the factor A (all of it by default, `rows` a
         slice of step 1), each block multiplied only with the rows of X
         inside its column span, written into `out` when given. The terms
         skipped are exact zeros of A, so a nearest-neighbour A costs a
@@ -127,7 +138,7 @@ class QuadraticHamiltonian:
         return out
 
     def gram(self) -> np.ndarray:
-        """A^T A (= -A A) as the sum of B^T B over the blocks
+        """A^T A (= -A A) of the factor A as the sum of B^T B over the blocks
         B = A[r0:r1, c0:c1], each term added over its block's column span
         only, so a nearest-neighbour A costs a band's flops. numpy runs each
         B^T B as a syrk, so the sum is exactly symmetric."""
@@ -141,7 +152,26 @@ class QuadraticHamiltonian:
         A = np.zeros((self.dim, self.dim))
         for r0, r1, c0, c1, block in self.blocks:
             A[r0:r1, c0:c1] = block
+        if self.fiber == 2:
+            from .quasifree import _particle_hole_O
+
+            A = _particle_hole_O(A)
         return 1j * np.kron(A, np.eye(self.copies))
+
+
+def _factor(envelope, dim: int):
+    """(blocks, fiber): the factor that a QuadraticHamiltonian keeps for the
+    A of size dim whose row envelope blocks `envelope()` yields, one at a
+    time. The half's blocks (fiber 2) when every pair of them folds
+    (quasifree._half_envelope, which drops each pair once folded); else
+    `envelope()` is read again and A's own blocks are kept (fiber 1). The
+    one place the half is detected, from the entries, never from a family.
+    quasifree is loaded here, not with this module, so the momentum-space
+    oracle (cli's oracle-tknn) never loads it."""
+    from .quasifree import _half_envelope
+
+    half = _half_envelope(envelope(), dim)
+    return (half, 2) if half is not None else (tuple(envelope()), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +356,31 @@ def _real_space_blocks(geometry: LatticeGeometry, onsite, hops, pairs):
 def _build(family_tag: str, geometry: LatticeGeometry, blocks, **params) -> QuadraticHamiltonian:
     """The body of every builder: the Majorana-count check, the memory guard
     (before anything is allocated, on one dim x dim array: the least any
-    projection path holds), the bulk-gap certificate, the real-space
-    assembly of `blocks(**params)` (on-site, hopping and pairing blocks) and
-    the construction. `trivial` takes any even Majorana count, and its
-    spectrum is exactly {+-1}, so its bulk gap is 1."""
+    projection path holds), the bulk-gap certificate, and the real-space
+    assembly of `blocks(**params)` (on-site, hopping and pairing blocks)
+    into the factor (_factor): each envelope block is checked finite as it
+    is yielded, and each pair of them is folded into the half and dropped,
+    so a qwz disk never allocates A's blocks; at the first pair that does
+    not fold (pip and trivial break T's pattern at their first fiber) the
+    assembly runs again and A's own blocks are kept. `trivial` takes any
+    even Majorana count, and its spectrum is exactly {+-1}, so its bulk gap
+    is 1."""
     count = FAMILIES[family_tag][0]
     if family_tag != "trivial" and geometry.majorana_count != count:
         raise ComputationError(f"{family_tag} needs majorana_count = {count}")
     check_memory(geometry.dim_K, 1)
     gap = 1.0 if family_tag == "trivial" else _check_gapped(family_tag, params)
-    envelope = tuple(_real_space_blocks(geometry, *blocks(**params)))
-    if not all(np.isfinite(block).all() for *_, block in envelope):
-        raise ComputationError("Hamiltonian is not finite")
-    return QuadraticHamiltonian._of_blocks(envelope, geometry.dim_K, geometry, bulk_gap=gap)
+    model = blocks(**params)
+
+    def envelope():
+        for block in _real_space_blocks(geometry, *model):
+            if not np.isfinite(block[4]).all():
+                raise ComputationError("Hamiltonian is not finite")
+            yield block
+
+    factor, fiber = _factor(envelope, geometry.dim_K)
+    return QuadraticHamiltonian._of_blocks(factor, geometry.dim_K // fiber, geometry,
+                                           bulk_gap=gap, fiber=fiber)
 
 
 def build_qwz(u: float, geometry: LatticeGeometry) -> QuadraticHamiltonian:
@@ -367,8 +409,8 @@ def build_trivial(geometry: LatticeGeometry) -> QuadraticHamiltonian:
 def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     """N identical copies; index order (site, majorana index, copy), copy fastest,
     so the matrix is kron(H, I_N) and copy-space charges lift as Kronecker factors.
-    The result keeps the factors (H's blocks and the copy count); a
-    geometry-less H gives a geometry-less stack."""
+    The result keeps the factors (H's blocks, its fiber and the copy count);
+    a geometry-less H gives a geometry-less stack."""
     copies = as_integer(copies, "copies")
     if copies < 1:
         raise ComputationError("copies must be >= 1")
@@ -377,7 +419,8 @@ def stack_copies(h: QuadraticHamiltonian, copies: int) -> QuadraticHamiltonian:
     geom = h.geometry
     if geom is not None:
         geom = geom.with_majorana_count(geom.majorana_count * copies)
-    return QuadraticHamiltonian._of_blocks(h.blocks, h.dim, geom, h.copies * copies, h.bulk_gap)
+    return QuadraticHamiltonian._of_blocks(h.blocks, h.dim, geom, h.copies * copies, h.bulk_gap,
+                                           h.fiber)
 
 
 #: strips of rows of the momentum grid that tknn_chern sums its plaquette

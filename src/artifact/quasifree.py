@@ -4,19 +4,19 @@ The ground sector of a quadratic Hamiltonian H = iA (A real antisymmetric)
 is the span of its negative-energy eigenvectors. `ground_projection` computes
 the real complex structure O = -i sign(H) of that sector in real arithmetic,
 by one structure solver (`_real_structure`: one real eigh of A^T A and a
-small window problem) applied to one of three reductions of A, which
-`_complex_structure` alone picks from A's entries: the diagonal groups of
-a block-diagonal A (trivial), each solved on its own; the particle-hole
-half of size dim/2 when A conserves charge (no pairing) and its charge
-Hamiltonian has the particle-hole symmetry (every qwz disk), read block to
-block from A; and A itself otherwise. No reduction falls back to another;
-each fills a near-zero cluster halfway, mode by mode (open disks of chiral
-models carry edge modes). On the half O is a two-copy stack of the half's
-O', which the projection keeps as its factor, as it keeps the single copy
-of a stack. The factor is accepted only with its certificate (O^T = -O,
-O^2 = -I, [A, O] = 0), run over slabs of rows against the Hamiltonian each
-piece was solved from. O and P = (I - iO)/2 are built only when `.O` or
-`.matrix` is read.
+small window problem) applied to the Hamiltonian's factor. That factor is
+the particle-hole half A' of size dim/2 when A conserves charge (no
+pairing) and its charge Hamiltonian has the particle-hole symmetry (every
+qwz disk), folded block pair by block pair (`_half_envelope`) when the
+Hamiltonian is made, and A itself otherwise; `_complex_structure` solves
+it whole, or group by group when it is block-diagonal (trivial). No
+reduction falls back to another; each fills a near-zero cluster halfway,
+mode by mode (open disks of chiral models carry edge modes). On the half O
+is a two-copy stack of the half's O', which the projection keeps as its
+factor, as it keeps the single copy of a stack. The factor is accepted
+only with its certificate (O^T = -O, O^2 = -I, [A, O] = 0), run over slabs
+of rows against the Hamiltonian each piece was solved from. O and
+P = (I - iO)/2 are built only when `.O` or `.matrix` is read.
 Moments of Majorana generators in the state are evaluated from O two ways:
 an oracle that sums Wick's theorem over the perfect matchings of the list
 (`wick_expectation`) and a Pfaffian fast path (`pfaffian_expectation`).
@@ -204,29 +204,21 @@ def _certify(h: QuadraticHamiltonian, O: np.ndarray) -> float:
 def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
     """(factor, fiber, (edge gap, cluster size m, residual)): O = -i sign(iA)
     for h's A, near-zero cluster filled halfway, kept as the projection's
-    factor. The one place a reduction is chosen, from the entries of A;
-    each is solved by _real_structure and certified by _certify against
-    its own Hamiltonian, and none falls back to another:
+    factor on h's fiber. h's own factor is solved: A' of the particle-hole
+    half (fiber 2, every qwz disk and stack, detected when h was made,
+    models._factor), whose O' is the factor and whose lambdas are H's, so m
+    counts H's cluster twice; or A itself (fiber 1). Each piece is solved by
+    _real_structure and certified by _certify against its own Hamiltonian.
 
-    An A of several diagonal groups (_diagonal_groups: trivial and its
+    A factor of several diagonal groups (_diagonal_groups: trivial and its
     stacks) is solved group by group, each O written into a zeroed
     dim x dim factor. Its health is the smallest edge gap, the summed
     cluster and the largest residual: A and O are block-diagonal alike, so
-    the groups' certificates are the whole one.
-
-    One group whose A has the particle-hole half (_particle_hole_half;
-    every qwz disk and stack) is solved at dim/2 on the half's A', and the
-    half's O' is the factor (fiber 2). Its lambdas are H's, so m counts H's
-    cluster twice.
-
-    Any other A (pip, or a charge-conserving A without the particle-hole
-    relation) is solved on itself."""
+    the groups' certificates are the whole one."""
     groups = _diagonal_groups(h)
     if len(groups) == 1:
-        solved = _particle_hole_half(h) or h
-        O, edge_gap, m = _real_structure(solved, gap_tol)
-        fiber = h.dim // solved.dim
-        return O, fiber, (edge_gap, fiber * m, _certify(solved, O))
+        O, edge_gap, m = _real_structure(h, gap_tol)
+        return O, h.fiber, (edge_gap, h.fiber * m, _certify(h, O))
     check_memory(h.dim, 1)  # the zeroed factor; each group's solver checks its own
     O, health = np.zeros((h.dim, h.dim)), []
     for r0, group in groups:
@@ -234,7 +226,7 @@ def _complex_structure(h: QuadraticHamiltonian, gap_tol: float):
         health.append((edge_gap, m, _certify(group, O_group)))
         O[r0:r0 + group.dim, r0:r0 + group.dim] = O_group
     gaps, clusters, residuals = zip(*health)
-    return O, 1, (min(gaps), sum(clusters), max(residuals))
+    return O, h.fiber, (min(gaps), h.fiber * sum(clusters), max(residuals))
 
 
 def _diagonal_groups(h: QuadraticHamiltonian):
@@ -256,25 +248,26 @@ def _diagonal_groups(h: QuadraticHamiltonian):
     return [(0, h)] if len(groups) == 1 else groups
 
 
-def _particle_hole_half(h: QuadraticHamiltonian) -> QuadraticHamiltonian | None:
-    """The Hamiltonian of the real antisymmetric A' of size dim/2 with
-    A = T(A') (_particle_hole_O), read block to block from h's A
-    (_half_slab); None when dim is not a whole number of orbital pairs or
-    at the first 4 x 4 fiber of A that breaks T's pattern (_fold). That
+def _half_envelope(blocks, dim: int) -> tuple | None:
+    """The row envelope blocks of the real antisymmetric A' of size dim/2
+    with A = T(A') (_particle_hole_O), folded from `blocks`, an iterable of
+    the row envelope blocks of an A of size dim, one pair at a time
+    (_half_slab), so each pair can be dropped once folded; None when dim is
+    not a whole number of orbital pairs or at the first 4 x 4 fiber of A
+    that breaks T's pattern (_fold), where no later block is read. That
     pattern is a charge-conserving H (no pairing) with the particle-hole
     symmetry of class D, sigma_x conj(H) sigma_x = -H on every pair of
     orbitals (the qwz Bloch matrix has sigma_x H(-k)* sigma_x = -H(k)): it
-    is read from the entries, never assumed from a family. Each pair of A's
-    blocks is folded into a slab of _ENVELOPE_ROWS rows of A' that spans
-    only their folded columns, which models._envelope trims to A''s block:
-    no dense H or A' and no full-width row of A' is formed."""
-    if h.dim % 4:
+    is read from the entries, never assumed from a family. Each pair is
+    folded into a slab of _ENVELOPE_ROWS rows of A' that spans only their
+    folded columns, which models._envelope trims to A''s block: no dense H
+    or A' and no full-width row of A' is formed."""
+    if dim % 4:
         return None
-    n = h.dim // 2
-    slabs = (_half_slab(h.blocks[k:k + 2]) for k in range(0, len(h.blocks), 2))
-    blocks = tuple(_envelope(itertools.takewhile(lambda slab: slab is not None, slabs)))
-    whole = blocks and blocks[-1][1] == n  # no slab broke the pattern
-    return QuadraticHamiltonian._of_blocks(blocks, n, None) if whole else None
+    blocks = iter(blocks)
+    slabs = (_half_slab([first, *itertools.islice(blocks, 1)]) for first in blocks)
+    half = tuple(_envelope(itertools.takewhile(lambda slab: slab is not None, slabs)))
+    return half if half and half[-1][1] == dim // 2 else None
 
 
 def _half_slab(blocks):
@@ -318,7 +311,7 @@ def _particle_hole_O(O_half: np.ndarray) -> np.ndarray:
     fixed orthogonal 4 x 4 Q, so O is a two-copy stack of O' in a site-local
     frame, and every triple trace of O between site regions is twice that
     of O'. T is a *-homomorphism with T(I) = I, and A = T(A') up to the one
-    rounding of _particle_hole_half, so O O^T - I = T(O' O'^T - I) and
+    rounding of _half_envelope, so O O^T - I = T(O' O'^T - I) and
     [A, O] = T([A', O']); each entry of T(X) is +-(x1 +- x2)/2 for two
     entries of X, so the half's certificate bounds the full one."""
     p00, p01 = O_half[0::2, 0::2], O_half[0::2, 1::2]
@@ -475,16 +468,17 @@ def ground_projection(h: QuadraticHamiltonian,
     so that P + JPJ = I survives (see _real_structure). The result is
     refused as gapless unless O^T = -O, O^2 = -I and [A, O] = 0 hold to
     _RESIDUAL_TOL (1e-12); the last certifies that P commutes with H
-    (_certify). Each certificate runs against the Hamiltonian its piece of O
-    was solved from (_complex_structure): each diagonal group of a
-    block-diagonal A, whose O's are written into one factor (fiber 1); the
-    particle-hole half at dim/2 (every qwz disk and stack), whose O' the
-    result keeps as its factor (fiber 2) and whose residual bounds O's
-    (_particle_hole_O); or h itself (fiber 1). A gap_tol that is not a
-    finite number >= 0 is refused before any eigh, and so is a job that does
-    not fit in memory: the structure solver checks the matrix it decomposes
-    (_real_structure), and the groups' factor is checked before it is
-    allocated.
+    (_certify). Everything runs on h's factor, on h's fiber
+    (_complex_structure): the particle-hole half A' at dim/2 (every qwz disk
+    and stack, kept so since h was made), whose O' the result keeps as its
+    factor (fiber 2) and whose residual bounds O's (_particle_hole_O); or A
+    itself (fiber 1). Each certificate runs against the Hamiltonian its
+    piece of O was solved from: each diagonal group of a block-diagonal
+    factor, whose O's are written into one factor, or the whole factor. A
+    gap_tol that is not a finite number >= 0 is refused before any eigh, and
+    so is a job that does not fit in memory: the structure solver checks the
+    matrix it decomposes (_real_structure), and the groups' factor is
+    checked before it is allocated.
 
     A stack h = kron(iA, I_N) has the projection kron(P, I_N): everything
     above runs on the single-copy block A, and the result keeps the factors.

@@ -15,8 +15,9 @@ over the site columns its bonds reach only, and whose blocks
 (r0, r1, c0, c1) and bytes must be the oracle's. Likewise
 `full_width_particle_hole_half` folds each pair of A's blocks into a slab
 of the half's full n = dim/2 width; it is the oracle for
-`artifact.quasifree._particle_hole_half`, whose slabs span the pair's
-folded columns only.
+`artifact.quasifree._half_envelope`, the fold every Hamiltonian's blocks
+go through when it is made, whose slabs span the pair's folded columns
+only.
 `dense_ground_projection` makes one complex eigh of H, keeps the
 lambda < 0 eigenvectors and applies the same half-filling rules for the
 near-zero cluster; it is the oracle for
@@ -29,7 +30,8 @@ reductions of such an A (`artifact.quasifree._complex_structure`: the
 particle-hole half and the diagonal groups), which never form H.
 `dense_A_structure` is the real path with a dense A held throughout: the
 same products as `artifact.quasifree._real_structure`, taken over the
-row envelope that the constructor reads off the dense A (the square A^T A
+row envelope that the constructor reads off the dense A before any fold
+(`unfolded`; the square A^T A
 as the sum of B^T B over its blocks B, and A X as the blocks' products), so
 the two agree bit for bit.
 `dense_tknn_chern` assembles every 2x2 Bloch matrix H = d . sigma from the
@@ -58,20 +60,28 @@ same draw through ground_projection and its certificate.
 `diagonal_dressing` dresses diag(b) by the one product (O * -b) @ O; it
 is the oracle for `artifact.symgen.dress_charge` on a mask.
 `dense_A`, `dense_block` and `dense_generator` are the dense views of the
-factored forms that production keeps: a Hamiltonian's single-copy A
-written from its row envelope blocks, and a FluxGenerator's block in the
-model's basis (diag(mask) for a lifted charge's mask, T(B') for a half's
-B') and its stacked generator kron(block, charge)."""
+factored forms that production keeps: a Hamiltonian's single-copy factor
+(A, or A' on the half) written from its row envelope blocks, and a
+FluxGenerator's block in the model's basis (diag(mask) for a lifted
+charge's mask, T(B') for a half's B') and its stacked generator
+kron(block, charge).
+`unfolded` and `assembled` keep a Hamiltonian at fiber 1, as A's own row
+envelope blocks, where production folds every charge-conserving,
+particle-hole symmetric A to its half when the Hamiltonian is made
+(`artifact.models._factor`): `unfolded` takes a dense A, `assembled` the
+builders' slab assembly (`artifact.models._real_space_blocks`), before
+any fold. They are A itself for the tests that read the dim-size A of a
+qwz disk, and the input of the oracles of the fold."""
 import itertools
 
 import numpy as np
 import scipy.linalg
 
-from artifact import BasisProjection, ComputationError, ConfigError
+from artifact import BasisProjection, ComputationError, ConfigError, stack_copies
 from artifact.invariants import (DEFAULT_CORE_FRACTION, JUNCTION_MULTIPLICITY,
                                  _anchored_trace, _core_indices, _log_near_identity)
 from artifact.models import (_ENVELOPE_ROWS, QuadraticHamiltonian, _bloch, _bond_fibers,
-                             _check_gapped, _envelope)
+                             _check_gapped, _envelope, _real_space_blocks)
 from artifact.quasifree import (_WINDOW_FRACTION, _canonical_basis, _fold, _particle_hole_O,
                                _real_structure)
 
@@ -234,7 +244,7 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> tuple[np.ndarray, float]
     antisymmetric A, by the real path's window rule and products; inputs
     with exact zero modes are refused."""
     dim = A.shape[0]
-    blocks = QuadraticHamiltonian(A, None).blocks  # only their spans are read
+    blocks = unfolded(A).blocks  # only their spans are read
 
     def envelope_product(X):
         out = np.empty((dim, X.shape[1]))
@@ -264,10 +274,10 @@ def dense_A_structure(A: np.ndarray, gap_tol: float) -> tuple[np.ndarray, float]
 
 def dense_gram(A: np.ndarray) -> np.ndarray:
     """A^T A as the sum of B^T B over the row envelope blocks B of the dense
-    A (the constructor's spans, B sliced from A), each term added over its
-    block's column span."""
+    A (the spans the constructor reads off A before any fold, B sliced from
+    A), each term added over its block's column span."""
     S = np.zeros(A.shape)
-    for r0, r1, c0, c1, _ in QuadraticHamiltonian(A, None).blocks:
+    for r0, r1, c0, c1, _ in unfolded(A).blocks:
         B = A[r0:r1, c0:c1]
         S[c0:c1, c0:c1] += B.T @ B
     return S
@@ -384,9 +394,27 @@ def diagonal_dressing(O: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Qt
 
 
+def unfolded(A: np.ndarray) -> QuadraticHamiltonian:
+    """The geometry-less Hamiltonian of the dense real antisymmetric A kept
+    at fiber 1: the row envelope blocks the constructor reads off A, never
+    folded."""
+    blocks = tuple(_envelope((0, A[r0:r0 + _ENVELOPE_ROWS])
+                             for r0 in range(0, len(A), _ENVELOPE_ROWS)))
+    return QuadraticHamiltonian._of_blocks(blocks, len(A), None)
+
+
+def assembled(geometry, onsite, hops, pairs, copies: int = 1) -> QuadraticHamiltonian:
+    """The builders' Hamiltonian of these on-site, hopping and pairing
+    blocks kept at fiber 1: A's row envelope blocks as _real_space_blocks
+    assembles them, never folded; a stack of `copies` keeps them too."""
+    blocks = tuple(_real_space_blocks(geometry, onsite, hops, pairs))
+    h = QuadraticHamiltonian._of_blocks(blocks, geometry.dim_K, geometry)
+    return h if copies == 1 else stack_copies(h, copies)
+
+
 def dense_A(h) -> np.ndarray:
-    """The single-copy A of h as a dense dim x dim array, written from its
-    row envelope blocks."""
+    """The single-copy factor of h (A, or A' on fiber 2) as a dense
+    dim x dim array, written from its row envelope blocks."""
     A = np.zeros((h.dim, h.dim))
     for r0, r1, c0, c1, block in h.blocks:
         A[r0:r1, c0:c1] = block

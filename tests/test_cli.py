@@ -290,6 +290,57 @@ def test_out_into_a_missing_directory_exits_two(trivial_cfg, tmp_path, capsys, c
     assert captured.out == "" and str(out) in captured.err and "cannot write" in captured.err
 
 
+def test_an_unwritable_out_is_refused_before_the_projection(tmp_path, capsys, monkeypatch):
+    # the path is checked up front: a qwz R=16 parity run into a missing
+    # directory exits 2 without building its projection (1.7 s otherwise)
+    from artifact import quasifree
+
+    def no_projection(*args):
+        raise AssertionError("a projection was built for an unwritable --out")
+
+    monkeypatch.setattr(quasifree, "ground_projection", no_projection)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["parity", "--radius", "16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write {str(out)!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["chern", "parity", "twist", "sweep", "oracle-tknn"])
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory", "under_a_file"])
+def test_an_unwritable_out_is_refused_before_anything_is_built(tmp_path, capsys, monkeypatch,
+                                                               command, where):
+    # no lattice, model, projection or momentum grid is made for an --out
+    # that _write could not open, and the message is the one _write gives
+    from artifact import cli, geometry, models, quasifree
+
+    def refused(*args, **kwargs):
+        raise AssertionError("work was done for an unwritable --out")
+
+    for module, name in ((geometry, "build_disk_lattice"), (models, "build_qwz"),
+                         (quasifree, "ground_projection"), (cli, "tknn_chern")):
+        monkeypatch.setattr(module, name, refused)
+    (tmp_path / "file").write_text("")
+    out = {"missing_directory": tmp_path / "missing" / "r.json", "a_directory": tmp_path,
+           "under_a_file": tmp_path / "file" / "r.json"}[where]
+    argv = ["--radii", "4,6"] if command == "sweep" else []
+    assert main([command, *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    with pytest.raises(cli.ConfigError) as late:
+        cli._write("", str(out))
+    assert captured.out == "" and captured.err == f"config error: {late.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_a_run_that_fails_later_leaves_no_out_file(tmp_path, capsys):
+    # the path is only checked, not opened, before the run: refused windows
+    # exit 3 and no report file is made
+    cfg = _write_cfg(tmp_path, "core.json", {"numerics": {"core_fraction": 0.05}})
+    out = tmp_path / "report.json"
+    assert main(["chern", "--config", cfg, "--out", str(out)]) == 3
+    assert "computation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trivial_parity_run(trivial_cfg, capsys):
     assert main(["parity", "--config", trivial_cfg]) == 0
     blob = json.loads(capsys.readouterr().out)

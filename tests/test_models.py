@@ -10,9 +10,9 @@ from artifact import (ComputationError, ConfigError, build_disk_lattice, build_p
 from artifact.geometry import DEFAULT_APEX_OFFSET
 from artifact.models import (QuadraticHamiltonian, _bloch, _check_gapped, _pip_blocks,
                              _plaquette_phases, _qwz_blocks, _real_space_blocks)
-from artifact.quasifree import _particle_hole_half
-from dense_oracle import (bloch_matrices, dense_A, dense_plaquette_phases, dense_real_space_K,
-                          dense_tknn_chern, full_width_particle_hole_half,
+from artifact.quasifree import _half_envelope
+from dense_oracle import (assembled, bloch_matrices, dense_A, dense_plaquette_phases,
+                          dense_real_space_K, dense_tknn_chern, full_width_particle_hole_half,
                           full_width_real_space_blocks)
 from region_helpers import site_projector
 
@@ -49,7 +49,7 @@ def test_far_corner_symmetric_part_refused():
     # the constructor checks |A + A^T| on the dense input; entries far outside
     # the stencil must be seen there and widen the envelope, not slip past it
     disk = build_disk_lattice("square", 6.0, majorana_count=4)  # several blocks
-    A = dense_A(build_qwz(1.0, disk))
+    A = dense_A(assembled(disk, *_qwz_blocks(1.0)))
     for corners in ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6)):  # one-sided, symmetric
         A[0, -1], A[-1, 0] = corners
         with pytest.raises(ComputationError, match="not Hermitian"):
@@ -361,17 +361,65 @@ def test_narrow_slabs_give_the_full_width_blocks(case, radius):
     envelope = tuple(_real_space_blocks(geom, *blocks))
     _same_blocks(envelope, full_width_real_space_blocks(geom, *blocks))
     h = stack_copies(QuadraticHamiltonian._of_blocks(envelope, geom.dim_K, geom), copies)
-    half, want = _particle_hole_half(h), full_width_particle_hole_half(h)
+    half, want = _half_envelope(h.blocks, h.dim), full_width_particle_hole_half(h)
     assert (half is None) == (want is None) != case.startswith("qwz")
     if half is not None:
-        _same_blocks(half.blocks, want)
+        _same_blocks(half, want)
+
+
+BUILD_CASES = {
+    "qwz_u1": (4, lambda geom: build_qwz(1.0, geom), _qwz_blocks(1.0), 2),
+    "qwz_u1.8": (4, lambda geom: build_qwz(1.8, geom), _qwz_blocks(1.8), 2),
+    "pip": (2, lambda geom: build_pip(-1.0, 0.5, geom), _pip_blocks(-1.0, 0.5), 1),
+    "trivial2": (2, build_trivial, (np.eye(1), {}, {}), 1),
+    "trivial6": (6, build_trivial, (np.eye(3), {}, {}), 1),
+}
+
+
+@pytest.mark.parametrize("radius", [4.0, 6.5, 12.0])
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_a_build_keeps_the_half_only_where_every_pair_folds(case, radius):
+    # a qwz disk and its 3-stack come back at fiber 2 with the half that
+    # the full-width fold reads off the unfolded assembly; pip and trivial
+    # break T's pattern at their first fiber, so their builds keep A's own
+    # blocks at fiber 1, byte for byte the slab assembly's
+    majoranas, build, blocks, fiber = BUILD_CASES[case]
+    geom = build_disk_lattice("square", radius, majorana_count=majoranas)
+    h = build(geom)
+    assert h.fiber == fiber and h.dim * fiber == geom.dim_K and h.geometry is geom
+    if fiber == 2:
+        want = full_width_particle_hole_half(assembled(geom, *blocks))
+    else:
+        want = tuple(_real_space_blocks(geom, *blocks))
+    _same_blocks(h.blocks, want)
+    h3 = stack_copies(h, 3)
+    assert h3.fiber == fiber and h3.dim == h.dim and h3.blocks is h.blocks
+
+
+def test_a_qwz_build_never_holds_the_full_A():
+    # each pair of A's envelope blocks is folded into the half and dropped
+    # as it is assembled, so the build's traced peak on the R = 12 disk
+    # (dim 1816) stays below the bytes of A's own blocks (4.13e6): 3.18e6
+    # measured, A' holding 1.47e6; 4.45e6 when A's blocks were kept
+    geom = build_disk_lattice("square", 12.0, majorana_count=4)
+    full = sum(block.nbytes for *_, block in _real_space_blocks(geom, *_qwz_blocks(1.0)))
+    tracemalloc.start()
+    try:
+        h = build_qwz(1.0, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full
+    assert h.fiber == 2 and stack_copies(h, 3).blocks is h.blocks
 
 
 def test_build_holds_no_full_width_slab():
     # qwz R=16 (dim 3216): a slab of A is zeroed over the sites its bonds
     # reach, a few lattice rows, so the build's traced peak above its own
-    # blocks stays below one full-width slab of 128 x dim floats: 0.12
-    # measured, 1.96 when each slab spanned every column
+    # blocks (the half's) stays below one full-width slab of 128 x dim
+    # floats: 0.58 measured, the fold's pair of A blocks and its temporaries
+    # included (0.12 while A's blocks were kept unfolded, 1.96 when each
+    # slab spanned every column)
     geom = build_disk_lattice("square", 16.0, majorana_count=4)
     tracemalloc.start()
     try:
@@ -380,16 +428,17 @@ def test_build_holds_no_full_width_slab():
     finally:
         tracemalloc.stop()
     held = sum(block.nbytes for *_, block in h.blocks)
-    assert peak - held < models._ENVELOPE_ROWS * h.dim * 8
+    assert peak - held < models._ENVELOPE_ROWS * geom.dim_K * 8
 
 
 def test_build_peak_stays_below_projection_estimate():
     # the memory guard runs before the build on the projection's estimate of
     # 6 real dim x dim arrays, so the build itself must need less. It holds
-    # A's envelope blocks (0.28 arrays at dim 804) and one slab of rows being
-    # assembled over the columns its bonds reach, 0.33 arrays measured, so
-    # the bound also keeps every dense dim x dim array out, a dense A
-    # included
+    # the half's envelope blocks (0.10 arrays at dim 804), one slab of rows
+    # being assembled over the columns its bonds reach and the pair of A's
+    # blocks being folded, 0.39 arrays measured (0.33 with A's blocks kept
+    # unfolded, 0.28 arrays of them), so the bound also keeps every dense
+    # dim x dim array out, a dense A included
     geom = build_disk_lattice("square", 8.0, majorana_count=4)
     tracemalloc.start()
     try:
@@ -403,11 +452,12 @@ def test_build_peak_stays_below_projection_estimate():
 @pytest.mark.parametrize("family, majoranas", [("qwz", 4), ("pip", 2), ("trivial", 2),
                                                ("trivial", 6), ("qwz_stack3", 4)])
 def test_dense_on_read_is_the_assembled_A(family, majoranas):
-    # the builders keep only A's row envelope blocks, assembled slab by slab
-    # (six Majoranas a site do not divide a slab's 128 rows); read back dense
-    # they are the dense assembly entry for entry, and the constructor's
-    # checks take that A to the same blocks (a symmetric part would change
-    # or refuse them)
+    # the builders keep only the row envelope blocks of A's factor,
+    # assembled slab by slab (six Majoranas a site do not divide a slab's
+    # 128 rows); read back dense (`.matrix`, T(A') on qwz's half; the
+    # unfolded assembly) they are the dense assembly entry for entry, and
+    # the constructor's checks take that A to the same blocks, at the same
+    # fiber (a symmetric part would change or refuse them)
     geom = build_disk_lattice("square", 6.0, majorana_count=majoranas)
     if family == "pip":
         h, blocks = build_pip(-1.0, 0.5, geom), _pip_blocks(-1.0, 0.5)
@@ -415,20 +465,22 @@ def test_dense_on_read_is_the_assembled_A(family, majoranas):
         h, blocks = build_trivial(geom), (np.eye(majoranas // 2), {}, {})
     else:
         h, blocks = build_qwz(1.0, geom), _qwz_blocks(1.0)
+    A = dense_real_space_K(geom, *blocks).imag
     if family == "qwz_stack3":
         h = stack_copies(h, 3)
-        assert np.array_equal(h.matrix, 1j * np.kron(dense_A(h), np.eye(3)))
-    A = dense_real_space_K(geom, *blocks).imag
-    assert np.array_equal(dense_A(h), A)
+        assert np.array_equal(h.matrix, 1j * np.kron(A, np.eye(3)))
+    assert np.array_equal(dense_A(assembled(geom, *blocks)), A)
+    assert np.array_equal(h.matrix, 1j * np.kron(A, np.eye(h.copies)))
     for (*span, block), (*again, block_again) in zip(
             h.blocks, QuadraticHamiltonian(A, geom).blocks, strict=True):
         assert span == again and np.array_equal(block, block_again)
 
 
 def test_hamiltonian_holds_no_dense_array():
-    # qwz at radius 12 (dim 1816): the blocks own their data (no view keeps a
-    # dense A alive) and hold under a fifth of dim^2 floats; a stack shares them
+    # qwz at radius 12 (dim 1816): the half's blocks own their data (no view
+    # keeps a dense A alive) and hold under a fifth of dim^2 floats; a stack
+    # shares them
     h = build_qwz(1.0, build_disk_lattice("square", 12.0, majorana_count=4))
     assert all(block.base is None for *_, block in h.blocks)
-    assert sum(block.size for *_, block in h.blocks) <= 0.2 * h.dim**2
+    assert sum(block.size for *_, block in h.blocks) <= 0.2 * (h.dim * h.fiber)**2
     assert stack_copies(h, 3).blocks is h.blocks

@@ -16,12 +16,12 @@ from artifact import (ComputationError, build_disk_lattice,
                       random_covariance, stack_copies, wick_expectation)
 from artifact import _util, models, quasifree
 from artifact.cli import main
-from artifact.models import QuadraticHamiltonian
+from artifact.models import QuadraticHamiltonian, _qwz_blocks
 from artifact.quasifree import (BasisProjection, _antisymmetrize, _commutator_residual, _pfaffian,
                                 _transpose_residual)
-from dense_oracle import (dense_A, dense_A_structure, dense_basis_projection,
+from dense_oracle import (assembled, dense_A, dense_A_structure, dense_basis_projection,
                           dense_charge_structure, dense_gram, dense_ground_projection,
-                          full_width_particle_hole_half, uncertified_random_factor)
+                          full_width_particle_hole_half, uncertified_random_factor, unfolded)
 from eigh_spy import spy_eighs
 
 
@@ -63,7 +63,7 @@ def test_ground_state_is_stored_real(qwz_r6):
     for stored in (h, stack_copies(h, 3), QuadraticHamiltonian(h.matrix, h.geometry)):
         assert all(block.dtype == np.float64 for *_, block in stored.blocks)
     assert P.O.dtype == np.float64
-    assert np.array_equal(h.matrix, 1j * dense_A(h))
+    assert np.array_equal(h.matrix, 1j * dense_A(assembled(P.geometry, *_qwz_blocks(1.0))))
     assert np.array_equal(P.matrix, (np.eye(P.dim_K) - 1j * P.O) / 2)
 
 
@@ -78,7 +78,7 @@ def test_real_path_refuses_a_total_cluster():
     # a paired model takes the real path, where a gap_tol above the whole
     # spectrum makes every mode a cluster member
     h = build_pip(-1.0, 0.5, build_disk_lattice("square", 4.0, majorana_count=2))
-    assert quasifree._particle_hole_half(h) is None
+    assert h.fiber == 1
     with pytest.raises(ComputationError, match="unresolvable zero modes"):
         ground_projection(h, 100.0)
 
@@ -265,11 +265,12 @@ def test_projection_peak_stays_below_its_memory_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _util._WORKING_ARRAYS * 8 * h.dim**2
+    dim = h.dim * h.fiber  # A's: h keeps the half A' of size dim/2
+    assert peak < _util._WORKING_ARRAYS * 8 * dim**2
     # qwz keeps its particle-hole half's O' as the factor and never
     # allocates O, so the projection's peak is the real path's at dim/2
     # (measured 0.71; 1.37 while O and its planes were assembled)
-    assert peak < 0.85 * 8 * h.dim**2
+    assert peak < 0.85 * 8 * dim**2
 
 
 def _eigh_inputs():
@@ -428,7 +429,7 @@ def test_one_nan_anywhere_is_refused(qwz_r6, spot, monkeypatch):
     assert np.isnan(_transpose_residual(O))
     with pytest.raises(ComputationError, match="not Hermitian: nan"):
         BasisProjection(O).validate()
-    h = build_qwz(1.0, P.geometry)
+    h = assembled(P.geometry, *_qwz_blocks(1.0))
     monkeypatch.setattr(BasisProjection, "validate", lambda self: 0.0)
     with pytest.raises(ComputationError, match=r"gapless: \[A, O\] residual nan"):
         quasifree._certify(h, O)
@@ -447,7 +448,7 @@ def _local_operator(case):
         return dense_A(build_trivial(geom))
     if case == "pip":
         return dense_A(build_pip(-1.0, 0.5, geom))
-    A = dense_A(build_qwz(1.0, geom))
+    A = dense_A(assembled(geom, *_qwz_blocks(1.0)))
     if case == "far_corner":
         # one coupling far outside the stencil: the envelope is read from A
         A[0, -1], A[-1, 0] = 1.0, -1.0
@@ -462,7 +463,7 @@ def test_local_matmul_is_the_product(case):
     full = np.random.default_rng(3).standard_normal((n, n))
     X = full[:, n // 3:]  # not contiguous, as the columns V[:, k:] of eigh
     assert not X.flags.c_contiguous
-    h = QuadraticHamiltonian(A, None)
+    h = unfolded(A)
     for Y in (X, A, full):
         bound = 1e-14 * (np.abs(A) @ np.abs(Y))
         assert np.all(np.abs(h.matmul(Y) - A @ Y) <= bound)
@@ -480,7 +481,7 @@ def test_band_limited_square_is_the_product_bit_for_bit(case):
     if case == "qwz_stack3":
         h = stack_copies(build_qwz(1.0, build_disk_lattice("square", 6.0, majorana_count=4)), 3)
     else:
-        h = QuadraticHamiltonian(_local_operator(case), None)
+        h = unfolded(_local_operator(case))  # qwz's own A; the stack keeps the half
     A = dense_A(h)
     S = h.gram()
     assert np.array_equal(S, dense_gram(A))
@@ -539,13 +540,25 @@ def _disk(radius, majoranas):
     return build_disk_lattice("square", radius, majorana_count=majoranas)
 
 
+def _qwz(u, radius, copies=1):
+    """(the qwz disk as built, kept at its particle-hole half, and its A
+    kept at fiber 1 by the unfolded assembly)"""
+    geom = _disk(radius, 4)
+    return stack_copies(build_qwz(u, geom), copies), assembled(geom, *_qwz_blocks(u), copies=copies)
+
+
+def _at_fiber_1(build):
+    """A build whose A is its own factor, paired with itself."""
+    return lambda: (build(), build())
+
+
 CHARGE_CASES = {
-    "qwz_u1_r12": (lambda: build_qwz(1.0, _disk(12.0, 4)), 1e-4),
-    "qwz_u-1_r8": (lambda: build_qwz(-1.0, _disk(8.0, 4)), 1e-4),
-    "qwz_u1.8_r8": (lambda: build_qwz(1.8, _disk(8.0, 4)), 1e-4),
-    "triv2_r12": (lambda: build_trivial(_disk(12.0, 2)), 1e-8),
-    "triv6_r6": (lambda: build_trivial(_disk(6.0, 6)), 1e-8),
-    "qwz_stack3_r6": (lambda: stack_copies(build_qwz(1.0, _disk(6.0, 4)), 3), 1e-4),
+    "qwz_u1_r12": (lambda: _qwz(1.0, 12.0), 1e-4),
+    "qwz_u-1_r8": (lambda: _qwz(-1.0, 8.0), 1e-4),
+    "qwz_u1.8_r8": (lambda: _qwz(1.8, 8.0), 1e-4),
+    "triv2_r12": (_at_fiber_1(lambda: build_trivial(_disk(12.0, 2))), 1e-8),
+    "triv6_r6": (_at_fiber_1(lambda: build_trivial(_disk(6.0, 6))), 1e-8),
+    "qwz_stack3_r6": (lambda: _qwz(1.0, 6.0, 3), 1e-4),
 }
 
 
@@ -555,10 +568,10 @@ def test_charge_path_matches_the_real_path(case):
     # particle-hole half, trivial group by group); the oracle's real path on
     # the whole dense A, no reduction taken, licenses it
     build, gap_tol = CHARGE_CASES[case]
-    h = build()
+    h, whole = build()
     P = ground_projection(h, gap_tol)
     O = P.O
-    O_real, edge_gap_real = dense_A_structure(dense_A(h), gap_tol)
+    O_real, edge_gap_real = dense_A_structure(dense_A(whole), gap_tol)
     assert P.health["zero_modes"] == 0
     assert np.array_equal(O, -O.T)
     assert float(np.max(np.abs(O - O_real))) <= 1e-13
@@ -631,7 +644,7 @@ def test_a_bond_across_a_block_edge_makes_one_group():
     A[127, 128], A[128, 127] = 0.3, -0.3
     h = QuadraticHamiltonian(A, h.geometry)
     assert quasifree._diagonal_groups(h) == [(0, h)]
-    assert quasifree._particle_hole_half(h) is None
+    assert h.fiber == 1
     P = ground_projection(h, 1e-8)
     assert P.factor.tobytes() == quasifree._real_structure(h, 1e-8)[0].tobytes()
 
@@ -661,7 +674,7 @@ def test_a_group_with_an_unresolvable_cluster_is_refused(case):
 def _perturbed_qwz():
     """qwz R=6 with one hopping entry moved: fiber (0, 1) no longer reads
     x I + y eps."""
-    h = build_qwz(1.0, _disk(6.0, 4))
+    h = assembled(_disk(6.0, 4), *_qwz_blocks(1.0))
     A = dense_A(h)
     A[0, 3] += 1e-3
     A[3, 0] -= 1e-3
@@ -675,7 +688,7 @@ FALLBACK_CASES = {"pip_r8": _pip_r8, "perturbed_qwz_r6": _perturbed_qwz}
 def test_fallback_is_the_real_path_bit_for_bit(case):
     # an A of one group without the charge structure is solved on itself
     h = FALLBACK_CASES[case]()
-    assert quasifree._particle_hole_half(h) is None
+    assert h.fiber == 1
     assert quasifree._diagonal_groups(h) == [(0, h)]
     O, edge_gap, m = quasifree._real_structure(h, 1e-4)
     P = ground_projection(h, 1e-4)
@@ -697,7 +710,7 @@ def test_charge_path_resolves_its_cluster_in_one_eigh(case, monkeypatch):
     # input with its exact zero fibers set back to trivial's
     fibers = CLUSTER_CASES[case]
     h = _trivial_with_fibers(fibers)
-    assert quasifree._particle_hole_half(h) is None
+    assert h.fiber == 1
     assert quasifree._diagonal_groups(h) == [(0, h)]
     calls = spy_eighs(monkeypatch, lambda a: (len(a), np.iscomplexobj(a)))
     P = ground_projection(h, 1e-8)
@@ -759,8 +772,10 @@ def test_fold_refuses_any_broken_fiber_entry(entry):
 
 
 def _refused(h):
-    """The half is refused, and so is it by the full-width fold."""
-    return quasifree._particle_hole_half(h) is None and full_width_particle_hole_half(h) is None
+    """h is kept at fiber 1: the half of its A is refused, and so is it by
+    the full-width fold."""
+    return (h.fiber == 1 and quasifree._half_envelope(h.blocks, h.dim) is None
+            and full_width_particle_hole_half(h) is None)
 
 
 def test_charge_structure_is_read_from_the_entries():
@@ -770,17 +785,18 @@ def test_charge_structure_is_read_from_the_entries():
     # slab spanning the far columns as the full-width fold's does
     assert _refused(_pip_r8())
     assert _refused(_perturbed_qwz())
-    h = build_qwz(1.0, _disk(4.0, 4))
+    h = assembled(_disk(4.0, 4), *_qwz_blocks(1.0))
     n = h.dim // 2
     far = np.zeros((n, n))
     far[0:2, -2:] = [[0.25, 0.5], [-0.75, 1.0]]  # pairs 0 and n/2 - 1, dyadic: T is exact
     far[-2:, 0:2] = -far[0:2, -2:].T
-    coupled = QuadraticHamiltonian(dense_A(h) + quasifree._particle_hole_O(far), None)
-    assert coupled.blocks[0][3] == h.dim  # the first block reaches the last column
-    half = quasifree._particle_hole_half(coupled)
-    assert np.array_equal(dense_A(half), dense_A(quasifree._particle_hole_half(h)) + far)
+    A = dense_A(h) + quasifree._particle_hole_O(far)
+    assert unfolded(A).blocks[0][3] == h.dim  # the first block reaches the last column
+    half = QuadraticHamiltonian(A, None)
+    assert half.fiber == 2
+    assert np.array_equal(dense_A(half), dense_A(build_qwz(1.0, _disk(4.0, 4))) + far)
     assert [(*span, b.tobytes()) for *span, b in half.blocks] == \
-        [(*span, b.tobytes()) for *span, b in full_width_particle_hole_half(coupled)]
+        [(*span, b.tobytes()) for *span, b in full_width_particle_hole_half(unfolded(A))]
     odd = np.zeros((260, 260))
     odd[0, 131], odd[131, 0] = 1.0, -1.0
     h = QuadraticHamiltonian(odd, None)
@@ -790,6 +806,34 @@ def test_charge_structure_is_read_from_the_entries():
     assert _refused(QuadraticHamiltonian(J, None))
     six = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])  # x I + y eps, 3 orbitals
     assert _refused(QuadraticHamiltonian(six, None))
+
+
+def test_a_half_broken_only_in_its_last_slab_keeps_A():
+    # a dense A = T(X'), X' random antisymmetric of size 150: every fiber in
+    # T's pattern (charge-conserving, particle-hole symmetric), one diagonal
+    # group, blocks of rows 0:128, 128:256 and 256:300. A chemical potential
+    # on orbital 140 (rows 280 and 281) breaks the symmetry, and the
+    # pattern, in the last slab only: the first pair folds, the last does
+    # not, so the constructor keeps A's own blocks (fiber 1), and the
+    # projection is the one solving A itself gives, bit for bit
+    X = np.random.default_rng(41).standard_normal((150, 150))
+    A = quasifree._particle_hole_O(X - X.T)
+    assert QuadraticHamiltonian(A, None).fiber == 2
+    A[280, 281] += 0.1
+    A[281, 280] -= 0.1
+    whole = unfolded(A)
+    assert [block[:2] for block in whole.blocks] == [(0, 128), (128, 256), (256, 300)]
+    assert quasifree._half_slab(whole.blocks[:2]) is not None
+    assert quasifree._half_slab(whole.blocks[2:]) is None
+    h = QuadraticHamiltonian(A, None)
+    assert h.fiber == 1 and h.dim == 300
+    assert [(*span, b.tobytes()) for *span, b in h.blocks] == \
+        [(*span, b.tobytes()) for *span, b in whole.blocks]
+    P = ground_projection(h, 1e-4)
+    O, edge_gap, m = quasifree._real_structure(whole, 1e-4)
+    assert P.fiber == 1 and P.factor.tobytes() == O.tobytes()
+    assert P.health == {"edge_gap": edge_gap, "zero_modes": m,
+                        "projection_residual": quasifree._certify(whole, O)}
 
 
 def test_charge_path_peak_stays_below_its_measured_value():
@@ -804,7 +848,7 @@ def test_charge_path_peak_stays_below_its_measured_value():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.85 * 8 * h.dim**2
+    assert peak < 0.85 * 8 * (h.dim * h.fiber)**2
 
 
 def test_diagonal_groups_peak_stays_below_its_measured_value():
@@ -827,13 +871,13 @@ def test_diagonal_groups_peak_stays_below_its_measured_value():
 
 
 PARTICLE_HOLE_CASES = {
-    "qwz_u1_r12": (lambda: build_qwz(1.0, _disk(12.0, 4)), 1e-4, 0),
-    "qwz_u-1_r8": (lambda: build_qwz(-1.0, _disk(8.0, 4)), 1e-4, 0),
-    "qwz_u1.8_r10": (lambda: build_qwz(1.8, _disk(10.0, 4)), 1e-4, 0),
-    "qwz_u2.5_r8": (lambda: build_qwz(2.5, _disk(8.0, 4)), 1e-4, 0),
-    "qwz_stack3_r6": (lambda: stack_copies(build_qwz(1.0, _disk(6.0, 4)), 3), 1e-4, 0),
-    "split4_r12": (lambda: build_qwz(1.0, _disk(12.0, 4)), 0.05, 4),
-    "split12_r8": (lambda: build_qwz(1.0, _disk(8.0, 4)), 0.2, 12),
+    "qwz_u1_r12": (lambda: _qwz(1.0, 12.0), 1e-4, 0),
+    "qwz_u-1_r8": (lambda: _qwz(-1.0, 8.0), 1e-4, 0),
+    "qwz_u1.8_r10": (lambda: _qwz(1.8, 10.0), 1e-4, 0),
+    "qwz_u2.5_r8": (lambda: _qwz(2.5, 8.0), 1e-4, 0),
+    "qwz_stack3_r6": (lambda: _qwz(1.0, 6.0, 3), 1e-4, 0),
+    "split4_r12": (lambda: _qwz(1.0, 12.0), 0.05, 4),
+    "split12_r8": (lambda: _qwz(1.0, 8.0), 0.2, 12),
 }
 
 
@@ -843,10 +887,10 @@ def test_particle_hole_half_matches_the_complex_eigh(case):
     # real eigh of dim/2; the oracle's complex eigh of H (dense_oracle,
     # size dim/2), split clusters included, licenses it
     build, gap_tol, zero_modes = PARTICLE_HOLE_CASES[case]
-    h = build()
-    assert quasifree._particle_hole_half(h).dim == h.dim // 2
+    h, whole = build()
+    assert h.fiber == 2 and h.dim == whole.dim // 2
     P = ground_projection(h, gap_tol)
-    O_ref, lam = dense_charge_structure(dense_A(h))
+    O_ref, lam = dense_charge_structure(dense_A(whole))
     O = P.O
     assert P.health["zero_modes"] == 2 * np.count_nonzero(np.abs(lam) <= gap_tol) * h.copies
     assert P.health["zero_modes"] == zero_modes * h.copies
@@ -862,18 +906,17 @@ def test_particle_hole_half_matches_the_complex_eigh(case):
 
 
 def _qwz_with_decoupled_sites(onsite):
-    """qwz R=6 with each site s of `onsite` cut from its neighbours and given
-    the on-site block onsite[s] sigma_z: still charge-conserving and
-    particle-hole symmetric, with H's pair +-onsite[s] at the site (an exact
-    zero pair for 0)."""
-    h = build_qwz(1.0, _disk(6.0, 4))
-    A = dense_A(h)
+    """The dense A of qwz R=6 with each site s of `onsite` cut from its
+    neighbours and given the on-site block onsite[s] sigma_z: still
+    charge-conserving and particle-hole symmetric, with H's pair
+    +-onsite[s] at the site (an exact zero pair for 0)."""
+    A = dense_A(assembled(_disk(6.0, 4), *_qwz_blocks(1.0)))
     for s, eps in onsite.items():
         A[4 * s:4 * s + 4, :] = 0.0
         A[:, 4 * s:4 * s + 4] = 0.0
         A[4 * s, 4 * s + 1], A[4 * s + 1, 4 * s] = eps, -eps
         A[4 * s + 2, 4 * s + 3], A[4 * s + 3, 4 * s + 2] = -eps, eps
-    return QuadraticHamiltonian(A, h.geometry)
+    return A
 
 
 @pytest.mark.parametrize("case", ["zero_pair", "mixed"])
@@ -885,10 +928,12 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     # outside those sites' fibers O is the oracle's for the same input with
     # each zero site gapped (on-site 1 sigma_z)
     onsite = {0: 0.0} if case == "zero_pair" else {0: 1e-10, 1: 0.0}
-    h = _qwz_with_decoupled_sites(onsite)
-    assert quasifree._particle_hole_half(h).dim == h.dim // 2
+    A = _qwz_with_decoupled_sites(onsite)
+    h = QuadraticHamiltonian(A, _disk(6.0, 4))
+    dim = len(A)
+    assert h.fiber == 2 and h.dim == dim // 2
     gapped = _qwz_with_decoupled_sites({s: eps or 1.0 for s, eps in onsite.items()})
-    O_ref, _ = dense_charge_structure(dense_A(gapped))
+    O_ref, _ = dense_charge_structure(gapped)
     real_structure, halves = quasifree._real_structure, []
 
     def spied_structure(half, gap_tol):
@@ -898,9 +943,9 @@ def test_the_half_resolves_exact_zeros_in_one_real_eigh(case, monkeypatch):
     monkeypatch.setattr(quasifree, "_real_structure", spied_structure)
     calls = spy_eighs(monkeypatch, lambda a: (len(a), np.iscomplexobj(a)))
     P = ground_projection(h, 1e-8)
-    assert halves == [h.dim // 2]
-    assert calls[0] == (h.dim // 2, False)
-    assert all(size < h.dim // 8 for size, _ in calls[1:])
+    assert halves == [dim // 2]
+    assert calls[0] == (dim // 2, False)
+    assert all(size < dim // 8 for size, _ in calls[1:])
     O = P.O
     diff = np.abs(O - O_ref)
     for s in (s for s, eps in onsite.items() if eps == 0.0):
@@ -938,17 +983,16 @@ def test_half_certificate_bounds_the_full_one(case):
     # entries are +-(x1 +- x2)/2: the residual certified on (A', O') at dim/2
     # bounds the full one, up to rounding
     build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
-    h = build()
+    h, whole = build()
     P = ground_projection(h, gap_tol)
     O_half, fiber, (_, _, residual) = quasifree._complex_structure(h, gap_tol)
-    solved = quasifree._particle_hole_half(h)
-    assert P.fiber == fiber == 2 and solved.dim == h.dim // 2
+    assert P.fiber == fiber == h.fiber == 2 and h.dim == whole.dim // 2
     assert np.array_equal(P.factor, O_half)
-    half = quasifree._certify(solved, O_half)
+    half = quasifree._certify(h, O_half)
     assert half == residual == P.health["projection_residual"] <= 1e-12
     O = P.O
-    full = quasifree._certify(h, O)
-    assert full == max(_commutator_residual(h, O), BasisProjection(O).validate())
+    full = quasifree._certify(whole, O)
+    assert full == max(_commutator_residual(whole, O), BasisProjection(O).validate())
     assert half >= full - 1e-15
 
 
@@ -958,10 +1002,10 @@ def test_the_half_factor_gives_the_assembled_O_s_nu(case):
     # triple traces on the factor, at two Majoranas per site and scaled by
     # copies * fiber, are those of the assembled O
     build, gap_tol, _ = PARTICLE_HOLE_CASES[case]
-    h = build()
+    h, whole = build()
     P = ground_projection(h, gap_tol)
-    assert P.fiber == 2 and len(P.factor) == h.dim // 2
-    assert P.dim_K == h.dim * h.copies
+    assert P.fiber == 2 and len(P.factor) == whole.dim // 2
+    assert P.dim_K == whole.dim * whole.copies
     part = make_good_partition(h.geometry.apex)
     full = BasisProjection(P.O, P.geometry, copies=P.copies)
     assert abs(chern_number(P, part) - chern_number(full, part)) <= 1e-12
@@ -1049,8 +1093,8 @@ def test_a_bad_half_is_refused_not_rediagonalized(case, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spied)
     with pytest.raises(ComputationError, match=message):
         ground_projection(h, 1e-4)
-    assert halves == [h.dim // 2]
-    assert h.dim // 2 not in complex_sizes
+    assert halves == [h.dim] and h.fiber == 2  # h keeps the half A' of size dim/2
+    assert h.dim not in complex_sizes
 
 
 def _certified_sizes(monkeypatch):
@@ -1062,7 +1106,7 @@ def _certified_sizes(monkeypatch):
                                                BasisProjection.validate)
 
     def structure(h, gap_tol):
-        dims.append(h.dim)
+        dims.append(h.dim * h.fiber)  # A's dim, at either fiber
         return complex_structure(h, gap_tol)
 
     def spied_commutator(h, O):
@@ -1098,7 +1142,7 @@ def test_certificate_runs_where_O_is_determined(family, task, tmp_path, monkeypa
 def _qwz_with_chemical_potential():
     """qwz R=6 with mu I added to H: the charge form survives, the
     particle-hole symmetry does not."""
-    h = build_qwz(1.0, _disk(6.0, 4))
+    h = assembled(_disk(6.0, 4), *_qwz_blocks(1.0))
     A = dense_A(h)
     A[0::2, 1::2] += 0.1 * np.eye(h.dim // 2)
     A[1::2, 0::2] -= 0.1 * np.eye(h.dim // 2)
@@ -1121,12 +1165,12 @@ def test_only_a_particle_hole_symmetric_H_takes_the_half(monkeypatch):
                      (build_trivial(_disk(5.0, 4)), [128, 128, 56]),
                      (_qwz_with_chemical_potential(), [448]), (_pip_r8(), [402]),
                      (_perturbed_qwz(), [448])):
-        assert quasifree._particle_hole_half(h) is None
+        assert h.fiber == 1
         ground_projection(h, 1e-4)
         assert solved == sizes and sum(sizes) == h.dim
         solved.clear()
     six = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])  # H of 3 orbitals: no pairs
-    assert quasifree._particle_hole_half(QuadraticHamiltonian(six, None)) is None
+    assert QuadraticHamiltonian(six, None).fiber == 1
 
 
 #: CLI family -> (task, the real eighs of its run at R=6, its window's bound)

@@ -60,7 +60,8 @@ ALLOWED = {
     ("invariants", "_log_near_identity"): _BRANCH + " (exchange_phase_bch's Cayley log, "
                                                     "for a commutator outside the series radius)",
     ("quasifree", "_canonical_basis"): _BRANCH + " (exact zero modes at the Fermi level)",
-    ("quasifree", "_particle_hole_O"): "`.O`, `.matrix` and `flux_unitary` on a half",
+    ("quasifree", "_particle_hole_O"): "`BasisProjection.O`, both `.matrix` views and "
+                                       "`flux_unitary` on a half",
     ("quasifree", "_eigenvalues_did_not_converge"): _ERROR,
 }
 

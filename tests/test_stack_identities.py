@@ -21,10 +21,11 @@ from artifact import (build_disk_lattice, build_pip, build_qwz, build_trivial,
                       lift_charge, make_good_partition, parity_charge, stack_copies,
                       twist_statistics)
 from artifact import ComputationError, invariants, quasifree
-from artifact.models import QuadraticHamiltonian
+from artifact.models import QuadraticHamiltonian, _qwz_blocks
 from artifact.quasifree import BasisProjection
 from artifact.symgen import FluxGenerator
-from dense_oracle import dense_A, dense_basis_projection, dense_generator, dense_ground_projection
+from dense_oracle import (assembled, dense_A, dense_basis_projection, dense_generator,
+                          dense_ground_projection)
 
 _BUILD = {
     "qwz": (4, lambda geom: build_qwz(1.0, geom), 1e-4),
@@ -99,8 +100,9 @@ def test_a_geometry_less_stack_projects_as_kron(family):
     # a Hamiltonian built from a bare A has no geometry (the particle-hole
     # half is one); its stack keeps none and projects as kron(P1, I_3)
     disk = build_disk_lattice("square", 4.0, majorana_count=2 if family == "pip" else 4)
-    block = build_pip(-1.0, 0.5, disk) if family == "pip" else build_qwz(1.0, disk)
+    block = build_pip(-1.0, 0.5, disk) if family == "pip" else assembled(disk, *_qwz_blocks(1.0))
     h = QuadraticHamiltonian(dense_A(block), None)
+    assert h.fiber == (2 if family == "qwz" else 1)
     h3 = stack_copies(h, 3)
     assert h3.geometry is None and h3.copies == 3
     P1, P3 = ground_projection(h, 1e-4), ground_projection(h3, 1e-4)
